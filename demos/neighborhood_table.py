@@ -11,7 +11,7 @@ single step.
 import numpy as np
 
 from multiwalk import (SolverConfig, candidate_table_text, get_objective,
-                       mw_run)
+                       run_solver)
 from multiwalk.targets import compute_target
 
 marks = np.array([1.0, 2.0, 4.0, 10.0, 12.0, 17.0])[:, None]
@@ -27,9 +27,9 @@ print(f"oracle target for {spec.name}: {record.value_target!r} at x = {record.co
 print("note the candidate 9 in row 3: one step away from the optimum.")
 print()
 
-spec = spec.with_target(record.value_target, coords=record.coords)
+spec = spec.with_target(record.value_target)
 cfg = SolverConfig(kind="MW", objective="ehrenfest4", seed=1, steps_limit=50,
                    marks=6, radius=4, dither=0.0)
-run = mw_run(cfg, spec, initial_marks=marks)
+run = run_solver(cfg, spec, initial_marks=marks)
 print(f"solve from this ruler: steps={run.steps}, censored={run.is_censored}, "
       f"valueBest={run.value_best!r}, coordBest={run.coord_best}")

@@ -12,8 +12,7 @@ from multiwalk import (ExperimentPlan, SolverConfig, get_objective,
 from multiwalk.targets import compute_target
 
 record = compute_target(get_objective("ehrenfest15"))
-spec = get_objective("ehrenfest15").with_target(record.value_target,
-                                                coords=record.coords)
+spec = get_objective("ehrenfest15").with_target(record.value_target)
 print(f"objective ehrenfest15, target {record.value_target!r} at x = {record.coords[0]}")
 
 configs = [SolverConfig(kind="MWR", objective="ehrenfest15", seed=1,

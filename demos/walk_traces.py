@@ -12,7 +12,6 @@ from multiwalk.targets import compute_target
 
 record = compute_target(get_objective("trefethen1"), digits=6)
 spec = get_objective("trefethen1").with_target(record.value_target,
-                                               coords=record.coords,
                                                digits_target=6)
 print(f"objective trefethen1, six-digit target {record.value_target!r}")
 print()

@@ -1,21 +1,11 @@
 """Multi-walk stochastic global optimizer, differential-evolution baselines,
 and an uncensored first-passage-time benchmarking harness."""
 
-from .experiments import (ComparisonReport, ExperimentPlan, SolverSummary,
-                          compare_solvers, run_experiment, summarize,
-                          summarize_experiment, write_bargraph_csv,
-                          write_runs_csv, write_summary_csv)
-from .objectives import (EvalCounter, ObjectiveSpec, ehrenfest, evaluate,
-                         evaluate_batch, get_objective, objective_names,
-                         quantize, trefethen, wild)
-from .ruler import (NeighborhoodProposal, RulerState, candidate_coords,
-                    candidate_table_text, eligible_neighbors, init_rulers,
-                    neighborhood_eval)
-from .solvers import (SOLVER_KINDS, RunRecord, RunningBest, SolverConfig,
-                      WalkTrace, de_mutate, de_strategy_run, desf_run,
-                      desfr_run, mw_run, mw_step, mwr_run, run_solver,
-                      trace_to_text)
-from .targets import (TargetRecord, TargetStore, compute_target,
-                      enumerate_integer_minimum, grid_refine_minimum)
+from .experiments import (ExperimentPlan, run_experiment, summarize_experiment,
+                          write_bargraph_csv, write_summary_csv)
+from .objectives import get_objective, objective_names
+from .ruler import candidate_table_text
+from .solvers import SolverConfig, run_solver, trace_to_text
+from .targets import TargetStore
 
 __version__ = "0.1.0"

@@ -15,11 +15,15 @@ import sys
 from .experiments import (ExperimentPlan, run_experiment, summarize_experiment,
                           write_bargraph_csv, write_runs_csv, write_summary_csv)
 from .objectives import get_objective, objective_names
-from .solvers import SOLVER_KINDS, SolverConfig, run_solver, trace_to_text
+from .solvers import (SOLVER_KINDS, SolverConfig, parse_trace, run_solver,
+                      trace_to_text)
 from .targets import TargetStore, compute_target
 
-_INT_KEYS = {"marks", "radius", "plateau_limit", "steps_limit", "seed", "digits_target"}
-_FLOAT_KEYS = {"dither", "rde", "cr", "de_jitter"}
+_KEY_TYPES = {
+    **dict.fromkeys(("marks", "radius", "plateau_limit", "steps_limit", "seed",
+                     "digits_target"), int),
+    **dict.fromkeys(("dither", "rde", "cr", "de_jitter"), float),
+}
 
 
 class CliError(Exception):
@@ -52,14 +56,26 @@ def _parse_solver_spec(text: str, args) -> SolverConfig:
                 raise CliError(f"bad solver option {item!r} in {text!r} (expected key=value)")
             if key == "label":
                 fields["label"] = value.strip()
-            elif key in _INT_KEYS:
-                fields[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                fields[key] = float(value)
+            elif key in _KEY_TYPES:
+                try:
+                    fields[key] = _KEY_TYPES[key](value)
+                except ValueError:
+                    raise CliError(f"bad value {value!r} for solver option {key!r} "
+                                   f"in {text!r}") from None
             else:
                 raise CliError(f"unknown solver option {key!r} in {text!r}")
     try:
         return SolverConfig(**fields)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
+def _load_store(path) -> TargetStore:
+    """The target store at ``path``, or an empty one if there is none."""
+    if not os.path.exists(path):
+        return TargetStore()
+    try:
+        return TargetStore.load(path)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -74,7 +90,7 @@ def _load_objective(args):
             f"target store {args.targets!r} not found; compute it with "
             f"`multiwalk oracle --of {args.of}`"
         )
-    store = TargetStore.load(args.targets)
+    store = _load_store(args.targets)
     try:
         return store.apply(spec, args.digits)
     except KeyError as exc:
@@ -110,7 +126,7 @@ def _config_lines(spec, configs, sample_size=None, base_seed=None):
 
 
 def _cmd_list(args) -> int:
-    store = TargetStore.load(args.targets) if os.path.exists(args.targets) else TargetStore()
+    store = _load_store(args.targets)
     print("name  p  bounds  digitsTarget  target")
     for name in objective_names():
         spec = get_objective(name)
@@ -122,8 +138,10 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.digits < 1:
+        raise CliError(f"--digits must be >= 1, got {args.digits}")
     names = objective_names() if args.of == "all" else [n.strip() for n in args.of.split(",")]
-    store = TargetStore.load(args.out) if os.path.exists(args.out) else TargetStore()
+    store = _load_store(args.out)
     for name in names:
         try:
             spec = get_objective(name)
@@ -189,17 +207,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    if not os.path.exists(args.input):
-        raise CliError(f"trace file {args.input!r} not found")
-    comments, rows = [], []
     with open(args.input, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if line.startswith("#"):
-                comments.append(line)
-            elif line and not line.startswith("step,"):
-                step, restart, agent, value = line.split(",")
-                rows.append((int(step), int(restart), int(agent), value))
+        try:
+            comments, rows = parse_trace(fh)
+        except ValueError as exc:
+            raise CliError(f"trace file {args.input!r}: {exc}") from None
     if not rows:
         raise CliError(f"trace file {args.input!r} has no data rows")
     n_agents = max(r[2] for r in rows)
@@ -286,6 +298,9 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # unreadable input or unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

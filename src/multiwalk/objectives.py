@@ -20,7 +20,6 @@ __all__ = [
     "EvalCounter",
     "ObjectiveSpec",
     "quantize",
-    "evaluate",
     "evaluate_batch",
     "get_objective",
     "objective_names",
@@ -122,9 +121,6 @@ class EvalCounter:
             raise ValueError("probe increments must be non-negative")
         self.probes += n
 
-    def __repr__(self) -> str:
-        return f"EvalCounter(probes={self.probes})"
-
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
@@ -143,8 +139,6 @@ class ObjectiveSpec:
     staircase: bool = False
     value_target: Optional[float] = None
     digits_target: int = 9
-    of_tol: float = 5e-4  # carried as metadata only; success is target equality
-    target_coords: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
@@ -163,30 +157,12 @@ class ObjectiveSpec:
                     f"({self.value_target!r} != {q!r})"
                 )
 
-    def with_target(self, value_target: float, coords=None,
+    def with_target(self, value_target: float,
                     digits_target: Optional[int] = None) -> "ObjectiveSpec":
         """Return a copy with the (pre-quantized) target filled in."""
         digits = self.digits_target if digits_target is None else digits_target
-        return replace(
-            self,
-            value_target=quantize(value_target, digits),
-            digits_target=digits,
-            target_coords=None if coords is None else tuple(float(c) for c in coords),
-        )
-
-
-def evaluate(spec: ObjectiveSpec, x, counter: EvalCounter) -> float:
-    """Evaluate one point; increments ``counter.probes`` by exactly 1.
-
-    Out-of-bounds points are still evaluated: confinement is the solvers'
-    job, not the objective's.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.dims,):
-        raise ValueError(f"{spec.name}: expected a length-{spec.dims} point, got shape {x.shape}")
-    value = float(spec.fn(x[None, :])[0])
-    counter.add(1)
-    return value
+        return replace(self, value_target=quantize(value_target, digits),
+                       digits_target=digits)
 
 
 def evaluate_batch(spec: ObjectiveSpec, points: np.ndarray, counter: EvalCounter) -> np.ndarray:

@@ -18,9 +18,7 @@ from .objectives import EvalCounter, ObjectiveSpec, evaluate_batch
 __all__ = [
     "RulerState",
     "NeighborhoodProposal",
-    "init_rulers",
     "eligible_neighbors",
-    "candidate_coords",
     "neighborhood_eval",
     "candidate_table_text",
 ]
@@ -34,10 +32,6 @@ class RulerState:
 
     marks: np.ndarray
     values: np.ndarray
-
-    @property
-    def n_marks(self) -> int:
-        return self.marks.shape[0]
 
 
 @dataclass
@@ -53,22 +47,6 @@ class NeighborhoodProposal:
     values: np.ndarray
     chosen: np.ndarray
     neighbor_sets: np.ndarray
-
-
-def init_rulers(spec: ObjectiveSpec, n_marks: int, rng: np.random.Generator,
-                counter: EvalCounter) -> RulerState:
-    """Uniform random marks with rows 1 and m anchored at the bounds.
-
-    Costs exactly ``n_marks`` probes for the initial values.
-    """
-    if n_marks < MIN_MARKS:
-        raise ValueError(f"need at least {MIN_MARKS} marks, got {n_marks}")
-    u = rng.uniform(size=(n_marks, spec.dims))
-    marks = spec.lower + u * (spec.upper - spec.lower)
-    marks[0] = spec.lower
-    marks[-1] = spec.upper
-    values = evaluate_batch(spec, marks, counter)
-    return RulerState(marks=marks, values=values)
 
 
 def eligible_neighbors(i: int, n_marks: int) -> np.ndarray:
@@ -100,24 +78,22 @@ def _eligible_matrix(n_marks: int) -> np.ndarray:
     return table
 
 
-def candidate_coords(marks: np.ndarray, i: int, j: int, lower: np.ndarray,
-                     upper: np.ndarray, dither: float = 0.0,
-                     rng: np.random.Generator | None = None) -> np.ndarray:
-    """Candidate for mark ``i`` from neighbor ``j``: the pairwise difference
-    offset by the lower bound, optionally dithered, clamped into the box.
+def _candidates(marks: np.ndarray, neighbor_sets: np.ndarray, lower: np.ndarray,
+                upper: np.ndarray, dither: float = 0.0,
+                rng: np.random.Generator | None = None) -> np.ndarray:
+    """(m, r, p) candidates for mark ``i`` from neighbor ``neighbor_sets[i, k]``:
+    the pairwise difference offset by the lower bound, optionally dithered,
+    clamped into the box.
 
     Per dimension: ``clip(lower + |marks[i] - marks[j]| * (1 + dither * u),
-    lower, upper)`` with ``u`` drawn fresh from U(-1, 1) for each dimension.
-    With ``dither == 0`` the map is deterministic and no draws are consumed.
+    lower, upper)`` with ``u`` drawn from U(-1, 1) as one block filled
+    mark-major, neighbor-minor, dimension-minor.  With ``dither == 0`` no
+    draws are consumed.
     """
-    if i == j:
-        raise ValueError("a mark is not its own neighbor")
-    diff = np.abs(marks[i] - marks[j])
+    diffs = np.abs(marks[:, None, :] - marks[neighbor_sets])
     if dither > 0.0:
-        if rng is None:
-            raise ValueError("dither > 0 requires a generator")
-        diff = diff * (1.0 + dither * rng.uniform(-1.0, 1.0, size=diff.shape))
-    return np.clip(lower + diff, lower, upper)
+        diffs = diffs * (1.0 + dither * rng.uniform(-1.0, 1.0, size=diffs.shape))
+    return np.clip(lower + diffs, lower, upper)
 
 
 def neighborhood_eval(state: RulerState, spec: ObjectiveSpec, radius: int,
@@ -145,11 +121,7 @@ def neighborhood_eval(state: RulerState, spec: ObjectiveSpec, radius: int,
         sel = np.sort(np.argsort(ranks, axis=1)[:, :radius], axis=1)
         neighbor_sets = np.take_along_axis(eligible, sel, axis=1)
 
-    diffs = np.abs(marks[:, None, :] - marks[neighbor_sets])  # (m, radius, p)
-    if dither > 0.0:
-        noise = rng.uniform(-1.0, 1.0, size=(m, radius, p))
-        diffs = diffs * (1.0 + dither * noise)
-    cands = np.clip(spec.lower + diffs, spec.lower, spec.upper)
+    cands = _candidates(marks, neighbor_sets, spec.lower, spec.upper, dither, rng)
 
     values = evaluate_batch(spec, cands.reshape(m * radius, p), counter)
     values = values.reshape(m, radius)
@@ -163,30 +135,21 @@ def neighborhood_eval(state: RulerState, spec: ObjectiveSpec, radius: int,
     )
 
 
-def candidate_table_text(marks: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                         radius: int | None = None) -> str:
-    """Dump the undithered candidate table as text, one block per dimension:
-    rows are marks, columns the eligible (full-radius) neighbor candidates.
+def candidate_table_text(marks: np.ndarray, lower, upper) -> str:
+    """Dump the undithered candidate table of (m, p) ``marks`` as text, one
+    block per dimension: rows are marks, columns the eligible (full-radius)
+    neighbor candidates.
     """
     marks = np.asarray(marks, dtype=float)
-    if marks.ndim == 1:
-        marks = marks[:, None]
-    lower = np.broadcast_to(np.asarray(lower, dtype=float), (marks.shape[1],))
-    upper = np.broadcast_to(np.asarray(upper, dtype=float), (marks.shape[1],))
     m, p = marks.shape
-    radius = m - 2 if radius is None else radius
-    eligible = _eligible_matrix(m)[:, :radius]
+    cands = _candidates(marks, _eligible_matrix(m), np.asarray(lower, dtype=float),
+                        np.asarray(upper, dtype=float))
     lines = []
     for dim in range(p):
         if p > 1:
             lines.append(f"dimension {dim + 1}")
-        header = "mark | " + " ".join(f"n{j + 1:>6d}"[-7:] for j in range(radius))
-        lines.append(header)
+        lines.append("mark | " + " ".join(f"n{j + 1:>6d}"[-7:] for j in range(m - 2)))
         for i in range(m):
-            cells = []
-            for j in eligible[i]:
-                c = np.clip(lower[dim] + abs(marks[i, dim] - marks[j, dim]),
-                            lower[dim], upper[dim])
-                cells.append(f"{c:7.6g}")
-            lines.append(f"{i + 1:4d} | " + " ".join(cells))
+            cells = " ".join(f"{c:7.6g}" for c in cands[i, :, dim])
+            lines.append(f"{i + 1:4d} | {cells}")
     return "\n".join(lines) + "\n"

@@ -35,15 +35,10 @@ __all__ = [
     "RunRecord",
     "RunningBest",
     "WalkTrace",
-    "de_mutate",
     "mw_step",
     "run_solver",
-    "mw_run",
-    "mwr_run",
-    "desf_run",
-    "desfr_run",
-    "de_strategy_run",
     "trace_to_text",
+    "parse_trace",
 ]
 
 SOLVER_KINDS = ("MW", "MWR", "DEsF", "DEsFR",
@@ -191,22 +186,6 @@ def mw_step(state: RulerState, spec: ObjectiveSpec, cfg: "SolverConfig",
     return RulerState(marks=marks, values=values), best
 
 
-def de_mutate(marks: np.ndarray, rng: np.random.Generator, rde: float,
-              lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """One rand/1 mutant with box confinement.
-
-    Draws three distinct mark indices, returns
-    ``marks[a] + rde * (marks[b] - marks[c])``; if any component leaves the
-    box the whole candidate is replaced by a fresh uniform draw inside it.
-    """
-    m, p = marks.shape
-    a, b, c = rng.choice(m, size=3, replace=False)
-    cand = marks[a] + rde * (marks[b] - marks[c])
-    if np.any(cand < lower) or np.any(cand > upper):
-        cand = lower + rng.uniform(size=p) * (upper - lower)
-    return cand
-
-
 def _distinct_triples(rng: np.random.Generator, m: int) -> np.ndarray:
     """(m, 3) donor indices, each row a uniformly random ordered distinct
     triple from [0, m); one rank block per step keeps the draw order fixed."""
@@ -288,11 +267,30 @@ def _check_objective(cfg: SolverConfig, spec: ObjectiveSpec) -> float:
     return spec.value_target
 
 
-def _run(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
-         record_trace: bool = False):
+def _init_population(spec: ObjectiveSpec, n_marks: int, anchored: bool,
+                     rng: np.random.Generator, counter: EvalCounter,
+                     initial_marks=None):
+    """Uniform random marks with their raw values; ``anchored`` (the ruler
+    kinds) pins rows 1 and m at the bounds.  ``initial_marks`` replaces the
+    drawn marks after the draw, so the stream position does not depend on it.
+    Costs exactly ``n_marks`` probes."""
+    u = rng.uniform(size=(n_marks, spec.dims))
+    marks = spec.lower + u * (spec.upper - spec.lower)
+    if anchored:
+        marks[0] = spec.lower
+        marks[-1] = spec.upper
+    if initial_marks is not None:
+        marks = np.array(initial_marks, dtype=float).reshape(n_marks, spec.dims)
+    return marks, evaluate_batch(spec, marks, counter)
+
+
+def run_solver(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
+               record_trace: bool = False):
+    """Run any configured solver; returns a RunRecord, plus the WalkTrace
+    when ``record_trace`` is set.  ``initial_marks`` replaces the first
+    epoch's random population."""
     target = _check_objective(cfg, spec)
     digits = cfg.digits_target
-    m = cfg.marks
     counter = EvalCounter()
     trace = WalkTrace(label=cfg.solver_label) if record_trace else None
 
@@ -309,14 +307,9 @@ def _run(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
             trace.epoch_seeds.append(epoch_seed)
         rng = np.random.default_rng(epoch_seed)
 
-        u = rng.uniform(size=(m, spec.dims))
-        marks = spec.lower + u * (spec.upper - spec.lower)
-        if cfg.uses_ruler:
-            marks[0] = spec.lower
-            marks[-1] = spec.upper
-        if initial_marks is not None and restarts == 0:
-            marks = np.array(initial_marks, dtype=float).reshape(m, spec.dims)
-        values = evaluate_batch(spec, marks, counter)  # probes += m per epoch
+        marks, values = _init_population(
+            spec, cfg.marks, cfg.uses_ruler, rng, counter,
+            initial_marks if restarts == 0 else None)
 
         err_prev = float(values.min()) - target  # raw seed for the plateau rule
         epoch_best = RunningBest()
@@ -379,44 +372,6 @@ def _run(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
     return (record, trace) if record_trace else record
 
 
-def run_solver(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
-               record_trace: bool = False):
-    """Run any configured solver; returns a RunRecord, plus the WalkTrace
-    when ``record_trace`` is set."""
-    return _run(cfg, spec, initial_marks=initial_marks, record_trace=record_trace)
-
-
-def _expect_kind(cfg: SolverConfig, *kinds: str) -> None:
-    if cfg.kind not in kinds:
-        raise ValueError(f"expected a {'/'.join(kinds)} config, got {cfg.kind}")
-
-
-def mw_run(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
-           record_trace: bool = False):
-    _expect_kind(cfg, "MW")
-    return _run(cfg, spec, initial_marks=initial_marks, record_trace=record_trace)
-
-
-def mwr_run(cfg: SolverConfig, spec: ObjectiveSpec, record_trace: bool = False):
-    _expect_kind(cfg, "MWR")
-    return _run(cfg, spec, record_trace=record_trace)
-
-
-def desf_run(cfg: SolverConfig, spec: ObjectiveSpec, record_trace: bool = False):
-    _expect_kind(cfg, "DEsF")
-    return _run(cfg, spec, record_trace=record_trace)
-
-
-def desfr_run(cfg: SolverConfig, spec: ObjectiveSpec, record_trace: bool = False):
-    _expect_kind(cfg, "DEsFR")
-    return _run(cfg, spec, record_trace=record_trace)
-
-
-def de_strategy_run(cfg: SolverConfig, spec: ObjectiveSpec, record_trace: bool = False):
-    _expect_kind(cfg, "DEoF1", "DEoF2", "DEoF3", "DEoF4", "DEoF5", "DEoF6")
-    return _run(cfg, spec, record_trace=record_trace)
-
-
 def trace_to_text(trace: WalkTrace, config_lines=()) -> str:
     """Stable delimited trace export: comment lines echoing the configuration,
     a column header, one row per (step, restart, agent, value), and a footer
@@ -434,3 +389,23 @@ def trace_to_text(trace: WalkTrace, config_lines=()) -> str:
     else:
         lines.append("# first_passage=none")
     return "\n".join(lines) + "\n"
+
+
+def parse_trace(lines):
+    """Read back a ``trace_to_text`` export: returns the ``#`` comment lines
+    (configuration and first-passage footer) and the ``(step, restart,
+    agent, value)`` rows, each value kept as its original string.  Raises
+    ValueError naming the first malformed row."""
+    comments, rows = [], []
+    for number, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if line.startswith("#"):
+            comments.append(line)
+        elif line and not line.startswith("step,"):
+            try:
+                step, restart, agent, value = line.split(",")
+                rows.append((int(step), int(restart), int(agent), value))
+            except ValueError:
+                raise ValueError(f"line {number}: malformed trace row {line!r} "
+                                 "(expected step,restart,agentId,value)") from None
+    return comments, rows

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class TargetRecord:
     digits: int
     coords: tuple            # primary minimizer
     method: str              # "enumeration" | "grid+refine"
-    resolution: int          # states enumerated, or coarse points per dim
     minimizers: tuple = ()   # all tied minimizers (enumeration only)
 
 
@@ -87,7 +86,6 @@ def enumerate_integer_minimum(spec: ObjectiveSpec, digits: Optional[int] = None)
         digits=digits,
         coords=(float(ties[0]),),
         method="enumeration",
-        resolution=n_states,
         minimizers=tuple((float(t),) for t in ties),
     )
 
@@ -186,7 +184,6 @@ def grid_refine_minimum(spec: ObjectiveSpec, coarse_points: Optional[int] = None
         digits=digits,
         coords=tuple(float(c) for c in best_x),
         method="grid+refine",
-        resolution=coarse,
         minimizers=(tuple(float(c) for c in best_x),),
     )
 
@@ -204,8 +201,7 @@ def compute_target(spec: ObjectiveSpec, digits: Optional[int] = None) -> TargetR
         coords = base.coords * spec.dims
         return TargetRecord(
             name=spec.name, value_target=base.value_target, digits=digits,
-            coords=coords, method=base.method, resolution=base.resolution,
-            minimizers=(coords,),
+            coords=coords, method=base.method, minimizers=(coords,),
         )
     return grid_refine_minimum(spec, coarse_points=policy.get("coarse_points"),
                                digits=digits)
@@ -239,40 +235,43 @@ class TargetStore:
                 f"no stored target for {spec.name!r} at {digits} digits; "
                 "run the target oracle first"
             )
-        return spec.with_target(record.value_target, coords=record.coords,
-                                digits_target=digits)
+        return spec.with_target(record.value_target, digits_target=digits)
 
-    def dumps(self, config_lines: Iterable[str] = ()) -> str:
-        lines = [f"# {line}" for line in config_lines]
-        lines.append("# name,valueTarget,digits,coords...,method")
+    def dumps(self) -> str:
+        lines = ["# name,valueTarget,digits,coords...,method"]
         for rec in self.records():
             coords = ",".join(repr(float(c)) for c in rec.coords)
             lines.append(f"{rec.name},{rec.value_target!r},{rec.digits},{coords},{rec.method}")
         return "\n".join(lines) + "\n"
 
-    def save(self, path, config_lines: Iterable[str] = ()) -> None:
+    def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.dumps(config_lines))
+            fh.write(self.dumps())
 
     @classmethod
     def load(cls, path) -> "TargetStore":
         store = cls()
         with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
+            for number, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
                 fields = line.split(",")
-                if len(fields) < 5:
-                    raise ValueError(f"malformed target record: {line!r}")
-                name = fields[0]
-                value = float(fields[1])
-                digits = int(fields[2])
-                method = fields[-1]
-                coords = tuple(float(c) for c in fields[3:-1])
+                try:
+                    if len(fields) < 5:
+                        raise ValueError("too few fields")
+                    value = float(fields[1])
+                    if not math.isfinite(value):
+                        raise ValueError("valueTarget must be finite")
+                    digits = int(fields[2])
+                    if digits < 1:
+                        raise ValueError("digits must be >= 1")
+                    coords = tuple(float(c) for c in fields[3:-1])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {number}: malformed target "
+                                     f"record {line!r} ({exc})") from None
                 store.add(TargetRecord(
-                    name=name, value_target=value, digits=digits,
-                    coords=coords, method=method, resolution=0,
-                    minimizers=(coords,),
+                    name=fields[0], value_target=value, digits=digits,
+                    coords=coords, method=fields[-1], minimizers=(coords,),
                 ))
         return store

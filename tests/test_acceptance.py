@@ -11,11 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from multiwalk import (ExperimentPlan, SolverConfig, get_objective, mw_run,
-                       quantize, run_experiment, run_solver, summarize,
-                       summarize_experiment, write_runs_csv, write_summary_csv)
-from multiwalk.objectives import _quantize_array
+from multiwalk.experiments import (ExperimentPlan, run_experiment, summarize,
+                                   summarize_experiment, write_runs_csv,
+                                   write_summary_csv)
+from multiwalk.objectives import _quantize_array, get_objective, quantize
 from multiwalk.ruler import eligible_neighbors
+from multiwalk.solvers import SolverConfig, run_solver
 from multiwalk.targets import compute_target, enumerate_integer_minimum
 
 DEMO_MARKS = np.array([1.0, 2.0, 4.0, 10.0, 12.0, 17.0])[:, None]
@@ -29,7 +30,7 @@ def _check(name, ok, detail=""):
 @pytest.fixture(scope="module")
 def ehrenfest15_spec():
     rec = compute_target(get_objective("ehrenfest15"))
-    return get_objective("ehrenfest15").with_target(rec.value_target, coords=rec.coords)
+    return get_objective("ehrenfest15").with_target(rec.value_target)
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +111,10 @@ def test_demo_ruler_candidate_tables():
 
 def test_single_step_solve():
     rec = compute_target(get_objective("ehrenfest4"))
-    spec = get_objective("ehrenfest4").with_target(rec.value_target, coords=rec.coords)
+    spec = get_objective("ehrenfest4").with_target(rec.value_target)
     cfg = SolverConfig(kind="MW", objective="ehrenfest4", seed=1, steps_limit=50,
                        marks=6, radius=4, dither=0.0)
-    record = mw_run(cfg, spec, initial_marks=DEMO_MARKS)
+    record = run_solver(cfg, spec, initial_marks=DEMO_MARKS)
     _check("single-step solve", record.steps == 1 and not record.is_censored,
            f"steps={record.steps} censored={record.is_censored}")
 
@@ -127,7 +128,7 @@ def test_probe_ledger_random_configs():
     specs = {}
     for name in ("ehrenfest4", "wild1", "trefethen1"):
         rec = compute_target(get_objective(name))
-        specs[name] = get_objective(name).with_target(rec.value_target, coords=rec.coords)
+        specs[name] = get_objective(name).with_target(rec.value_target)
 
     kinds = ("MW", "MWR", "DEsF", "DEsFR",
              "DEoF1", "DEoF2", "DEoF3", "DEoF4", "DEoF5", "DEoF6")
@@ -192,7 +193,7 @@ def test_radius_sweep_monotone(ehrenfest15_spec):
 
 def _speedup_case(name, digits, steps_limit=2000, sample_size=100):
     rec = compute_target(get_objective(name), digits=digits)
-    spec = get_objective(name).with_target(rec.value_target, coords=rec.coords,
+    spec = get_objective(name).with_target(rec.value_target,
                                            digits_target=digits)
     mwr = SolverConfig(kind="MWR", objective=name, seed=1, steps_limit=steps_limit,
                        marks=32, radius=30, dither=0.01, digits_target=digits)
@@ -243,7 +244,7 @@ def test_de_strategy_spread(ehrenfest15_spec):
 def test_determinism_and_censoring(tmp_path):
     start = time.perf_counter()
     rec = compute_target(get_objective("ehrenfest4"))
-    spec = get_objective("ehrenfest4").with_target(rec.value_target, coords=rec.coords)
+    spec = get_objective("ehrenfest4").with_target(rec.value_target)
     configs = [
         SolverConfig(kind="MWR", objective="ehrenfest4", seed=1, steps_limit=150,
                      marks=6, radius=4, dither=0.01),
@@ -265,8 +266,7 @@ def test_determinism_and_censoring(tmp_path):
 
     # a nine-digit continuous target is out of reach in a single step
     wild_rec = compute_target(get_objective("wild1"))
-    wild_spec = get_objective("wild1").with_target(wild_rec.value_target,
-                                                   coords=wild_rec.coords)
+    wild_spec = get_objective("wild1").with_target(wild_rec.value_target)
     forced = ExperimentPlan(
         objective="wild1",
         configs=[SolverConfig(kind="MWR", objective="wild1", seed=1,

@@ -137,3 +137,31 @@ def test_trace_roundtrip(store):
 def test_trace_missing_file(store):
     out = run_cli(["trace", "absent.txt"], cwd=store)
     assert out.returncode == 1
+
+
+BAD_TRACE = "step,restart,agentId,value\n1,0,1\n"
+BAD_STORE = "# name,valueTarget,digits,coords...,method\nehrenfest4,abc,9,9.0,enumeration\n"
+
+
+@pytest.mark.parametrize("files,args", [
+    ({}, ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=abc"]),
+    ({"bad_walk.txt": BAD_TRACE}, ["trace", "bad_walk.txt"]),
+    ({"bad_targets.csv": BAD_STORE}, ["list", "--targets", "bad_targets.csv"]),
+    ({"bad_targets.csv": BAD_STORE},
+     ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=4",
+      "--targets", "bad_targets.csv"]),
+    ({"nan_targets.csv": BAD_STORE.replace("abc", "nan")},
+     ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=4",
+      "--targets", "nan_targets.csv"]),
+    ({}, ["oracle", "--of", "ehrenfest4", "--digits", "0", "--out", "digits0.csv"]),
+    ({}, ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=4,marks=6",
+          "--trace-out", "missing_dir/walk.txt"]),
+], ids=["solver-value", "trace-row", "store-list", "store-solve", "store-nan",
+        "oracle-digits", "trace-out-dir"])
+def test_bad_input_exits_1_without_traceback(store, files, args):
+    for name, text in files.items():
+        (store / name).write_text(text)
+    out = run_cli(args, cwd=store)
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith("error: ")
+    assert "Traceback" not in out.stderr

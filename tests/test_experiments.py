@@ -2,10 +2,12 @@ import math
 
 import pytest
 
-from multiwalk import (ExperimentPlan, RunRecord, SolverConfig, compare_solvers,
-                       get_objective, quantize, run_experiment, summarize,
-                       summarize_experiment, write_bargraph_csv, write_runs_csv,
-                       write_summary_csv)
+from multiwalk.experiments import (ExperimentPlan, compare_solvers,
+                                   run_experiment, summarize,
+                                   summarize_experiment, write_bargraph_csv,
+                                   write_runs_csv, write_summary_csv)
+from multiwalk.objectives import get_objective, quantize
+from multiwalk.solvers import RunRecord, SolverConfig
 
 
 def _mwr(seed=1, steps_limit=200, **kw):
@@ -219,7 +221,6 @@ def test_radius_monotone_on_solvable_continuous_instance():
     from multiwalk.targets import compute_target
     rec = compute_target(get_objective("trefethen1"), digits=6)
     spec = get_objective("trefethen1").with_target(rec.value_target,
-                                                   coords=rec.coords,
                                                    digits_target=6)
     radii = (2, 4, 8, 30)
     stats = []

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multiwalk import (EvalCounter, ObjectiveSpec, ehrenfest, evaluate,
-                       evaluate_batch, get_objective, objective_names, wild)
+from multiwalk.objectives import (EvalCounter, ObjectiveSpec, ehrenfest,
+                                  evaluate_batch, get_objective,
+                                  objective_names, wild)
 
 
 def test_registry_names():
@@ -33,15 +34,15 @@ def test_registry_bounds():
 
 def test_wild_at_origin_is_exactly_80():
     counter = EvalCounter()
-    assert evaluate(get_objective("wild1"), [0.0], counter) == 80.0
+    assert evaluate_batch(get_objective("wild1"), [[0.0]], counter)[0] == 80.0
     assert counter.probes == 1
 
 
 def test_wild_mean_of_identical_coordinates():
     counter = EvalCounter()
     t = -15.815
-    v1 = evaluate(get_objective("wild1"), [t], counter)
-    v3 = evaluate(get_objective("wild3"), [t, t, t], counter)
+    v1 = evaluate_batch(get_objective("wild1"), [[t]], counter)[0]
+    v3 = evaluate_batch(get_objective("wild3"), [[t, t, t]], counter)[0]
     assert v3 == pytest.approx(v1, rel=1e-14)
 
 
@@ -54,9 +55,9 @@ def test_wild_separability(coords):
 
 def test_trefethen_anchor_values():
     counter = EvalCounter()
-    v2 = evaluate(get_objective("trefethen2"), [0.0, 0.0], counter)
+    v2 = evaluate_batch(get_objective("trefethen2"), [[0.0, 0.0]], counter)[0]
     assert v2 == pytest.approx(1.0 + math.sin(60.0), abs=1e-12)
-    v1 = evaluate(get_objective("trefethen1"), [0.0], counter)
+    v1 = evaluate_batch(get_objective("trefethen1"), [[0.0]], counter)[0]
     assert v1 == v2
 
 
@@ -64,24 +65,24 @@ def test_trefethen3_chains_pairs():
     counter = EvalCounter()
     x, y, z = 0.3, -0.4, 0.9
     t2 = get_objective("trefethen2")
-    v3 = evaluate(get_objective("trefethen3"), [x, y, z], counter)
-    vxy = evaluate(t2, [x, y], counter)
-    vyz = evaluate(t2, [y, z], counter)
+    v3 = evaluate_batch(get_objective("trefethen3"), [[x, y, z]], counter)[0]
+    vxy = evaluate_batch(t2, [[x, y]], counter)[0]
+    vyz = evaluate_batch(t2, [[y, z]], counter)[0]
     assert v3 == pytest.approx(vxy + vyz, rel=1e-14)
 
 
 def test_ehrenfest_values():
     counter = EvalCounter()
     spec = get_objective("ehrenfest4")
-    assert evaluate(spec, [1.0], counter) == 0.0
-    v9 = evaluate(spec, [9.0], counter)
+    assert evaluate_batch(spec, [[1.0]], counter)[0] == 0.0
+    v9 = evaluate_batch(spec, [[9.0]], counter)[0]
     assert v9 == pytest.approx(-1.01 * math.log(math.comb(16, 8)), rel=1e-13)
 
 
 def test_ehrenfest_staircase_in_x():
     spec = get_objective("ehrenfest4")
     counter = EvalCounter()
-    assert evaluate(spec, [8.7], counter) == evaluate(spec, [9.2], counter)
+    assert evaluate_batch(spec, [[8.7]], counter)[0] == evaluate_batch(spec, [[9.2]], counter)[0]
 
 
 def test_ehrenfest_symmetry_all_n_up_to_16():
@@ -110,7 +111,7 @@ def test_ehrenfest_rejects_huge_n():
 def test_evaluate_dimension_mismatch():
     counter = EvalCounter()
     with pytest.raises(ValueError):
-        evaluate(get_objective("wild2"), [0.0], counter)
+        evaluate_batch(get_objective("wild2"), [[0.0]], counter)
     with pytest.raises(ValueError):
         evaluate_batch(get_objective("wild2"), np.zeros((3, 1)), counter)
     assert counter.probes == 0
@@ -118,7 +119,7 @@ def test_evaluate_dimension_mismatch():
 
 def test_evaluate_out_of_bounds_still_evaluates():
     counter = EvalCounter()
-    value = evaluate(get_objective("wild1"), [60.0], counter)
+    value = evaluate_batch(get_objective("wild1"), [[60.0]], counter)[0]
     assert math.isfinite(value)
     assert counter.probes == 1
 
@@ -127,7 +128,7 @@ def test_evaluate_deterministic():
     counter = EvalCounter()
     spec = get_objective("trefethen2")
     x = [0.123, -0.456]
-    assert evaluate(spec, x, counter) == evaluate(spec, x, counter)
+    assert evaluate_batch(spec, [x], counter)[0] == evaluate_batch(spec, [x], counter)[0]
 
 
 @given(st.lists(st.integers(min_value=1, max_value=40), max_size=12))

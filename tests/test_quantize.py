@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiwalk import quantize
+from multiwalk.objectives import quantize
 
 
 def test_subtraction_example_bit_exact():

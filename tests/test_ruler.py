@@ -1,42 +1,49 @@
 import numpy as np
 import pytest
 
-from multiwalk import (EvalCounter, RulerState, candidate_coords,
-                       candidate_table_text, eligible_neighbors, get_objective,
-                       init_rulers, neighborhood_eval)
+from multiwalk.objectives import EvalCounter, get_objective
+from multiwalk.ruler import (RulerState, _candidates, _eligible_matrix,
+                             candidate_table_text, eligible_neighbors,
+                             neighborhood_eval)
+from multiwalk.solvers import _init_population
 
 DEMO_MARKS = np.array([1.0, 2.0, 4.0, 10.0, 12.0, 17.0])[:, None]
+
+
+def _anchored_init(spec, n_marks, seed, counter):
+    """The ruler kinds' epoch initialization, as the solver loop calls it."""
+    return _init_population(spec, n_marks, True, np.random.default_rng(seed), counter)
+
+
+def _pair_table(marks, lower, upper, dither=0.0, rng=None):
+    """(m, m, p) candidates of every mark from every mark, self included."""
+    m = marks.shape[0]
+    return _candidates(marks, np.tile(np.arange(m), (m, 1)), lower, upper, dither, rng)
 
 
 def test_init_anchors_exactly_at_bounds():
     spec = get_objective("ehrenfest4")
     counter = EvalCounter()
-    state = init_rulers(spec, 6, np.random.default_rng(11), counter)
-    assert state.marks[0, 0] == 1.0
-    assert state.marks[5, 0] == 17.0
+    marks, _values = _anchored_init(spec, 6, 11, counter)
+    assert marks[0, 0] == 1.0
+    assert marks[5, 0] == 17.0
     assert counter.probes == 6
 
 
 def test_init_marks_within_bounds():
     spec = get_objective("trefethen2")
     counter = EvalCounter()
-    state = init_rulers(spec, 16, np.random.default_rng(5), counter)
-    assert np.all(state.marks >= spec.lower) and np.all(state.marks <= spec.upper)
-    assert np.array_equal(state.values,
-                          np.array([spec.fn(row[None])[0] for row in state.marks]))
+    marks, values = _anchored_init(spec, 16, 5, counter)
+    assert np.all(marks >= spec.lower) and np.all(marks <= spec.upper)
+    assert np.array_equal(values, np.array([spec.fn(row[None])[0] for row in marks]))
 
 
 def test_init_deterministic():
     spec = get_objective("wild2")
-    a = init_rulers(spec, 8, np.random.default_rng(7), EvalCounter())
-    b = init_rulers(spec, 8, np.random.default_rng(7), EvalCounter())
-    assert np.array_equal(a.marks, b.marks)
-    assert np.array_equal(a.values, b.values)
-
-
-def test_init_rejects_small_populations():
-    with pytest.raises(ValueError):
-        init_rulers(get_objective("wild1"), 3, np.random.default_rng(0), EvalCounter())
+    a_marks, a_values = _anchored_init(spec, 8, 7, EvalCounter())
+    b_marks, b_values = _anchored_init(spec, 8, 7, EvalCounter())
+    assert np.array_equal(a_marks, b_marks)
+    assert np.array_equal(a_values, b_values)
 
 
 def test_eligible_neighbors():
@@ -57,19 +64,23 @@ def test_eligible_neighbors_errors():
 
 
 def test_candidate_from_pairwise_difference():
-    lower, upper = np.array([1.0]), np.array([17.0])
+    table = _pair_table(DEMO_MARKS, np.array([1.0]), np.array([17.0]))
     # mark at 10 with neighbor at 12: one plus their distance
-    assert candidate_coords(DEMO_MARKS, 3, 4, lower, upper)[0] == 3.0
+    assert table[3, 4, 0] == 3.0
     # the lower-anchor mark reproduces its neighbor's own position
     for j in range(1, 6):
-        assert candidate_coords(DEMO_MARKS, 0, j, lower, upper)[0] == DEMO_MARKS[j, 0]
+        assert table[0, j, 0] == DEMO_MARKS[j, 0]
     # the upper-anchor mark mirrors the neighbor through the box
-    assert candidate_coords(DEMO_MARKS, 5, 1, lower, upper)[0] == 16.0
+    assert table[5, 1, 0] == 16.0
 
 
 def test_candidate_rejects_self_pairing():
-    with pytest.raises(ValueError):
-        candidate_coords(DEMO_MARKS, 2, 2, np.array([1.0]), np.array([17.0]))
+    # the neighbor table every candidate is built from never pairs a mark
+    # with itself
+    for m in (4, 6, 32):
+        table = _eligible_matrix(m)
+        assert table.shape == (m, m - 2)
+        assert not np.any(table == np.arange(m)[:, None])
 
 
 def test_candidate_dither_stays_in_bounds():
@@ -77,32 +88,26 @@ def test_candidate_dither_stays_in_bounds():
     rng = np.random.default_rng(3)
     marks = spec.lower + rng.uniform(size=(12, 2)) * (spec.upper - spec.lower)
     for dither in (0.0, 0.01, 0.5, 1.0):
-        for i in range(12):
-            for j in range(12):
-                if i == j:
-                    continue
-                c = candidate_coords(marks, i, j, spec.lower, spec.upper,
-                                     dither=dither, rng=rng)
-                assert np.all(c >= spec.lower) and np.all(c <= spec.upper)
+        c = _pair_table(marks, spec.lower, spec.upper, dither=dither, rng=rng)
+        assert np.all(c >= spec.lower) and np.all(c <= spec.upper)
 
 
 def test_anchored_noop_columns_on_integer_ruler():
     # at the anchored initial state, the excluded fixed column would only
     # reproduce the mark itself (or the upper bound, for mark 0)
-    lower, upper = np.array([1.0]), np.array([17.0])
+    table = _pair_table(DEMO_MARKS, np.array([1.0]), np.array([17.0]))
     for i in range(1, 6):
-        assert candidate_coords(DEMO_MARKS, i, 0, lower, upper)[0] == DEMO_MARKS[i, 0]
-    assert candidate_coords(DEMO_MARKS, 0, 5, lower, upper)[0] == 17.0
+        assert table[i, 0, 0] == DEMO_MARKS[i, 0]
+    assert table[0, 5, 0] == 17.0
 
 
 def test_anchored_noop_columns_on_random_init():
     spec = get_objective("wild3")
-    state = init_rulers(spec, 10, np.random.default_rng(21), EvalCounter())
+    marks, _values = _anchored_init(spec, 10, 21, EvalCounter())
+    table = _pair_table(marks, spec.lower, spec.upper)
     for i in range(1, 10):
-        c = candidate_coords(state.marks, i, 0, spec.lower, spec.upper)
-        assert c == pytest.approx(state.marks[i], rel=1e-12, abs=1e-12)
-    c = candidate_coords(state.marks, 0, 9, spec.lower, spec.upper)
-    assert c == pytest.approx(spec.upper, rel=1e-12)
+        assert table[i, 0] == pytest.approx(marks[i], rel=1e-12, abs=1e-12)
+    assert table[0, 9] == pytest.approx(spec.upper, rel=1e-12)
 
 
 def _demo_state(spec):
@@ -170,7 +175,7 @@ def test_radius_out_of_range(ehrenfest4_spec):
 
 def test_proposals_in_bounds_any_dither():
     spec = get_objective("trefethen3")
-    state = init_rulers(spec, 8, np.random.default_rng(2), EvalCounter())
+    state = RulerState(*_anchored_init(spec, 8, 2, EvalCounter()))
     for dither in (0.0, 0.3, 1.0):
         prop = neighborhood_eval(state, spec, radius=6, dither=dither,
                                  rng=np.random.default_rng(4), counter=EvalCounter())

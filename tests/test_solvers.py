@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from multiwalk import (EvalCounter, RulerState, RunningBest, SolverConfig,
-                       de_mutate, desf_run, desfr_run, get_objective, mw_run,
-                       mw_step, mwr_run, run_solver, trace_to_text)
-from multiwalk.solvers import _de_simple_trials, _de_strategy_trials
+from multiwalk.objectives import EvalCounter, get_objective, quantize
+from multiwalk.ruler import RulerState
+from multiwalk.solvers import (RunningBest, SolverConfig, WalkTrace,
+                               _de_simple_trials, _de_strategy_trials, mw_step,
+                               parse_trace, run_solver, trace_to_text)
 
 DEMO_MARKS = np.array([1.0, 2.0, 4.0, 10.0, 12.0, 17.0])[:, None]
 
@@ -62,19 +65,12 @@ def test_plateau_limit_defaults_to_marks():
 
 def test_run_requires_target():
     with pytest.raises(ValueError):
-        mw_run(_cfg(), get_objective("ehrenfest4"))
+        run_solver(_cfg(), get_objective("ehrenfest4"))
 
 
 def test_run_requires_matching_digits(ehrenfest4_spec):
     with pytest.raises(ValueError):
-        mw_run(_cfg(digits_target=6), ehrenfest4_spec)
-
-
-def test_kind_dispatch_guards(ehrenfest4_spec):
-    with pytest.raises(ValueError):
-        mwr_run(_cfg(kind="MW"), ehrenfest4_spec)
-    with pytest.raises(ValueError):
-        desf_run(_cfg(kind="MW"), ehrenfest4_spec)
+        run_solver(_cfg(digits_target=6), ehrenfest4_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +119,7 @@ def test_mw_step_shared_candidate_moves_both_marks(ehrenfest4_spec):
 # ---------------------------------------------------------------------------
 
 def test_single_step_solve_from_demo_ruler(ehrenfest4_spec):
-    record = mw_run(_cfg(), ehrenfest4_spec, initial_marks=DEMO_MARKS)
+    record = run_solver(_cfg(), ehrenfest4_spec, initial_marks=DEMO_MARKS)
     assert record.steps == 1
     assert not record.is_censored
     assert record.value_best == ehrenfest4_spec.value_target
@@ -133,7 +129,7 @@ def test_single_step_solve_from_demo_ruler(ehrenfest4_spec):
 def test_forced_censoring(wild1_spec):
     cfg = SolverConfig(kind="MW", objective="wild1", seed=2, steps_limit=1,
                        marks=8, radius=6, dither=0.01)
-    record = mw_run(cfg, wild1_spec)
+    record = run_solver(cfg, wild1_spec)
     assert record.is_censored
     assert record.steps == 1
 
@@ -141,8 +137,8 @@ def test_forced_censoring(wild1_spec):
 def test_determinism_bitwise(ehrenfest15_spec):
     cfg = SolverConfig(kind="MWR", objective="ehrenfest15", seed=42,
                        steps_limit=60, marks=16, radius=6, dither=0.01)
-    a, trace_a = mwr_run(cfg, ehrenfest15_spec, record_trace=True)
-    b, trace_b = mwr_run(cfg, ehrenfest15_spec, record_trace=True)
+    a, trace_a = run_solver(cfg, ehrenfest15_spec, record_trace=True)
+    b, trace_b = run_solver(cfg, ehrenfest15_spec, record_trace=True)
     assert a == b
     assert trace_to_text(trace_a) == trace_to_text(trace_b)
 
@@ -151,7 +147,7 @@ def test_uncensored_means_exact_target_match(ehrenfest4_spec):
     for seed in range(10):
         cfg = SolverConfig(kind="MWR", objective="ehrenfest4", seed=seed,
                            steps_limit=300, marks=6, radius=4, dither=0.01)
-        record = mwr_run(cfg, ehrenfest4_spec)
+        record = run_solver(cfg, ehrenfest4_spec)
         if not record.is_censored:
             assert record.value_best == ehrenfest4_spec.value_target
 
@@ -159,7 +155,7 @@ def test_uncensored_means_exact_target_match(ehrenfest4_spec):
 def test_censored_record_keeps_global_best(wild1_spec):
     cfg = SolverConfig(kind="MWR", objective="wild1", seed=5, steps_limit=40,
                        marks=8, radius=6, dither=0.01, plateau_limit=4)
-    record = mwr_run(cfg, wild1_spec)
+    record = run_solver(cfg, wild1_spec)
     assert record.is_censored
     assert record.steps == 40
     assert record.value_best > wild1_spec.value_target or \
@@ -169,7 +165,7 @@ def test_censored_record_keeps_global_best(wild1_spec):
 def test_agent_id_is_argmin_of_final_values(ehrenfest15_spec):
     cfg = SolverConfig(kind="MW", objective="ehrenfest15", seed=3,
                        steps_limit=25, marks=10, radius=8, dither=0.01)
-    record, trace = mw_run(cfg, ehrenfest15_spec, record_trace=True)
+    record, trace = run_solver(cfg, ehrenfest15_spec, record_trace=True)
     final_values = trace.steps[-1][2]
     assert 1 <= record.agent_id <= 10
     assert final_values[record.agent_id - 1] == final_values.min()
@@ -203,7 +199,7 @@ def test_greedy_monotone_per_agent_within_epoch(kind, ehrenfest15_spec):
 def test_first_passage_marker_matches_record(ehrenfest4_spec):
     cfg = SolverConfig(kind="MWR", objective="ehrenfest4", seed=1, steps_limit=400,
                        marks=6, radius=4, dither=0.01)
-    record, trace = mwr_run(cfg, ehrenfest4_spec, record_trace=True)
+    record, trace = run_solver(cfg, ehrenfest4_spec, record_trace=True)
     assert not record.is_censored
     assert trace.first_passage == (record.steps, record.agent_id)
     markers = [s for s, *_ in trace.steps]
@@ -213,7 +209,7 @@ def test_first_passage_marker_matches_record(ehrenfest4_spec):
 def test_trace_epoch_bookkeeping(wild1_spec):
     cfg = SolverConfig(kind="MWR", objective="wild1", seed=11, steps_limit=60,
                        marks=8, radius=6, dither=0.01, plateau_limit=3)
-    record, trace = mwr_run(cfg, wild1_spec, record_trace=True)
+    record, trace = run_solver(cfg, wild1_spec, record_trace=True)
     epochs = sorted({e for _s, e, *_ in trace.steps})
     assert epochs == list(range(record.restarts + 1))
     assert len(trace.epoch_seeds) == record.restarts + 1
@@ -223,14 +219,14 @@ def test_trace_epoch_bookkeeping(wild1_spec):
 def test_restart_epoch_depends_only_on_drawn_seed(wild1_spec):
     cfg = SolverConfig(kind="MWR", objective="wild1", seed=11, steps_limit=60,
                        marks=8, radius=6, dither=0.01, plateau_limit=3)
-    record, trace = mwr_run(cfg, wild1_spec, record_trace=True)
+    record, trace = run_solver(cfg, wild1_spec, record_trace=True)
     assert record.restarts >= 1, "expected at least one restart for this seed"
     epoch1_rows = [(s, e, v) for s, e, v, _b in trace.steps if e == 1]
     # replay epoch 1 as a fresh non-restart run seeded with the drawn seed
     replay_cfg = SolverConfig(kind="MW", objective="wild1",
                               seed=trace.epoch_seeds[1], steps_limit=60,
                               marks=8, radius=6, dither=0.01)
-    _replay, replay_trace = mw_run(replay_cfg, wild1_spec, record_trace=True)
+    _replay, replay_trace = run_solver(replay_cfg, wild1_spec, record_trace=True)
     offset = epoch1_rows[0][0] - 1
     for (step, _e, values), (rstep, _re, rvalues, _rb) in zip(
             epoch1_rows, replay_trace.steps):
@@ -241,12 +237,12 @@ def test_restart_epoch_depends_only_on_drawn_seed(wild1_spec):
 def test_mwr_without_restarts_equals_mw(ehrenfest4_spec):
     kw = dict(objective="ehrenfest4", seed=1, steps_limit=50, marks=6,
               radius=4, dither=0.0)
-    mw = mw_run(SolverConfig(kind="MW", **kw), ehrenfest4_spec,
+    mw = run_solver(SolverConfig(kind="MW", **kw), ehrenfest4_spec,
                 initial_marks=DEMO_MARKS)
-    mwr = mwr_run(SolverConfig(kind="MWR", **kw), ehrenfest4_spec)
+    mwr = run_solver(SolverConfig(kind="MWR", **kw), ehrenfest4_spec)
     # the demo ruler solves at step 1; with dither 0 both runs share the
     # epoch-0 stream, so a first passage in epoch 0 yields identical records
-    seeded = mw_run(SolverConfig(kind="MW", **kw), ehrenfest4_spec)
+    seeded = run_solver(SolverConfig(kind="MW", **kw), ehrenfest4_spec)
     if not seeded.is_censored and mwr.restarts == 0:
         assert seeded.steps == mwr.steps
         assert seeded.value_best == mwr.value_best
@@ -257,7 +253,7 @@ def test_mwr_without_restarts_equals_mw(ehrenfest4_spec):
 def test_plateau_limit_one_restarts_after_first_flat_step(wild1_spec):
     cfg = SolverConfig(kind="MWR", objective="wild1", seed=13, steps_limit=30,
                        marks=8, radius=1, dither=0.0, plateau_limit=1)
-    record, trace = mwr_run(cfg, wild1_spec, record_trace=True)
+    record, trace = run_solver(cfg, wild1_spec, record_trace=True)
     if record.restarts:
         epoch0 = [row for row in trace.steps if row[1] == 0]
         # every epoch-0 step after the first error reduction can at most
@@ -283,20 +279,24 @@ def test_probe_ledger_exact(kind, ehrenfest15_spec):
 # differential evolution pieces
 # ---------------------------------------------------------------------------
 
-def test_de_mutate_degenerate_scale():
-    rng = np.random.default_rng(0)
+def test_de_simple_trials_degenerate_scale():
+    spec = get_objective("ehrenfest4")
+    cfg = SolverConfig(kind="DEsF", objective="ehrenfest4", seed=1, steps_limit=5,
+                       marks=4, rde=0.0)
     marks = np.array([[2.0], [5.0], [9.0], [14.0]])
-    cand = de_mutate(marks, rng, rde=0.0, lower=np.array([1.0]), upper=np.array([17.0]))
-    assert cand[0] in marks[:, 0]
+    trials = _de_simple_trials(marks, cfg, spec, np.random.default_rng(0))
+    assert all(t in marks[:, 0] for t in trials[:, 0])
 
 
-def test_de_mutate_confinement_redraws_inside_box():
-    lower, upper = np.array([1.0]), np.array([17.0])
+def test_de_simple_trials_confinement_redraws_inside_box():
+    spec = get_objective("ehrenfest4")
+    cfg = SolverConfig(kind="DEsF", objective="ehrenfest4", seed=1, steps_limit=5,
+                       marks=4, rde=1.0)
     marks = np.array([[1.0], [2.0], [4.0], [10.0]])
     rng = np.random.default_rng(1)
     for _ in range(200):
-        cand = de_mutate(marks, rng, rde=1.0, lower=lower, upper=upper)
-        assert lower[0] <= cand[0] <= upper[0]
+        trials = _de_simple_trials(marks, cfg, spec, rng)
+        assert np.all(trials >= spec.lower) and np.all(trials <= spec.upper)
 
 
 def test_de_population_collapse_only_confinement_escapes():
@@ -351,7 +351,7 @@ def test_desf_first_step_matches_documented_draw_order(ehrenfest4_spec):
     # donor formula, confinement redraws, batch evaluation
     cfg = SolverConfig(kind="DEsF", objective="ehrenfest4", seed=77,
                        steps_limit=1, marks=5)
-    record = desf_run(cfg, ehrenfest4_spec)
+    record = run_solver(cfg, ehrenfest4_spec)
 
     spec = ehrenfest4_spec
     rng = np.random.default_rng(77)
@@ -365,7 +365,6 @@ def test_desf_first_step_matches_documented_draw_order(ehrenfest4_spec):
         trials[out] = spec.lower + rng.uniform(size=(int(out.sum()), 1)) * \
             (spec.upper - spec.lower)
     trial_values = spec.fn(trials)
-    from multiwalk import quantize
     assert record.value_best == quantize(float(trial_values.min()), 9)
     assert record.probes == 5 + 5
 
@@ -373,7 +372,7 @@ def test_desf_first_step_matches_documented_draw_order(ehrenfest4_spec):
 def test_desfr_restart_machinery_matches_mwr_contract(ehrenfest15_spec):
     cfg = SolverConfig(kind="DEsFR", objective="ehrenfest15", seed=31,
                        steps_limit=50, marks=6, plateau_limit=2)
-    record, trace = desfr_run(cfg, ehrenfest15_spec, record_trace=True)
+    record, trace = run_solver(cfg, ehrenfest15_spec, record_trace=True)
     assert record.restarts == len(trace.epoch_seeds) - 1
     if record.is_censored:
         assert record.steps == 50
@@ -386,7 +385,7 @@ def test_desfr_restart_machinery_matches_mwr_contract(ehrenfest15_spec):
 def test_trace_export_format(ehrenfest4_spec):
     cfg = SolverConfig(kind="MW", objective="ehrenfest4", seed=1, steps_limit=50,
                        marks=6, radius=4, dither=0.0)
-    record, trace = mw_run(cfg, ehrenfest4_spec, initial_marks=DEMO_MARKS,
+    record, trace = run_solver(cfg, ehrenfest4_spec, initial_marks=DEMO_MARKS,
                            record_trace=True)
     text = trace_to_text(trace, config_lines=["objective = ehrenfest4"])
     lines = text.splitlines()
@@ -404,6 +403,32 @@ def test_trace_export_format(ehrenfest4_spec):
 def test_trace_censored_footer(wild1_spec):
     cfg = SolverConfig(kind="MW", objective="wild1", seed=3, steps_limit=2,
                        marks=6, radius=4, dither=0.01)
-    record, trace = mw_run(cfg, wild1_spec, record_trace=True)
+    record, trace = run_solver(cfg, wild1_spec, record_trace=True)
     assert record.is_censored
     assert trace_to_text(trace).splitlines()[-1] == "# first_passage=none"
+
+
+_trace_steps = st.lists(
+    st.tuples(st.integers(0, 10 ** 6), st.integers(0, 100),
+              st.lists(st.floats(allow_nan=False), min_size=1, max_size=5)),
+    max_size=6)
+
+
+@given(steps=_trace_steps,
+       first_passage=st.none() | st.tuples(st.integers(1, 10 ** 6), st.integers(1, 5)),
+       epoch_seeds=st.lists(st.integers(0, 2 ** 31), min_size=1, max_size=3))
+def test_trace_parse_roundtrip(steps, first_passage, epoch_seeds):
+    trace = WalkTrace(label="MW04", first_passage=first_passage, epoch_seeds=epoch_seeds)
+    for step, restart, values in steps:
+        trace.steps.append((step, restart, np.array(values), min(values)))
+    comments, rows = parse_trace(trace_to_text(trace, ["objective = x"]).splitlines())
+    expected = [(step, restart, agent, repr(float(v)))
+                for step, restart, values in steps
+                for agent, v in enumerate(values, start=1)]
+    assert rows == expected
+    footer = ("# first_passage=none" if first_passage is None else
+              f"# first_passage_step={first_passage[0]},"
+              f"first_passage_agentId={first_passage[1]}")
+    assert comments == ["# objective = x", "# solver = MW04",
+                        f"# epoch_seeds = {','.join(map(str, epoch_seeds))}", footer]
+

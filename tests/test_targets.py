@@ -1,17 +1,20 @@
 import math
 
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from multiwalk import (ObjectiveSpec, TargetStore, get_objective, quantize)
-from multiwalk.targets import (compute_target, enumerate_integer_minimum,
-                               grid_refine_minimum)
+from multiwalk.objectives import ObjectiveSpec, get_objective, quantize
+from multiwalk.targets import (TargetRecord, TargetStore, compute_target,
+                               enumerate_integer_minimum, grid_refine_minimum)
 
 
 def test_ehrenfest4_enumeration(ehrenfest4_target):
     rec = ehrenfest4_target
     assert rec.method == "enumeration"
-    assert rec.resolution == 17
     assert rec.coords == (9.0,)
     assert rec.minimizers == ((9.0,),)
     assert rec.value_target == quantize(-1.01 * math.log(math.comb(16, 8)), 9)
@@ -105,14 +108,14 @@ def test_uncensored_mw_coord_rounds_to_an_enumerated_minimizer():
     # full-radius multi-walk solutions land inside the winning state's
     # rounding window for small staircases
     from functools import partial
-    from multiwalk import SolverConfig, run_solver
+    from multiwalk.solvers import SolverConfig, run_solver
     from multiwalk.objectives import ehrenfest
     for n in (4, 6, 8):
         s = 2 ** n + 1
         spec = ObjectiveSpec(name=f"ehr{n}", dims=1, lower=[1.0], upper=[float(s)],
                              fn=partial(ehrenfest, n=n), staircase=True)
         rec = enumerate_integer_minimum(spec)
-        spec = spec.with_target(rec.value_target, coords=rec.coords)
+        spec = spec.with_target(rec.value_target)
         solved = 0
         for seed in range(8):
             cfg = SolverConfig(kind="MWR", objective=spec.name, seed=seed,
@@ -150,3 +153,27 @@ def test_store_apply(ehrenfest4_target):
     assert spec.value_target == ehrenfest4_target.value_target
     with pytest.raises(KeyError):
         store.apply(get_objective("wild1"), digits=9)
+
+
+_token = st.text(string.ascii_letters + string.digits + "+_.-", min_size=1, max_size=12)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.dictionaries(
+    st.tuples(_token, st.integers(1, 16)),
+    st.tuples(_finite, st.lists(_finite, min_size=1, max_size=3).map(tuple), _token),
+    max_size=6))
+def test_store_load_dumps_roundtrip(tmp_path_factory, entries):
+    store = TargetStore()
+    for (name, digits), (value, coords, method) in entries.items():
+        store.add(TargetRecord(name=name, value_target=value, digits=digits,
+                               coords=coords, method=method))
+    path = tmp_path_factory.mktemp("store") / "targets.csv"
+    path.write_text(store.dumps(), encoding="utf-8")
+    loaded = TargetStore.load(path)
+
+    def fields(s):
+        return [(r.name, r.digits, r.value_target, r.coords, r.method) for r in s.records()]
+
+    assert fields(loaded) == fields(store)
+
