@@ -1,9 +1,10 @@
 """Command-line front end: list objectives, compute targets, run single
 solves with traces, run N-seed benchmarks, emit CSV/bargraph/trace files.
 
-Exit status: 0 on success, 1 on configuration errors, 2 when a benchmark
-completes but every run of some solver was censored (the comparison is then
-unreliable).
+Exit status: 0 on success; 1 on any bad input (flags, solver specs, target
+stores, walk traces, unreadable or unwritable paths), reported as one
+``error:`` line; 2 only when a benchmark completes but every run of some
+solver was censored (the comparison is then unreliable).
 """
 
 from __future__ import annotations
@@ -28,6 +29,15 @@ _KEY_TYPES = {
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports argparse's own errors (bad, missing or unknown flags) as
+    CliError, so they exit 1 like every other bad input; subparsers inherit
+    the class."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
 
 
 def _parse_solver_spec(text: str, args) -> SolverConfig:
@@ -249,7 +259,7 @@ def _add_solver_flags(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multiwalk",
         description="Multi-walk and differential-evolution solvers under "
                     "first-passage-time benchmarking.",
@@ -293,9 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

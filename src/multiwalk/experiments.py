@@ -80,7 +80,7 @@ def run_experiment(plan: ExperimentPlan, spec: ObjectiveSpec,
             "times are undefined without one"
         )
     tasks = [
-        (ci, ri, replace(cfg, seed=cfg.seed + ri, label=cfg.solver_label), spec)
+        (ci, ri, replace(cfg, seed=cfg.seed + ri), spec)
         for ci, cfg in enumerate(plan.configs)
         for ri in range(plan.sample_size)
     ]

@@ -9,15 +9,13 @@ neighborhood radius, between 1 and ``m - 2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .objectives import EvalCounter, ObjectiveSpec, evaluate_batch
 
 __all__ = [
-    "RulerState",
-    "NeighborhoodProposal",
     "eligible_neighbors",
     "neighborhood_eval",
     "candidate_table_text",
@@ -26,31 +24,10 @@ __all__ = [
 MIN_MARKS = 4  # radius <= m - 2 must admit radius >= 2
 
 
-@dataclass
-class RulerState:
-    """Mark coordinates (m, p) and their raw objective values (m,)."""
-
-    marks: np.ndarray
-    values: np.ndarray
-
-
-@dataclass
-class NeighborhoodProposal:
-    """Best evaluated candidate per mark for one step.
-
-    ``coords[i]`` is the winning candidate for mark ``i``, ``values[i]`` its
-    raw objective value, ``chosen[i]`` the neighbor index that produced it and
-    ``neighbor_sets[i]`` the full index set consulted (ascending).
-    """
-
-    coords: np.ndarray
-    values: np.ndarray
-    chosen: np.ndarray
-    neighbor_sets: np.ndarray
-
-
-def eligible_neighbors(i: int, n_marks: int) -> np.ndarray:
-    """The m - 2 neighbor indices of mark ``i`` (0-based, ascending).
+@lru_cache(maxsize=None)
+def eligible_neighbors(n_marks: int) -> np.ndarray:
+    """Read-only (m, m - 2) table: row ``i`` holds the neighbor indices of
+    mark ``i`` (0-based, ascending).
 
     Besides itself, mark 0 skips the last mark and every other mark skips
     mark 0.  Exclusion is by fixed index, so at the anchored initial state
@@ -59,22 +36,10 @@ def eligible_neighbors(i: int, n_marks: int) -> np.ndarray:
     """
     if n_marks < MIN_MARKS:
         raise ValueError(f"need at least {MIN_MARKS} marks, got {n_marks}")
-    if not 0 <= i < n_marks:
-        raise ValueError(f"mark index {i} out of range for {n_marks} marks")
-    if i == 0:
-        return np.arange(1, n_marks - 1)
-    return np.array([j for j in range(1, n_marks) if j != i])
-
-
-_ELIGIBLE_CACHE: dict = {}
-
-
-def _eligible_matrix(n_marks: int) -> np.ndarray:
-    """(m, m - 2) matrix of eligible neighbor indices, row per mark."""
-    table = _ELIGIBLE_CACHE.get(n_marks)
-    if table is None:
-        table = np.stack([eligible_neighbors(i, n_marks) for i in range(n_marks)])
-        _ELIGIBLE_CACHE[n_marks] = table
+    i = np.arange(n_marks)[:, None]
+    k = np.arange(1, n_marks - 1)
+    table = k + ((k >= i) & (i > 0))  # step over mark i itself
+    table.flags.writeable = False
     return table
 
 
@@ -96,10 +61,23 @@ def _candidates(marks: np.ndarray, neighbor_sets: np.ndarray, lower: np.ndarray,
     return np.clip(lower + diffs, lower, upper)
 
 
-def neighborhood_eval(state: RulerState, spec: ObjectiveSpec, radius: int,
+def _neighbor_sets(n_marks: int, radius: int, rng: np.random.Generator) -> np.ndarray:
+    """(m, radius) neighbor indices per mark, ascending.  At full radius
+    (m - 2) every eligible neighbor, with no draws; otherwise a uniform
+    sample of ``radius`` eligible neighbors per mark from one rank block."""
+    eligible = eligible_neighbors(n_marks)
+    if radius == n_marks - 2:
+        return eligible
+    ranks = rng.uniform(size=(n_marks, n_marks - 2))
+    sel = np.sort(np.argsort(ranks, axis=1)[:, :radius], axis=1)
+    return np.take_along_axis(eligible, sel, axis=1)
+
+
+def neighborhood_eval(marks: np.ndarray, spec: ObjectiveSpec, radius: int,
                       dither: float, rng: np.random.Generator,
-                      counter: EvalCounter) -> NeighborhoodProposal:
-    """Evaluate each mark's neighborhood and keep its best candidate.
+                      counter: EvalCounter):
+    """Evaluate each mark's neighborhood and return ``(coords, values)``:
+    the best candidate per mark, (m, p), and its raw objective value, (m,).
 
     At full radius (m - 2) every eligible neighbor is consulted; otherwise a
     fresh uniform sample of ``radius`` neighbors is drawn per mark per step,
@@ -109,30 +87,17 @@ def neighborhood_eval(state: RulerState, spec: ObjectiveSpec, radius: int,
     changing the committed step.  Costs exactly ``m * radius`` probes.
     Ties between candidates break toward the lowest neighbor index.
     """
-    marks = state.marks
     m, p = marks.shape
     if not 1 <= radius <= m - 2:
         raise ValueError(f"radius must be in [1, {m - 2}], got {radius}")
-    eligible = _eligible_matrix(m)
-    if radius == m - 2:
-        neighbor_sets = eligible
-    else:
-        ranks = rng.uniform(size=(m, m - 2))
-        sel = np.sort(np.argsort(ranks, axis=1)[:, :radius], axis=1)
-        neighbor_sets = np.take_along_axis(eligible, sel, axis=1)
-
+    neighbor_sets = _neighbor_sets(m, radius, rng)
     cands = _candidates(marks, neighbor_sets, spec.lower, spec.upper, dither, rng)
 
     values = evaluate_batch(spec, cands.reshape(m * radius, p), counter)
     values = values.reshape(m, radius)
     pick = np.argmin(values, axis=1)  # first minimum = lowest index (sets ascend)
     rows = np.arange(m)
-    return NeighborhoodProposal(
-        coords=cands[rows, pick],
-        values=values[rows, pick],
-        chosen=neighbor_sets[rows, pick],
-        neighbor_sets=neighbor_sets,
-    )
+    return cands[rows, pick], values[rows, pick]
 
 
 def candidate_table_text(marks: np.ndarray, lower, upper) -> str:
@@ -142,7 +107,7 @@ def candidate_table_text(marks: np.ndarray, lower, upper) -> str:
     """
     marks = np.asarray(marks, dtype=float)
     m, p = marks.shape
-    cands = _candidates(marks, _eligible_matrix(m), np.asarray(lower, dtype=float),
+    cands = _candidates(marks, eligible_neighbors(m), np.asarray(lower, dtype=float),
                         np.asarray(upper, dtype=float))
     lines = []
     for dim in range(p):

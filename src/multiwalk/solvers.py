@@ -27,13 +27,12 @@ from typing import Optional
 import numpy as np
 
 from .objectives import EvalCounter, ObjectiveSpec, evaluate_batch, quantize
-from .ruler import MIN_MARKS, RulerState, neighborhood_eval
+from .ruler import MIN_MARKS, neighborhood_eval
 
 __all__ = [
     "SOLVER_KINDS",
     "SolverConfig",
     "RunRecord",
-    "RunningBest",
     "WalkTrace",
     "mw_step",
     "run_solver",
@@ -146,44 +145,31 @@ class WalkTrace:
     epoch_seeds: list = field(default_factory=list)
 
 
-@dataclass
-class RunningBest:
-    """Best candidate seen so far: the quantized value and its coordinates.
-
-    The comparison is raw value against quantized best, after the greedy
-    acceptance template, so the stored value only ever decreases.
-    """
-
-    value: float = math.inf
-    coord: Optional[np.ndarray] = None
-
-
-def _greedy_commit(marks, values, cand_coords, cand_values, best: RunningBest,
-                   digits: int):
+def _greedy_commit(marks, values, cand_coords, cand_values, best, digits: int):
     """Synchronous step commit: each member accepts its candidate only on a
-    strict improvement; the running best tracks every candidate, accepted or
-    not.  Returns the updated (marks, values)."""
+    strict improvement; the running best ``(quantized value, coord)`` tracks
+    every candidate, accepted or not, comparing raw value against quantized
+    best so the best value only ever decreases.  Returns the updated
+    ``(marks, values, best)``."""
+    best_value, best_coord = best
     for i in range(len(cand_values)):
         fi = cand_values[i]
-        if fi < best.value:
-            best.value = quantize(float(fi), digits)
-            best.coord = cand_coords[i].copy()
+        if fi < best_value:
+            best_value = quantize(float(fi), digits)
+            best_coord = cand_coords[i].copy()
     improved = cand_values < values
-    new_values = np.where(improved, cand_values, values)
-    new_marks = np.where(improved[:, None], cand_coords, marks)
-    return new_marks, new_values
+    return (np.where(improved[:, None], cand_coords, marks),
+            np.where(improved, cand_values, values), (best_value, best_coord))
 
 
-def mw_step(state: RulerState, spec: ObjectiveSpec, cfg: "SolverConfig",
-            rng: np.random.Generator, counter: EvalCounter,
-            best: RunningBest):
-    """One multi-walk step: evaluate the neighborhood, accept strictly
-    improving candidates synchronously, update the running best in place.
-    Costs exactly ``marks * radius`` probes."""
-    prop = neighborhood_eval(state, spec, cfg.radius, cfg.dither, rng, counter)
-    marks, values = _greedy_commit(state.marks, state.values, prop.coords,
-                                   prop.values, best, cfg.digits_target)
-    return RulerState(marks=marks, values=values), best
+def mw_step(marks, values, cfg: SolverConfig, spec: ObjectiveSpec,
+            rng: np.random.Generator, counter: EvalCounter, best):
+    """One multi-walk step: evaluate the neighborhood, then commit.  Costs
+    exactly ``marks * radius`` probes; returns ``(marks, values, best)``."""
+    coords, cand_values = neighborhood_eval(marks, spec, cfg.radius, cfg.dither,
+                                            rng, counter)
+    return _greedy_commit(marks, values, coords, cand_values, best,
+                          cfg.digits_target)
 
 
 def _distinct_triples(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -204,29 +190,22 @@ def _confine(trials: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     return trials
 
 
-def _de_simple_trials(marks: np.ndarray, cfg: SolverConfig, spec: ObjectiveSpec,
-                      rng: np.random.Generator) -> np.ndarray:
-    m, _ = marks.shape
-    idx = _distinct_triples(rng, m)
-    trials = marks[idx[:, 0]] + cfg.rde * (marks[idx[:, 1]] - marks[idx[:, 2]])
-    return _confine(trials, spec.lower, spec.upper, rng)
-
-
-def _de_strategy_trials(marks: np.ndarray, values: np.ndarray, cfg: SolverConfig,
-                        spec: ObjectiveSpec, rng: np.random.Generator) -> np.ndarray:
-    """Donor per strategy, then binomial crossover with one guaranteed donor
-    component, then confinement.  Draw order per step: per-step scale, donor
-    index block, per-vector extras, crossover positions, crossover mask,
-    confinement redraws."""
+def _de_trials(marks: np.ndarray, values: np.ndarray, cfg: SolverConfig,
+               spec: ObjectiveSpec, rng: np.random.Generator) -> np.ndarray:
+    """Donor per strategy, then (DEoF only) binomial crossover with one
+    guaranteed donor component, then confinement.  DEsF/DEsFR take the
+    strategy-1 rand/1 donor as the trial.  Draw order per step: per-step
+    scale, donor index block, per-vector extras, crossover positions,
+    crossover mask, confinement redraws."""
     m, p = marks.shape
     strategy = cfg.de_strategy
     rde = cfg.rde
     step_scale = rng.uniform(0.5, 1.0) if strategy == 5 else None
     idx = _distinct_triples(rng, m)
     a, b, c = idx[:, 0], idx[:, 1], idx[:, 2]
-    best = marks[int(np.argmin(values))]
+    best = marks[int(np.argmin(values))] if strategy in (2, 3) else None
 
-    if strategy == 1:
+    if strategy in (None, 1):
         donors = marks[a] + rde * (marks[b] - marks[c])
     elif strategy == 2:
         donors = marks + rde * (best - marks) + rde * (marks[a] - marks[b])
@@ -246,11 +225,20 @@ def _de_strategy_trials(marks: np.ndarray, values: np.ndarray, cfg: SolverConfig
     else:  # pragma: no cover - kinds are validated at configuration
         raise ValueError(f"unknown strategy {strategy}")
 
-    forced = rng.integers(0, p, size=m)
-    take = rng.uniform(size=(m, p)) < cfg.cr
-    take[np.arange(m), forced] = True
-    trials = np.where(take, donors, marks)
-    return _confine(trials, spec.lower, spec.upper, rng)
+    if strategy is not None:
+        forced = rng.integers(0, p, size=m)
+        take = rng.uniform(size=(m, p)) < cfg.cr
+        take[np.arange(m), forced] = True
+        donors = np.where(take, donors, marks)
+    return _confine(donors, spec.lower, spec.upper, rng)
+
+
+def _de_step(marks, values, cfg: SolverConfig, spec: ObjectiveSpec,
+             rng: np.random.Generator, counter: EvalCounter, best):
+    """One DE step: build, evaluate and commit ``marks`` trials."""
+    trials = _de_trials(marks, values, cfg, spec, rng)
+    return _greedy_commit(marks, values, trials, evaluate_batch(spec, trials, counter),
+                          best, cfg.digits_target)
 
 
 def _check_objective(cfg: SolverConfig, spec: ObjectiveSpec) -> float:
@@ -290,10 +278,10 @@ def run_solver(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
     when ``record_trace`` is set.  ``initial_marks`` replaces the first
     epoch's random population."""
     target = _check_objective(cfg, spec)
-    digits = cfg.digits_target
     counter = EvalCounter()
     trace = WalkTrace(label=cfg.solver_label) if record_trace else None
 
+    step = mw_step if cfg.uses_ruler else _de_step
     total_steps = 0
     restarts = -1
     best_value = np.inf      # quantized, over all epochs
@@ -312,36 +300,25 @@ def run_solver(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
             initial_marks if restarts == 0 else None)
 
         err_prev = float(values.min()) - target  # raw seed for the plateau rule
-        epoch_best = RunningBest()
+        epoch_best = (math.inf, None)  # quantized value and its coordinates
         plateau = 0
 
         while True:
             total_steps += 1
-            if cfg.uses_ruler:
-                state, _ = mw_step(RulerState(marks, values), spec, cfg, rng,
-                                   counter, epoch_best)
-                marks, values = state.marks, state.values
-            else:
-                if cfg.de_strategy is None:
-                    cand_coords = _de_simple_trials(marks, cfg, spec, rng)
-                else:
-                    cand_coords = _de_strategy_trials(marks, values, cfg, spec, rng)
-                cand_values = evaluate_batch(spec, cand_coords, counter)
-                marks, values = _greedy_commit(marks, values, cand_coords,
-                                               cand_values, epoch_best, digits)
-
-            if epoch_best.value < best_value:
-                best_value = epoch_best.value
-                best_coord = epoch_best.coord
+            marks, values, epoch_best = step(marks, values, cfg, spec, rng,
+                                             counter, epoch_best)
+            epoch_value = epoch_best[0]
+            if epoch_value < best_value:
+                best_value, best_coord = epoch_best
 
             if trace is not None:
                 trace.steps.append((total_steps, restarts, values.copy(), float(best_value)))
 
-            if epoch_best.value == target:
+            if epoch_value == target:
                 passed = True
                 break
             if cfg.restarts_enabled:
-                error = epoch_best.value - target
+                error = epoch_value - target
                 if error >= err_prev:
                     plateau += 1
                 else:
@@ -395,7 +372,9 @@ def parse_trace(lines):
     """Read back a ``trace_to_text`` export: returns the ``#`` comment lines
     (configuration and first-passage footer) and the ``(step, restart,
     agent, value)`` rows, each value kept as its original string.  Raises
-    ValueError naming the first malformed row."""
+    ValueError naming the first malformed row: a wrong field count, a
+    non-integer step, restart or agentId, a value that is not a float, or
+    step < 1, restart < 0 or agentId < 1."""
     comments, rows = [], []
     for number, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -404,8 +383,13 @@ def parse_trace(lines):
         elif line and not line.startswith("step,"):
             try:
                 step, restart, agent, value = line.split(",")
-                rows.append((int(step), int(restart), int(agent), value))
+                row = (int(step), int(restart), int(agent), value)
+                float(value)
             except ValueError:
                 raise ValueError(f"line {number}: malformed trace row {line!r} "
                                  "(expected step,restart,agentId,value)") from None
+            if row[0] < 1 or row[1] < 0 or row[2] < 1:
+                raise ValueError(f"line {number}: trace row {line!r} needs "
+                                 "step >= 1, restart >= 0 and agentId >= 1")
+            rows.append(row)
     return comments, rows

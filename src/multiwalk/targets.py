@@ -152,7 +152,6 @@ def _refine(spec: ObjectiveSpec, start_v: float, start_x: np.ndarray,
 
 def grid_refine_minimum(spec: ObjectiveSpec, coarse_points: Optional[int] = None,
                         refine_rounds: int = REFINE_ROUNDS,
-                        incumbents: int = REFINE_INCUMBENTS,
                         digits: Optional[int] = None) -> TargetRecord:
     """Dense coarse grid scan, then halving-window local refinement around
     each of the best separated scan cells; the overall best wins, ties
@@ -169,8 +168,8 @@ def grid_refine_minimum(spec: ObjectiveSpec, coarse_points: Optional[int] = None
 
     axes = [np.linspace(spec.lower[d], spec.upper[d], coarse) for d in range(spec.dims)]
     spacing = (spec.upper - spec.lower) / (coarse - 1)
-    top_v, top_x = _scan_top_cells(spec, axes, keep=max(incumbents * 8, 32))
-    seeds_v, seeds_x = _separated_incumbents(top_v, top_x, spacing, incumbents)
+    top_v, top_x = _scan_top_cells(spec, axes, keep=max(REFINE_INCUMBENTS * 8, 32))
+    seeds_v, seeds_x = _separated_incumbents(top_v, top_x, spacing, REFINE_INCUMBENTS)
 
     best_v, best_x = math.inf, None
     for sv, sx in zip(seeds_v, seeds_x):

@@ -93,7 +93,7 @@ def test_demo_ruler_candidate_tables():
 
     neigh_matches = 0
     for i in range(6):
-        for col, j in enumerate(eligible_neighbors(i, 6)):
+        for col, j in enumerate(eligible_neighbors(6)[i]):
             computed = lower + abs(marks[i] - marks[j])
             if computed == PRINTED_NEIGHBORHOOD[i][col]:
                 neigh_matches += 1

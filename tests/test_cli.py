@@ -3,6 +3,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from multiwalk.cli import _KEY_TYPES, CliError, _parse_solver_spec, build_parser
+from multiwalk.solvers import SOLVER_KINDS, SolverConfig
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -156,8 +161,15 @@ BAD_STORE = "# name,valueTarget,digits,coords...,method\nehrenfest4,abc,9,9.0,en
     ({}, ["oracle", "--of", "ehrenfest4", "--digits", "0", "--out", "digits0.csv"]),
     ({}, ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=4,marks=6",
           "--trace-out", "missing_dir/walk.txt"]),
+    ({"agent0_walk.txt": "step,restart,agentId,value\n1,0,0,1.0\n"},
+     ["trace", "agent0_walk.txt"]),
+    ({"abc_walk.txt": "step,restart,agentId,value\n1,0,1,abc\n"},
+     ["trace", "abc_walk.txt"]),
+    ({}, ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=4", "--seed", "abc"]),
+    ({}, ["solve", "--solver", "MW:radius=4"]),
 ], ids=["solver-value", "trace-row", "store-list", "store-solve", "store-nan",
-        "oracle-digits", "trace-out-dir"])
+        "oracle-digits", "trace-out-dir", "trace-agent0", "trace-value",
+        "flag-value", "flag-missing"])
 def test_bad_input_exits_1_without_traceback(store, files, args):
     for name, text in files.items():
         (store / name).write_text(text)
@@ -165,3 +177,24 @@ def test_bad_input_exits_1_without_traceback(store, files, args):
     assert out.returncode == 1, out.stderr
     assert out.stderr.startswith("error: ")
     assert "Traceback" not in out.stderr
+
+
+_SPEC_ARGS = build_parser().parse_args(["solve", "--of", "ehrenfest4", "--solver", "MW"])
+_spec_option = st.tuples(st.sampled_from([*_KEY_TYPES, "label", "bogus"]),
+                         st.one_of(st.integers(-5, 40).map(str), st.floats().map(repr),
+                                   st.text(max_size=5)))
+_spec_text = st.one_of(
+    st.text(),
+    st.tuples(st.sampled_from(SOLVER_KINDS),
+              st.lists(_spec_option.map("=".join), max_size=4).map(",".join)
+              ).map(":".join))
+
+
+@given(_spec_text)
+def test_solver_spec_parser_on_arbitrary_text(text):
+    # arbitrary text either parses into a valid config or raises CliError
+    try:
+        cfg = _parse_solver_spec(text, _SPEC_ARGS)
+    except CliError:
+        return
+    assert isinstance(cfg, SolverConfig)

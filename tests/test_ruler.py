@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from multiwalk.objectives import EvalCounter, get_objective
-from multiwalk.ruler import (RulerState, _candidates, _eligible_matrix,
-                             candidate_table_text, eligible_neighbors,
-                             neighborhood_eval)
+from multiwalk.ruler import (_candidates, _neighbor_sets, candidate_table_text,
+                             eligible_neighbors, neighborhood_eval)
 from multiwalk.solvers import _init_population
 
 DEMO_MARKS = np.array([1.0, 2.0, 4.0, 10.0, 12.0, 17.0])[:, None]
@@ -47,20 +46,32 @@ def test_init_deterministic():
 
 
 def test_eligible_neighbors():
-    assert eligible_neighbors(0, 6).tolist() == [1, 2, 3, 4]
-    assert eligible_neighbors(3, 6).tolist() == [1, 2, 4, 5]
-    assert eligible_neighbors(5, 6).tolist() == [1, 2, 3, 4]
-    assert eligible_neighbors(1, 4).tolist() == [2, 3]
+    table = eligible_neighbors(6)
+    assert table[0].tolist() == [1, 2, 3, 4]
+    assert table[3].tolist() == [1, 2, 4, 5]
+    assert table[5].tolist() == [1, 2, 3, 4]
+    assert eligible_neighbors(4)[1].tolist() == [2, 3]
     for i in range(6):
-        assert len(eligible_neighbors(i, 6)) == 4
-        assert i not in eligible_neighbors(i, 6)
+        assert len(table[i]) == 4
+        assert i not in table[i]
+
+
+def test_eligible_neighbors_closed_form_matches_definition():
+    # mark 0 skips the last mark, every other mark skips mark 0; each skips itself
+    for m in range(4, 70):
+        expected = [list(range(1, m - 1))] + [
+            [j for j in range(1, m) if j != i] for i in range(1, m)]
+        assert eligible_neighbors(m).tolist() == expected
 
 
 def test_eligible_neighbors_errors():
+    with pytest.raises(IndexError):
+        eligible_neighbors(6)[6]
     with pytest.raises(ValueError):
-        eligible_neighbors(6, 6)
+        eligible_neighbors(3)
+    # the cached table is shared by every caller, so it must be read-only
     with pytest.raises(ValueError):
-        eligible_neighbors(0, 3)
+        eligible_neighbors(6)[0, 0] = 0
 
 
 def test_candidate_from_pairwise_difference():
@@ -78,7 +89,7 @@ def test_candidate_rejects_self_pairing():
     # the neighbor table every candidate is built from never pairs a mark
     # with itself
     for m in (4, 6, 32):
-        table = _eligible_matrix(m)
+        table = eligible_neighbors(m)
         assert table.shape == (m, m - 2)
         assert not np.any(table == np.arange(m)[:, None])
 
@@ -110,76 +121,74 @@ def test_anchored_noop_columns_on_random_init():
     assert table[0, 9] == pytest.approx(spec.upper, rel=1e-12)
 
 
-def _demo_state(spec):
-    values = np.array([spec.fn(row[None])[0] for row in DEMO_MARKS])
-    return RulerState(marks=DEMO_MARKS.copy(), values=values)
-
-
 def test_full_radius_proposal_finds_center_state(ehrenfest4_spec):
     spec = ehrenfest4_spec
-    state = _demo_state(spec)
     counter = EvalCounter()
-    prop = neighborhood_eval(state, spec, radius=4, dither=0.0,
-                             rng=np.random.default_rng(0), counter=counter)
+    coords, values = neighborhood_eval(DEMO_MARKS.copy(), spec, radius=4, dither=0.0,
+                                       rng=np.random.default_rng(0), counter=counter)
     # mark at coordinate 4 reaches nine via its distance to the mark at 12
-    assert prop.coords[2, 0] == 9.0
-    assert prop.chosen[2] == 4
-    assert prop.values[2] == spec.fn(np.array([[9.0]]))[0]
+    assert coords[2, 0] == 9.0
+    row = _candidates(DEMO_MARKS, eligible_neighbors(6), spec.lower, spec.upper)[2, :, 0]
+    assert eligible_neighbors(6)[2][row == coords[2, 0]].tolist() == [4]
+    assert values[2] == spec.fn(np.array([[9.0]]))[0]
     assert counter.probes == 6 * 4
 
 
 def test_probe_count_per_step_both_modes(ehrenfest4_spec):
     spec = ehrenfest4_spec
-    state = _demo_state(spec)
     for radius in (1, 2, 4):
         counter = EvalCounter()
-        neighborhood_eval(state, spec, radius=radius, dither=0.01,
+        neighborhood_eval(DEMO_MARKS, spec, radius=radius, dither=0.01,
                           rng=np.random.default_rng(9), counter=counter)
         assert counter.probes == 6 * radius
 
 
 def test_full_radius_dither_zero_ignores_rng(ehrenfest4_spec):
     spec = ehrenfest4_spec
-    state = _demo_state(spec)
     rng = np.random.default_rng(123)
     before = rng.bit_generator.state
-    a = neighborhood_eval(state, spec, radius=4, dither=0.0, rng=rng,
-                          counter=EvalCounter())
+    a_coords, a_values = neighborhood_eval(DEMO_MARKS, spec, radius=4, dither=0.0,
+                                           rng=rng, counter=EvalCounter())
     assert rng.bit_generator.state == before
-    b = neighborhood_eval(state, spec, radius=4, dither=0.0,
-                          rng=np.random.default_rng(999), counter=EvalCounter())
-    assert np.array_equal(a.coords, b.coords)
-    assert np.array_equal(a.values, b.values)
+    b_coords, b_values = neighborhood_eval(DEMO_MARKS, spec, radius=4, dither=0.0,
+                                           rng=np.random.default_rng(999),
+                                           counter=EvalCounter())
+    assert np.array_equal(a_coords, b_coords)
+    assert np.array_equal(a_values, b_values)
 
 
 def test_random_radius_samples_eligible_sorted(ehrenfest4_spec):
     spec = ehrenfest4_spec
-    state = _demo_state(spec)
-    prop = neighborhood_eval(state, spec, radius=2, dither=0.0,
-                             rng=np.random.default_rng(17), counter=EvalCounter())
-    assert prop.neighbor_sets.shape == (6, 2)
+    neighbor_sets = _neighbor_sets(6, 2, np.random.default_rng(17))
+    assert neighbor_sets.shape == (6, 2)
     for i in range(6):
-        row = prop.neighbor_sets[i]
+        row = neighbor_sets[i]
         assert sorted(row) == list(row)
-        eligible = set(eligible_neighbors(i, 6).tolist())
+        eligible = set(eligible_neighbors(6)[i].tolist())
         assert set(row.tolist()) <= eligible
+    # neighborhood_eval draws the same sets: each pick is one of their candidates
+    coords, _values = neighborhood_eval(DEMO_MARKS, spec, radius=2, dither=0.0,
+                                        rng=np.random.default_rng(17),
+                                        counter=EvalCounter())
+    cands = _candidates(DEMO_MARKS, neighbor_sets, spec.lower, spec.upper)
+    for i in range(6):
+        assert coords[i, 0] in cands[i, :, 0]
 
 
 def test_radius_out_of_range(ehrenfest4_spec):
-    state = _demo_state(ehrenfest4_spec)
     for radius in (0, 5):
         with pytest.raises(ValueError):
-            neighborhood_eval(state, ehrenfest4_spec, radius=radius, dither=0.0,
+            neighborhood_eval(DEMO_MARKS, ehrenfest4_spec, radius=radius, dither=0.0,
                               rng=np.random.default_rng(0), counter=EvalCounter())
 
 
 def test_proposals_in_bounds_any_dither():
     spec = get_objective("trefethen3")
-    state = RulerState(*_anchored_init(spec, 8, 2, EvalCounter()))
+    marks, _values = _anchored_init(spec, 8, 2, EvalCounter())
     for dither in (0.0, 0.3, 1.0):
-        prop = neighborhood_eval(state, spec, radius=6, dither=dither,
-                                 rng=np.random.default_rng(4), counter=EvalCounter())
-        assert np.all(prop.coords >= spec.lower) and np.all(prop.coords <= spec.upper)
+        coords, _ = neighborhood_eval(marks, spec, radius=6, dither=dither,
+                                      rng=np.random.default_rng(4), counter=EvalCounter())
+        assert np.all(coords >= spec.lower) and np.all(coords <= spec.upper)
 
 
 def test_candidate_table_text():

@@ -1,15 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from multiwalk.objectives import EvalCounter, get_objective, quantize
-from multiwalk.ruler import RulerState
-from multiwalk.solvers import (RunningBest, SolverConfig, WalkTrace,
-                               _de_simple_trials, _de_strategy_trials, mw_step,
+from multiwalk.solvers import (SolverConfig, WalkTrace, _de_trials, mw_step,
                                parse_trace, run_solver, trace_to_text)
 
 DEMO_MARKS = np.array([1.0, 2.0, 4.0, 10.0, 12.0, 17.0])[:, None]
+NO_BEST = (math.inf, None)  # the running best before any candidate
 
 
 def _cfg(**kw):
@@ -79,39 +80,35 @@ def test_run_requires_matching_digits(ehrenfest4_spec):
 
 def test_mw_step_finds_demo_target_in_one_step(ehrenfest4_spec):
     spec = ehrenfest4_spec
-    state = RulerState(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS))
     counter = EvalCounter()
-    best = RunningBest()
-    state, best = mw_step(state, spec, _cfg(), np.random.default_rng(0),
-                          counter, best)
-    assert best.value == spec.value_target
+    _marks, _values, best = mw_step(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS), _cfg(),
+                                    spec, np.random.default_rng(0), counter, NO_BEST)
+    assert best[0] == spec.value_target
     assert counter.probes == 6 * 4
 
 
 def test_mw_step_without_improvement_changes_nothing(ehrenfest4_spec):
     spec = ehrenfest4_spec
-    state = RulerState(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS))
-    best = RunningBest()
-    state, best = mw_step(state, spec, _cfg(), np.random.default_rng(0),
-                          EvalCounter(), best)
+    marks, values, best = mw_step(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS), _cfg(),
+                                  spec, np.random.default_rng(0), EvalCounter(), NO_BEST)
     # the demo neighborhood is idempotent once the optimum is taken
-    again, best2 = mw_step(state, spec, _cfg(), np.random.default_rng(0),
-                           EvalCounter(), best)
-    assert np.array_equal(again.marks, state.marks)
-    assert np.array_equal(again.values, state.values)
-    assert best2.value == best.value
+    again_marks, again_values, best2 = mw_step(marks, values, _cfg(), spec,
+                                               np.random.default_rng(0),
+                                               EvalCounter(), best)
+    assert np.array_equal(again_marks, marks)
+    assert np.array_equal(again_values, values)
+    assert best2[0] == best[0]
 
 
 def test_mw_step_shared_candidate_moves_both_marks(ehrenfest4_spec):
     # marks at 2 and 10 both propose 9 through their distances to other
     # marks; both accept, and the running best is set once
     spec = ehrenfest4_spec
-    state = RulerState(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS))
-    state, best = mw_step(state, spec, _cfg(), np.random.default_rng(0),
-                          EvalCounter(), RunningBest())
-    nine_holders = np.flatnonzero(state.marks[:, 0] == 9.0)
+    marks, _values, best = mw_step(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS), _cfg(),
+                                   spec, np.random.default_rng(0), EvalCounter(), NO_BEST)
+    nine_holders = np.flatnonzero(marks[:, 0] == 9.0)
     assert len(nine_holders) >= 2
-    assert best.value == spec.value_target
+    assert best[0] == spec.value_target
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +281,7 @@ def test_de_simple_trials_degenerate_scale():
     cfg = SolverConfig(kind="DEsF", objective="ehrenfest4", seed=1, steps_limit=5,
                        marks=4, rde=0.0)
     marks = np.array([[2.0], [5.0], [9.0], [14.0]])
-    trials = _de_simple_trials(marks, cfg, spec, np.random.default_rng(0))
+    trials = _de_trials(marks, spec.fn(marks), cfg, spec, np.random.default_rng(0))
     assert all(t in marks[:, 0] for t in trials[:, 0])
 
 
@@ -295,7 +292,7 @@ def test_de_simple_trials_confinement_redraws_inside_box():
     marks = np.array([[1.0], [2.0], [4.0], [10.0]])
     rng = np.random.default_rng(1)
     for _ in range(200):
-        trials = _de_simple_trials(marks, cfg, spec, rng)
+        trials = _de_trials(marks, spec.fn(marks), cfg, spec, rng)
         assert np.all(trials >= spec.lower) and np.all(trials <= spec.upper)
 
 
@@ -303,7 +300,7 @@ def test_de_population_collapse_only_confinement_escapes():
     spec = get_objective("wild1")
     cfg = SolverConfig(kind="DEsF", objective="wild1", seed=1, steps_limit=5, marks=6)
     marks = np.full((6, 1), 3.25)
-    trials = _de_simple_trials(marks, cfg, spec, np.random.default_rng(0))
+    trials = _de_trials(marks, spec.fn(marks), cfg, spec, np.random.default_rng(0))
     assert np.all(trials == 3.25)
 
 
@@ -315,7 +312,7 @@ def test_de_strategy_trials_stay_in_bounds():
     for strategy in range(1, 7):
         cfg = SolverConfig(kind=f"DEoF{strategy}", objective="wild2", seed=1,
                            steps_limit=5, marks=12)
-        trials = _de_strategy_trials(marks, values, cfg, spec, np.random.default_rng(3))
+        trials = _de_trials(marks, values, cfg, spec, np.random.default_rng(3))
         assert trials.shape == marks.shape
         assert np.all(trials >= spec.lower) and np.all(trials <= spec.upper)
 
@@ -328,7 +325,7 @@ def test_strategy2_with_zero_scale_keeps_population():
     values = np.asarray(spec.fn(marks))
     cfg = SolverConfig(kind="DEoF2", objective="wild2", seed=1, steps_limit=5,
                        marks=8, rde=0.0, cr=0.9)
-    trials = _de_strategy_trials(marks, values, cfg, spec, np.random.default_rng(5))
+    trials = _de_trials(marks, values, cfg, spec, np.random.default_rng(5))
     assert np.allclose(trials, marks)
 
 
@@ -342,7 +339,7 @@ def test_strategy3_zero_jitter_zero_scale_is_best_with_full_crossover():
     best = marks[int(np.argmin(values))]
     cfg = SolverConfig(kind="DEoF3", objective="wild2", seed=1, steps_limit=5,
                        marks=8, rde=0.0, de_jitter=0.0, cr=1.0)
-    trials = _de_strategy_trials(marks, values, cfg, spec, np.random.default_rng(6))
+    trials = _de_trials(marks, values, cfg, spec, np.random.default_rng(6))
     assert np.all(trials == best)
 
 
@@ -409,7 +406,7 @@ def test_trace_censored_footer(wild1_spec):
 
 
 _trace_steps = st.lists(
-    st.tuples(st.integers(0, 10 ** 6), st.integers(0, 100),
+    st.tuples(st.integers(1, 10 ** 6), st.integers(0, 100),
               st.lists(st.floats(allow_nan=False), min_size=1, max_size=5)),
     max_size=6)
 
@@ -432,3 +429,30 @@ def test_trace_parse_roundtrip(steps, first_passage, epoch_seeds):
     assert comments == ["# objective = x", "# solver = MW04",
                         f"# epoch_seeds = {','.join(map(str, epoch_seeds))}", footer]
 
+
+
+@pytest.mark.parametrize("row", ["0,0,1,1.0", "1,-1,1,1.0", "1,0,0,1.0",
+                                 "1,0,1,abc", "1,0,1", "x,0,1,1.0"])
+def test_parse_trace_rejects_meaningless_rows(row):
+    with pytest.raises(ValueError, match="line 3"):
+        parse_trace(["# solver = MW04", "step,restart,agentId,value", row])
+
+
+_trace_field = st.one_of(st.integers(-3, 3).map(str), st.floats().map(repr),
+                         st.text(max_size=4))
+_trace_text = st.one_of(
+    st.text(),
+    st.lists(st.one_of(st.lists(_trace_field, min_size=3, max_size=5).map(",".join),
+                       st.text(max_size=8)), max_size=6).map("\n".join))
+
+
+@given(_trace_text)
+def test_parse_trace_on_arbitrary_text(text):
+    # arbitrary text either parses into meaningful rows or raises ValueError
+    try:
+        _comments, rows = parse_trace(text.splitlines())
+    except ValueError:
+        return
+    for step, restart, agent, value in rows:
+        assert step >= 1 and restart >= 0 and agent >= 1
+        float(value)

@@ -177,3 +177,23 @@ def test_store_load_dumps_roundtrip(tmp_path_factory, entries):
 
     assert fields(loaded) == fields(store)
 
+
+_store_text = st.one_of(
+    st.text(),
+    st.lists(st.lists(st.one_of(st.integers(-2, 12).map(str), st.floats().map(repr),
+                                st.text(max_size=5)), max_size=6).map(",".join),
+             max_size=5).map("\n".join))
+
+
+@given(_store_text)
+def test_store_load_on_arbitrary_text(tmp_path_factory, text):
+    # arbitrary text either loads or raises ValueError naming the bad line
+    path = tmp_path_factory.mktemp("fuzz") / "targets.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        store = TargetStore.load(path)
+    except ValueError as exc:
+        assert "line" in str(exc)
+        return
+    for rec in store.records():
+        assert math.isfinite(rec.value_target) and rec.digits >= 1
