@@ -28,8 +28,8 @@ print("note the candidate 9 in row 3: one step away from the optimum.")
 print()
 
 spec = spec.with_target(record.value_target)
-cfg = SolverConfig(kind="MW", objective="ehrenfest4", seed=1, steps_limit=50,
-                   marks=6, radius=4, dither=0.0)
+cfg = SolverConfig(kind="MW", seed=1, steps_limit=50, marks=6, radius=4,
+                   dither=0.0)
 run = run_solver(cfg, spec, initial_marks=marks)
 print(f"solve from this ruler: steps={run.steps}, censored={run.is_censored}, "
       f"valueBest={run.value_best!r}, coordBest={run.coord_best}")

@@ -15,14 +15,13 @@ record = compute_target(get_objective("ehrenfest15"))
 spec = get_objective("ehrenfest15").with_target(record.value_target)
 print(f"objective ehrenfest15, target {record.value_target!r} at x = {record.coords[0]}")
 
-configs = [SolverConfig(kind="MWR", objective="ehrenfest15", seed=1,
-                        steps_limit=200, marks=32, radius=r, dither=0.01)
+configs = [SolverConfig(kind="MWR", seed=1, steps_limit=200, marks=32,
+                        radius=r, dither=0.01)
            for r in (2, 4, 8, 30)]
-configs.append(SolverConfig(kind="DEsFR", objective="ehrenfest15", seed=1,
-                            steps_limit=200, marks=32))
-plan = ExperimentPlan(objective="ehrenfest15", configs=configs, sample_size=20)
+configs.append(SolverConfig(kind="DEsFR", seed=1, steps_limit=200, marks=32))
+plan = ExperimentPlan(spec=spec, configs=configs, sample_size=20)
 
-results = run_experiment(plan, spec)
+results = run_experiment(plan)
 summaries = summarize_experiment(plan, results)
 print()
 print(f"{'solver':>8} {'n':>4} {'censored':>9} {'mean steps (unc)':>17} {'mean probes':>12}")

@@ -17,8 +17,7 @@ print(f"objective trefethen1, six-digit target {record.value_target!r}")
 print()
 
 for kind, extra in (("MWR", dict(radius=4, dither=0.01)), ("DEsFR", {})):
-    cfg = SolverConfig(kind=kind, objective="trefethen1", seed=5,
-                       steps_limit=2000, marks=32, digits_target=6, **extra)
+    cfg = SolverConfig(kind=kind, seed=5, steps_limit=2000, marks=32, **extra)
     run, trace = run_solver(cfg, spec, record_trace=True)
     print(f"{cfg.solver_label}: steps={run.steps} probes={run.probes} "
           f"restarts={run.restarts} first_passage={trace.first_passage}")

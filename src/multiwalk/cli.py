@@ -21,8 +21,7 @@ from .solvers import (SOLVER_KINDS, SolverConfig, parse_trace, run_solver,
 from .targets import TargetStore, compute_target
 
 _KEY_TYPES = {
-    **dict.fromkeys(("marks", "radius", "plateau_limit", "steps_limit", "seed",
-                     "digits_target"), int),
+    **dict.fromkeys(("marks", "radius", "plateau_limit", "steps_limit", "seed"), int),
     **dict.fromkeys(("dither", "rde", "cr", "de_jitter"), float),
 }
 
@@ -47,7 +46,6 @@ def _parse_solver_spec(text: str, args) -> SolverConfig:
     kind = kind.strip()
     fields = {
         "kind": kind,
-        "objective": args.of,
         "seed": args.seed,
         "steps_limit": args.steps_limit,
         "marks": args.marks,
@@ -56,7 +54,6 @@ def _parse_solver_spec(text: str, args) -> SolverConfig:
         "rde": args.rde,
         "cr": args.cr,
         "plateau_limit": args.plateau_limit,
-        "digits_target": args.digits,
     }
     if tail:
         for item in tail.split(","):
@@ -126,7 +123,9 @@ def _config_lines(spec, configs, sample_size=None, base_seed=None):
         parts.append(f"stepsLimit={cfg.steps_limit}")
         if cfg.restarts_enabled:
             parts.append(f"plateauLimit={cfg.effective_plateau_limit}")
-        parts.append(f"digitsTarget={cfg.digits_target}")
+        parts.append(f"digitsTarget={spec.digits_target}")
+        if base_seed is not None and cfg.seed != base_seed:
+            parts.append(f"seed={cfg.seed}")
         lines.append(f"solver {cfg.solver_label}: " + " ".join(parts))
     if sample_size is not None:
         lines.append(f"sampleSize = {sample_size}")
@@ -194,11 +193,11 @@ def _cmd_bench(args) -> int:
     spec = _load_objective(args)
     configs = [_parse_solver_spec(s, args) for s in args.solver]
     try:
-        plan = ExperimentPlan(objective=args.of, configs=configs,
+        plan = ExperimentPlan(spec=spec, configs=configs,
                               sample_size=args.sample_size)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    results = run_experiment(plan, spec, workers=args.workers)
+    results = run_experiment(plan, workers=args.workers)
     summaries = summarize_experiment(plan, results)
     lines = _config_lines(spec, plan.configs, sample_size=plan.sample_size,
                           base_seed=args.seed)

@@ -39,7 +39,7 @@ class ExperimentPlan:
     """N-seed batch for one objective: run r of each solver uses
     ``config.seed + r``."""
 
-    objective: str
+    spec: ObjectiveSpec
     configs: tuple
     sample_size: int = 100
 
@@ -49,15 +49,6 @@ class ExperimentPlan:
             raise ValueError("sample_size must be >= 1")
         if not self.configs:
             raise ValueError("a plan needs at least one solver config")
-        for cfg in self.configs:
-            if cfg.objective != self.objective:
-                raise ValueError(
-                    f"config {cfg.solver_label} targets {cfg.objective!r}, "
-                    f"plan targets {self.objective!r}"
-                )
-        digits = {cfg.digits_target for cfg in self.configs}
-        if len(digits) != 1:
-            raise ValueError("all configs in a plan must share digits_target")
         limits = {cfg.steps_limit for cfg in self.configs}
         if len(limits) != 1:
             raise ValueError("all configs in a plan must share steps_limit")
@@ -68,19 +59,11 @@ def _run_task(task):
     return ci, ri, run_solver(cfg, spec)
 
 
-def run_experiment(plan: ExperimentPlan, spec: ObjectiveSpec,
-                   workers: int = 1) -> list:
+def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list:
     """Execute the plan; returns one list of RunRecords per config, ordered
     by run index regardless of execution order."""
-    if spec.name != plan.objective:
-        raise ValueError(f"plan targets {plan.objective!r} but got spec for {spec.name!r}")
-    if spec.value_target is None:
-        raise ValueError(
-            f"objective {spec.name!r} has no target value; first-passage "
-            "times are undefined without one"
-        )
     tasks = [
-        (ci, ri, replace(cfg, seed=cfg.seed + ri), spec)
+        (ci, ri, replace(cfg, seed=cfg.seed + ri), plan.spec)
         for ci, cfg in enumerate(plan.configs)
         for ri in range(plan.sample_size)
     ]
@@ -221,7 +204,7 @@ def write_runs_csv(path, plan: ExperimentPlan, results, config_lines=()) -> None
     for cfg, records in zip(plan.configs, results):
         for r in records:
             lines.append(",".join([
-                plan.objective, cfg.solver_label, str(r.seed), str(r.steps),
+                plan.spec.name, cfg.solver_label, str(r.seed), str(r.steps),
                 str(r.probes), str(r.restarts), _fmt(r.is_censored),
                 _fmt(r.value_best), str(r.agent_id),
             ]))
@@ -234,7 +217,7 @@ def write_summary_csv(path, plan: ExperimentPlan, summaries, config_lines=()) ->
                  "mean_steps_incl,stderr_steps_incl,mean_probes,mean_restarts")
     for s in summaries:
         lines.append(",".join([
-            plan.objective, s.label, str(s.n), str(s.censored),
+            plan.spec.name, s.label, str(s.n), str(s.censored),
             _fmt(s.mean_steps_unc), _fmt(s.stderr_steps_unc),
             _fmt(s.mean_steps_incl), _fmt(s.stderr_steps_incl),
             _fmt(s.mean_probes), _fmt(s.mean_restarts),

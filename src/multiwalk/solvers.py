@@ -49,10 +49,10 @@ _RULER_KINDS = ("MW", "MWR")
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Full parameterization of one solver run."""
+    """Full parameterization of one solver run; the objective, its target
+    and the digits it is quantized to come from the ``ObjectiveSpec``."""
 
     kind: str
-    objective: str
     seed: int
     steps_limit: int
     marks: int = 32
@@ -62,7 +62,6 @@ class SolverConfig:
     cr: float = 0.9                       # DE strategy crossover rate
     de_jitter: float = 1e-4               # per-component scale jitter, DEoF3
     plateau_limit: Optional[int] = None   # restart kinds; defaults to marks
-    digits_target: int = 9
     label: Optional[str] = None
 
     def __post_init__(self):
@@ -80,14 +79,14 @@ class SolverConfig:
                     f"radius must be in [1, {self.marks - 2}] for {self.marks} marks, "
                     f"got {self.radius}"
                 )
+        if not (math.isfinite(self.rde) and math.isfinite(self.de_jitter)):
+            raise ValueError("rde and de_jitter must be finite")
         if not 0.0 <= self.dither <= 1.0:
             raise ValueError("dither must be in [0, 1]")
         if not 0.0 <= self.cr <= 1.0:
             raise ValueError("cr must be in [0, 1]")
         if self.plateau_limit is not None and self.plateau_limit < 1:
             raise ValueError("plateau_limit must be >= 1")
-        if self.digits_target < 1:
-            raise ValueError("digits_target must be >= 1")
 
     @property
     def uses_ruler(self) -> bool:
@@ -169,7 +168,7 @@ def mw_step(marks, values, cfg: SolverConfig, spec: ObjectiveSpec,
     coords, cand_values = neighborhood_eval(marks, spec, cfg.radius, cfg.dither,
                                             rng, counter)
     return _greedy_commit(marks, values, coords, cand_values, best,
-                          cfg.digits_target)
+                          spec.digits_target)
 
 
 def _distinct_triples(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -238,19 +237,14 @@ def _de_step(marks, values, cfg: SolverConfig, spec: ObjectiveSpec,
     """One DE step: build, evaluate and commit ``marks`` trials."""
     trials = _de_trials(marks, values, cfg, spec, rng)
     return _greedy_commit(marks, values, trials, evaluate_batch(spec, trials, counter),
-                          best, cfg.digits_target)
+                          best, spec.digits_target)
 
 
-def _check_objective(cfg: SolverConfig, spec: ObjectiveSpec) -> float:
+def _check_objective(spec: ObjectiveSpec) -> float:
     if spec.value_target is None:
         raise ValueError(
             f"objective {spec.name!r} has no stored target value; "
             "compute it with the target oracle first"
-        )
-    if spec.digits_target != cfg.digits_target:
-        raise ValueError(
-            f"config quantizes to {cfg.digits_target} digits but the objective "
-            f"target is stored at {spec.digits_target}"
         )
     return spec.value_target
 
@@ -277,7 +271,7 @@ def run_solver(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
     """Run any configured solver; returns a RunRecord, plus the WalkTrace
     when ``record_trace`` is set.  ``initial_marks`` replaces the first
     epoch's random population."""
-    target = _check_objective(cfg, spec)
+    target = _check_objective(spec)
     counter = EvalCounter()
     trace = WalkTrace(label=cfg.solver_label) if record_trace else None
 

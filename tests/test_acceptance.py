@@ -112,8 +112,8 @@ def test_demo_ruler_candidate_tables():
 def test_single_step_solve():
     rec = compute_target(get_objective("ehrenfest4"))
     spec = get_objective("ehrenfest4").with_target(rec.value_target)
-    cfg = SolverConfig(kind="MW", objective="ehrenfest4", seed=1, steps_limit=50,
-                       marks=6, radius=4, dither=0.0)
+    cfg = SolverConfig(kind="MW", seed=1, steps_limit=50, marks=6, radius=4,
+                       dither=0.0)
     record = run_solver(cfg, spec, initial_marks=DEMO_MARKS)
     _check("single-step solve", record.steps == 1 and not record.is_censored,
            f"steps={record.steps} censored={record.is_censored}")
@@ -137,9 +137,9 @@ def test_probe_ledger_random_configs():
     for case in range(1000):
         kind = kinds[case % len(kinds)]
         marks = int(rng.integers(4, 9))
+        name = ("ehrenfest4", "wild1", "trefethen1")[case % 3]
         cfg = SolverConfig(
             kind=kind,
-            objective=("ehrenfest4", "wild1", "trefethen1")[case % 3],
             seed=int(rng.integers(0, 2 ** 31)),
             steps_limit=int(rng.integers(1, 13)),
             marks=marks,
@@ -147,7 +147,7 @@ def test_probe_ledger_random_configs():
             dither=float(rng.choice([0.0, 0.01, 0.3])),
             plateau_limit=int(rng.integers(1, 2 * marks)),
         )
-        record = run_solver(cfg, specs[cfg.objective])
+        record = run_solver(cfg, specs[name])
         per_step = cfg.marks * cfg.radius if kind in ("MW", "MWR") else cfg.marks
         expected = cfg.marks * (1 + record.restarts) + record.steps * per_step
         if record.probes != expected:
@@ -165,10 +165,10 @@ def test_radius_sweep_monotone(ehrenfest15_spec):
     radii = (2, 4, 8, 30)
     stats = {}
     for radius in radii:
-        cfg = SolverConfig(kind="MWR", objective="ehrenfest15", seed=1,
-                           steps_limit=200, marks=32, radius=radius, dither=0.01)
-        plan = ExperimentPlan(objective="ehrenfest15", configs=[cfg], sample_size=100)
-        (records,) = run_experiment(plan, ehrenfest15_spec)
+        cfg = SolverConfig(kind="MWR", seed=1, steps_limit=200, marks=32,
+                           radius=radius, dither=0.01)
+        plan = ExperimentPlan(spec=ehrenfest15_spec, configs=[cfg], sample_size=100)
+        (records,) = run_experiment(plan)
         stats[radius] = summarize(records, cfg.solver_label)
 
     detail = "; ".join(
@@ -195,12 +195,11 @@ def _speedup_case(name, digits, steps_limit=2000, sample_size=100):
     rec = compute_target(get_objective(name), digits=digits)
     spec = get_objective(name).with_target(rec.value_target,
                                            digits_target=digits)
-    mwr = SolverConfig(kind="MWR", objective=name, seed=1, steps_limit=steps_limit,
-                       marks=32, radius=30, dither=0.01, digits_target=digits)
-    de = SolverConfig(kind="DEsFR", objective=name, seed=1, steps_limit=steps_limit,
-                      marks=32, digits_target=digits)
-    plan = ExperimentPlan(objective=name, configs=[mwr, de], sample_size=sample_size)
-    results = run_experiment(plan, spec)
+    mwr = SolverConfig(kind="MWR", seed=1, steps_limit=steps_limit,
+                       marks=32, radius=30, dither=0.01)
+    de = SolverConfig(kind="DEsFR", seed=1, steps_limit=steps_limit, marks=32)
+    plan = ExperimentPlan(spec=spec, configs=[mwr, de], sample_size=sample_size)
+    results = run_experiment(plan)
     return summarize_experiment(plan, results)
 
 
@@ -225,10 +224,10 @@ def test_multiwalk_vs_de_speedup_direction():
 # ---------------------------------------------------------------------------
 
 def test_de_strategy_spread(ehrenfest15_spec):
-    configs = [SolverConfig(kind=f"DEoF{s}", objective="ehrenfest15", seed=1,
-                            steps_limit=200, marks=32) for s in range(1, 7)]
-    plan = ExperimentPlan(objective="ehrenfest15", configs=configs, sample_size=100)
-    results = run_experiment(plan, ehrenfest15_spec)
+    configs = [SolverConfig(kind=f"DEoF{s}", seed=1, steps_limit=200, marks=32)
+               for s in range(1, 7)]
+    plan = ExperimentPlan(spec=ehrenfest15_spec, configs=configs, sample_size=100)
+    results = run_experiment(plan)
     summaries = summarize_experiment(plan, results)
     means = [s.mean_steps_unc for s in summaries if s.mean_steps_unc is not None]
     ratio = max(means) / min(means) if means else None
@@ -246,16 +245,15 @@ def test_determinism_and_censoring(tmp_path):
     rec = compute_target(get_objective("ehrenfest4"))
     spec = get_objective("ehrenfest4").with_target(rec.value_target)
     configs = [
-        SolverConfig(kind="MWR", objective="ehrenfest4", seed=1, steps_limit=150,
+        SolverConfig(kind="MWR", seed=1, steps_limit=150,
                      marks=6, radius=4, dither=0.01),
-        SolverConfig(kind="DEsFR", objective="ehrenfest4", seed=1, steps_limit=150,
-                     marks=6),
+        SolverConfig(kind="DEsFR", seed=1, steps_limit=150, marks=6),
     ]
-    plan = ExperimentPlan(objective="ehrenfest4", configs=configs, sample_size=10)
+    plan = ExperimentPlan(spec=spec, configs=configs, sample_size=10)
 
     paths = []
     for tag, workers in (("a", 1), ("b", 2), ("c", 1)):
-        results = run_experiment(plan, spec, workers=workers)
+        results = run_experiment(plan, workers=workers)
         runs = tmp_path / f"{tag}_runs.csv"
         summary = tmp_path / f"{tag}_summary.csv"
         write_runs_csv(runs, plan, results, config_lines=["determinism check"])
@@ -268,14 +266,14 @@ def test_determinism_and_censoring(tmp_path):
     wild_rec = compute_target(get_objective("wild1"))
     wild_spec = get_objective("wild1").with_target(wild_rec.value_target)
     forced = ExperimentPlan(
-        objective="wild1",
-        configs=[SolverConfig(kind="MWR", objective="wild1", seed=1,
+        spec=wild_spec,
+        configs=[SolverConfig(kind="MWR", seed=1,
                               steps_limit=1, marks=6, radius=4, dither=0.01)],
         sample_size=8)
-    (forced_records,) = run_experiment(forced, wild_spec)
+    (forced_records,) = run_experiment(forced)
     all_censored = sum(r.is_censored for r in forced_records) == 8
 
-    (records, _) = run_experiment(plan, spec)
+    (records, _) = run_experiment(plan)
     targets_exact = all(r.value_best == spec.value_target
                         for r in records if not r.is_censored)
     uncensored_seen = any(not r.is_censored for r in records)

@@ -32,7 +32,7 @@ def test_traced_functions_are_module_globals():
 
 
 def test_traced_mwr_run_records_step_spans(ehrenfest15_spec):
-    cfg = SolverConfig(kind="MWR", objective="ehrenfest15", seed=3, steps_limit=20,
+    cfg = SolverConfig(kind="MWR", seed=3, steps_limit=20,
                        marks=8, radius=4)
     untraced = run_solver(cfg, ehrenfest15_spec)
     with _layers().Tracer(multiwalk) as tracer:

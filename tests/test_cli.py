@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ from multiwalk.cli import _KEY_TYPES, CliError, _parse_solver_spec, build_parser
 from multiwalk.solvers import SOLVER_KINDS, SolverConfig
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run_cli(args, cwd):
@@ -103,6 +106,32 @@ def test_bench_two_solvers(store):
     assert bars_body[2].startswith("DEsFR1,")
 
 
+def test_bench_header_names_a_solver_seed_off_base_seed(store):
+    args = ["bench", "--of", "ehrenfest4", "--seed", "7",
+            "--solver", "MW:radius=2,marks=6,seed=50", "--solver", "MW:radius=4,marks=6",
+            "--sample-size", "2", "--steps-limit", "200", "--workers", "1",
+            "--out", "seeded"]
+    out = run_cli(args, cwd=store)
+    assert out.returncode == 0, out.stderr
+    lines = (store / "seeded_runs.csv").read_text().splitlines()
+    assert "# baseSeed = 7" in lines
+    solver_lines = [l for l in lines if l.startswith("# solver ")]
+    assert solver_lines[0].startswith("# solver MW02: ")
+    assert solver_lines[0].endswith(" digitsTarget=9 seed=50")
+    assert solver_lines[1].startswith("# solver MW04: ")
+    assert solver_lines[1].endswith(" digitsTarget=9")
+    seeds = [l.split(",")[2] for l in lines if l.startswith("ehrenfest4,")]
+    assert seeds == ["50", "51", "7", "8"]
+
+
+def test_solver_keys_match_config_fields_and_readme():
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert set(_KEY_TYPES) <= fields
+    with open(README, encoding="utf-8") as fh:
+        listed = re.search(r"\(keys: (.*?)\)", fh.read(), re.S).group(1)
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted([*_KEY_TYPES, "label"])
+
+
 def test_bench_byte_identical_across_worker_counts(store):
     base = ["bench", "--of", "ehrenfest4", "--solver", "MWR:radius=4,marks=6",
             "--sample-size", "4", "--steps-limit", "100"]
@@ -167,9 +196,15 @@ BAD_STORE = "# name,valueTarget,digits,coords...,method\nehrenfest4,abc,9,9.0,en
      ["trace", "abc_walk.txt"]),
     ({}, ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=4", "--seed", "abc"]),
     ({}, ["solve", "--solver", "MW:radius=4"]),
+    ({}, ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=2,marks=6,digits_target=6"]),
+    ({}, ["solve", "--of", "ehrenfest4", "--solver", "DEsF:rde=nan,marks=6",
+          "--steps-limit", "20"]),
+    ({}, ["solve", "--of", "ehrenfest4", "--solver", "DEoF3:de_jitter=inf,marks=6",
+          "--steps-limit", "20"]),
 ], ids=["solver-value", "trace-row", "store-list", "store-solve", "store-nan",
         "oracle-digits", "trace-out-dir", "trace-agent0", "trace-value",
-        "flag-value", "flag-missing"])
+        "flag-value", "flag-missing", "solver-digits", "solver-rde-nan",
+        "solver-jitter-inf"])
 def test_bad_input_exits_1_without_traceback(store, files, args):
     for name, text in files.items():
         (store / name).write_text(text)

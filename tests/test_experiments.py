@@ -11,7 +11,7 @@ from multiwalk.solvers import RunRecord, SolverConfig
 
 
 def _mwr(seed=1, steps_limit=200, **kw):
-    base = dict(kind="MWR", objective="ehrenfest4", seed=seed,
+    base = dict(kind="MWR", seed=seed,
                 steps_limit=steps_limit, marks=6, radius=4, dither=0.01)
     base.update(kw)
     return SolverConfig(**base)
@@ -28,54 +28,52 @@ def _record(steps, censored=False, probes=100, restarts=0, seed=1):
 # ---------------------------------------------------------------------------
 
 def test_plan_validation():
+    spec = get_objective("ehrenfest4")
     with pytest.raises(ValueError):
-        ExperimentPlan(objective="ehrenfest4", configs=[], sample_size=3)
+        ExperimentPlan(spec=spec, configs=[], sample_size=3)
     with pytest.raises(ValueError):
-        ExperimentPlan(objective="ehrenfest4", configs=[_mwr()], sample_size=0)
+        ExperimentPlan(spec=spec, configs=[_mwr()], sample_size=0)
     with pytest.raises(ValueError):
-        ExperimentPlan(objective="wild1", configs=[_mwr()], sample_size=3)
-    with pytest.raises(ValueError):
-        ExperimentPlan(objective="ehrenfest4",
-                       configs=[_mwr(), _mwr(steps_limit=99)], sample_size=3)
-    with pytest.raises(ValueError):
-        ExperimentPlan(objective="ehrenfest4",
-                       configs=[_mwr(), _mwr(digits_target=6)], sample_size=3)
+        ExperimentPlan(spec=spec, configs=[_mwr(), _mwr(steps_limit=99)],
+                       sample_size=3)
 
 
 def test_experiment_requires_target():
-    plan = ExperimentPlan(objective="ehrenfest4", configs=[_mwr()], sample_size=2)
+    # run_solver refuses a spec without a stored target
+    plan = ExperimentPlan(spec=get_objective("ehrenfest4"), configs=[_mwr()],
+                          sample_size=2)
     with pytest.raises(ValueError):
-        run_experiment(plan, get_objective("ehrenfest4"))
+        run_experiment(plan)
 
 
 def test_forced_censoring_all_runs(ehrenfest15_spec):
-    cfg = SolverConfig(kind="MWR", objective="ehrenfest15", seed=1, steps_limit=1,
+    cfg = SolverConfig(kind="MWR", seed=1, steps_limit=1,
                        marks=6, radius=4, dither=0.01)
-    plan = ExperimentPlan(objective="ehrenfest15", configs=[cfg], sample_size=3)
-    (records,) = run_experiment(plan, ehrenfest15_spec)
+    plan = ExperimentPlan(spec=ehrenfest15_spec, configs=[cfg], sample_size=3)
+    (records,) = run_experiment(plan)
     assert len(records) == 3
     assert all(r.is_censored for r in records)
     assert [r.seed for r in records] == [1, 2, 3]
 
 
 def test_identical_configs_identical_records(ehrenfest4_spec):
-    plan = ExperimentPlan(objective="ehrenfest4", configs=[_mwr(), _mwr()],
+    plan = ExperimentPlan(spec=ehrenfest4_spec, configs=[_mwr(), _mwr()],
                           sample_size=4)
-    res_a, res_b = run_experiment(plan, ehrenfest4_spec)
+    res_a, res_b = run_experiment(plan)
     assert res_a == res_b
 
 
 def test_worker_counts_agree(ehrenfest4_spec):
-    plan = ExperimentPlan(objective="ehrenfest4", configs=[_mwr()], sample_size=4)
-    serial = run_experiment(plan, ehrenfest4_spec, workers=1)
-    parallel = run_experiment(plan, ehrenfest4_spec, workers=2)
+    plan = ExperimentPlan(spec=ehrenfest4_spec, configs=[_mwr()], sample_size=4)
+    serial = run_experiment(plan, workers=1)
+    parallel = run_experiment(plan, workers=2)
     assert serial == parallel
 
 
 def test_censoring_consistency(ehrenfest4_spec):
-    plan = ExperimentPlan(objective="ehrenfest4",
-                          configs=[_mwr(steps_limit=5)], sample_size=6)
-    (records,) = run_experiment(plan, ehrenfest4_spec)
+    plan = ExperimentPlan(spec=ehrenfest4_spec, configs=[_mwr(steps_limit=5)],
+                          sample_size=6)
+    (records,) = run_experiment(plan)
     for r in records:
         if r.steps == 5 and r.value_best != ehrenfest4_spec.value_target:
             assert r.is_censored
@@ -176,9 +174,9 @@ def test_comparison_unreliable_annotation():
 # ---------------------------------------------------------------------------
 
 def test_csv_exports(tmp_path, ehrenfest4_spec):
-    plan = ExperimentPlan(objective="ehrenfest4", configs=[_mwr(), _mwr(radius=2)],
+    plan = ExperimentPlan(spec=ehrenfest4_spec, configs=[_mwr(), _mwr(radius=2)],
                           sample_size=3)
-    results = run_experiment(plan, ehrenfest4_spec)
+    results = run_experiment(plan)
     summaries = summarize_experiment(plan, results)
 
     runs = tmp_path / "x_runs.csv"
@@ -225,11 +223,10 @@ def test_radius_monotone_on_solvable_continuous_instance():
     radii = (2, 4, 8, 30)
     stats = []
     for radius in radii:
-        cfg = SolverConfig(kind="MWR", objective="trefethen1", seed=1,
-                           steps_limit=2000, marks=32, radius=radius,
-                           dither=0.01, digits_target=6)
-        plan = ExperimentPlan(objective="trefethen1", configs=[cfg], sample_size=40)
-        (records,) = run_experiment(plan, spec)
+        cfg = SolverConfig(kind="MWR", seed=1, steps_limit=2000, marks=32,
+                           radius=radius, dither=0.01)
+        plan = ExperimentPlan(spec=spec, configs=[cfg], sample_size=40)
+        (records,) = run_experiment(plan)
         stats.append(summarize(records, cfg.solver_label))
     for a, b in zip(stats, stats[1:]):
         slack = math.hypot(a.stderr_steps_unc or 0.0, b.stderr_steps_unc or 0.0)
@@ -237,8 +234,8 @@ def test_radius_monotone_on_solvable_continuous_instance():
 
 
 def test_csv_empty_stderr_for_single_run(tmp_path, ehrenfest4_spec):
-    plan = ExperimentPlan(objective="ehrenfest4", configs=[_mwr()], sample_size=1)
-    results = run_experiment(plan, ehrenfest4_spec)
+    plan = ExperimentPlan(spec=ehrenfest4_spec, configs=[_mwr()], sample_size=1)
+    results = run_experiment(plan)
     summaries = summarize_experiment(plan, results)
     path = tmp_path / "one_summary.csv"
     write_summary_csv(path, plan, summaries)

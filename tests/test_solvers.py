@@ -14,7 +14,7 @@ NO_BEST = (math.inf, None)  # the running best before any candidate
 
 
 def _cfg(**kw):
-    base = dict(kind="MW", objective="ehrenfest4", seed=1, steps_limit=50,
+    base = dict(kind="MW", seed=1, steps_limit=50,
                 marks=6, radius=4, dither=0.0)
     base.update(kw)
     return SolverConfig(**base)
@@ -43,18 +43,22 @@ def test_config_validation():
         _cfg(kind="DEoF1", radius=None, cr=1.5)
     with pytest.raises(ValueError):
         _cfg(dither=1.5)
+    with pytest.raises(ValueError):
+        _cfg(kind="DEsF", radius=None, rde=math.nan)
+    with pytest.raises(ValueError):
+        _cfg(kind="DEoF3", radius=None, de_jitter=math.inf)
     # radius is required for ruler kinds only
     with pytest.raises(ValueError):
-        SolverConfig(kind="MW", objective="ehrenfest4", seed=1, steps_limit=5, marks=6)
-    SolverConfig(kind="DEsF", objective="ehrenfest4", seed=1, steps_limit=5, marks=6)
+        SolverConfig(kind="MW", seed=1, steps_limit=5, marks=6)
+    SolverConfig(kind="DEsF", seed=1, steps_limit=5, marks=6)
 
 
 def test_solver_labels():
     assert _cfg(kind="MWR", radius=4, marks=32).solver_label == "MWR04"
     assert _cfg(kind="MW", radius=30, marks=32).solver_label == "MW30"
-    assert SolverConfig(kind="DEsFR", objective="wild1", seed=1,
+    assert SolverConfig(kind="DEsFR", seed=1,
                         steps_limit=5).solver_label == "DEsFR1"
-    assert SolverConfig(kind="DEoF3", objective="wild1", seed=1,
+    assert SolverConfig(kind="DEoF3", seed=1,
                         steps_limit=5).solver_label == "DEoF3"
     assert _cfg(label="custom").solver_label == "custom"
 
@@ -67,11 +71,6 @@ def test_plateau_limit_defaults_to_marks():
 def test_run_requires_target():
     with pytest.raises(ValueError):
         run_solver(_cfg(), get_objective("ehrenfest4"))
-
-
-def test_run_requires_matching_digits(ehrenfest4_spec):
-    with pytest.raises(ValueError):
-        run_solver(_cfg(digits_target=6), ehrenfest4_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +123,7 @@ def test_single_step_solve_from_demo_ruler(ehrenfest4_spec):
 
 
 def test_forced_censoring(wild1_spec):
-    cfg = SolverConfig(kind="MW", objective="wild1", seed=2, steps_limit=1,
+    cfg = SolverConfig(kind="MW", seed=2, steps_limit=1,
                        marks=8, radius=6, dither=0.01)
     record = run_solver(cfg, wild1_spec)
     assert record.is_censored
@@ -132,7 +131,7 @@ def test_forced_censoring(wild1_spec):
 
 
 def test_determinism_bitwise(ehrenfest15_spec):
-    cfg = SolverConfig(kind="MWR", objective="ehrenfest15", seed=42,
+    cfg = SolverConfig(kind="MWR", seed=42,
                        steps_limit=60, marks=16, radius=6, dither=0.01)
     a, trace_a = run_solver(cfg, ehrenfest15_spec, record_trace=True)
     b, trace_b = run_solver(cfg, ehrenfest15_spec, record_trace=True)
@@ -142,7 +141,7 @@ def test_determinism_bitwise(ehrenfest15_spec):
 
 def test_uncensored_means_exact_target_match(ehrenfest4_spec):
     for seed in range(10):
-        cfg = SolverConfig(kind="MWR", objective="ehrenfest4", seed=seed,
+        cfg = SolverConfig(kind="MWR", seed=seed,
                            steps_limit=300, marks=6, radius=4, dither=0.01)
         record = run_solver(cfg, ehrenfest4_spec)
         if not record.is_censored:
@@ -150,7 +149,7 @@ def test_uncensored_means_exact_target_match(ehrenfest4_spec):
 
 
 def test_censored_record_keeps_global_best(wild1_spec):
-    cfg = SolverConfig(kind="MWR", objective="wild1", seed=5, steps_limit=40,
+    cfg = SolverConfig(kind="MWR", seed=5, steps_limit=40,
                        marks=8, radius=6, dither=0.01, plateau_limit=4)
     record = run_solver(cfg, wild1_spec)
     assert record.is_censored
@@ -160,7 +159,7 @@ def test_censored_record_keeps_global_best(wild1_spec):
 
 
 def test_agent_id_is_argmin_of_final_values(ehrenfest15_spec):
-    cfg = SolverConfig(kind="MW", objective="ehrenfest15", seed=3,
+    cfg = SolverConfig(kind="MW", seed=3,
                        steps_limit=25, marks=10, radius=8, dither=0.01)
     record, trace = run_solver(cfg, ehrenfest15_spec, record_trace=True)
     final_values = trace.steps[-1][2]
@@ -178,7 +177,7 @@ KINDS_FOR_TRACE = ("MW", "MWR", "DEsF", "DEsFR", "DEoF1", "DEoF2",
 
 @pytest.mark.parametrize("kind", KINDS_FOR_TRACE)
 def test_greedy_monotone_per_agent_within_epoch(kind, ehrenfest15_spec):
-    cfg = SolverConfig(kind=kind, objective="ehrenfest15", seed=7, steps_limit=40,
+    cfg = SolverConfig(kind=kind, seed=7, steps_limit=40,
                        marks=8, radius=6 if kind in ("MW", "MWR") else None,
                        dither=0.01, plateau_limit=5)
     record, trace = run_solver(cfg, ehrenfest15_spec, record_trace=True)
@@ -194,7 +193,7 @@ def test_greedy_monotone_per_agent_within_epoch(kind, ehrenfest15_spec):
 
 
 def test_first_passage_marker_matches_record(ehrenfest4_spec):
-    cfg = SolverConfig(kind="MWR", objective="ehrenfest4", seed=1, steps_limit=400,
+    cfg = SolverConfig(kind="MWR", seed=1, steps_limit=400,
                        marks=6, radius=4, dither=0.01)
     record, trace = run_solver(cfg, ehrenfest4_spec, record_trace=True)
     assert not record.is_censored
@@ -204,7 +203,7 @@ def test_first_passage_marker_matches_record(ehrenfest4_spec):
 
 
 def test_trace_epoch_bookkeeping(wild1_spec):
-    cfg = SolverConfig(kind="MWR", objective="wild1", seed=11, steps_limit=60,
+    cfg = SolverConfig(kind="MWR", seed=11, steps_limit=60,
                        marks=8, radius=6, dither=0.01, plateau_limit=3)
     record, trace = run_solver(cfg, wild1_spec, record_trace=True)
     epochs = sorted({e for _s, e, *_ in trace.steps})
@@ -214,14 +213,13 @@ def test_trace_epoch_bookkeeping(wild1_spec):
 
 
 def test_restart_epoch_depends_only_on_drawn_seed(wild1_spec):
-    cfg = SolverConfig(kind="MWR", objective="wild1", seed=11, steps_limit=60,
+    cfg = SolverConfig(kind="MWR", seed=11, steps_limit=60,
                        marks=8, radius=6, dither=0.01, plateau_limit=3)
     record, trace = run_solver(cfg, wild1_spec, record_trace=True)
     assert record.restarts >= 1, "expected at least one restart for this seed"
     epoch1_rows = [(s, e, v) for s, e, v, _b in trace.steps if e == 1]
     # replay epoch 1 as a fresh non-restart run seeded with the drawn seed
-    replay_cfg = SolverConfig(kind="MW", objective="wild1",
-                              seed=trace.epoch_seeds[1], steps_limit=60,
+    replay_cfg = SolverConfig(kind="MW", seed=trace.epoch_seeds[1], steps_limit=60,
                               marks=8, radius=6, dither=0.01)
     _replay, replay_trace = run_solver(replay_cfg, wild1_spec, record_trace=True)
     offset = epoch1_rows[0][0] - 1
@@ -232,7 +230,7 @@ def test_restart_epoch_depends_only_on_drawn_seed(wild1_spec):
 
 
 def test_mwr_without_restarts_equals_mw(ehrenfest4_spec):
-    kw = dict(objective="ehrenfest4", seed=1, steps_limit=50, marks=6,
+    kw = dict(seed=1, steps_limit=50, marks=6,
               radius=4, dither=0.0)
     mw = run_solver(SolverConfig(kind="MW", **kw), ehrenfest4_spec,
                 initial_marks=DEMO_MARKS)
@@ -248,7 +246,7 @@ def test_mwr_without_restarts_equals_mw(ehrenfest4_spec):
 
 
 def test_plateau_limit_one_restarts_after_first_flat_step(wild1_spec):
-    cfg = SolverConfig(kind="MWR", objective="wild1", seed=13, steps_limit=30,
+    cfg = SolverConfig(kind="MWR", seed=13, steps_limit=30,
                        marks=8, radius=1, dither=0.0, plateau_limit=1)
     record, trace = run_solver(cfg, wild1_spec, record_trace=True)
     if record.restarts:
@@ -264,7 +262,7 @@ def test_plateau_limit_one_restarts_after_first_flat_step(wild1_spec):
 
 @pytest.mark.parametrize("kind", KINDS_FOR_TRACE)
 def test_probe_ledger_exact(kind, ehrenfest15_spec):
-    cfg = SolverConfig(kind=kind, objective="ehrenfest15", seed=23, steps_limit=30,
+    cfg = SolverConfig(kind=kind, seed=23, steps_limit=30,
                        marks=8, radius=3 if kind in ("MW", "MWR") else None,
                        dither=0.01, plateau_limit=4)
     record = run_solver(cfg, ehrenfest15_spec)
@@ -278,7 +276,7 @@ def test_probe_ledger_exact(kind, ehrenfest15_spec):
 
 def test_de_simple_trials_degenerate_scale():
     spec = get_objective("ehrenfest4")
-    cfg = SolverConfig(kind="DEsF", objective="ehrenfest4", seed=1, steps_limit=5,
+    cfg = SolverConfig(kind="DEsF", seed=1, steps_limit=5,
                        marks=4, rde=0.0)
     marks = np.array([[2.0], [5.0], [9.0], [14.0]])
     trials = _de_trials(marks, spec.fn(marks), cfg, spec, np.random.default_rng(0))
@@ -287,7 +285,7 @@ def test_de_simple_trials_degenerate_scale():
 
 def test_de_simple_trials_confinement_redraws_inside_box():
     spec = get_objective("ehrenfest4")
-    cfg = SolverConfig(kind="DEsF", objective="ehrenfest4", seed=1, steps_limit=5,
+    cfg = SolverConfig(kind="DEsF", seed=1, steps_limit=5,
                        marks=4, rde=1.0)
     marks = np.array([[1.0], [2.0], [4.0], [10.0]])
     rng = np.random.default_rng(1)
@@ -298,7 +296,7 @@ def test_de_simple_trials_confinement_redraws_inside_box():
 
 def test_de_population_collapse_only_confinement_escapes():
     spec = get_objective("wild1")
-    cfg = SolverConfig(kind="DEsF", objective="wild1", seed=1, steps_limit=5, marks=6)
+    cfg = SolverConfig(kind="DEsF", seed=1, steps_limit=5, marks=6)
     marks = np.full((6, 1), 3.25)
     trials = _de_trials(marks, spec.fn(marks), cfg, spec, np.random.default_rng(0))
     assert np.all(trials == 3.25)
@@ -310,7 +308,7 @@ def test_de_strategy_trials_stay_in_bounds():
     marks = spec.lower + rng_init.uniform(size=(12, 2)) * (spec.upper - spec.lower)
     values = np.asarray(spec.fn(marks))
     for strategy in range(1, 7):
-        cfg = SolverConfig(kind=f"DEoF{strategy}", objective="wild2", seed=1,
+        cfg = SolverConfig(kind=f"DEoF{strategy}", seed=1,
                            steps_limit=5, marks=12)
         trials = _de_trials(marks, values, cfg, spec, np.random.default_rng(3))
         assert trials.shape == marks.shape
@@ -323,7 +321,7 @@ def test_strategy2_with_zero_scale_keeps_population():
     marks = spec.lower + np.random.default_rng(2).uniform(size=(8, 2)) * \
         (spec.upper - spec.lower)
     values = np.asarray(spec.fn(marks))
-    cfg = SolverConfig(kind="DEoF2", objective="wild2", seed=1, steps_limit=5,
+    cfg = SolverConfig(kind="DEoF2", seed=1, steps_limit=5,
                        marks=8, rde=0.0, cr=0.9)
     trials = _de_trials(marks, values, cfg, spec, np.random.default_rng(5))
     assert np.allclose(trials, marks)
@@ -337,7 +335,7 @@ def test_strategy3_zero_jitter_zero_scale_is_best_with_full_crossover():
         (spec.upper - spec.lower)
     values = np.asarray(spec.fn(marks))
     best = marks[int(np.argmin(values))]
-    cfg = SolverConfig(kind="DEoF3", objective="wild2", seed=1, steps_limit=5,
+    cfg = SolverConfig(kind="DEoF3", seed=1, steps_limit=5,
                        marks=8, rde=0.0, de_jitter=0.0, cr=1.0)
     trials = _de_trials(marks, values, cfg, spec, np.random.default_rng(6))
     assert np.all(trials == best)
@@ -346,7 +344,7 @@ def test_strategy3_zero_jitter_zero_scale_is_best_with_full_crossover():
 def test_desf_first_step_matches_documented_draw_order(ehrenfest4_spec):
     # golden reconstruction of one DEsF step: init uniforms, rank block,
     # donor formula, confinement redraws, batch evaluation
-    cfg = SolverConfig(kind="DEsF", objective="ehrenfest4", seed=77,
+    cfg = SolverConfig(kind="DEsF", seed=77,
                        steps_limit=1, marks=5)
     record = run_solver(cfg, ehrenfest4_spec)
 
@@ -367,7 +365,7 @@ def test_desf_first_step_matches_documented_draw_order(ehrenfest4_spec):
 
 
 def test_desfr_restart_machinery_matches_mwr_contract(ehrenfest15_spec):
-    cfg = SolverConfig(kind="DEsFR", objective="ehrenfest15", seed=31,
+    cfg = SolverConfig(kind="DEsFR", seed=31,
                        steps_limit=50, marks=6, plateau_limit=2)
     record, trace = run_solver(cfg, ehrenfest15_spec, record_trace=True)
     assert record.restarts == len(trace.epoch_seeds) - 1
@@ -380,7 +378,7 @@ def test_desfr_restart_machinery_matches_mwr_contract(ehrenfest15_spec):
 # ---------------------------------------------------------------------------
 
 def test_trace_export_format(ehrenfest4_spec):
-    cfg = SolverConfig(kind="MW", objective="ehrenfest4", seed=1, steps_limit=50,
+    cfg = SolverConfig(kind="MW", seed=1, steps_limit=50,
                        marks=6, radius=4, dither=0.0)
     record, trace = run_solver(cfg, ehrenfest4_spec, initial_marks=DEMO_MARKS,
                            record_trace=True)
@@ -398,7 +396,7 @@ def test_trace_export_format(ehrenfest4_spec):
 
 
 def test_trace_censored_footer(wild1_spec):
-    cfg = SolverConfig(kind="MW", objective="wild1", seed=3, steps_limit=2,
+    cfg = SolverConfig(kind="MW", seed=3, steps_limit=2,
                        marks=6, radius=4, dither=0.01)
     record, trace = run_solver(cfg, wild1_spec, record_trace=True)
     assert record.is_censored

@@ -118,7 +118,7 @@ def test_uncensored_mw_coord_rounds_to_an_enumerated_minimizer():
         spec = spec.with_target(rec.value_target)
         solved = 0
         for seed in range(8):
-            cfg = SolverConfig(kind="MWR", objective=spec.name, seed=seed,
+            cfg = SolverConfig(kind="MWR", seed=seed,
                                steps_limit=3000, marks=12, radius=10, dither=0.01)
             record = run_solver(cfg, spec)
             if not record.is_censored:
