@@ -29,10 +29,8 @@ for s in summaries:
     mean = "-" if s.mean_steps_unc is None else f"{s.mean_steps_unc:.2f}"
     print(f"{s.label:>8} {s.n:>4} {s.censored:>9} {mean:>17} {s.mean_probes:>12.0f}")
 
-lines = [f"objective = ehrenfest15 (target {record.value_target!r})",
-         "sampleSize = 20, baseSeed = 1, stepsLimit = 200"]
-write_summary_csv("sweep_summary.csv", plan, summaries, config_lines=lines)
-write_bargraph_csv("sweep_bars.csv", summaries, config_lines=lines)
+write_summary_csv("sweep_summary.csv", plan, summaries, base_seed=1)
+write_bargraph_csv("sweep_bars.csv", plan, summaries, base_seed=1)
 print()
 print("wrote sweep_summary.csv and sweep_bars.csv (solver,mean,stderr,censored)")
 print("steps are the coarse cost unit; probes count objective evaluations,")

@@ -23,8 +23,7 @@ for kind, extra in (("MWR", dict(radius=4, dither=0.01)), ("DEsFR", {})):
           f"restarts={run.restarts} first_passage={trace.first_passage}")
     path = f"walk_{cfg.solver_label}.txt"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trace_to_text(trace, config_lines=[f"objective = trefethen1 "
-                                                    f"(digitsTarget = 6)"]))
+        fh.write(trace_to_text(trace))
     print(f"  trace written to {path}  (wide form: multiwalk trace {path})")
 print()
 print("columns: step,restart,agentId,value; the footer records the first passage.")

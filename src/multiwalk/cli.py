@@ -16,8 +16,8 @@ import sys
 from .experiments import (ExperimentPlan, run_experiment, summarize_experiment,
                           write_bargraph_csv, write_runs_csv, write_summary_csv)
 from .objectives import get_objective, objective_names
-from .solvers import (SOLVER_KINDS, SolverConfig, parse_trace, run_solver,
-                      trace_to_text)
+from .solvers import (SOLVER_KINDS, SolverConfig, run_solver, trace_to_text,
+                      trace_wide_text)
 from .targets import TargetStore, compute_target
 
 _KEY_TYPES = {
@@ -28,6 +28,17 @@ _KEY_TYPES = {
 
 class CliError(Exception):
     pass
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,36 +115,6 @@ def _load_objective(args):
         raise CliError(str(exc.args[0])) from None
 
 
-def _config_lines(spec, configs, sample_size=None, base_seed=None):
-    lines = [
-        f"objective = {spec.name} (p = {spec.dims}, bounds = "
-        f"[{', '.join(repr(float(v)) for v in spec.lower)}] .. "
-        f"[{', '.join(repr(float(v)) for v in spec.upper)}])",
-        f"valueTarget = {spec.value_target!r} (digitsTarget = {spec.digits_target})",
-    ]
-    for cfg in configs:
-        parts = [f"kind={cfg.kind}", f"marks={cfg.marks}"]
-        if cfg.uses_ruler:
-            parts.append(f"radius={cfg.radius}")
-            parts.append(f"dither={cfg.dither!r}")
-        else:
-            parts.append(f"rde={cfg.rde!r}")
-            if cfg.de_strategy is not None:
-                parts.append(f"cr={cfg.cr!r}")
-        parts.append(f"stepsLimit={cfg.steps_limit}")
-        if cfg.restarts_enabled:
-            parts.append(f"plateauLimit={cfg.effective_plateau_limit}")
-        parts.append(f"digitsTarget={spec.digits_target}")
-        if base_seed is not None and cfg.seed != base_seed:
-            parts.append(f"seed={cfg.seed}")
-        lines.append(f"solver {cfg.solver_label}: " + " ".join(parts))
-    if sample_size is not None:
-        lines.append(f"sampleSize = {sample_size}")
-    if base_seed is not None:
-        lines.append(f"baseSeed = {base_seed}")
-    return lines
-
-
 def _cmd_list(args) -> int:
     store = _load_store(args.targets)
     print("name  p  bounds  digitsTarget  target")
@@ -147,8 +128,6 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.digits < 1:
-        raise CliError(f"--digits must be >= 1, got {args.digits}")
     names = objective_names() if args.of == "all" else [n.strip() for n in args.of.split(",")]
     store = _load_store(args.out)
     for name in names:
@@ -171,9 +150,8 @@ def _cmd_solve(args) -> int:
     cfg = _parse_solver_spec(args.solver, args)
     if args.trace_out:
         record, trace = run_solver(cfg, spec, record_trace=True)
-        lines = _config_lines(spec, [cfg])
         with open(args.trace_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(trace_to_text(trace, config_lines=lines))
+            fh.write(trace_to_text(trace))
     else:
         record = run_solver(cfg, spec)
     print(f"objective = {spec.name}")
@@ -199,11 +177,9 @@ def _cmd_bench(args) -> int:
         raise CliError(str(exc)) from None
     results = run_experiment(plan, workers=args.workers)
     summaries = summarize_experiment(plan, results)
-    lines = _config_lines(spec, plan.configs, sample_size=plan.sample_size,
-                          base_seed=args.seed)
-    write_runs_csv(f"{args.out}_runs.csv", plan, results, config_lines=lines)
-    write_summary_csv(f"{args.out}_summary.csv", plan, summaries, config_lines=lines)
-    write_bargraph_csv(f"{args.out}_bars.csv", summaries, config_lines=lines)
+    write_runs_csv(f"{args.out}_runs.csv", plan, results, base_seed=args.seed)
+    write_summary_csv(f"{args.out}_summary.csv", plan, summaries, base_seed=args.seed)
+    write_bargraph_csv(f"{args.out}_bars.csv", plan, summaries, base_seed=args.seed)
     status = 0
     for s in summaries:
         flag = " (all runs censored!)" if s.censored == s.n else ""
@@ -218,22 +194,9 @@ def _cmd_bench(args) -> int:
 def _cmd_trace(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         try:
-            comments, rows = parse_trace(fh)
+            text = trace_wide_text(fh)
         except ValueError as exc:
             raise CliError(f"trace file {args.input!r}: {exc}") from None
-    if not rows:
-        raise CliError(f"trace file {args.input!r} has no data rows")
-    n_agents = max(r[2] for r in rows)
-    by_step: dict = {}
-    for step, restart, agent, value in rows:
-        by_step.setdefault((step, restart), {})[agent] = value
-    out = list(comments)
-    out.append("step,restart," + ",".join(f"agent{a}" for a in range(1, n_agents + 1)))
-    for (step, restart) in sorted(by_step):
-        agents = by_step[(step, restart)]
-        out.append(f"{step},{restart}," + ",".join(
-            agents.get(a, "") for a in range(1, n_agents + 1)))
-    text = "\n".join(out) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -252,7 +215,7 @@ def _add_solver_flags(sub) -> None:
     sub.add_argument("--steps-limit", type=int, default=200, dest="steps_limit")
     sub.add_argument("--plateau-limit", type=int, default=None, dest="plateau_limit")
     sub.add_argument("--seed", type=int, default=1)
-    sub.add_argument("--digits", type=int, default=9)
+    sub.add_argument("--digits", type=_positive_int, default=9)
     sub.add_argument("--targets", default="targets.csv",
                      help="target store path (written by `oracle`)")
 
@@ -267,13 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_list = subs.add_parser("list", help="list registered objectives and target status")
     p_list.add_argument("--targets", default="targets.csv")
-    p_list.add_argument("--digits", type=int, default=9)
+    p_list.add_argument("--digits", type=_positive_int, default=9)
     p_list.set_defaults(fn=_cmd_list)
 
     p_oracle = subs.add_parser("oracle", help="compute best-known targets by brute force")
     p_oracle.add_argument("--of", required=True,
                           help="objective name, comma list, or 'all'")
-    p_oracle.add_argument("--digits", type=int, default=9)
+    p_oracle.add_argument("--digits", type=_positive_int, default=9)
     p_oracle.add_argument("--out", default="targets.csv")
     p_oracle.set_defaults(fn=_cmd_oracle)
 
@@ -289,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--solver", action="append", required=True,
                          help="solver spec; repeat for several solvers")
     p_bench.add_argument("--sample-size", type=int, default=100, dest="sample_size")
-    p_bench.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p_bench.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1)
     p_bench.add_argument("--out", required=True, help="output path prefix")
     p_bench.set_defaults(fn=_cmd_bench)
 

@@ -18,16 +18,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .objectives import ObjectiveSpec
-from .solvers import RunRecord, run_solver
+from .solvers import RunRecord, config_lines, run_solver
 
 __all__ = [
     "ExperimentPlan",
     "SolverSummary",
-    "ComparisonReport",
     "run_experiment",
     "summarize",
     "summarize_experiment",
-    "compare_solvers",
     "write_runs_csv",
     "write_summary_csv",
     "write_bargraph_csv",
@@ -134,51 +132,6 @@ def summarize_experiment(plan: ExperimentPlan, results: Sequence[Sequence[RunRec
             for cfg, records in zip(plan.configs, results)]
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Speedup of solver B over solver A in uncensored mean steps."""
-
-    label_a: str
-    label_b: str
-    steps_ratio: Optional[float]
-    probes_ratio: Optional[float]
-    reliable: bool            # at least one side has zero censored runs
-    bound: Optional[str]      # "lower"/"upper" when a fully censored side
-                              # contributes its inclusive mean
-    note: str = ""
-
-
-def compare_solvers(summary_a: SolverSummary, summary_b: SolverSummary) -> ComparisonReport:
-    """Ratio of uncensored mean steps, A over B, with the reliability rule.
-
-    A side with every run censored contributes its inclusive mean instead,
-    and the ratio is flagged as a bound (lower bound when A is the censored
-    side).  With no uncensored runs on either side there is no ratio.
-    """
-    reliable = summary_a.censored == 0 or summary_b.censored == 0
-    a_unc, b_unc = summary_a.mean_steps_unc, summary_b.mean_steps_unc
-    if a_unc is None and b_unc is None:
-        return ComparisonReport(summary_a.label, summary_b.label, None, None,
-                                reliable=False, bound=None,
-                                note="no uncensored runs on either side")
-    bound = None
-    a_mean, b_mean = a_unc, b_unc
-    if a_unc is None:
-        a_mean, bound = summary_a.mean_steps_incl, "lower"
-    if b_unc is None:
-        b_mean, bound = summary_b.mean_steps_incl, "upper"
-    note = "" if reliable else "unreliable: both sides censored"
-    return ComparisonReport(
-        label_a=summary_a.label,
-        label_b=summary_b.label,
-        steps_ratio=float(a_mean) / float(b_mean),
-        probes_ratio=summary_a.mean_probes / summary_b.mean_probes,
-        reliable=reliable,
-        bound=bound,
-        note=note,
-    )
-
-
 # ---------------------------------------------------------------------------
 # stable delimited exports
 # ---------------------------------------------------------------------------
@@ -193,45 +146,41 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write(path, lines) -> None:
+def _write(path, plan: ExperimentPlan, base_seed, columns: str, rows) -> None:
+    """Write the plan's ``#`` header, the column line, then one line per row
+    of fields; ``base_seed`` is the seed the configs were built from, when
+    there is one."""
+    header = [*config_lines(plan.spec, plan.configs, base_seed),
+              f"sampleSize = {plan.sample_size}"]
+    if base_seed is not None:
+        header.append(f"baseSeed = {base_seed}")
+    lines = [f"# {line}" for line in header] + [columns] + [",".join(r) for r in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_runs_csv(path, plan: ExperimentPlan, results, config_lines=()) -> None:
-    lines = [f"# {line}" for line in config_lines]
-    lines.append("objective,solver,seed,steps,probes,restarts,censored,valueBest,agentId")
-    for cfg, records in zip(plan.configs, results):
-        for r in records:
-            lines.append(",".join([
-                plan.spec.name, cfg.solver_label, str(r.seed), str(r.steps),
-                str(r.probes), str(r.restarts), _fmt(r.is_censored),
-                _fmt(r.value_best), str(r.agent_id),
-            ]))
-    _write(path, lines)
+def write_runs_csv(path, plan: ExperimentPlan, results, base_seed=None) -> None:
+    _write(path, plan, base_seed,
+           "objective,solver,seed,steps,probes,restarts,censored,valueBest,agentId",
+           ([plan.spec.name, cfg.solver_label, str(r.seed), str(r.steps),
+             str(r.probes), str(r.restarts), _fmt(r.is_censored),
+             _fmt(r.value_best), str(r.agent_id)]
+            for cfg, records in zip(plan.configs, results) for r in records))
 
 
-def write_summary_csv(path, plan: ExperimentPlan, summaries, config_lines=()) -> None:
-    lines = [f"# {line}" for line in config_lines]
-    lines.append("objective,solver,n,censored,mean_steps_unc,stderr_steps_unc,"
-                 "mean_steps_incl,stderr_steps_incl,mean_probes,mean_restarts")
-    for s in summaries:
-        lines.append(",".join([
-            plan.spec.name, s.label, str(s.n), str(s.censored),
-            _fmt(s.mean_steps_unc), _fmt(s.stderr_steps_unc),
-            _fmt(s.mean_steps_incl), _fmt(s.stderr_steps_incl),
-            _fmt(s.mean_probes), _fmt(s.mean_restarts),
-        ]))
-    _write(path, lines)
+def write_summary_csv(path, plan: ExperimentPlan, summaries, base_seed=None) -> None:
+    _write(path, plan, base_seed,
+           "objective,solver,n,censored,mean_steps_unc,stderr_steps_unc,"
+           "mean_steps_incl,stderr_steps_incl,mean_probes,mean_restarts",
+           ([plan.spec.name, s.label, str(s.n), str(s.censored),
+             _fmt(s.mean_steps_unc), _fmt(s.stderr_steps_unc),
+             _fmt(s.mean_steps_incl), _fmt(s.stderr_steps_incl),
+             _fmt(s.mean_probes), _fmt(s.mean_restarts)] for s in summaries))
 
 
-def write_bargraph_csv(path, summaries, config_lines=()) -> None:
+def write_bargraph_csv(path, plan: ExperimentPlan, summaries, base_seed=None) -> None:
     """Bargraph rows in plan order; bars use the inclusive mean so censored
     runs enter at the step limit."""
-    lines = [f"# {line}" for line in config_lines]
-    lines.append("solver,mean,stderr,censored")
-    for s in summaries:
-        lines.append(",".join([
-            s.label, _fmt(s.mean_steps_incl), _fmt(s.stderr_steps_incl), str(s.censored),
-        ]))
-    _write(path, lines)
+    _write(path, plan, base_seed, "solver,mean,stderr,censored",
+           ([s.label, _fmt(s.mean_steps_incl), _fmt(s.stderr_steps_incl), str(s.censored)]
+            for s in summaries))

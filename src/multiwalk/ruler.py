@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 MIN_MARKS = 4  # radius <= m - 2 must admit radius >= 2
+MAX_MARKS = 1024  # keeps the (m, m - 2) tables and rank blocks in the tens of MB
 
 
 @lru_cache(maxsize=None)

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .objectives import EvalCounter, ObjectiveSpec, evaluate_batch, quantize
-from .ruler import MIN_MARKS, neighborhood_eval
+from .ruler import MAX_MARKS, MIN_MARKS, neighborhood_eval
 
 __all__ = [
     "SOLVER_KINDS",
@@ -36,8 +36,10 @@ __all__ = [
     "WalkTrace",
     "mw_step",
     "run_solver",
+    "config_lines",
     "trace_to_text",
     "parse_trace",
+    "trace_wide_text",
 ]
 
 SOLVER_KINDS = ("MW", "MWR", "DEsF", "DEsFR",
@@ -67,8 +69,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.kind not in SOLVER_KINDS:
             raise ValueError(f"unknown solver kind {self.kind!r}; known: {', '.join(SOLVER_KINDS)}")
-        if self.marks < MIN_MARKS:
-            raise ValueError(f"need at least {MIN_MARKS} marks, got {self.marks}")
+        if not MIN_MARKS <= self.marks <= MAX_MARKS:
+            raise ValueError(f"marks must be in [{MIN_MARKS}, {MAX_MARKS}], got {self.marks}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.steps_limit < 1:
             raise ValueError("steps_limit must be >= 1")
         if self.kind in _RULER_KINDS:
@@ -136,9 +140,10 @@ class WalkTrace:
     ``steps[k] = (step, restart_index, values_copy, running_best)`` where
     ``running_best`` is the quantized best over the whole run so far.
     ``first_passage`` is ``(step, agent_id)`` once the target is reached.
+    ``header`` holds the ``#`` lines naming the objective and solver run.
     """
 
-    label: str
+    header: tuple
     steps: list = field(default_factory=list)
     first_passage: Optional[tuple] = None
     epoch_seeds: list = field(default_factory=list)
@@ -273,7 +278,8 @@ def run_solver(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
     epoch's random population."""
     target = _check_objective(spec)
     counter = EvalCounter()
-    trace = WalkTrace(label=cfg.solver_label) if record_trace else None
+    trace = WalkTrace(header=(*config_lines(spec, [cfg]),
+                              f"solver = {cfg.solver_label}")) if record_trace else None
 
     step = mw_step if cfg.uses_ruler else _de_step
     total_steps = 0
@@ -343,12 +349,40 @@ def run_solver(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
     return (record, trace) if record_trace else record
 
 
-def trace_to_text(trace: WalkTrace, config_lines=()) -> str:
-    """Stable delimited trace export: comment lines echoing the configuration,
-    a column header, one row per (step, restart, agent, value), and a footer
-    with the first passage."""
-    lines = [f"# {line}" for line in config_lines]
-    lines.append(f"# solver = {trace.label}")
+def config_lines(spec: ObjectiveSpec, configs, base_seed=None) -> list:
+    """The configuration a header replays: the objective with its bounds,
+    its target, and one ``solver`` line per config (ending in ``seed=N``
+    when that seed differs from ``base_seed``)."""
+    lines = [
+        f"objective = {spec.name} (p = {spec.dims}, bounds = "
+        f"[{', '.join(repr(float(v)) for v in spec.lower)}] .. "
+        f"[{', '.join(repr(float(v)) for v in spec.upper)}])",
+        f"valueTarget = {spec.value_target!r} (digitsTarget = {spec.digits_target})",
+    ]
+    for cfg in configs:
+        parts = [f"kind={cfg.kind}", f"marks={cfg.marks}"]
+        if cfg.uses_ruler:
+            parts.append(f"radius={cfg.radius}")
+            parts.append(f"dither={cfg.dither!r}")
+        else:
+            parts.append(f"rde={cfg.rde!r}")
+            if cfg.de_strategy is not None:
+                parts.append(f"cr={cfg.cr!r}")
+        parts.append(f"stepsLimit={cfg.steps_limit}")
+        if cfg.restarts_enabled:
+            parts.append(f"plateauLimit={cfg.effective_plateau_limit}")
+        parts.append(f"digitsTarget={spec.digits_target}")
+        if base_seed is not None and cfg.seed != base_seed:
+            parts.append(f"seed={cfg.seed}")
+        lines.append(f"solver {cfg.solver_label}: " + " ".join(parts))
+    return lines
+
+
+def trace_to_text(trace: WalkTrace) -> str:
+    """Stable delimited trace export: the header as comment lines, a column
+    header, one row per (step, restart, agent, value), and a footer with the
+    first passage."""
+    lines = [f"# {line}" for line in trace.header]
     lines.append(f"# epoch_seeds = {','.join(str(s) for s in trace.epoch_seeds)}")
     lines.append("step,restart,agentId,value")
     for step, restart, values, _best in trace.steps:
@@ -387,3 +421,23 @@ def parse_trace(lines):
                                  "step >= 1, restart >= 0 and agentId >= 1")
             rows.append(row)
     return comments, rows
+
+
+def trace_wide_text(lines) -> str:
+    """Pivot a ``trace_to_text`` export to one row per (step, restart) with
+    one ``agentN`` column per agent, after the original ``#`` lines.  Raises
+    ValueError on a malformed row or when there are no data rows."""
+    comments, rows = parse_trace(lines)
+    if not rows:
+        raise ValueError("no data rows")
+    n_agents = max(r[2] for r in rows)
+    by_step: dict = {}
+    for step, restart, agent, value in rows:
+        by_step.setdefault((step, restart), {})[agent] = value
+    out = list(comments)
+    out.append("step,restart," + ",".join(f"agent{a}" for a in range(1, n_agents + 1)))
+    for (step, restart) in sorted(by_step):
+        agents = by_step[(step, restart)]
+        out.append(f"{step},{restart}," + ",".join(
+            agents.get(a, "") for a in range(1, n_agents + 1)))
+    return "\n".join(out) + "\n"

@@ -53,17 +53,16 @@ class TargetRecord:
     name: str
     value_target: float
     digits: int
-    coords: tuple            # primary minimizer
+    coords: tuple            # primary minimizer (lowest, when tied)
     method: str              # "enumeration" | "grid+refine"
-    minimizers: tuple = ()   # all tied minimizers (enumeration only)
 
 
 def enumerate_integer_minimum(spec: ObjectiveSpec, digits: Optional[int] = None) -> TargetRecord:
     """Exhaustive scan of every integer state of a staircase objective.
 
-    Returns the exact minimum, every tied minimizer, and the quantized
-    target.  Refuses non-staircase objectives and state counts beyond
-    2**24; a grid scan is no substitute on a staircase.
+    Returns the quantized exact minimum and its lowest minimizer.  Refuses
+    non-staircase objectives and state counts beyond 2**24; a grid scan is
+    no substitute on a staircase.
     """
     if not spec.staircase:
         raise ValueError(f"{spec.name} is not an integer staircase; use grid_refine_minimum")
@@ -78,15 +77,13 @@ def enumerate_integer_minimum(spec: ObjectiveSpec, digits: Optional[int] = None)
         )
     xs = np.arange(lo, hi + 1, dtype=float)[:, None]
     values = np.asarray(spec.fn(xs), dtype=float)
-    vmin = float(values.min())
-    ties = xs[values == vmin, 0]
+    best = int(np.argmin(values))  # first minimum = lowest state
     return TargetRecord(
         name=spec.name,
-        value_target=float(quantize(vmin, digits)),
+        value_target=float(quantize(float(values[best]), digits)),
         digits=digits,
-        coords=(float(ties[0]),),
+        coords=(float(xs[best, 0]),),
         method="enumeration",
-        minimizers=tuple((float(t),) for t in ties),
     )
 
 
@@ -183,7 +180,6 @@ def grid_refine_minimum(spec: ObjectiveSpec, coarse_points: Optional[int] = None
         digits=digits,
         coords=tuple(float(c) for c in best_x),
         method="grid+refine",
-        minimizers=(tuple(float(c) for c in best_x),),
     )
 
 
@@ -197,10 +193,9 @@ def compute_target(spec: ObjectiveSpec, digits: Optional[int] = None) -> TargetR
     base_name = policy.get("separable_base")
     if base_name is not None:
         base = compute_target(get_objective(base_name), digits=digits)
-        coords = base.coords * spec.dims
         return TargetRecord(
             name=spec.name, value_target=base.value_target, digits=digits,
-            coords=coords, method=base.method, minimizers=(coords,),
+            coords=base.coords * spec.dims, method=base.method,
         )
     return grid_refine_minimum(spec, coarse_points=policy.get("coarse_points"),
                                digits=digits)
@@ -271,6 +266,6 @@ class TargetStore:
                                      f"record {line!r} ({exc})") from None
                 store.add(TargetRecord(
                     name=fields[0], value_target=value, digits=digits,
-                    coords=coords, method=fields[-1], minimizers=(coords,),
+                    coords=coords, method=fields[-1],
                 ))
         return store

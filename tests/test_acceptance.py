@@ -1,11 +1,13 @@
 """Acceptance suite: one test per shipping criterion, each printing a
 pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``).
 
-The statistical criteria run the full 100-seed benchmark protocols and take
-a few minutes in total; everything else is seconds.
+The statistical criteria run the full 100-seed benchmark protocols on every
+CPU (records do not depend on the worker count) and take a few minutes in
+total; everything else is seconds.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -168,7 +170,7 @@ def test_radius_sweep_monotone(ehrenfest15_spec):
         cfg = SolverConfig(kind="MWR", seed=1, steps_limit=200, marks=32,
                            radius=radius, dither=0.01)
         plan = ExperimentPlan(spec=ehrenfest15_spec, configs=[cfg], sample_size=100)
-        (records,) = run_experiment(plan)
+        (records,) = run_experiment(plan, workers=os.cpu_count())
         stats[radius] = summarize(records, cfg.solver_label)
 
     detail = "; ".join(
@@ -199,7 +201,7 @@ def _speedup_case(name, digits, steps_limit=2000, sample_size=100):
                        marks=32, radius=30, dither=0.01)
     de = SolverConfig(kind="DEsFR", seed=1, steps_limit=steps_limit, marks=32)
     plan = ExperimentPlan(spec=spec, configs=[mwr, de], sample_size=sample_size)
-    results = run_experiment(plan)
+    results = run_experiment(plan, workers=os.cpu_count())
     return summarize_experiment(plan, results)
 
 
@@ -227,7 +229,7 @@ def test_de_strategy_spread(ehrenfest15_spec):
     configs = [SolverConfig(kind=f"DEoF{s}", seed=1, steps_limit=200, marks=32)
                for s in range(1, 7)]
     plan = ExperimentPlan(spec=ehrenfest15_spec, configs=configs, sample_size=100)
-    results = run_experiment(plan)
+    results = run_experiment(plan, workers=os.cpu_count())
     summaries = summarize_experiment(plan, results)
     means = [s.mean_steps_unc for s in summaries if s.mean_steps_unc is not None]
     ratio = max(means) / min(means) if means else None
@@ -256,9 +258,9 @@ def test_determinism_and_censoring(tmp_path):
         results = run_experiment(plan, workers=workers)
         runs = tmp_path / f"{tag}_runs.csv"
         summary = tmp_path / f"{tag}_summary.csv"
-        write_runs_csv(runs, plan, results, config_lines=["determinism check"])
+        write_runs_csv(runs, plan, results, base_seed=1)
         write_summary_csv(summary, plan, summarize_experiment(plan, results),
-                          config_lines=["determinism check"])
+                          base_seed=1)
         paths.append((runs.read_bytes(), summary.read_bytes()))
     byte_identical = paths[0] == paths[1] == paths[2]
 

@@ -9,7 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multiwalk.cli import _KEY_TYPES, CliError, _parse_solver_spec, build_parser
+from multiwalk.experiments import (ExperimentPlan, run_experiment, summarize_experiment,
+                                   write_bargraph_csv, write_runs_csv, write_summary_csv)
+from multiwalk.objectives import get_objective
 from multiwalk.solvers import SOLVER_KINDS, SolverConfig
+from multiwalk.targets import TargetStore
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -142,6 +146,24 @@ def test_bench_byte_identical_across_worker_counts(store):
         assert (store / f"w1{suffix}").read_bytes() == (store / f"w2{suffix}").read_bytes()
 
 
+def test_library_writers_match_bench_bytes(store):
+    out = run_cli(["bench", "--of", "ehrenfest4", "--solver", "MWR:radius=4,marks=6",
+                   "--solver", "DEsFR:marks=6", "--sample-size", "3",
+                   "--steps-limit", "100", "--workers", "1", "--out", "cli"], cwd=store)
+    assert out.returncode == 0, out.stderr
+    spec = TargetStore.load(store / "targets.csv").apply(get_objective("ehrenfest4"), 9)
+    configs = [SolverConfig(kind="MWR", seed=1, steps_limit=100, marks=6, radius=4),
+               SolverConfig(kind="DEsFR", seed=1, steps_limit=100, marks=6)]
+    plan = ExperimentPlan(spec=spec, configs=configs, sample_size=3)
+    results = run_experiment(plan)
+    summaries = summarize_experiment(plan, results)
+    write_runs_csv(store / "lib_runs.csv", plan, results, base_seed=1)
+    write_summary_csv(store / "lib_summary.csv", plan, summaries, base_seed=1)
+    write_bargraph_csv(store / "lib_bars.csv", plan, summaries, base_seed=1)
+    for suffix in ("_runs.csv", "_summary.csv", "_bars.csv"):
+        assert (store / f"lib{suffix}").read_bytes() == (store / f"cli{suffix}").read_bytes()
+
+
 def test_bench_fully_censored_exit_code(store):
     args = ["bench", "--of", "wild1", "--solver", "MW:radius=4,marks=6",
             "--sample-size", "2", "--steps-limit", "1", "--workers", "1",
@@ -201,10 +223,19 @@ BAD_STORE = "# name,valueTarget,digits,coords...,method\nehrenfest4,abc,9,9.0,en
           "--steps-limit", "20"]),
     ({}, ["solve", "--of", "ehrenfest4", "--solver", "DEoF3:de_jitter=inf,marks=6",
           "--steps-limit", "20"]),
+    ({}, ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=2,marks=6", "--seed", "-1"]),
+    ({}, ["list", "--digits", "0"]),
+    ({}, ["bench", "--of", "ehrenfest4", "--solver", "MW:radius=2,marks=6",
+          "--sample-size", "2", "--steps-limit", "5", "--workers", "0", "--out", "w0"]),
+    ({}, ["bench", "--of", "ehrenfest4", "--solver", "MW:radius=2,marks=6",
+          "--sample-size", "2", "--steps-limit", "5", "--workers", "-3", "--out", "wneg"]),
+    ({}, ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=2,marks=1000000",
+          "--steps-limit", "1"]),
 ], ids=["solver-value", "trace-row", "store-list", "store-solve", "store-nan",
         "oracle-digits", "trace-out-dir", "trace-agent0", "trace-value",
         "flag-value", "flag-missing", "solver-digits", "solver-rde-nan",
-        "solver-jitter-inf"])
+        "solver-jitter-inf", "seed-negative", "list-digits0", "bench-workers0",
+        "bench-workers-neg", "marks-huge"])
 def test_bad_input_exits_1_without_traceback(store, files, args):
     for name, text in files.items():
         (store / name).write_text(text)

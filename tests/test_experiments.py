@@ -2,11 +2,10 @@ import math
 
 import pytest
 
-from multiwalk.experiments import (ExperimentPlan, compare_solvers,
-                                   run_experiment, summarize,
+from multiwalk.experiments import (ExperimentPlan, run_experiment, summarize,
                                    summarize_experiment, write_bargraph_csv,
                                    write_runs_csv, write_summary_csv)
-from multiwalk.objectives import get_objective, quantize
+from multiwalk.objectives import get_objective
 from multiwalk.solvers import RunRecord, SolverConfig
 
 
@@ -122,54 +121,6 @@ def test_summary_rejects_empty():
 
 
 # ---------------------------------------------------------------------------
-# comparisons
-# ---------------------------------------------------------------------------
-
-def test_comparison_reference_ratio():
-    from dataclasses import replace
-    a = replace(summarize([_record(532), _record(533, seed=2)], "DE"),
-                mean_steps_unc=532.15)
-    b = replace(summarize([_record(17), _record(18, seed=2)], "MW"),
-                mean_steps_unc=17.87)
-    report = compare_solvers(a, b)
-    assert quantize(report.steps_ratio, 3) == 29.8
-    assert report.reliable
-
-
-def test_comparison_identity():
-    s = summarize([_record(10), _record(12, seed=2)], "X")
-    report = compare_solvers(s, s)
-    assert report.steps_ratio == 1.0
-    assert report.probes_ratio == 1.0
-
-
-def test_comparison_censored_side_is_lower_bound():
-    a = summarize([_record(200, censored=True)] * 3, "A")
-    b = summarize([_record(10), _record(12, seed=2)], "B")
-    report = compare_solvers(a, b)
-    assert report.bound == "lower"
-    assert report.steps_ratio == pytest.approx(200.0 / 11.0)
-    assert report.reliable  # B side has zero censored runs
-
-
-def test_comparison_no_ratio_when_both_sides_empty():
-    a = summarize([_record(200, censored=True)] * 2, "A")
-    b = summarize([_record(200, censored=True)] * 2, "B")
-    report = compare_solvers(a, b)
-    assert report.steps_ratio is None
-    assert not report.reliable
-    assert "no uncensored" in report.note
-
-
-def test_comparison_unreliable_annotation():
-    a = summarize([_record(10), _record(200, censored=True)], "A")
-    b = summarize([_record(20), _record(200, censored=True)], "B")
-    report = compare_solvers(a, b)
-    assert not report.reliable
-    assert "unreliable" in report.note
-
-
-# ---------------------------------------------------------------------------
 # delimited exports
 # ---------------------------------------------------------------------------
 
@@ -182,13 +133,15 @@ def test_csv_exports(tmp_path, ehrenfest4_spec):
     runs = tmp_path / "x_runs.csv"
     summary = tmp_path / "x_summary.csv"
     bars = tmp_path / "x_bars.csv"
-    lines = ["demo = 1"]
-    write_runs_csv(runs, plan, results, config_lines=lines)
-    write_summary_csv(summary, plan, summaries, config_lines=lines)
-    write_bargraph_csv(bars, summaries, config_lines=lines)
+    write_runs_csv(runs, plan, results, base_seed=1)
+    write_summary_csv(summary, plan, summaries, base_seed=1)
+    write_bargraph_csv(bars, plan, summaries, base_seed=1)
 
     run_text = runs.read_text()
-    assert run_text.startswith("# demo = 1\n")
+    assert run_text.startswith("# objective = ehrenfest4 (p = 1, ")
+    assert "# sampleSize = 3\n# baseSeed = 1\n" in run_text
+    for text in (summary.read_text(), bars.read_text()):
+        assert text.startswith(run_text[:run_text.index("objective,solver")])
     body = [l for l in run_text.splitlines() if not l.startswith("#")]
     assert body[0] == "objective,solver,seed,steps,probes,restarts,censored,valueBest,agentId"
     assert len(body) == 1 + 2 * 3
@@ -208,7 +161,7 @@ def test_csv_exports(tmp_path, ehrenfest4_spec):
     assert bbody[2].startswith("MWR02,")
 
     # byte-identical on a repeated identical invocation
-    write_runs_csv(tmp_path / "y_runs.csv", plan, results, config_lines=lines)
+    write_runs_csv(tmp_path / "y_runs.csv", plan, results, base_seed=1)
     assert (tmp_path / "y_runs.csv").read_bytes() == runs.read_bytes()
 
 

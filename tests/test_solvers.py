@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from multiwalk.objectives import EvalCounter, get_objective, quantize
 from multiwalk.solvers import (SolverConfig, WalkTrace, _de_trials, mw_step,
-                               parse_trace, run_solver, trace_to_text)
+                               parse_trace, run_solver, trace_to_text,
+                               trace_wide_text)
 
 DEMO_MARKS = np.array([1.0, 2.0, 4.0, 10.0, 12.0, 17.0])[:, None]
 NO_BEST = (math.inf, None)  # the running best before any candidate
@@ -39,6 +40,10 @@ def test_config_validation():
         _cfg(kind="MWR", plateau_limit=0)
     with pytest.raises(ValueError):
         _cfg(marks=3, radius=1)
+    with pytest.raises(ValueError):
+        _cfg(marks=1025)
+    with pytest.raises(ValueError):
+        _cfg(seed=-1)
     with pytest.raises(ValueError):
         _cfg(kind="DEoF1", radius=None, cr=1.5)
     with pytest.raises(ValueError):
@@ -382,9 +387,12 @@ def test_trace_export_format(ehrenfest4_spec):
                        marks=6, radius=4, dither=0.0)
     record, trace = run_solver(cfg, ehrenfest4_spec, initial_marks=DEMO_MARKS,
                            record_trace=True)
-    text = trace_to_text(trace, config_lines=["objective = ehrenfest4"])
+    text = trace_to_text(trace)
     lines = text.splitlines()
-    assert lines[0] == "# objective = ehrenfest4"
+    assert lines[0] == "# objective = ehrenfest4 (p = 1, bounds = [1.0] .. [17.0])"
+    assert lines[2] == ("# solver MW04: kind=MW marks=6 radius=4 dither=0.0 "
+                        "stepsLimit=50 digitsTarget=9")
+    assert lines[3] == "# solver = MW04"
     assert "step,restart,agentId,value" in lines
     header_at = lines.index("step,restart,agentId,value")
     data = [l for l in lines[header_at + 1:] if not l.startswith("#")]
@@ -413,10 +421,11 @@ _trace_steps = st.lists(
        first_passage=st.none() | st.tuples(st.integers(1, 10 ** 6), st.integers(1, 5)),
        epoch_seeds=st.lists(st.integers(0, 2 ** 31), min_size=1, max_size=3))
 def test_trace_parse_roundtrip(steps, first_passage, epoch_seeds):
-    trace = WalkTrace(label="MW04", first_passage=first_passage, epoch_seeds=epoch_seeds)
+    trace = WalkTrace(header=("objective = x", "solver = MW04"),
+                      first_passage=first_passage, epoch_seeds=epoch_seeds)
     for step, restart, values in steps:
         trace.steps.append((step, restart, np.array(values), min(values)))
-    comments, rows = parse_trace(trace_to_text(trace, ["objective = x"]).splitlines())
+    comments, rows = parse_trace(trace_to_text(trace).splitlines())
     expected = [(step, restart, agent, repr(float(v)))
                 for step, restart, values in steps
                 for agent, v in enumerate(values, start=1)]
@@ -454,3 +463,34 @@ def test_parse_trace_on_arbitrary_text(text):
     for step, restart, agent, value in rows:
         assert step >= 1 and restart >= 0 and agent >= 1
         float(value)
+
+
+_wide_rows = st.dictionaries(
+    st.tuples(st.integers(1, 50), st.integers(0, 5), st.integers(1, 6)),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr), max_size=30)
+
+
+@given(_wide_rows, st.lists(st.sampled_from(["# objective = x", "# a,b"]), max_size=2))
+def test_trace_wide_text_pivots_one_row_per_step(cells, comments):
+    # one row per (step, restart), in order; each value in its agent's column;
+    # a trace without data rows is refused
+    text = comments + ["step,restart,agentId,value"] + [
+        f"{step},{restart},{agent},{value}"
+        for (step, restart, agent), value in cells.items()]
+    if not cells:
+        with pytest.raises(ValueError, match="no data rows"):
+            trace_wide_text(text)
+        return
+    out = trace_wide_text(text).splitlines()
+    n_agents = max(agent for _, _, agent in cells)
+    assert out[:len(comments)] == comments
+    assert out[len(comments)] == "step,restart," + ",".join(
+        f"agent{a}" for a in range(1, n_agents + 1))
+    body = [row.split(",") for row in out[len(comments) + 1:]]
+    keys = sorted({(step, restart) for step, restart, _ in cells})
+    assert [(int(r[0]), int(r[1])) for r in body] == keys
+    for row in body:
+        assert len(row) == 2 + n_agents
+        for agent in range(1, n_agents + 1):
+            key = (int(row[0]), int(row[1]), agent)
+            assert row[1 + agent] == cells.get(key, "")
