@@ -11,6 +11,7 @@ A comparison is reliable only if at least one side has zero censored runs.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -59,13 +60,15 @@ def _run_task(task):
 
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list:
     """Execute the plan; returns one list of RunRecords per config, ordered
-    by run index regardless of execution order."""
+    by run index regardless of execution order.  The pool holds at most one
+    process per task and per CPU."""
     tasks = [
         (ci, ri, replace(cfg, seed=cfg.seed + ri), plan.spec)
         for ci, cfg in enumerate(plan.configs)
         for ri in range(plan.sample_size)
     ]
     results: list = [[None] * plan.sample_size for _ in plan.configs]
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         for task in tasks:
             ci, ri, record = _run_task(task)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,6 +27,10 @@ __all__ = [
     "trefethen",
     "ehrenfest",
 ]
+
+# Largest staircase the target oracle enumerates, and so the largest table
+# ``ehrenfest`` builds (2**24 floats are 128 MB).
+MAX_ENUMERATION_STATES = 2 ** 24
 
 
 # ---------------------------------------------------------------------------
@@ -208,22 +212,42 @@ def trefethen(points: np.ndarray, dims: int) -> np.ndarray:
     raise ValueError("trefethen is defined for 1, 2 or 3 dimensions")
 
 
+@lru_cache(maxsize=None)
+def _ehrenfest_table(n: int) -> np.ndarray:
+    """Read-only values of all ``2**n + 1`` states, indexed by state - 1."""
+    big_n = 2 ** n
+    # allocated before its temporaries, so the kept table does not pin the
+    # top of the heap (about 1 MB of peak RSS in a full oracle run)
+    table = np.empty(big_n + 1)
+    k = np.arange(big_n + 1, dtype=np.int64)
+    # grouping the subtrahends keeps f(x) == f(s + 1 - x) exact in floats
+    ln_comb = gammaln(big_n + 1.0) - (gammaln(k + 1.0) + gammaln(big_n - k + 1.0))
+    parity = np.where(k % 2 == 0, 1.0, -1.0)
+    np.multiply(-ln_comb, 1.0 + 0.01 * parity, out=table)
+    table.flags.writeable = False
+    return table
+
+
 def ehrenfest(points: np.ndarray, n: int) -> np.ndarray:
     """Staircase over the integers 1..2**n + 1: a log-binomial well whose
     depth is modulated +/-1% by the parity of the state index.
 
-    Piecewise constant in x (nearest-integer state), symmetric about the
-    center state, with its unique minimum there.
+    Piecewise constant in x (nearest-integer state, clamped into the box),
+    symmetric about the center state, with its unique minimum there.  Values
+    come from a per-``n`` table of every state, so ``2**n + 1`` may not
+    exceed ``MAX_ENUMERATION_STATES``.
     """
-    if n > 60:
-        raise ValueError("ehrenfest state count overflows plain integer indexing for n > 60")
-    big_n = 2 ** n
+    if 2 ** n + 1 > MAX_ENUMERATION_STATES:
+        raise ValueError(f"ehrenfest{n} has 2**{n} + 1 states, beyond the enumeration "
+                         f"limit of {MAX_ENUMERATION_STATES}")
+    table = _ehrenfest_table(n)
     points = np.asarray(points, dtype=float)
-    k = np.clip(np.round(points[..., 0]) - 1.0, 0.0, float(big_n)).astype(np.int64)
-    # grouping the subtrahends keeps f(x) == f(s + 1 - x) exact in floats
-    ln_comb = gammaln(big_n + 1.0) - (gammaln(k + 1.0) + gammaln(big_n - k + 1.0))
-    parity = np.where(k % 2 == 0, 1.0, -1.0)
-    return -ln_comb * (1.0 + 0.01 * parity)
+    k = np.empty(points.shape[:-1])
+    np.rint(points[..., 0], out=k)
+    k -= 1.0
+    np.maximum(k, 0.0, out=k)
+    np.minimum(k, len(table) - 1.0, out=k)
+    return table[k.astype(np.int64)]
 
 
 # ---------------------------------------------------------------------------

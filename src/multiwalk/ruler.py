@@ -56,10 +56,16 @@ def _candidates(marks: np.ndarray, neighbor_sets: np.ndarray, lower: np.ndarray,
     mark-major, neighbor-minor, dimension-minor.  With ``dither == 0`` no
     draws are consumed.
     """
-    diffs = np.abs(marks[:, None, :] - marks[neighbor_sets])
+    diffs = marks[:, None, :] - marks[neighbor_sets]
+    np.abs(diffs, out=diffs)
     if dither > 0.0:
-        diffs = diffs * (1.0 + dither * rng.uniform(-1.0, 1.0, size=diffs.shape))
-    return np.clip(lower + diffs, lower, upper)
+        u = rng.uniform(-1.0, 1.0, size=diffs.shape)
+        u *= dither
+        u += 1.0
+        diffs *= u
+    diffs += lower
+    np.maximum(diffs, lower, out=diffs)
+    return np.minimum(diffs, upper, out=diffs)
 
 
 def _neighbor_sets(n_marks: int, radius: int, rng: np.random.Generator) -> np.ndarray:
@@ -71,7 +77,7 @@ def _neighbor_sets(n_marks: int, radius: int, rng: np.random.Generator) -> np.nd
         return eligible
     ranks = rng.uniform(size=(n_marks, n_marks - 2))
     sel = np.sort(np.argsort(ranks, axis=1)[:, :radius], axis=1)
-    return np.take_along_axis(eligible, sel, axis=1)
+    return eligible[np.arange(n_marks)[:, None], sel]
 
 
 def neighborhood_eval(marks: np.ndarray, spec: ObjectiveSpec, radius: int,

@@ -156,7 +156,8 @@ def _greedy_commit(marks, values, cand_coords, cand_values, best, digits: int):
     best so the best value only ever decreases.  Returns the updated
     ``(marks, values, best)``."""
     best_value, best_coord = best
-    for i in range(len(cand_values)):
+    # the best only decreases, so no index outside this prefilter can trigger
+    for i in np.flatnonzero(cand_values < best_value):
         fi = cand_values[i]
         if fi < best_value:
             best_value = quantize(float(fi), digits)
@@ -259,8 +260,9 @@ def _init_population(spec: ObjectiveSpec, n_marks: int, anchored: bool,
                      initial_marks=None):
     """Uniform random marks with their raw values; ``anchored`` (the ruler
     kinds) pins rows 1 and m at the bounds.  ``initial_marks`` replaces the
-    drawn marks after the draw, so the stream position does not depend on it.
-    Costs exactly ``n_marks`` probes."""
+    drawn marks after the draw, so the stream position does not depend on it;
+    it must lie inside the bounds (so no NaN).  Costs exactly ``n_marks``
+    probes."""
     u = rng.uniform(size=(n_marks, spec.dims))
     marks = spec.lower + u * (spec.upper - spec.lower)
     if anchored:
@@ -268,6 +270,8 @@ def _init_population(spec: ObjectiveSpec, n_marks: int, anchored: bool,
         marks[-1] = spec.upper
     if initial_marks is not None:
         marks = np.array(initial_marks, dtype=float).reshape(n_marks, spec.dims)
+        if not np.all((spec.lower <= marks) & (marks <= spec.upper)):
+            raise ValueError(f"initial_marks must be finite and inside the bounds of {spec.name}")
     return marks, evaluate_batch(spec, marks, counter)
 
 
@@ -275,7 +279,8 @@ def run_solver(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
                record_trace: bool = False):
     """Run any configured solver; returns a RunRecord, plus the WalkTrace
     when ``record_trace`` is set.  ``initial_marks`` replaces the first
-    epoch's random population."""
+    epoch's random population; a non-finite or out-of-box mark raises
+    ValueError."""
     target = _check_objective(spec)
     counter = EvalCounter()
     trace = WalkTrace(header=(*config_lines(spec, [cfg]),

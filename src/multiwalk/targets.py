@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .objectives import ObjectiveSpec, get_objective, quantize
+from .objectives import MAX_ENUMERATION_STATES, ObjectiveSpec, get_objective, quantize
 
 __all__ = [
     "TargetRecord",
@@ -29,7 +29,6 @@ __all__ = [
     "compute_target",
 ]
 
-MAX_ENUMERATION_STATES = 2 ** 24
 COARSE_POINTS = {1: 4001, 2: 1001, 3: 201}
 REFINE_POINTS = {1: 33, 2: 33, 3: 11}
 REFINE_ROUNDS = 60

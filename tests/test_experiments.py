@@ -1,7 +1,9 @@
 import math
+import os
 
 import pytest
 
+from multiwalk import experiments
 from multiwalk.experiments import (ExperimentPlan, run_experiment, summarize,
                                    summarize_experiment, write_bargraph_csv,
                                    write_runs_csv, write_summary_csv)
@@ -67,6 +69,40 @@ def test_worker_counts_agree(ehrenfest4_spec):
     serial = run_experiment(plan, workers=1)
     parallel = run_experiment(plan, workers=2)
     assert serial == parallel
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records the requested pool size
+    and runs every task in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("cpus, sample_size, expected", [
+    (4, 6, 4),      # capped by the CPU count
+    (4, 3, 3),      # capped by the task count
+    (None, 6, 1),   # unknown CPU count: serial, no pool
+])
+def test_pool_size_is_capped(ehrenfest4_spec, monkeypatch, cpus, sample_size, expected):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    plan = ExperimentPlan(spec=ehrenfest4_spec, configs=[_mwr()], sample_size=sample_size)
+    pooled = run_experiment(plan, workers=1000)
+    assert _InProcessPool.sizes == ([] if expected == 1 else [expected])
+    assert pooled == run_experiment(plan, workers=1)
 
 
 def test_censoring_consistency(ehrenfest4_spec):

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
-from multiwalk.objectives import (EvalCounter, ObjectiveSpec, ehrenfest,
-                                  evaluate_batch, get_objective,
+from multiwalk.objectives import (EvalCounter, ObjectiveSpec, _ehrenfest_table,
+                                  ehrenfest, evaluate_batch, get_objective,
                                   objective_names, wild)
 
 
@@ -106,6 +108,63 @@ def test_ehrenfest_center_minimum_all_n_up_to_16():
 def test_ehrenfest_rejects_huge_n():
     with pytest.raises(ValueError):
         ehrenfest(np.array([[1.0]]), n=61)
+    # 2**24 + 1 states exceed the enumeration limit: refused before the
+    # 128 MB table is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            ehrenfest(np.array([[1.0]]), n=24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _ehrenfest_closed_form(points, n):
+    """The gammaln closed form ``ehrenfest`` evaluated per call before its
+    values came from a table; the table must reproduce it bit for bit."""
+    big_n = 2 ** n
+    points = np.asarray(points, dtype=float)
+    k = np.clip(np.round(points[..., 0]) - 1.0, 0.0, float(big_n)).astype(np.int64)
+    ln_comb = gammaln(big_n + 1.0) - (gammaln(k + 1.0) + gammaln(big_n - k + 1.0))
+    parity = np.where(k % 2 == 0, 1.0, -1.0)
+    return -ln_comb * (1.0 + 0.01 * parity)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_ehrenfest_table_matches_closed_form_on_every_state():
+    for n in range(1, 17):
+        xs = np.arange(1, 2 ** n + 2, dtype=float)[:, None]
+        assert _same_bits(ehrenfest(xs, n=n), _ehrenfest_closed_form(xs, n)), f"n={n}"
+
+
+@pytest.mark.parametrize("n", [4, 15])
+def test_ehrenfest_table_matches_closed_form_off_grid(n):
+    rng = np.random.default_rng(n)
+    s = 2 ** n + 1
+    for batch in (1, 32, 960, 100000):
+        xs = rng.uniform(-0.5 * s, 1.5 * s, size=(batch, 1))  # half outside the box
+        assert _same_bits(ehrenfest(xs, n=n), _ehrenfest_closed_form(xs, n)), batch
+    half = np.arange(-3, s + 4)[:, None] + 0.5  # ties round half to even
+    edges = np.array([[-np.inf], [np.inf], [-0.0], [0.5], [1.5], [s + 0.5], [1e300]])
+    for xs in (half, edges, rng.uniform(1, s, size=(7, 3))):
+        assert _same_bits(ehrenfest(xs, n=n), _ehrenfest_closed_form(xs, n))
+    point = np.array([s / 2.0])  # one point as a 1-D array
+    assert _same_bits(ehrenfest(point, n=n), _ehrenfest_closed_form(point, n))
+
+
+def test_ehrenfest_table_is_read_only():
+    values = ehrenfest(np.array([[3.0]]), n=4)
+    assert values.flags.writeable  # the caller's copy, not the table
+    table = _ehrenfest_table(4)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0.0
+    assert _ehrenfest_table(4) is table
 
 
 def test_evaluate_dimension_mismatch():

@@ -103,6 +103,43 @@ def test_candidate_dither_stays_in_bounds():
         assert np.all(c >= spec.lower) and np.all(c <= spec.upper)
 
 
+def _candidates_reference(marks, neighbor_sets, lower, upper, dither=0.0, rng=None):
+    """The out-of-place ``np.clip`` form ``_candidates`` replaced; the
+    in-place kernel must match it bit for bit and draw the same block."""
+    diffs = np.abs(marks[:, None, :] - marks[neighbor_sets])
+    if dither > 0.0:
+        diffs = diffs * (1.0 + dither * rng.uniform(-1.0, 1.0, size=diffs.shape))
+    return np.clip(lower + diffs, lower, upper)
+
+
+def _neighbor_sets_reference(n_marks, radius, rng):
+    """The ``np.take_along_axis`` form ``_neighbor_sets`` replaced."""
+    eligible = eligible_neighbors(n_marks)
+    if radius == n_marks - 2:
+        return eligible
+    ranks = rng.uniform(size=(n_marks, n_marks - 2))
+    sel = np.sort(np.argsort(ranks, axis=1)[:, :radius], axis=1)
+    return np.take_along_axis(eligible, sel, axis=1)
+
+
+@pytest.mark.parametrize("name", ["ehrenfest15", "wild3", "trefethen1"])
+@pytest.mark.parametrize("dither", [0.0, 0.01, 1.0])
+def test_candidates_match_clip_reference(name, dither):
+    spec = get_objective(name)
+    for seed, (m, radius) in enumerate([(4, 1), (8, 3), (32, 30), (32, 4)]):
+        marks, _values = _anchored_init(spec, m, seed, EvalCounter())
+        neighbor_sets = _neighbor_sets(m, radius, np.random.default_rng(seed))
+        assert np.array_equal(
+            neighbor_sets, _neighbor_sets_reference(m, radius, np.random.default_rng(seed)))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _candidates(marks, neighbor_sets, spec.lower, spec.upper, dither, rng)
+        want = _candidates_reference(marks, neighbor_sets, spec.lower, spec.upper,
+                                     dither, ref_rng)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # both consumed the same draws
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_anchored_noop_columns_on_integer_ruler():
     # at the anchored initial state, the excluded fixed column would only
     # reproduce the mark itself (or the upper bound, for mark 0)

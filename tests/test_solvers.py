@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multiwalk.objectives import EvalCounter, get_objective, quantize
-from multiwalk.solvers import (SolverConfig, WalkTrace, _de_trials, mw_step,
-                               parse_trace, run_solver, trace_to_text,
-                               trace_wide_text)
+from multiwalk.solvers import (SolverConfig, WalkTrace, _de_trials,
+                               _greedy_commit, mw_step, parse_trace,
+                               run_solver, trace_to_text, trace_wide_text)
 
 DEMO_MARKS = np.array([1.0, 2.0, 4.0, 10.0, 12.0, 17.0])[:, None]
 NO_BEST = (math.inf, None)  # the running best before any candidate
@@ -115,6 +115,44 @@ def test_mw_step_shared_candidate_moves_both_marks(ehrenfest4_spec):
     assert best[0] == spec.value_target
 
 
+def _greedy_commit_reference(marks, values, cand_coords, cand_values, best, digits):
+    """The full-loop commit ``_greedy_commit`` replaced: every candidate is
+    compared with the running best, in order."""
+    best_value, best_coord = best
+    for i in range(len(cand_values)):
+        fi = cand_values[i]
+        if fi < best_value:
+            best_value = quantize(float(fi), digits)
+            best_coord = cand_coords[i].copy()
+    improved = cand_values < values
+    return (np.where(improved[:, None], cand_coords, marks),
+            np.where(improved, cand_values, values), (best_value, best_coord))
+
+
+# a small pool makes ties, equal raw values and raw-vs-quantized near misses common
+_commit_value = st.one_of(
+    st.sampled_from([-2.5, -2.45, -2.449, -1.0, 0.0, 1.25, 1.2501, 7.0, math.inf, math.nan]),
+    st.floats(-100.0, 100.0))
+
+
+@given(st.integers(1, 10).flatmap(lambda m: st.tuples(
+           st.lists(_commit_value, min_size=m, max_size=m),
+           st.lists(_commit_value, min_size=m, max_size=m))),
+       st.one_of(st.none(), _commit_value), st.integers(1, 4), st.integers(1, 2))
+def test_greedy_commit_matches_full_loop(vals, best_raw, digits, dims):
+    cand_values, values = (np.array(v) for v in vals)
+    m = len(values)
+    marks = np.arange(m * dims, dtype=float).reshape(m, dims)
+    cand_coords = marks + 0.5
+    best = NO_BEST if best_raw is None else (quantize(best_raw, digits), np.array([-1.0]))
+    got = _greedy_commit(marks, values, cand_coords, cand_values, best, digits)
+    want = _greedy_commit_reference(marks, values, cand_coords, cand_values, best, digits)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert repr(got[2][0]) == repr(want[2][0])
+    assert repr(got[2][1]) == repr(want[2][1])
+
+
 # ---------------------------------------------------------------------------
 # first-passage behavior
 # ---------------------------------------------------------------------------
@@ -125,6 +163,16 @@ def test_single_step_solve_from_demo_ruler(ehrenfest4_spec):
     assert not record.is_censored
     assert record.value_best == ehrenfest4_spec.value_target
     assert record.probes == 6 + 6 * 4
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.5, 17.5])
+def test_initial_marks_must_be_finite_and_inside_the_box(ehrenfest4_spec, bad):
+    marks = DEMO_MARKS.copy()
+    marks[3, 0] = bad
+    with pytest.raises(ValueError, match="initial_marks"):
+        run_solver(_cfg(), ehrenfest4_spec, initial_marks=marks)
+    edges = np.array([1.0, 1.0, 17.0, 17.0, 9.0, 9.0])[:, None]  # the bounds are inside
+    assert run_solver(_cfg(), ehrenfest4_spec, initial_marks=edges).steps >= 1
 
 
 def test_forced_censoring(wild1_spec):
