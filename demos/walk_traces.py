@@ -7,13 +7,14 @@ plots can show dotted restart segments.  The run ends at first passage: the
 step where the quantized running best first equals the quantized target.
 """
 
+from dataclasses import replace
+
 from multiwalk import SolverConfig, get_objective, run_solver, trace_to_text
 from multiwalk.targets import compute_target
 
-record = compute_target(get_objective("trefethen1"), digits=6)
-spec = get_objective("trefethen1").with_target(record.value_target,
-                                               digits_target=6)
-print(f"objective trefethen1, six-digit target {record.value_target!r}")
+spec = replace(get_objective("trefethen1"), digits_target=6)
+spec = spec.with_target(compute_target(spec).value_target)
+print(f"objective trefethen1, six-digit target {spec.value_target!r}")
 print()
 
 for kind, extra in (("MWR", dict(radius=4, dither=0.01)), ("DEsFR", {})):

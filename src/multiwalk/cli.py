@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .experiments import (ExperimentPlan, run_experiment, summarize_experiment,
                           write_bargraph_csv, write_runs_csv, write_summary_csv)
@@ -52,20 +53,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_solver_spec(text: str, args) -> SolverConfig:
     """Parse ``KIND`` or ``KIND:key=value,...``; unset keys fall back to the
-    global flags."""
+    global flags that were given, then to ``SolverConfig``'s defaults."""
     kind, _, tail = text.partition(":")
-    kind = kind.strip()
-    fields = {
-        "kind": kind,
-        "seed": args.seed,
-        "steps_limit": args.steps_limit,
-        "marks": args.marks,
-        "radius": args.radius,
-        "dither": args.dither,
-        "rde": args.rde,
-        "cr": args.cr,
-        "plateau_limit": args.plateau_limit,
-    }
+    fields = {"kind": kind.strip()}
+    fields.update((key, getattr(args, key)) for key in _KEY_TYPES
+                  if getattr(args, key, None) is not None)
     if tail:
         for item in tail.split(","):
             key, eq, value = item.partition("=")
@@ -98,11 +90,16 @@ def _load_store(path) -> TargetStore:
         raise CliError(str(exc)) from None
 
 
-def _load_objective(args):
+def _objective(name: str, digits: int):
+    """The registered objective ``name`` at ``digits`` target digits."""
     try:
-        spec = get_objective(args.of)
+        return replace(get_objective(name), digits_target=digits)
     except KeyError as exc:
         raise CliError(str(exc.args[0])) from None
+
+
+def _load_objective(args):
+    spec = _objective(args.of, args.digits)
     if not os.path.exists(args.targets):
         raise CliError(
             f"target store {args.targets!r} not found; compute it with "
@@ -110,7 +107,7 @@ def _load_objective(args):
         )
     store = _load_store(args.targets)
     try:
-        return store.apply(spec, args.digits)
+        return store.apply(spec)
     except KeyError as exc:
         raise CliError(str(exc.args[0])) from None
 
@@ -131,11 +128,7 @@ def _cmd_oracle(args) -> int:
     names = objective_names() if args.of == "all" else [n.strip() for n in args.of.split(",")]
     store = _load_store(args.out)
     for name in names:
-        try:
-            spec = get_objective(name)
-        except KeyError as exc:
-            raise CliError(str(exc.args[0])) from None
-        record = compute_target(spec, digits=args.digits)
+        record = compute_target(_objective(name, args.digits))
         store.add(record)
         coords = ",".join(repr(float(c)) for c in record.coords)
         print(f"{name}: valueTarget = {record.value_target!r} at ({coords}) "
@@ -207,13 +200,14 @@ def _cmd_trace(args) -> int:
 
 def _add_solver_flags(sub) -> None:
     sub.add_argument("--of", required=True, help="objective name (see `list`)")
-    sub.add_argument("--marks", type=int, default=32)
-    sub.add_argument("--radius", type=int, default=None)
-    sub.add_argument("--dither", type=float, default=0.01)
-    sub.add_argument("--rde", type=float, default=1.0)
-    sub.add_argument("--cr", type=float, default=0.9)
+    # per-solver settings left unset take SolverConfig's defaults
+    sub.add_argument("--marks", type=int)
+    sub.add_argument("--radius", type=int)
+    sub.add_argument("--dither", type=float)
+    sub.add_argument("--rde", type=float)
+    sub.add_argument("--cr", type=float)
     sub.add_argument("--steps-limit", type=int, default=200, dest="steps_limit")
-    sub.add_argument("--plateau-limit", type=int, default=None, dest="plateau_limit")
+    sub.add_argument("--plateau-limit", type=int, dest="plateau_limit")
     sub.add_argument("--seed", type=int, default=1)
     sub.add_argument("--digits", type=_positive_int, default=9)
     sub.add_argument("--targets", default="targets.csv",

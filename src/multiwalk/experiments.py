@@ -51,6 +51,9 @@ class ExperimentPlan:
         limits = {cfg.steps_limit for cfg in self.configs}
         if len(limits) != 1:
             raise ValueError("all configs in a plan must share steps_limit")
+        labels = [cfg.solver_label for cfg in self.configs]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"solver labels in a plan must be distinct, got {', '.join(labels)}")
 
 
 def _run_task(task):

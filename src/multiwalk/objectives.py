@@ -88,7 +88,7 @@ def _quantize_array(values: np.ndarray, digits: int) -> np.ndarray:
     return np.where(ok, np.copysign(r, v), v)
 
 
-def quantize(value, digits: int = 9):
+def quantize(value, digits: int):
     """Round to ``digits`` significant decimal digits, half away from zero.
 
     Accepts a scalar or an ndarray.  Zero and non-finite inputs pass through
@@ -161,12 +161,9 @@ class ObjectiveSpec:
                     f"({self.value_target!r} != {q!r})"
                 )
 
-    def with_target(self, value_target: float,
-                    digits_target: Optional[int] = None) -> "ObjectiveSpec":
-        """Return a copy with the (pre-quantized) target filled in."""
-        digits = self.digits_target if digits_target is None else digits_target
-        return replace(self, value_target=quantize(value_target, digits),
-                       digits_target=digits)
+    def with_target(self, value_target: float) -> "ObjectiveSpec":
+        """Return a copy with the target quantized to ``digits_target``."""
+        return replace(self, value_target=quantize(value_target, self.digits_target))
 
 
 def evaluate_batch(spec: ObjectiveSpec, points: np.ndarray, counter: EvalCounter) -> np.ndarray:
@@ -247,7 +244,11 @@ def ehrenfest(points: np.ndarray, n: int) -> np.ndarray:
     k -= 1.0
     np.maximum(k, 0.0, out=k)
     np.minimum(k, len(table) - 1.0, out=k)
-    return table[k.astype(np.int64)]
+    try:
+        return table[k.astype(np.int64)]
+    except IndexError:
+        # the clamps pass only NaN through, and it casts to INT64_MIN on x86
+        raise ValueError(f"ehrenfest{n}: a coordinate is NaN") from None
 
 
 # ---------------------------------------------------------------------------

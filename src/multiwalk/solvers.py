@@ -91,6 +91,10 @@ class SolverConfig:
             raise ValueError("cr must be in [0, 1]")
         if self.plateau_limit is not None and self.plateau_limit < 1:
             raise ValueError("plateau_limit must be >= 1")
+        # the label is written unquoted into CSV fields and `# solver` lines
+        if self.label is not None and (self.label.split() != [self.label] or "," in self.label):
+            raise ValueError(f"label must be non-empty, with no comma or whitespace, "
+                             f"got {self.label!r}")
 
     @property
     def uses_ruler(self) -> bool:

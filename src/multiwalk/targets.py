@@ -4,6 +4,7 @@ Targets are computed before any benchmarking and stored; solvers never
 certify their own targets.  Integer staircases are enumerated exhaustively,
 continuous objectives get a dense coarse grid scan followed by local grid
 refinement with a halving window around each of the best few scan cells.
+Every target is quantized to the spec's ``digits_target``.
 
 A wrong target poisons every benchmark on its objective (a solver that finds
 a better value than the stored target can never match it), so the per-
@@ -14,7 +15,7 @@ family is reduced to its 1-D term, which the mean-aggregation makes exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -56,7 +57,7 @@ class TargetRecord:
     method: str              # "enumeration" | "grid+refine"
 
 
-def enumerate_integer_minimum(spec: ObjectiveSpec, digits: Optional[int] = None) -> TargetRecord:
+def enumerate_integer_minimum(spec: ObjectiveSpec) -> TargetRecord:
     """Exhaustive scan of every integer state of a staircase objective.
 
     Returns the quantized exact minimum and its lowest minimizer.  Refuses
@@ -65,7 +66,6 @@ def enumerate_integer_minimum(spec: ObjectiveSpec, digits: Optional[int] = None)
     """
     if not spec.staircase:
         raise ValueError(f"{spec.name} is not an integer staircase; use grid_refine_minimum")
-    digits = spec.digits_target if digits is None else digits
     lo = int(round(spec.lower[0]))
     hi = int(round(spec.upper[0]))
     n_states = hi - lo + 1
@@ -79,8 +79,8 @@ def enumerate_integer_minimum(spec: ObjectiveSpec, digits: Optional[int] = None)
     best = int(np.argmin(values))  # first minimum = lowest state
     return TargetRecord(
         name=spec.name,
-        value_target=float(quantize(float(values[best]), digits)),
-        digits=digits,
+        value_target=float(quantize(float(values[best]), spec.digits_target)),
+        digits=spec.digits_target,
         coords=(float(xs[best, 0]),),
         method="enumeration",
     )
@@ -125,13 +125,13 @@ def _separated_incumbents(values, points, spacing, keep: int):
 
 
 def _refine(spec: ObjectiveSpec, start_v: float, start_x: np.ndarray,
-            spacing: np.ndarray, rounds: int):
+            spacing: np.ndarray):
     """Local grid refinement, halving the window around the incumbent each
     round; the incumbent value never increases."""
     local = REFINE_POINTS[spec.dims]
     best_v, best_x = start_v, np.asarray(start_x, dtype=float)
     half = 2.0 * spacing
-    for _ in range(rounds):
+    for _ in range(REFINE_ROUNDS):
         lo = np.maximum(spec.lower, best_x - half)
         hi = np.minimum(spec.upper, best_x + half)
         axes = [np.linspace(lo[d], hi[d], local) for d in range(spec.dims)]
@@ -146,12 +146,11 @@ def _refine(spec: ObjectiveSpec, start_v: float, start_x: np.ndarray,
     return best_v, best_x
 
 
-def grid_refine_minimum(spec: ObjectiveSpec, coarse_points: Optional[int] = None,
-                        refine_rounds: int = REFINE_ROUNDS,
-                        digits: Optional[int] = None) -> TargetRecord:
+def grid_refine_minimum(spec: ObjectiveSpec) -> TargetRecord:
     """Dense coarse grid scan, then halving-window local refinement around
     each of the best separated scan cells; the overall best wins, ties
-    breaking toward the lowest coordinates.
+    breaking toward the lowest coordinates.  The coarse grid is the scan
+    policy's, else ``COARSE_POINTS[spec.dims]`` points per dimension.
 
     Only defined for continuous objectives with at most 3 dimensions.
     """
@@ -159,8 +158,7 @@ def grid_refine_minimum(spec: ObjectiveSpec, coarse_points: Optional[int] = None
         raise ValueError(f"{spec.name} is an integer staircase; use enumerate_integer_minimum")
     if spec.dims > 3:
         raise ValueError("grid refinement supports at most 3 dimensions")
-    digits = spec.digits_target if digits is None else digits
-    coarse = COARSE_POINTS[spec.dims] if coarse_points is None else coarse_points
+    coarse = _ORACLE_POLICY.get(spec.name, {}).get("coarse_points", COARSE_POINTS[spec.dims])
 
     axes = [np.linspace(spec.lower[d], spec.upper[d], coarse) for d in range(spec.dims)]
     spacing = (spec.upper - spec.lower) / (coarse - 1)
@@ -169,35 +167,30 @@ def grid_refine_minimum(spec: ObjectiveSpec, coarse_points: Optional[int] = None
 
     best_v, best_x = math.inf, None
     for sv, sx in zip(seeds_v, seeds_x):
-        v, x = _refine(spec, sv, sx, spacing, refine_rounds)
+        v, x = _refine(spec, sv, sx, spacing)
         if v < best_v or (v == best_v and tuple(x) < tuple(best_x)):
             best_v, best_x = v, x
 
     return TargetRecord(
         name=spec.name,
-        value_target=float(quantize(best_v, digits)),
-        digits=digits,
+        value_target=float(quantize(best_v, spec.digits_target)),
+        digits=spec.digits_target,
         coords=tuple(float(c) for c in best_x),
         method="grid+refine",
     )
 
 
-def compute_target(spec: ObjectiveSpec, digits: Optional[int] = None) -> TargetRecord:
+def compute_target(spec: ObjectiveSpec) -> TargetRecord:
     """Dispatch to enumeration or grid refinement by objective kind,
     applying the per-objective scan policy."""
-    digits = spec.digits_target if digits is None else digits
     if spec.staircase:
-        return enumerate_integer_minimum(spec, digits=digits)
-    policy = _ORACLE_POLICY.get(spec.name, {})
-    base_name = policy.get("separable_base")
+        return enumerate_integer_minimum(spec)
+    base_name = _ORACLE_POLICY.get(spec.name, {}).get("separable_base")
     if base_name is not None:
-        base = compute_target(get_objective(base_name), digits=digits)
-        return TargetRecord(
-            name=spec.name, value_target=base.value_target, digits=digits,
-            coords=base.coords * spec.dims, method=base.method,
-        )
-    return grid_refine_minimum(spec, coarse_points=policy.get("coarse_points"),
-                               digits=digits)
+        base = compute_target(replace(get_objective(base_name),
+                                      digits_target=spec.digits_target))
+        return replace(base, name=spec.name, coords=base.coords * spec.dims)
+    return grid_refine_minimum(spec)
 
 
 class TargetStore:
@@ -219,16 +212,16 @@ class TargetStore:
     def records(self) -> list:
         return [self._records[k] for k in sorted(self._records)]
 
-    def apply(self, spec: ObjectiveSpec, digits: int) -> ObjectiveSpec:
+    def apply(self, spec: ObjectiveSpec) -> ObjectiveSpec:
         """Return the spec with its stored target filled in; raise if the
-        store has no record for it."""
-        record = self.lookup(spec.name, digits)
+        store has no record for it at ``spec.digits_target``."""
+        record = self.lookup(spec.name, spec.digits_target)
         if record is None:
             raise KeyError(
-                f"no stored target for {spec.name!r} at {digits} digits; "
+                f"no stored target for {spec.name!r} at {spec.digits_target} digits; "
                 "run the target oracle first"
             )
-        return spec.with_target(record.value_target, digits_target=digits)
+        return spec.with_target(record.value_target)
 
     def dumps(self) -> str:
         lines = ["# name,valueTarget,digits,coords...,method"]

@@ -9,6 +9,7 @@ total; everything else is seconds.
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,12 +28,6 @@ DEMO_MARKS = np.array([1.0, 2.0, 4.0, 10.0, 12.0, 17.0])[:, None]
 def _check(name, ok, detail=""):
     print(f"\n[acceptance] {name}: {'PASS' if ok else 'FAIL'}  {detail}")
     assert ok, f"{name}: {detail}"
-
-
-@pytest.fixture(scope="module")
-def ehrenfest15_spec():
-    rec = compute_target(get_objective("ehrenfest15"))
-    return get_objective("ehrenfest15").with_target(rec.value_target)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +158,7 @@ def test_probe_ledger_random_configs():
 # 5. neighborhood radius sweep on the staircase surrogate
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_radius_sweep_monotone(ehrenfest15_spec):
     radii = (2, 4, 8, 30)
     stats = {}
@@ -194,9 +190,8 @@ def test_radius_sweep_monotone(ehrenfest15_spec):
 # ---------------------------------------------------------------------------
 
 def _speedup_case(name, digits, steps_limit=2000, sample_size=100):
-    rec = compute_target(get_objective(name), digits=digits)
-    spec = get_objective(name).with_target(rec.value_target,
-                                           digits_target=digits)
+    spec = replace(get_objective(name), digits_target=digits)
+    spec = spec.with_target(compute_target(spec).value_target)
     mwr = SolverConfig(kind="MWR", seed=1, steps_limit=steps_limit,
                        marks=32, radius=30, dither=0.01)
     de = SolverConfig(kind="DEsFR", seed=1, steps_limit=steps_limit, marks=32)
@@ -205,6 +200,7 @@ def _speedup_case(name, digits, steps_limit=2000, sample_size=100):
     return summarize_experiment(plan, results)
 
 
+@pytest.mark.slow
 def test_multiwalk_vs_de_speedup_direction():
     verdicts = []
     details = []
@@ -225,6 +221,7 @@ def test_multiwalk_vs_de_speedup_direction():
 # 7. spread across the six DE strategy variants
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_de_strategy_spread(ehrenfest15_spec):
     configs = [SolverConfig(kind=f"DEoF{s}", seed=1, steps_limit=200, marks=32)
                for s in range(1, 7)]
@@ -294,7 +291,7 @@ def test_determinism_and_censoring(tmp_path):
 
 def test_oracle_cross_checks():
     start = time.perf_counter()
-    rec2 = compute_target(get_objective("trefethen2"), digits=8)
+    rec2 = compute_target(replace(get_objective("trefethen2"), digits_target=8))
     # reference value of the 2002 hundred-digit challenge minimization problem
     published = -3.3068686474752372
     tref_ok = rec2.value_target == quantize(published, 8)

@@ -128,6 +128,34 @@ def test_bench_header_names_a_solver_seed_off_base_seed(store):
     assert seeds == ["50", "51", "7", "8"]
 
 
+def test_solver_spec_without_flags_takes_config_defaults():
+    args = build_parser().parse_args(["solve", "--of", "ehrenfest4", "--solver", "DEoF3"])
+    assert _parse_solver_spec("DEoF3", args) == SolverConfig(kind="DEoF3", seed=1,
+                                                             steps_limit=200)
+
+
+def test_target_digits_flow_from_oracle_to_bench_and_solve(tmp_path):
+    out = run_cli(["oracle", "--of", "trefethen1,wild2", "--digits", "6"], cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    store = TargetStore.load(tmp_path / "targets.csv")
+    bench = run_cli(["bench", "--of", "trefethen1", "--digits", "6", "--solver", "DEsFR",
+                     "--sample-size", "2", "--workers", "1", "--out", "t6"], cwd=tmp_path)
+    assert bench.returncode == 0, bench.stderr
+    solve = run_cli(["solve", "--of", "wild2", "--digits", "6", "--solver", "MWR:radius=4",
+                     "--steps-limit", "20", "--trace-out", "walk6.txt"], cwd=tmp_path)
+    assert solve.returncode == 0, solve.stderr
+    for name, path in (("trefethen1", "t6_runs.csv"), ("wild2", "walk6.txt")):
+        header = [l for l in (tmp_path / path).read_text().splitlines() if l.startswith("#")]
+        value = store.lookup(name, 6).value_target
+        assert f"# valueTarget = {value!r} (digitsTarget = 6)" in header, header
+        assert any(l.startswith("# solver ") and l.endswith(" digitsTarget=6")
+                   for l in header), header
+    missing = run_cli(["solve", "--of", "wild2", "--digits", "7", "--solver", "MWR:radius=4"],
+                      cwd=tmp_path)
+    assert missing.returncode == 1
+    assert "at 7 digits" in missing.stderr
+
+
 def test_solver_keys_match_config_fields_and_readme():
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
     assert set(_KEY_TYPES) <= fields
@@ -151,7 +179,7 @@ def test_library_writers_match_bench_bytes(store):
                    "--solver", "DEsFR:marks=6", "--sample-size", "3",
                    "--steps-limit", "100", "--workers", "1", "--out", "cli"], cwd=store)
     assert out.returncode == 0, out.stderr
-    spec = TargetStore.load(store / "targets.csv").apply(get_objective("ehrenfest4"), 9)
+    spec = TargetStore.load(store / "targets.csv").apply(get_objective("ehrenfest4"))
     configs = [SolverConfig(kind="MWR", seed=1, steps_limit=100, marks=6, radius=4),
                SolverConfig(kind="DEsFR", seed=1, steps_limit=100, marks=6)]
     plan = ExperimentPlan(spec=spec, configs=configs, sample_size=3)
@@ -231,11 +259,16 @@ BAD_STORE = "# name,valueTarget,digits,coords...,method\nehrenfest4,abc,9,9.0,en
           "--sample-size", "2", "--steps-limit", "5", "--workers", "-3", "--out", "wneg"]),
     ({}, ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=2,marks=1000000",
           "--steps-limit", "1"]),
+    ({}, ["bench", "--of", "ehrenfest4", "--solver", "MW:radius=2,marks=6,label=",
+          "--sample-size", "2", "--steps-limit", "5", "--workers", "1", "--out", "lempty"]),
+    ({}, ["bench", "--of", "ehrenfest4", "--solver", "MW:radius=2,marks=6,label=x",
+          "--solver", "MW:radius=3,marks=6,label=x",
+          "--sample-size", "2", "--steps-limit", "5", "--workers", "1", "--out", "ldup"]),
 ], ids=["solver-value", "trace-row", "store-list", "store-solve", "store-nan",
         "oracle-digits", "trace-out-dir", "trace-agent0", "trace-value",
         "flag-value", "flag-missing", "solver-digits", "solver-rde-nan",
         "solver-jitter-inf", "seed-negative", "list-digits0", "bench-workers0",
-        "bench-workers-neg", "marks-huge"])
+        "bench-workers-neg", "marks-huge", "label-empty", "label-duplicate"])
 def test_bad_input_exits_1_without_traceback(store, files, args):
     for name, text in files.items():
         (store / name).write_text(text)

@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -37,6 +38,13 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         ExperimentPlan(spec=spec, configs=[_mwr(), _mwr(steps_limit=99)],
                        sample_size=3)
+    with pytest.raises(ValueError, match="distinct"):
+        ExperimentPlan(spec=spec, configs=[_mwr(), _mwr(seed=50)], sample_size=3)
+    with pytest.raises(ValueError, match="distinct"):
+        ExperimentPlan(spec=spec, configs=[_mwr(label="x"), _mwr(radius=2, label="x")],
+                       sample_size=3)
+    ExperimentPlan(spec=spec, configs=[_mwr(), _mwr(seed=50, label="MWR04b")],
+                   sample_size=3)
 
 
 def test_experiment_requires_target():
@@ -58,7 +66,7 @@ def test_forced_censoring_all_runs(ehrenfest15_spec):
 
 
 def test_identical_configs_identical_records(ehrenfest4_spec):
-    plan = ExperimentPlan(spec=ehrenfest4_spec, configs=[_mwr(), _mwr()],
+    plan = ExperimentPlan(spec=ehrenfest4_spec, configs=[_mwr(), _mwr(label="MWR04b")],
                           sample_size=4)
     res_a, res_b = run_experiment(plan)
     assert res_a == res_b
@@ -206,9 +214,8 @@ def test_radius_monotone_on_solvable_continuous_instance():
     # can actually solve: six-digit target, means non-increasing in radius
     # up to one pooled standard error per adjacent pair
     from multiwalk.targets import compute_target
-    rec = compute_target(get_objective("trefethen1"), digits=6)
-    spec = get_objective("trefethen1").with_target(rec.value_target,
-                                                   digits_target=6)
+    spec = replace(get_objective("trefethen1"), digits_target=6)
+    spec = spec.with_target(compute_target(spec).value_target)
     radii = (2, 4, 8, 30)
     stats = []
     for radius in radii:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,6 +168,14 @@ def test_ehrenfest_table_is_read_only():
     assert _ehrenfest_table(4) is table
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+@pytest.mark.parametrize("points", [[[np.nan]], [[3.0], [np.nan], [-np.inf], [9.0]]],
+                         ids=["lone", "among-valid"])
+def test_ehrenfest_nan_coordinate_is_a_value_error(points):
+    with pytest.raises(ValueError, match=r"ehrenfest15: a coordinate is NaN"):
+        evaluate_batch(get_objective("ehrenfest15"), points, EvalCounter())
+
+
 def test_evaluate_dimension_mismatch():
     counter = EvalCounter()
     with pytest.raises(ValueError):
@@ -218,6 +227,6 @@ def test_spec_invariants():
 def test_with_target_quantizes():
     spec = get_objective("wild1").with_target(67.46773474158633)
     assert spec.value_target == 67.4677347
-    spec6 = get_objective("wild1").with_target(67.46773474158633, digits_target=6)
+    spec6 = replace(get_objective("wild1"), digits_target=6).with_target(67.46773474158633)
     assert spec6.value_target == 67.4677
     assert spec6.digits_target == 6

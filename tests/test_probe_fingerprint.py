@@ -14,6 +14,7 @@ was taken in; a mismatch names both sides.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import scipy
@@ -52,8 +53,8 @@ def _plan():
     """Every kind at seeds 1-3 for STEPS steps on each objective, plus MWR
     and DEsFR runs whose short plateau limit forces restarts."""
     for name, digits in OBJECTIVES:
-        base = get_objective(name)
-        spec = base.with_target(compute_target(base, digits=digits).value_target, digits)
+        spec = replace(get_objective(name), digits_target=digits)
+        spec = spec.with_target(compute_target(spec).value_target)
         for kind in SOLVER_KINDS:
             radius = 4 if kind in ("MW", "MWR") else None
             for seed in SEEDS:

@@ -52,6 +52,9 @@ def test_config_validation():
         _cfg(kind="DEsF", radius=None, rde=math.nan)
     with pytest.raises(ValueError):
         _cfg(kind="DEoF3", radius=None, de_jitter=math.inf)
+    for label in ("", "a,b", "a b", "a,b\n# x", "tab\t"):
+        with pytest.raises(ValueError, match="label"):
+            _cfg(label=label)
     # radius is required for ruler kinds only
     with pytest.raises(ValueError):
         SolverConfig(kind="MW", seed=1, steps_limit=5, marks=6)

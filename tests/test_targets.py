@@ -1,12 +1,13 @@
 import math
-
 import string
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from multiwalk import targets
 from multiwalk.objectives import ObjectiveSpec, get_objective, quantize
 from multiwalk.targets import (TargetRecord, TargetStore, compute_target,
                                enumerate_integer_minimum, grid_refine_minimum)
@@ -73,7 +74,7 @@ def test_dispatch_guards():
 def test_quadratic_bowl_sanity():
     spec = ObjectiveSpec(name="bowl", dims=1, lower=[-2.0], upper=[2.0],
                          fn=lambda pts: np.sum(pts * pts, axis=-1))
-    rec = grid_refine_minimum(spec, coarse_points=101)
+    rec = grid_refine_minimum(spec)
     assert rec.value_target == 0.0
     assert rec.coords[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -90,6 +91,14 @@ def test_wild_targets_identical_across_dimensions():
     assert recs[3].coords == recs[1].coords * 3
 
 
+def test_separable_target_at_the_callers_digits():
+    base = compute_target(replace(get_objective("wild1"), digits_target=6))
+    rec = compute_target(replace(get_objective("wild2"), digits_target=6))
+    assert rec.digits == 6
+    assert rec.value_target == base.value_target == 67.4677
+    assert rec.coords == base.coords * 2
+
+
 def test_trefethen2_matches_published_challenge_value():
     rec = compute_target(get_objective("trefethen2"))
     # reference minimum of the 2002 hundred-digit challenge problem
@@ -98,10 +107,12 @@ def test_trefethen2_matches_published_challenge_value():
     assert rec.coords[1] == pytest.approx(0.21061242715, abs=1e-6)
 
 
-def test_refinement_never_worsens_the_incumbent():
-    spec = get_objective("trefethen1")
-    shallow = grid_refine_minimum(spec, coarse_points=501, refine_rounds=0, digits=12)
-    deep = grid_refine_minimum(spec, coarse_points=501, refine_rounds=40, digits=12)
+def test_refinement_never_worsens_the_incumbent(monkeypatch):
+    spec = replace(get_objective("trefethen1"), digits_target=12)
+    monkeypatch.setattr(targets, "REFINE_ROUNDS", 0)
+    shallow = grid_refine_minimum(spec)
+    monkeypatch.setattr(targets, "REFINE_ROUNDS", 40)
+    deep = grid_refine_minimum(spec)
     assert deep.value_target <= shallow.value_target
 
 
@@ -138,7 +149,7 @@ def test_uncensored_mw_coord_rounds_to_an_enumerated_minimizer():
 def test_store_roundtrip(tmp_path, ehrenfest4_target):
     store = TargetStore()
     store.add(ehrenfest4_target)
-    store.add(compute_target(get_objective("wild1"), digits=6))
+    store.add(compute_target(replace(get_objective("wild1"), digits_target=6)))
     path = tmp_path / "targets.csv"
     store.save(path)
     loaded = TargetStore.load(path)
@@ -156,10 +167,12 @@ def test_store_roundtrip(tmp_path, ehrenfest4_target):
 def test_store_apply(ehrenfest4_target):
     store = TargetStore()
     store.add(ehrenfest4_target)
-    spec = store.apply(get_objective("ehrenfest4"), digits=9)
+    spec = store.apply(get_objective("ehrenfest4"))
     assert spec.value_target == ehrenfest4_target.value_target
     with pytest.raises(KeyError):
-        store.apply(get_objective("wild1"), digits=9)
+        store.apply(get_objective("wild1"))
+    with pytest.raises(KeyError, match="at 7 digits"):
+        store.apply(replace(get_objective("ehrenfest4"), digits_target=7))
 
 
 _token = st.text(string.ascii_letters + string.digits + "+_.-", min_size=1, max_size=12)
