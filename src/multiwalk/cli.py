@@ -16,14 +16,15 @@ from dataclasses import replace
 
 from .experiments import (ExperimentPlan, run_experiment, summarize_experiment,
                           write_bargraph_csv, write_runs_csv, write_summary_csv)
-from .objectives import get_objective, objective_names
+from .objectives import ObjectiveSpec, get_objective, objective_names
 from .solvers import (SOLVER_KINDS, SolverConfig, run_solver, trace_to_text,
                       trace_wide_text)
 from .targets import TargetStore, compute_target
 
 _KEY_TYPES = {
-    **dict.fromkeys(("marks", "radius", "plateau_limit", "steps_limit", "seed"), int),
+    **dict.fromkeys(("marks", "radius", "plateau_limit", "seed"), int),
     **dict.fromkeys(("dither", "rde", "cr", "de_jitter"), float),
+    "label": str.strip,
 }
 
 
@@ -52,28 +53,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_solver_spec(text: str, args) -> SolverConfig:
-    """Parse ``KIND`` or ``KIND:key=value,...``; unset keys fall back to the
-    global flags that were given, then to ``SolverConfig``'s defaults."""
+    """Parse ``KIND`` or ``KIND:key=value,...``; ``--seed`` and
+    ``--steps-limit`` apply to every solver, a ``seed`` key overrides the
+    seed, and unset keys take ``SolverConfig``'s defaults."""
     kind, _, tail = text.partition(":")
-    fields = {"kind": kind.strip()}
-    fields.update((key, getattr(args, key)) for key in _KEY_TYPES
-                  if getattr(args, key, None) is not None)
+    fields = {"kind": kind.strip(), "seed": args.seed, "steps_limit": args.steps_limit}
     if tail:
         for item in tail.split(","):
             key, eq, value = item.partition("=")
             key = key.strip().replace("-", "_")
             if not eq:
                 raise CliError(f"bad solver option {item!r} in {text!r} (expected key=value)")
-            if key == "label":
-                fields["label"] = value.strip()
-            elif key in _KEY_TYPES:
-                try:
-                    fields[key] = _KEY_TYPES[key](value)
-                except ValueError:
-                    raise CliError(f"bad value {value!r} for solver option {key!r} "
-                                   f"in {text!r}") from None
-            else:
+            if key not in _KEY_TYPES:
                 raise CliError(f"unknown solver option {key!r} in {text!r}")
+            try:
+                fields[key] = _KEY_TYPES[key](value)
+            except ValueError:
+                raise CliError(f"bad value {value!r} for solver option {key!r} "
+                               f"in {text!r}") from None
     try:
         return SolverConfig(**fields)
     except ValueError as exc:
@@ -126,12 +123,14 @@ def _cmd_list(args) -> int:
 
 def _cmd_oracle(args) -> int:
     names = objective_names() if args.of == "all" else [n.strip() for n in args.of.split(",")]
+    specs = [_objective(name, args.digits) for name in names]
     store = _load_store(args.out)
-    for name in names:
-        record = compute_target(_objective(name, args.digits))
+    open(args.out, "a").close()  # an unwritable --out fails before the scan
+    for spec in specs:
+        record = compute_target(spec)
         store.add(record)
         coords = ",".join(repr(float(c)) for c in record.coords)
-        print(f"{name}: valueTarget = {record.value_target!r} at ({coords}) "
+        print(f"{spec.name}: valueTarget = {record.value_target!r} at ({coords}) "
               f"[{record.method}, digits = {record.digits}]")
     store.save(args.out)
     print(f"wrote {args.out}")
@@ -200,16 +199,9 @@ def _cmd_trace(args) -> int:
 
 def _add_solver_flags(sub) -> None:
     sub.add_argument("--of", required=True, help="objective name (see `list`)")
-    # per-solver settings left unset take SolverConfig's defaults
-    sub.add_argument("--marks", type=int)
-    sub.add_argument("--radius", type=int)
-    sub.add_argument("--dither", type=float)
-    sub.add_argument("--rde", type=float)
-    sub.add_argument("--cr", type=float)
-    sub.add_argument("--steps-limit", type=int, default=200, dest="steps_limit")
-    sub.add_argument("--plateau-limit", type=int, dest="plateau_limit")
+    sub.add_argument("--steps-limit", type=int, default=200)
     sub.add_argument("--seed", type=int, default=1)
-    sub.add_argument("--digits", type=_positive_int, default=9)
+    sub.add_argument("--digits", type=_positive_int, default=ObjectiveSpec.digits_target)
     sub.add_argument("--targets", default="targets.csv",
                      help="target store path (written by `oracle`)")
 
@@ -224,13 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_list = subs.add_parser("list", help="list registered objectives and target status")
     p_list.add_argument("--targets", default="targets.csv")
-    p_list.add_argument("--digits", type=_positive_int, default=9)
+    p_list.add_argument("--digits", type=_positive_int, default=ObjectiveSpec.digits_target)
     p_list.set_defaults(fn=_cmd_list)
 
     p_oracle = subs.add_parser("oracle", help="compute best-known targets by brute force")
     p_oracle.add_argument("--of", required=True,
                           help="objective name, comma list, or 'all'")
-    p_oracle.add_argument("--digits", type=_positive_int, default=9)
+    p_oracle.add_argument("--digits", type=_positive_int, default=ObjectiveSpec.digits_target)
     p_oracle.add_argument("--out", default="targets.csv")
     p_oracle.set_defaults(fn=_cmd_oracle)
 
@@ -238,14 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p_solve)
     p_solve.add_argument("--solver", required=True,
                          help=f"solver spec, e.g. 'MWR:radius=4' (kinds: {', '.join(SOLVER_KINDS)})")
-    p_solve.add_argument("--trace-out", default=None, dest="trace_out")
+    p_solve.add_argument("--trace-out", default=None)
     p_solve.set_defaults(fn=_cmd_solve)
 
     p_bench = subs.add_parser("bench", help="N-seed first-passage benchmark")
     _add_solver_flags(p_bench)
     p_bench.add_argument("--solver", action="append", required=True,
                          help="solver spec; repeat for several solvers")
-    p_bench.add_argument("--sample-size", type=int, default=100, dest="sample_size")
+    p_bench.add_argument("--sample-size", type=int, default=ExperimentPlan.sample_size)
     p_bench.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1)
     p_bench.add_argument("--out", required=True, help="output path prefix")
     p_bench.set_defaults(fn=_cmd_bench)

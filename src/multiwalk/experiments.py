@@ -14,6 +14,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,31 +57,21 @@ class ExperimentPlan:
             raise ValueError(f"solver labels in a plan must be distinct, got {', '.join(labels)}")
 
 
-def _run_task(task):
-    ci, ri, cfg, spec = task
-    return ci, ri, run_solver(cfg, spec)
-
-
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list:
     """Execute the plan; returns one list of RunRecords per config, ordered
     by run index regardless of execution order.  The pool holds at most one
-    process per task and per CPU."""
-    tasks = [
-        (ci, ri, replace(cfg, seed=cfg.seed + ri), plan.spec)
-        for ci, cfg in enumerate(plan.configs)
-        for ri in range(plan.sample_size)
-    ]
-    results: list = [[None] * plan.sample_size for _ in plan.configs]
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    process per run and per CPU; one worker runs in this process."""
+    seeded = [replace(cfg, seed=cfg.seed + ri)
+              for cfg in plan.configs for ri in range(plan.sample_size)]
+    run = partial(run_solver, spec=plan.spec)
+    workers = min(workers, len(seeded), os.cpu_count() or 1)
     if workers <= 1:
-        for task in tasks:
-            ci, ri, record = _run_task(task)
-            results[ci][ri] = record
+        records = list(map(run, seeded))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for ci, ri, record in pool.map(_run_task, tasks, chunksize=8):
-                results[ci][ri] = record
-    return results
+            records = list(pool.map(run, seeded, chunksize=8))
+    n = plan.sample_size
+    return [records[i:i + n] for i in range(0, len(records), n)]
 
 
 @dataclass(frozen=True)

@@ -250,15 +250,6 @@ def _de_step(marks, values, cfg: SolverConfig, spec: ObjectiveSpec,
                           best, spec.digits_target)
 
 
-def _check_objective(spec: ObjectiveSpec) -> float:
-    if spec.value_target is None:
-        raise ValueError(
-            f"objective {spec.name!r} has no stored target value; "
-            "compute it with the target oracle first"
-        )
-    return spec.value_target
-
-
 def _init_population(spec: ObjectiveSpec, n_marks: int, anchored: bool,
                      rng: np.random.Generator, counter: EvalCounter,
                      initial_marks=None):
@@ -285,21 +276,24 @@ def run_solver(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
     when ``record_trace`` is set.  ``initial_marks`` replaces the first
     epoch's random population; a non-finite or out-of-box mark raises
     ValueError."""
-    target = _check_objective(spec)
+    target = spec.value_target
+    if target is None:
+        raise ValueError(
+            f"objective {spec.name!r} has no stored target value; "
+            "compute it with the target oracle first"
+        )
     counter = EvalCounter()
     trace = WalkTrace(header=(*config_lines(spec, [cfg]),
                               f"solver = {cfg.solver_label}")) if record_trace else None
 
     step = mw_step if cfg.uses_ruler else _de_step
+    plateau_limit = cfg.effective_plateau_limit if cfg.restarts_enabled else math.inf
     total_steps = 0
-    restarts = -1
-    best_value = np.inf      # quantized, over all epochs
-    best_coord = None
-    passed = False
+    restarts = 0
+    best = (math.inf, None)  # quantized value and its coordinates, over all epochs
     epoch_seed = cfg.seed
 
     while True:
-        restarts += 1
         if trace is not None:
             trace.epoch_seeds.append(epoch_seed)
         rng = np.random.default_rng(epoch_seed)
@@ -312,48 +306,43 @@ def run_solver(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
         epoch_best = (math.inf, None)  # quantized value and its coordinates
         plateau = 0
 
-        while True:
+        while (epoch_best[0] != target and plateau < plateau_limit
+               and total_steps < cfg.steps_limit):
             total_steps += 1
             marks, values, epoch_best = step(marks, values, cfg, spec, rng,
                                              counter, epoch_best)
-            epoch_value = epoch_best[0]
-            if epoch_value < best_value:
-                best_value, best_coord = epoch_best
+            if epoch_best[0] < best[0]:
+                best = epoch_best
 
             if trace is not None:
-                trace.steps.append((total_steps, restarts, values.copy(), float(best_value)))
+                trace.steps.append((total_steps, restarts, values.copy(), float(best[0])))
 
-            if epoch_value == target:
-                passed = True
-                break
-            if cfg.restarts_enabled:
-                error = epoch_value - target
+            if cfg.restarts_enabled and epoch_best[0] != target:
+                error = epoch_best[0] - target
                 if error >= err_prev:
                     plateau += 1
                 else:
                     plateau = 0
                     err_prev = error
-                if plateau == cfg.effective_plateau_limit:
-                    break  # restart with a fresh seed
-            if total_steps >= cfg.steps_limit:
-                break
 
-        if passed or total_steps >= cfg.steps_limit or not cfg.restarts_enabled:
+        # only a plateau with budget left starts a new epoch
+        if plateau < plateau_limit or total_steps == cfg.steps_limit:
             break
+        restarts += 1
         epoch_seed = int(rng.integers(1, 2 ** 31))  # drawn from the run's own stream
 
     agent_id = int(np.argmin(values)) + 1
     record = RunRecord(
-        coord_best=tuple(float(x) for x in np.atleast_1d(best_coord)),
-        value_best=float(best_value),
+        coord_best=tuple(float(x) for x in np.atleast_1d(best[1])),
+        value_best=float(best[0]),
         agent_id=agent_id,
         steps=total_steps,
         probes=counter.probes,
         restarts=restarts,
-        is_censored=not passed,
+        is_censored=epoch_best[0] != target,
         seed=cfg.seed,
     )
-    if trace is not None and passed:
+    if trace is not None and not record.is_censored:
         trace.first_passage = (total_steps, agent_id)
     return (record, trace) if record_trace else record
 

@@ -116,7 +116,7 @@ def _separated_incumbents(values, points, spacing, keep: int):
     so the refinement seeds cover distinct basins."""
     chosen_v, chosen_x = [], []
     for v, x in zip(values, points):
-        if all(np.any(np.abs(x - cx) > 2.0 * spacing) for cx in chosen_x) or not chosen_x:
+        if all(np.any(np.abs(x - cx) > 2.0 * spacing) for cx in chosen_x):
             chosen_v.append(float(v))
             chosen_x.append(np.asarray(x, dtype=float))
             if len(chosen_x) == keep:

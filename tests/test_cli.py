@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import os
 import re
@@ -161,7 +162,24 @@ def test_solver_keys_match_config_fields_and_readme():
     assert set(_KEY_TYPES) <= fields
     with open(README, encoding="utf-8") as fh:
         listed = re.search(r"\(keys: (.*?)\)", fh.read(), re.S).group(1)
-    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted([*_KEY_TYPES, "label"])
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(_KEY_TYPES)
+
+
+def test_solver_flags_meet_spec_keys_only_in_seed():
+    # a setting is a flag for every solver or a spec key, not both; --seed
+    # is the base seed and a seed= key overrides it for one solver
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command in ("solve", "bench"):
+        dests = {a.dest for a in subparsers.choices[command]._actions}
+        assert dests & set(_KEY_TYPES) == {"seed"}, command
+
+
+def test_oracle_fails_on_unwritable_out_before_the_scan(tmp_path):
+    out = run_cli(["oracle", "--of", "ehrenfest4,wild1", "--out", "nodir/t.csv"], cwd=tmp_path)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ")
+    assert "valueTarget" not in out.stdout
 
 
 def test_bench_byte_identical_across_worker_counts(store):
@@ -264,11 +282,14 @@ BAD_STORE = "# name,valueTarget,digits,coords...,method\nehrenfest4,abc,9,9.0,en
     ({}, ["bench", "--of", "ehrenfest4", "--solver", "MW:radius=2,marks=6,label=x",
           "--solver", "MW:radius=3,marks=6,label=x",
           "--sample-size", "2", "--steps-limit", "5", "--workers", "1", "--out", "ldup"]),
+    ({}, ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=2,marks=6", "--marks", "8"]),
+    ({}, ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=2,marks=6,steps_limit=5"]),
 ], ids=["solver-value", "trace-row", "store-list", "store-solve", "store-nan",
         "oracle-digits", "trace-out-dir", "trace-agent0", "trace-value",
         "flag-value", "flag-missing", "solver-digits", "solver-rde-nan",
         "solver-jitter-inf", "seed-negative", "list-digits0", "bench-workers0",
-        "bench-workers-neg", "marks-huge", "label-empty", "label-duplicate"])
+        "bench-workers-neg", "marks-huge", "label-empty", "label-duplicate",
+        "flag-marks", "solver-steps-limit"])
 def test_bad_input_exits_1_without_traceback(store, files, args):
     for name, text in files.items():
         (store / name).write_text(text)
@@ -279,7 +300,7 @@ def test_bad_input_exits_1_without_traceback(store, files, args):
 
 
 _SPEC_ARGS = build_parser().parse_args(["solve", "--of", "ehrenfest4", "--solver", "MW"])
-_spec_option = st.tuples(st.sampled_from([*_KEY_TYPES, "label", "bogus"]),
+_spec_option = st.tuples(st.sampled_from([*_KEY_TYPES, "bogus"]),
                          st.one_of(st.integers(-5, 40).map(str), st.floats().map(repr),
                                    st.text(max_size=5)))
 _spec_text = st.one_of(

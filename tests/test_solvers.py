@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from multiwalk.objectives import EvalCounter, get_objective, quantize
 from multiwalk.solvers import (SolverConfig, WalkTrace, _de_trials,
-                               _greedy_commit, mw_step, parse_trace,
+                               _greedy_commit, _init_population, mw_step, parse_trace,
                                run_solver, trace_to_text, trace_wide_text)
 
 DEMO_MARKS = np.array([1.0, 2.0, 4.0, 10.0, 12.0, 17.0])[:, None]
@@ -310,6 +310,74 @@ def test_plateau_limit_one_restarts_after_first_flat_step(wild1_spec):
         # every epoch-0 step after the first error reduction can at most
         # plateau once before the restart fires
         assert len(epoch0) <= 30
+
+
+# run-loop exits: first passage, a full plateau with budget left (restart), or
+# the budget; the pinned records are those of the seeded runs
+
+def _small_mwr(**kw):
+    return SolverConfig(kind="MWR", marks=6, radius=2, dither=0.01, **kw)
+
+
+def test_plateau_on_the_last_budgeted_step_is_censored_without_restart(ehrenfest4_spec):
+    # epoch 2 of this run hits its plateau limit on step 13
+    record, trace = run_solver(_small_mwr(seed=12, steps_limit=13, plateau_limit=3),
+                               ehrenfest4_spec, record_trace=True)
+    assert (record.steps, record.probes, record.restarts, record.is_censored,
+            record.value_best, record.agent_id) == (13, 174, 2, True, -9.25142255, 2)
+    assert record.restarts == len(trace.epoch_seeds) - 1
+    assert trace.first_passage is None
+    # one step more of budget, and the plateau starts epoch 3
+    longer, longer_trace = run_solver(_small_mwr(seed=12, steps_limit=14, plateau_limit=3),
+                                      ehrenfest4_spec, record_trace=True)
+    assert (longer.steps, longer.restarts, longer.is_censored) == (14, 3, False)
+    assert longer_trace.steps[-1][:2] == (14, 3)
+    assert longer_trace.epoch_seeds[:3] == trace.epoch_seeds
+    for rec in (record, longer):
+        assert rec.probes == 6 * (1 + rec.restarts) + rec.steps * 6 * 2
+
+
+def _epoch0_plateau_counts(cfg, spec, trace):
+    """Replay the plateau rule over epoch 0 of a trace, counting the passing
+    step too; the running best of epoch 0 is that epoch's best."""
+    _marks, values = _init_population(spec, cfg.marks, cfg.uses_ruler,
+                                      np.random.default_rng(cfg.seed), EvalCounter())
+    err_prev = float(values.min()) - spec.value_target
+    plateau, counts = 0, []
+    for _step, epoch, _values, best in trace.steps:
+        if epoch:
+            break
+        error = best - spec.value_target
+        if error >= err_prev:
+            plateau += 1
+        else:
+            plateau = 0
+            err_prev = error
+        counts.append(plateau)
+    return counts
+
+
+def test_pass_on_the_step_the_plateau_would_fill_is_not_a_restart(ehrenfest4_spec):
+    cfg = _small_mwr(seed=4, steps_limit=200, plateau_limit=2)
+    record, trace = run_solver(cfg, ehrenfest4_spec, record_trace=True)
+    # the initial marks hold a raw value below the quantized target, so
+    # every step, the passing one included, counts as flat
+    assert _epoch0_plateau_counts(cfg, ehrenfest4_spec, trace) == [1, 2]
+    assert (record.steps, record.probes, record.restarts, record.is_censored,
+            record.agent_id) == (2, 30, 0, False, 2)
+    assert record.value_best == ehrenfest4_spec.value_target
+    assert trace.first_passage == (2, 2)
+    assert trace.epoch_seeds == [4]
+
+
+def test_non_restart_kind_out_of_budget_has_no_restarts(ehrenfest4_spec):
+    cfg = SolverConfig(kind="DEoF2", seed=2, steps_limit=3, marks=6)
+    record, trace = run_solver(cfg, ehrenfest4_spec, record_trace=True)
+    assert (record.steps, record.probes, record.restarts, record.is_censored,
+            record.value_best, record.agent_id) == (3, 24, 0, True, -9.25142255, 6)
+    assert record.probes == cfg.marks * (1 + record.restarts) + record.steps * cfg.marks
+    assert trace.epoch_seeds == [2]
+    assert trace.first_passage is None
 
 
 # ---------------------------------------------------------------------------
