@@ -17,13 +17,13 @@ from dataclasses import replace
 from .experiments import (ExperimentPlan, run_experiment, summarize_experiment,
                           write_bargraph_csv, write_runs_csv, write_summary_csv)
 from .objectives import ObjectiveSpec, get_objective, objective_names
-from .solvers import (SOLVER_KINDS, SolverConfig, run_solver, trace_to_text,
-                      trace_wide_text)
+from .solvers import (KIND_SETTINGS, SOLVER_KINDS, SolverConfig, run_solver,
+                      trace_to_text, trace_wide_text)
 from .targets import TargetStore, compute_target
 
 _KEY_TYPES = {
     **dict.fromkeys(("marks", "radius", "plateau_limit", "seed"), int),
-    **dict.fromkeys(("dither", "rde", "cr", "de_jitter"), float),
+    **dict.fromkeys(("dither", "rde", "cr"), float),
     "label": str.strip,
 }
 
@@ -53,11 +53,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_solver_spec(text: str, args) -> SolverConfig:
-    """Parse ``KIND`` or ``KIND:key=value,...``; ``--seed`` and
-    ``--steps-limit`` apply to every solver, a ``seed`` key overrides the
-    seed, and unset keys take ``SolverConfig``'s defaults."""
+    """Parse ``KIND`` or ``KIND:key=value,...`` with the keys the kind reads;
+    ``--seed`` and ``--steps-limit`` apply to every solver, a ``seed`` key
+    overrides the seed, and unset keys take ``SolverConfig``'s defaults."""
     kind, _, tail = text.partition(":")
     fields = {"kind": kind.strip(), "seed": args.seed, "steps_limit": args.steps_limit}
+    # every kind reads these three; an unknown kind is left for SolverConfig
+    readable = ("marks", "seed", "label", *KIND_SETTINGS.get(fields["kind"], _KEY_TYPES))
     if tail:
         for item in tail.split(","):
             key, eq, value = item.partition("=")
@@ -66,6 +68,9 @@ def _parse_solver_spec(text: str, args) -> SolverConfig:
                 raise CliError(f"bad solver option {item!r} in {text!r} (expected key=value)")
             if key not in _KEY_TYPES:
                 raise CliError(f"unknown solver option {key!r} in {text!r}")
+            if key not in readable:
+                raise CliError(f"{fields['kind']} does not read solver option {key!r} "
+                               f"in {text!r} (it reads {', '.join(readable)})")
             try:
                 fields[key] = _KEY_TYPES[key](value)
             except ValueError:
@@ -141,8 +146,9 @@ def _cmd_solve(args) -> int:
     spec = _load_objective(args)
     cfg = _parse_solver_spec(args.solver, args)
     if args.trace_out:
-        record, trace = run_solver(cfg, spec, record_trace=True)
+        # opened first, so an unwritable path fails before the run
         with open(args.trace_out, "w", encoding="utf-8", newline="\n") as fh:
+            record, trace = run_solver(cfg, spec, record_trace=True)
             fh.write(trace_to_text(trace))
     else:
         record = run_solver(cfg, spec)
@@ -167,11 +173,15 @@ def _cmd_bench(args) -> int:
                               sample_size=args.sample_size)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    runs_csv, summary_csv, bars_csv = outputs = [
+        f"{args.out}_{part}.csv" for part in ("runs", "summary", "bars")]
+    for path in outputs:
+        open(path, "a").close()  # an unwritable --out fails before the run
     results = run_experiment(plan, workers=args.workers)
     summaries = summarize_experiment(plan, results)
-    write_runs_csv(f"{args.out}_runs.csv", plan, results, base_seed=args.seed)
-    write_summary_csv(f"{args.out}_summary.csv", plan, summaries, base_seed=args.seed)
-    write_bargraph_csv(f"{args.out}_bars.csv", plan, summaries, base_seed=args.seed)
+    write_runs_csv(runs_csv, plan, results, base_seed=args.seed)
+    write_summary_csv(summary_csv, plan, summaries, base_seed=args.seed)
+    write_bargraph_csv(bars_csv, plan, summaries, base_seed=args.seed)
     status = 0
     for s in summaries:
         flag = " (all runs censored!)" if s.censored == s.n else ""
@@ -179,7 +189,7 @@ def _cmd_bench(args) -> int:
             status = 2
         mean = "n/a" if s.mean_steps_unc is None else f"{s.mean_steps_unc:.2f}"
         print(f"{s.label}: n={s.n} censored={s.censored} mean_steps_unc={mean}{flag}")
-    print(f"wrote {args.out}_runs.csv, {args.out}_summary.csv, {args.out}_bars.csv")
+    print(f"wrote {', '.join(outputs)}")
     return status
 
 
@@ -254,10 +264,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # unreadable input or unwritable output path
+    except (CliError, OSError) as exc:  # OSError: an unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

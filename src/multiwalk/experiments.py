@@ -138,8 +138,6 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return repr(float(x))
 
 

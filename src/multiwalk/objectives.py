@@ -120,11 +120,6 @@ class EvalCounter:
     def __init__(self) -> None:
         self.probes = 0
 
-    def add(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("probe increments must be non-negative")
-        self.probes += n
-
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
@@ -172,7 +167,7 @@ def evaluate_batch(spec: ObjectiveSpec, points: np.ndarray, counter: EvalCounter
     if points.ndim != 2 or points.shape[1] != spec.dims:
         raise ValueError(f"{spec.name}: expected (B, {spec.dims}) points, got shape {points.shape}")
     values = np.asarray(spec.fn(points), dtype=float)
-    counter.add(points.shape[0])
+    counter.probes += points.shape[0]
     return values
 
 
@@ -213,6 +208,9 @@ def trefethen(points: np.ndarray, dims: int) -> np.ndarray:
 def _ehrenfest_table(n: int) -> np.ndarray:
     """Read-only values of all ``2**n + 1`` states, indexed by state - 1."""
     big_n = 2 ** n
+    if big_n + 1 > MAX_ENUMERATION_STATES:
+        raise ValueError(f"ehrenfest{n} has 2**{n} + 1 states, beyond the enumeration "
+                         f"limit of {MAX_ENUMERATION_STATES}")
     # allocated before its temporaries, so the kept table does not pin the
     # top of the heap (about 1 MB of peak RSS in a full oracle run)
     table = np.empty(big_n + 1)
@@ -234,9 +232,6 @@ def ehrenfest(points: np.ndarray, n: int) -> np.ndarray:
     come from a per-``n`` table of every state, so ``2**n + 1`` may not
     exceed ``MAX_ENUMERATION_STATES``.
     """
-    if 2 ** n + 1 > MAX_ENUMERATION_STATES:
-        raise ValueError(f"ehrenfest{n} has 2**{n} + 1 states, beyond the enumeration "
-                         f"limit of {MAX_ENUMERATION_STATES}")
     table = _ehrenfest_table(n)
     points = np.asarray(points, dtype=float)
     k = np.empty(points.shape[:-1])

@@ -31,6 +31,7 @@ from .ruler import MAX_MARKS, MIN_MARKS, neighborhood_eval
 
 __all__ = [
     "SOLVER_KINDS",
+    "KIND_SETTINGS",
     "SolverConfig",
     "RunRecord",
     "WalkTrace",
@@ -42,27 +43,32 @@ __all__ = [
     "trace_wide_text",
 ]
 
-SOLVER_KINDS = ("MW", "MWR", "DEsF", "DEsFR",
-                "DEoF1", "DEoF2", "DEoF3", "DEoF4", "DEoF5", "DEoF6")
+# the settings each kind reads besides marks, seed and label, in `# solver`
+# header order; the kinds with a radius walk the ruler, those with a plateau
+# limit restart
+KIND_SETTINGS = {
+    "MW": ("radius", "dither"), "MWR": ("radius", "dither", "plateau_limit"),
+    "DEsF": ("rde",), "DEsFR": ("rde", "plateau_limit"),
+    **{f"DEoF{strategy}": ("rde", "cr") for strategy in range(1, 7)}}
+SOLVER_KINDS = tuple(KIND_SETTINGS)
 
-_RESTART_KINDS = ("MWR", "DEsFR")
-_RULER_KINDS = ("MW", "MWR")
+_DE_JITTER = 1e-4  # DEoF3's per-component scale jitter
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Full parameterization of one solver run; the objective, its target
-    and the digits it is quantized to come from the ``ObjectiveSpec``."""
+    """One solver run's settings (a kind ignores those ``KIND_SETTINGS``
+    does not list for it); the objective, its target and the digits it is
+    quantized to come from the ``ObjectiveSpec``."""
 
     kind: str
     seed: int
     steps_limit: int
     marks: int = 32
-    radius: Optional[int] = None          # MW / MWR only
-    dither: float = 0.01                  # MW / MWR neighborhood noise
+    radius: Optional[int] = None          # required by the ruler kinds
+    dither: float = 0.01                  # ruler neighborhood noise
     rde: float = 1.0                      # DE mutation scale
     cr: float = 0.9                       # DE strategy crossover rate
-    de_jitter: float = 1e-4               # per-component scale jitter, DEoF3
     plateau_limit: Optional[int] = None   # restart kinds; defaults to marks
     label: Optional[str] = None
 
@@ -75,7 +81,7 @@ class SolverConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.steps_limit < 1:
             raise ValueError("steps_limit must be >= 1")
-        if self.kind in _RULER_KINDS:
+        if self.uses_ruler:
             if self.radius is None:
                 raise ValueError(f"{self.kind} requires a neighborhood radius")
             if not 1 <= self.radius <= self.marks - 2:
@@ -83,8 +89,8 @@ class SolverConfig:
                     f"radius must be in [1, {self.marks - 2}] for {self.marks} marks, "
                     f"got {self.radius}"
                 )
-        if not (math.isfinite(self.rde) and math.isfinite(self.de_jitter)):
-            raise ValueError("rde and de_jitter must be finite")
+        if not math.isfinite(self.rde):
+            raise ValueError("rde must be finite")
         if not 0.0 <= self.dither <= 1.0:
             raise ValueError("dither must be in [0, 1]")
         if not 0.0 <= self.cr <= 1.0:
@@ -98,15 +104,11 @@ class SolverConfig:
 
     @property
     def uses_ruler(self) -> bool:
-        return self.kind in _RULER_KINDS
+        return "radius" in KIND_SETTINGS[self.kind]
 
     @property
     def restarts_enabled(self) -> bool:
-        return self.kind in _RESTART_KINDS
-
-    @property
-    def de_strategy(self) -> Optional[int]:
-        return int(self.kind[-1]) if self.kind.startswith("DEoF") else None
+        return "plateau_limit" in KIND_SETTINGS[self.kind]
 
     @property
     def effective_plateau_limit(self) -> int:
@@ -116,7 +118,7 @@ class SolverConfig:
     def solver_label(self) -> str:
         if self.label is not None:
             return self.label
-        if self.kind in _RULER_KINDS:
+        if self.uses_ruler:
             return f"{self.kind}{self.radius:02d}"
         if self.kind in ("DEsF", "DEsFR"):
             return f"{self.kind}1"
@@ -207,7 +209,7 @@ def _de_trials(marks: np.ndarray, values: np.ndarray, cfg: SolverConfig,
     scale, donor index block, per-vector extras, crossover positions,
     crossover mask, confinement redraws."""
     m, p = marks.shape
-    strategy = cfg.de_strategy
+    strategy = int(cfg.kind[-1]) if cfg.kind.startswith("DEoF") else None
     rde = cfg.rde
     step_scale = rng.uniform(0.5, 1.0) if strategy == 5 else None
     idx = _distinct_triples(rng, m)
@@ -219,20 +221,18 @@ def _de_trials(marks: np.ndarray, values: np.ndarray, cfg: SolverConfig,
     elif strategy == 2:
         donors = marks + rde * (best - marks) + rde * (marks[a] - marks[b])
     elif strategy == 3:
-        scale = rde + cfg.de_jitter * (rng.uniform(size=(m, p)) - 0.5)
+        scale = rde + _DE_JITTER * (rng.uniform(size=(m, p)) - 0.5)
         donors = best + scale * (marks[a] - marks[b])
     elif strategy == 4:
         scale = rng.uniform(0.5, 1.0, size=m)[:, None]
         donors = marks[a] + scale * (marks[b] - marks[c])
     elif strategy == 5:
         donors = marks[a] + step_scale * (marks[b] - marks[c])
-    elif strategy == 6:
+    else:  # strategy 6
         coins = rng.uniform(size=m) < 0.5
         mutants = marks[a] + rde * (marks[b] - marks[c])
         recombined = marks + 0.5 * (rde + 1.0) * (marks[a] + marks[b] - 2.0 * marks)
         donors = np.where(coins[:, None], mutants, recombined)
-    else:  # pragma: no cover - kinds are validated at configuration
-        raise ValueError(f"unknown strategy {strategy}")
 
     if strategy is not None:
         forced = rng.integers(0, p, size=m)
@@ -349,8 +349,9 @@ def run_solver(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
 
 def config_lines(spec: ObjectiveSpec, configs, base_seed=None) -> list:
     """The configuration a header replays: the objective with its bounds,
-    its target, and one ``solver`` line per config (ending in ``seed=N``
-    when that seed differs from ``base_seed``)."""
+    its target, and one ``solver`` line per config with the settings its
+    kind reads (ending in ``seed=N`` when that seed differs from
+    ``base_seed``)."""
     lines = [
         f"objective = {spec.name} (p = {spec.dims}, bounds = "
         f"[{', '.join(repr(float(v)) for v in spec.lower)}] .. "
@@ -358,15 +359,10 @@ def config_lines(spec: ObjectiveSpec, configs, base_seed=None) -> list:
         f"valueTarget = {spec.value_target!r} (digitsTarget = {spec.digits_target})",
     ]
     for cfg in configs:
-        parts = [f"kind={cfg.kind}", f"marks={cfg.marks}"]
-        if cfg.uses_ruler:
-            parts.append(f"radius={cfg.radius}")
-            parts.append(f"dither={cfg.dither!r}")
-        else:
-            parts.append(f"rde={cfg.rde!r}")
-            if cfg.de_strategy is not None:
-                parts.append(f"cr={cfg.cr!r}")
-        parts.append(f"stepsLimit={cfg.steps_limit}")
+        parts = [f"kind={cfg.kind}", f"marks={cfg.marks}",
+                 *(f"{key}={getattr(cfg, key)!r}" for key in KIND_SETTINGS[cfg.kind]
+                   if key != "plateau_limit"),
+                 f"stepsLimit={cfg.steps_limit}"]
         if cfg.restarts_enabled:
             parts.append(f"plateauLimit={cfg.effective_plateau_limit}")
         parts.append(f"digitsTarget={spec.digits_target}")

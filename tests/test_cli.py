@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from multiwalk import cli
 from multiwalk.cli import _KEY_TYPES, CliError, _parse_solver_spec, build_parser
 from multiwalk.experiments import (ExperimentPlan, run_experiment, summarize_experiment,
                                    write_bargraph_csv, write_runs_csv, write_summary_csv)
 from multiwalk.objectives import get_objective
-from multiwalk.solvers import SOLVER_KINDS, SolverConfig
+from multiwalk.solvers import KIND_SETTINGS, SOLVER_KINDS, SolverConfig
 from multiwalk.targets import TargetStore
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -161,8 +162,17 @@ def test_solver_keys_match_config_fields_and_readme():
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
     assert set(_KEY_TYPES) <= fields
     with open(README, encoding="utf-8") as fh:
-        listed = re.search(r"\(keys: (.*?)\)", fh.read(), re.S).group(1)
-    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(_KEY_TYPES)
+        readme = fh.read()
+    general = re.search(r"\(general keys: (.*?)\)", readme, re.S).group(1)
+    kind_keys = {key for keys in KIND_SETTINGS.values() for key in keys}
+    assert sorted(re.findall(r"`(\w+)`", general)) == sorted(set(_KEY_TYPES) - kind_keys)
+    table = re.search(r"^\| kind \|.*?(?=\n\n)", readme, re.S | re.M).group(0)
+    listed = {}
+    for row in table.splitlines()[2:]:
+        kinds, keys = row.strip("|").split("|")
+        listed.update(dict.fromkeys(re.findall(r"`(\w+)`", kinds),
+                                    tuple(re.findall(r"`(\w+)`", keys))))
+    assert listed == KIND_SETTINGS
 
 
 def test_solver_flags_meet_spec_keys_only_in_seed():
@@ -173,6 +183,20 @@ def test_solver_flags_meet_spec_keys_only_in_seed():
     for command in ("solve", "bench"):
         dests = {a.dest for a in subparsers.choices[command]._actions}
         assert dests & set(_KEY_TYPES) == {"seed"}, command
+
+
+def test_bench_and_solve_fail_on_unwritable_outputs_before_the_run(store, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before checking its outputs")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    monkeypatch.setattr(cli, "run_solver", never)
+    common = ["--of", "ehrenfest4", "--solver", "MW:radius=2,marks=6", "--steps-limit", "5",
+              "--targets", str(store / "targets.csv")]
+    missing = store / "nodir"
+    assert cli.main(["bench", *common, "--sample-size", "2", "--workers", "1",
+                     "--out", str(missing / "x")]) == 1
+    assert cli.main(["solve", *common, "--trace-out", str(missing / "w.txt")]) == 1
 
 
 def test_oracle_fails_on_unwritable_out_before_the_scan(tmp_path):
@@ -284,12 +308,21 @@ BAD_STORE = "# name,valueTarget,digits,coords...,method\nehrenfest4,abc,9,9.0,en
           "--sample-size", "2", "--steps-limit", "5", "--workers", "1", "--out", "ldup"]),
     ({}, ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=2,marks=6", "--marks", "8"]),
     ({}, ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=2,marks=6,steps_limit=5"]),
+    ({}, ["solve", "--of", "ehrenfest4", "--solver", "DEsF:radius=3,marks=6",
+          "--steps-limit", "5"]),
+    ({}, ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=2,marks=6,rde=0.5",
+          "--steps-limit", "5"]),
+    ({}, ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=2,marks=6,plateau_limit=3",
+          "--steps-limit", "5"]),
+    ({}, ["solve", "--of", "ehrenfest4", "--solver", "DEsFR:marks=6,cr=0.5",
+          "--steps-limit", "5"]),
 ], ids=["solver-value", "trace-row", "store-list", "store-solve", "store-nan",
         "oracle-digits", "trace-out-dir", "trace-agent0", "trace-value",
         "flag-value", "flag-missing", "solver-digits", "solver-rde-nan",
         "solver-jitter-inf", "seed-negative", "list-digits0", "bench-workers0",
         "bench-workers-neg", "marks-huge", "label-empty", "label-duplicate",
-        "flag-marks", "solver-steps-limit"])
+        "flag-marks", "solver-steps-limit", "desf-radius", "mw-rde", "mw-plateau-limit",
+        "desfr-cr"])
 def test_bad_input_exits_1_without_traceback(store, files, args):
     for name, text in files.items():
         (store / name).write_text(text)
@@ -318,3 +351,33 @@ def test_solver_spec_parser_on_arbitrary_text(text):
     except CliError:
         return
     assert isinstance(cfg, SolverConfig)
+
+
+_KEY_VALUES = {"marks": "6", "seed": "3", "label": "x", "radius": "2", "dither": "0.5",
+               "rde": "0.5", "cr": "0.5", "plateau_limit": "3", "de_jitter": "0.0"}
+# 50 of the 90 (kind, key) pairs: marks, seed and label, plus what each kind reads
+_ACCEPTED = {
+    "MW": "marks seed label radius dither",
+    "MWR": "marks seed label radius dither plateau_limit",
+    "DEsF": "marks seed label rde",
+    "DEsFR": "marks seed label rde plateau_limit",
+    **dict.fromkeys((f"DEoF{s}" for s in range(1, 7)), "marks seed label rde cr"),
+}
+
+
+@pytest.mark.parametrize("kind", SOLVER_KINDS)
+@pytest.mark.parametrize("key", _KEY_VALUES)
+def test_solver_spec_takes_only_the_keys_its_kind_reads(kind, key):
+    value = _KEY_VALUES[key]
+    options = [f"{key}={value}"]
+    if kind in ("MW", "MWR") and key != "radius":
+        options.append("radius=2")
+    if key != "marks":
+        options.append("marks=6")
+    text = f"{kind}:{','.join(options)}"
+    if key in _ACCEPTED[kind].split():
+        cfg = _parse_solver_spec(text, _SPEC_ARGS)
+        assert getattr(cfg, key) == _KEY_TYPES[key](value)
+    else:
+        with pytest.raises(CliError):
+            _parse_solver_spec(text, _SPEC_ARGS)

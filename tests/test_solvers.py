@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from multiwalk import solvers
 from multiwalk.objectives import EvalCounter, get_objective, quantize
-from multiwalk.solvers import (SolverConfig, WalkTrace, _de_trials,
+from multiwalk.solvers import (SOLVER_KINDS, SolverConfig, WalkTrace, _de_trials,
+                               config_lines,
                                _greedy_commit, _init_population, mw_step, parse_trace,
                                run_solver, trace_to_text, trace_wide_text)
 
@@ -50,8 +52,6 @@ def test_config_validation():
         _cfg(dither=1.5)
     with pytest.raises(ValueError):
         _cfg(kind="DEsF", radius=None, rde=math.nan)
-    with pytest.raises(ValueError):
-        _cfg(kind="DEoF3", radius=None, de_jitter=math.inf)
     for label in ("", "a,b", "a b", "a,b\n# x", "tab\t"):
         with pytest.raises(ValueError, match="label"):
             _cfg(label=label)
@@ -59,6 +59,42 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(kind="MW", seed=1, steps_limit=5, marks=6)
     SolverConfig(kind="DEsF", seed=1, steps_limit=5, marks=6)
+
+
+HEADER_AT_DEFAULTS = [
+    "objective = ehrenfest4 (p = 1, bounds = [1.0] .. [17.0])",
+    "valueTarget = -8.5 (digitsTarget = 9)",
+    "solver MW04: kind=MW marks=32 radius=4 dither=0.01 stepsLimit=200 digitsTarget=9",
+    "solver MWR04: kind=MWR marks=32 radius=4 dither=0.01 stepsLimit=200 plateauLimit=32 "
+    "digitsTarget=9",
+    "solver DEsF1: kind=DEsF marks=32 rde=1.0 stepsLimit=200 digitsTarget=9",
+    "solver DEsFR1: kind=DEsFR marks=32 rde=1.0 stepsLimit=200 plateauLimit=32 digitsTarget=9",
+    *(f"solver DEoF{s}: kind=DEoF{s} marks=32 rde=1.0 cr=0.9 stepsLimit=200 digitsTarget=9"
+      for s in range(1, 7)),
+]
+HEADER_AT_OTHER_SETTINGS = [
+    "objective = ehrenfest4 (p = 1, bounds = [1.0] .. [17.0])",
+    "valueTarget = -8.5 (digitsTarget = 9)",
+    "solver MW03: kind=MW marks=8 radius=3 dither=0.25 stepsLimit=50 digitsTarget=9 seed=2",
+    "solver MWR03: kind=MWR marks=8 radius=3 dither=0.25 stepsLimit=50 plateauLimit=5 "
+    "digitsTarget=9 seed=2",
+    "solver DEsF1: kind=DEsF marks=8 rde=0.75 stepsLimit=50 digitsTarget=9 seed=2",
+    "solver DEsFR1: kind=DEsFR marks=8 rde=0.75 stepsLimit=50 plateauLimit=5 digitsTarget=9 "
+    "seed=2",
+    *(f"solver DEoF{s}: kind=DEoF{s} marks=8 rde=0.75 cr=0.5 stepsLimit=50 digitsTarget=9 "
+      "seed=2" for s in range(1, 7)),
+]
+
+
+def test_config_lines_replay_only_the_settings_each_kind_reads():
+    # every kind gets every setting; its header shows only those it reads
+    spec = get_objective("ehrenfest4").with_target(-8.5)
+    defaults = [SolverConfig(kind=k, seed=1, steps_limit=200,
+                             radius=4 if k in ("MW", "MWR") else None) for k in SOLVER_KINDS]
+    others = [SolverConfig(kind=k, seed=2, steps_limit=50, marks=8, radius=3, dither=0.25,
+                           rde=0.75, cr=0.5, plateau_limit=5) for k in SOLVER_KINDS]
+    assert config_lines(spec, defaults, base_seed=1) == HEADER_AT_DEFAULTS
+    assert config_lines(spec, others, base_seed=1) == HEADER_AT_OTHER_SETTINGS
 
 
 def test_solver_labels():
@@ -451,16 +487,17 @@ def test_strategy2_with_zero_scale_keeps_population():
     assert np.allclose(trials, marks)
 
 
-def test_strategy3_zero_jitter_zero_scale_is_best_with_full_crossover():
+def test_strategy3_zero_jitter_zero_scale_is_best_with_full_crossover(monkeypatch):
     # rde = 0 and jitter = 0 reduce the donor to the best member exactly;
     # cr = 1 with the guaranteed component makes the trial equal the donor
+    monkeypatch.setattr(solvers, "_DE_JITTER", 0.0)
     spec = get_objective("wild2")
     marks = spec.lower + np.random.default_rng(4).uniform(size=(8, 2)) * \
         (spec.upper - spec.lower)
     values = np.asarray(spec.fn(marks))
     best = marks[int(np.argmin(values))]
     cfg = SolverConfig(kind="DEoF3", seed=1, steps_limit=5,
-                       marks=8, rde=0.0, de_jitter=0.0, cr=1.0)
+                       marks=8, rde=0.0, cr=1.0)
     trials = _de_trials(marks, values, cfg, spec, np.random.default_rng(6))
     assert np.all(trials == best)
 
