@@ -22,7 +22,7 @@ from .solvers import (KIND_SETTINGS, SOLVER_KINDS, SolverConfig, run_solver,
 from .targets import TargetStore, compute_target
 
 _KEY_TYPES = {
-    **dict.fromkeys(("marks", "radius", "plateau_limit", "seed"), int),
+    **dict.fromkeys(("marks", "radius", "plateau_limit"), int),
     **dict.fromkeys(("dither", "rde", "cr"), float),
     "label": str.strip,
 }
@@ -53,13 +53,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_solver_spec(text: str, args) -> SolverConfig:
-    """Parse ``KIND`` or ``KIND:key=value,...`` with the keys the kind reads;
-    ``--seed`` and ``--steps-limit`` apply to every solver, a ``seed`` key
-    overrides the seed, and unset keys take ``SolverConfig``'s defaults."""
+    """Parse ``KIND`` or ``KIND:key=value,...`` with the keys the kind reads,
+    each at most once; ``--seed`` and ``--steps-limit`` apply to every solver
+    and are no spec keys, and unset keys take ``SolverConfig``'s defaults."""
     kind, _, tail = text.partition(":")
     fields = {"kind": kind.strip(), "seed": args.seed, "steps_limit": args.steps_limit}
-    # every kind reads these three; an unknown kind is left for SolverConfig
-    readable = ("marks", "seed", "label", *KIND_SETTINGS.get(fields["kind"], _KEY_TYPES))
+    # every kind reads these two; an unknown kind is left for SolverConfig
+    readable = ("marks", "label", *KIND_SETTINGS.get(fields["kind"], _KEY_TYPES))
     if tail:
         for item in tail.split(","):
             key, eq, value = item.partition("=")
@@ -68,6 +68,8 @@ def _parse_solver_spec(text: str, args) -> SolverConfig:
                 raise CliError(f"bad solver option {item!r} in {text!r} (expected key=value)")
             if key not in _KEY_TYPES:
                 raise CliError(f"unknown solver option {key!r} in {text!r}")
+            if key in fields:
+                raise CliError(f"repeated solver option {key!r} in {text!r}")
             if key not in readable:
                 raise CliError(f"{fields['kind']} does not read solver option {key!r} "
                                f"in {text!r} (it reads {', '.join(readable)})")
@@ -179,9 +181,9 @@ def _cmd_bench(args) -> int:
         open(path, "a").close()  # an unwritable --out fails before the run
     results = run_experiment(plan, workers=args.workers)
     summaries = summarize_experiment(plan, results)
-    write_runs_csv(runs_csv, plan, results, base_seed=args.seed)
-    write_summary_csv(summary_csv, plan, summaries, base_seed=args.seed)
-    write_bargraph_csv(bars_csv, plan, summaries, base_seed=args.seed)
+    write_runs_csv(runs_csv, plan, results)
+    write_summary_csv(summary_csv, plan, summaries)
+    write_bargraph_csv(bars_csv, plan, summaries)
     status = 0
     for s in summaries:
         flag = " (all runs censored!)" if s.censored == s.n else ""

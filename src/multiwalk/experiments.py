@@ -1,10 +1,11 @@
 """Uncensored first-passage-time experiments over many random seeds.
 
 A plan runs each configured solver ``sample_size`` times with seeds
-``base_seed + run_index``, keeps censoring bookkeeping exact, and reduces the
-outcome to mean/standard-error summaries.  The headline comparison statistic
-is the mean number of steps over *uncensored* runs only; the inclusive mean
-(censored runs entering at the step limit) is always reported next to it.
+``seed + run_index`` from the one seed its configs share, keeps censoring
+bookkeeping exact, and reduces the outcome to mean/standard-error summaries.
+The headline comparison statistic is the mean number of steps over
+*uncensored* runs only; the inclusive mean (censored runs entering at the
+step limit) is always reported next to it.
 A comparison is reliable only if at least one side has zero censored runs.
 """
 
@@ -36,8 +37,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """N-seed batch for one objective: run r of each solver uses
-    ``config.seed + r``."""
+    """N-seed batch for one objective: the configs share one seed and one
+    step budget, and run r of each solver uses ``seed + r``."""
 
     spec: ObjectiveSpec
     configs: tuple
@@ -49,9 +50,8 @@ class ExperimentPlan:
             raise ValueError("sample_size must be >= 1")
         if not self.configs:
             raise ValueError("a plan needs at least one solver config")
-        limits = {cfg.steps_limit for cfg in self.configs}
-        if len(limits) != 1:
-            raise ValueError("all configs in a plan must share steps_limit")
+        if len({(cfg.steps_limit, cfg.seed) for cfg in self.configs}) != 1:
+            raise ValueError("all configs in a plan must share steps_limit and seed")
         labels = [cfg.solver_label for cfg in self.configs]
         if len(set(labels)) != len(labels):
             raise ValueError(f"solver labels in a plan must be distinct, got {', '.join(labels)}")
@@ -141,21 +141,18 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write(path, plan: ExperimentPlan, base_seed, columns: str, rows) -> None:
+def _write(path, plan: ExperimentPlan, columns: str, rows) -> None:
     """Write the plan's ``#`` header, the column line, then one line per row
-    of fields; ``base_seed`` is the seed the configs were built from, when
-    there is one."""
-    header = [*config_lines(plan.spec, plan.configs, base_seed),
-              f"sampleSize = {plan.sample_size}"]
-    if base_seed is not None:
-        header.append(f"baseSeed = {base_seed}")
+    of fields."""
+    header = [*config_lines(plan.spec, plan.configs),
+              f"sampleSize = {plan.sample_size}", f"baseSeed = {plan.configs[0].seed}"]
     lines = [f"# {line}" for line in header] + [columns] + [",".join(r) for r in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_runs_csv(path, plan: ExperimentPlan, results, base_seed=None) -> None:
-    _write(path, plan, base_seed,
+def write_runs_csv(path, plan: ExperimentPlan, results) -> None:
+    _write(path, plan,
            "objective,solver,seed,steps,probes,restarts,censored,valueBest,agentId",
            ([plan.spec.name, cfg.solver_label, str(r.seed), str(r.steps),
              str(r.probes), str(r.restarts), _fmt(r.is_censored),
@@ -163,8 +160,8 @@ def write_runs_csv(path, plan: ExperimentPlan, results, base_seed=None) -> None:
             for cfg, records in zip(plan.configs, results) for r in records))
 
 
-def write_summary_csv(path, plan: ExperimentPlan, summaries, base_seed=None) -> None:
-    _write(path, plan, base_seed,
+def write_summary_csv(path, plan: ExperimentPlan, summaries) -> None:
+    _write(path, plan,
            "objective,solver,n,censored,mean_steps_unc,stderr_steps_unc,"
            "mean_steps_incl,stderr_steps_incl,mean_probes,mean_restarts",
            ([plan.spec.name, s.label, str(s.n), str(s.censored),
@@ -173,9 +170,9 @@ def write_summary_csv(path, plan: ExperimentPlan, summaries, base_seed=None) -> 
              _fmt(s.mean_probes), _fmt(s.mean_restarts)] for s in summaries))
 
 
-def write_bargraph_csv(path, plan: ExperimentPlan, summaries, base_seed=None) -> None:
+def write_bargraph_csv(path, plan: ExperimentPlan, summaries) -> None:
     """Bargraph rows in plan order; bars use the inclusive mean so censored
     runs enter at the step limit."""
-    _write(path, plan, base_seed, "solver,mean,stderr,censored",
+    _write(path, plan, "solver,mean,stderr,censored",
            ([s.label, _fmt(s.mean_steps_incl), _fmt(s.stderr_steps_incl), str(s.censored)]
             for s in summaries))

@@ -239,11 +239,10 @@ def ehrenfest(points: np.ndarray, n: int) -> np.ndarray:
     k -= 1.0
     np.maximum(k, 0.0, out=k)
     np.minimum(k, len(table) - 1.0, out=k)
-    try:
-        return table[k.astype(np.int64)]
-    except IndexError:
-        # the clamps pass only NaN through, and it casts to INT64_MIN on x86
-        raise ValueError(f"ehrenfest{n}: a coordinate is NaN") from None
+    # the clamps pass only NaN through, and max propagates it
+    if k.size and not k.max() <= len(table) - 1.0:
+        raise ValueError(f"ehrenfest{n}: a coordinate is NaN")
+    return table[k.astype(np.int64)]
 
 
 # ---------------------------------------------------------------------------

@@ -347,11 +347,10 @@ def run_solver(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
     return (record, trace) if record_trace else record
 
 
-def config_lines(spec: ObjectiveSpec, configs, base_seed=None) -> list:
+def config_lines(spec: ObjectiveSpec, configs) -> list:
     """The configuration a header replays: the objective with its bounds,
     its target, and one ``solver`` line per config with the settings its
-    kind reads (ending in ``seed=N`` when that seed differs from
-    ``base_seed``)."""
+    kind reads."""
     lines = [
         f"objective = {spec.name} (p = {spec.dims}, bounds = "
         f"[{', '.join(repr(float(v)) for v in spec.lower)}] .. "
@@ -366,8 +365,6 @@ def config_lines(spec: ObjectiveSpec, configs, base_seed=None) -> list:
         if cfg.restarts_enabled:
             parts.append(f"plateauLimit={cfg.effective_plateau_limit}")
         parts.append(f"digitsTarget={spec.digits_target}")
-        if base_seed is not None and cfg.seed != base_seed:
-            parts.append(f"seed={cfg.seed}")
         lines.append(f"solver {cfg.solver_label}: " + " ".join(parts))
     return lines
 

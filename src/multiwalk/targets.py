@@ -253,8 +253,10 @@ class TargetStore:
                     if digits < 1:
                         raise ValueError("digits must be >= 1")
                     coords = tuple(float(c) for c in fields[3:-1])
+                    if store.lookup(fields[0], digits) is not None:
+                        raise ValueError(f"a second record for ({fields[0]}, {digits})")
                 except ValueError as exc:
-                    raise ValueError(f"{path}: line {number}: malformed target "
+                    raise ValueError(f"{path}: line {number}: bad target "
                                      f"record {line!r} ({exc})") from None
                 store.add(TargetRecord(
                     name=fields[0], value_target=value, digits=digits,

@@ -255,9 +255,8 @@ def test_determinism_and_censoring(tmp_path):
         results = run_experiment(plan, workers=workers)
         runs = tmp_path / f"{tag}_runs.csv"
         summary = tmp_path / f"{tag}_summary.csv"
-        write_runs_csv(runs, plan, results, base_seed=1)
-        write_summary_csv(summary, plan, summarize_experiment(plan, results),
-                          base_seed=1)
+        write_runs_csv(runs, plan, results)
+        write_summary_csv(summary, plan, summarize_experiment(plan, results))
         paths.append((runs.read_bytes(), summary.read_bytes()))
     byte_identical = paths[0] == paths[1] == paths[2]
 

@@ -112,9 +112,9 @@ def test_bench_two_solvers(store):
     assert bars_body[2].startswith("DEsFR1,")
 
 
-def test_bench_header_names_a_solver_seed_off_base_seed(store):
+def test_bench_seeds_every_solver_from_base_seed(store):
     args = ["bench", "--of", "ehrenfest4", "--seed", "7",
-            "--solver", "MW:radius=2,marks=6,seed=50", "--solver", "MW:radius=4,marks=6",
+            "--solver", "MW:radius=2,marks=6", "--solver", "MW:radius=4,marks=6",
             "--sample-size", "2", "--steps-limit", "200", "--workers", "1",
             "--out", "seeded"]
     out = run_cli(args, cwd=store)
@@ -122,12 +122,10 @@ def test_bench_header_names_a_solver_seed_off_base_seed(store):
     lines = (store / "seeded_runs.csv").read_text().splitlines()
     assert "# baseSeed = 7" in lines
     solver_lines = [l for l in lines if l.startswith("# solver ")]
-    assert solver_lines[0].startswith("# solver MW02: ")
-    assert solver_lines[0].endswith(" digitsTarget=9 seed=50")
-    assert solver_lines[1].startswith("# solver MW04: ")
-    assert solver_lines[1].endswith(" digitsTarget=9")
+    assert [l.split(":")[0] for l in solver_lines] == ["# solver MW02", "# solver MW04"]
+    assert all(l.endswith(" digitsTarget=9") for l in solver_lines)
     seeds = [l.split(",")[2] for l in lines if l.startswith("ehrenfest4,")]
-    assert seeds == ["50", "51", "7", "8"]
+    assert seeds == ["7", "8", "7", "8"]
 
 
 def test_solver_spec_without_flags_takes_config_defaults():
@@ -175,14 +173,13 @@ def test_solver_keys_match_config_fields_and_readme():
     assert listed == KIND_SETTINGS
 
 
-def test_solver_flags_meet_spec_keys_only_in_seed():
-    # a setting is a flag for every solver or a spec key, not both; --seed
-    # is the base seed and a seed= key overrides it for one solver
+def test_solver_flags_and_spec_keys_are_disjoint():
+    # a setting is a flag for every solver or a spec key, not both
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     for command in ("solve", "bench"):
         dests = {a.dest for a in subparsers.choices[command]._actions}
-        assert dests & set(_KEY_TYPES) == {"seed"}, command
+        assert not dests & set(_KEY_TYPES), command
 
 
 def test_bench_and_solve_fail_on_unwritable_outputs_before_the_run(store, monkeypatch):
@@ -227,9 +224,9 @@ def test_library_writers_match_bench_bytes(store):
     plan = ExperimentPlan(spec=spec, configs=configs, sample_size=3)
     results = run_experiment(plan)
     summaries = summarize_experiment(plan, results)
-    write_runs_csv(store / "lib_runs.csv", plan, results, base_seed=1)
-    write_summary_csv(store / "lib_summary.csv", plan, summaries, base_seed=1)
-    write_bargraph_csv(store / "lib_bars.csv", plan, summaries, base_seed=1)
+    write_runs_csv(store / "lib_runs.csv", plan, results)
+    write_summary_csv(store / "lib_summary.csv", plan, summaries)
+    write_bargraph_csv(store / "lib_bars.csv", plan, summaries)
     for suffix in ("_runs.csv", "_summary.csv", "_bars.csv"):
         assert (store / f"lib{suffix}").read_bytes() == (store / f"cli{suffix}").read_bytes()
 
@@ -316,19 +313,26 @@ BAD_STORE = "# name,valueTarget,digits,coords...,method\nehrenfest4,abc,9,9.0,en
           "--steps-limit", "5"]),
     ({}, ["solve", "--of", "ehrenfest4", "--solver", "DEsFR:marks=6,cr=0.5",
           "--steps-limit", "5"]),
+    ({}, ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=2,radius=3,marks=6"]),
+    ({}, ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=2,marks=6,seed=50"]),
+    ({"dup_targets.csv": BAD_STORE.replace("abc", "-8.5")
+      + "ehrenfest4,-1.5,9,9.0,enumeration\n"},
+     ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=4",
+      "--targets", "dup_targets.csv"]),
 ], ids=["solver-value", "trace-row", "store-list", "store-solve", "store-nan",
         "oracle-digits", "trace-out-dir", "trace-agent0", "trace-value",
         "flag-value", "flag-missing", "solver-digits", "solver-rde-nan",
         "solver-jitter-inf", "seed-negative", "list-digits0", "bench-workers0",
         "bench-workers-neg", "marks-huge", "label-empty", "label-duplicate",
         "flag-marks", "solver-steps-limit", "desf-radius", "mw-rde", "mw-plateau-limit",
-        "desfr-cr"])
+        "desfr-cr", "repeated-key", "solver-seed", "store-duplicate"])
 def test_bad_input_exits_1_without_traceback(store, files, args):
     for name, text in files.items():
         (store / name).write_text(text)
     out = run_cli(args, cwd=store)
     assert out.returncode == 1, out.stderr
     assert out.stderr.startswith("error: ")
+    assert out.stderr.count("\n") == 1
     assert "Traceback" not in out.stderr
 
 
@@ -353,15 +357,25 @@ def test_solver_spec_parser_on_arbitrary_text(text):
     assert isinstance(cfg, SolverConfig)
 
 
+def test_seed_is_no_solver_spec_key():
+    with pytest.raises(CliError, match="unknown solver option 'seed'"):
+        _parse_solver_spec("MW:radius=2,marks=6,seed=50", _SPEC_ARGS)
+
+
+def test_repeated_solver_spec_key_is_named():
+    with pytest.raises(CliError, match="repeated solver option 'radius'"):
+        _parse_solver_spec("MW:radius=2,radius=3,marks=6", _SPEC_ARGS)
+
+
 _KEY_VALUES = {"marks": "6", "seed": "3", "label": "x", "radius": "2", "dither": "0.5",
                "rde": "0.5", "cr": "0.5", "plateau_limit": "3", "de_jitter": "0.0"}
-# 50 of the 90 (kind, key) pairs: marks, seed and label, plus what each kind reads
+# 40 of the 90 (kind, key) pairs: marks and label, plus what each kind reads
 _ACCEPTED = {
-    "MW": "marks seed label radius dither",
-    "MWR": "marks seed label radius dither plateau_limit",
-    "DEsF": "marks seed label rde",
-    "DEsFR": "marks seed label rde plateau_limit",
-    **dict.fromkeys((f"DEoF{s}" for s in range(1, 7)), "marks seed label rde cr"),
+    "MW": "marks label radius dither",
+    "MWR": "marks label radius dither plateau_limit",
+    "DEsF": "marks label rde",
+    "DEsFR": "marks label rde plateau_limit",
+    **dict.fromkeys((f"DEoF{s}" for s in range(1, 7)), "marks label rde cr"),
 }
 
 

@@ -38,12 +38,15 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         ExperimentPlan(spec=spec, configs=[_mwr(), _mwr(steps_limit=99)],
                        sample_size=3)
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentPlan(spec=spec, configs=[_mwr(), _mwr(seed=50, label="MWR04b")],
+                       sample_size=3)
     with pytest.raises(ValueError, match="distinct"):
-        ExperimentPlan(spec=spec, configs=[_mwr(), _mwr(seed=50)], sample_size=3)
+        ExperimentPlan(spec=spec, configs=[_mwr(), _mwr(dither=0.5)], sample_size=3)
     with pytest.raises(ValueError, match="distinct"):
         ExperimentPlan(spec=spec, configs=[_mwr(label="x"), _mwr(radius=2, label="x")],
                        sample_size=3)
-    ExperimentPlan(spec=spec, configs=[_mwr(), _mwr(seed=50, label="MWR04b")],
+    ExperimentPlan(spec=spec, configs=[_mwr(), _mwr(dither=0.5, label="MWR04b")],
                    sample_size=3)
 
 
@@ -177,9 +180,9 @@ def test_csv_exports(tmp_path, ehrenfest4_spec):
     runs = tmp_path / "x_runs.csv"
     summary = tmp_path / "x_summary.csv"
     bars = tmp_path / "x_bars.csv"
-    write_runs_csv(runs, plan, results, base_seed=1)
-    write_summary_csv(summary, plan, summaries, base_seed=1)
-    write_bargraph_csv(bars, plan, summaries, base_seed=1)
+    write_runs_csv(runs, plan, results)
+    write_summary_csv(summary, plan, summaries)
+    write_bargraph_csv(bars, plan, summaries)
 
     run_text = runs.read_text()
     assert run_text.startswith("# objective = ehrenfest4 (p = 1, ")
@@ -205,7 +208,7 @@ def test_csv_exports(tmp_path, ehrenfest4_spec):
     assert bbody[2].startswith("MWR02,")
 
     # byte-identical on a repeated identical invocation
-    write_runs_csv(tmp_path / "y_runs.csv", plan, results, base_seed=1)
+    write_runs_csv(tmp_path / "y_runs.csv", plan, results)
     assert (tmp_path / "y_runs.csv").read_bytes() == runs.read_bytes()
 
 

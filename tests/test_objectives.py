@@ -168,12 +168,17 @@ def test_ehrenfest_table_is_read_only():
     assert _ehrenfest_table(4) is table
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("points", [[[np.nan]], [[3.0], [np.nan], [-np.inf], [9.0]]],
                          ids=["lone", "among-valid"])
 def test_ehrenfest_nan_coordinate_is_a_value_error(points):
     with pytest.raises(ValueError, match=r"ehrenfest15: a coordinate is NaN"):
         evaluate_batch(get_objective("ehrenfest15"), points, EvalCounter())
+
+
+def test_ehrenfest_empty_batch_is_empty():
+    values = evaluate_batch(get_objective("ehrenfest15"), np.zeros((0, 1)), EvalCounter())
+    assert values.shape == (0,)
 
 
 def test_evaluate_dimension_mismatch():

@@ -75,14 +75,13 @@ HEADER_AT_DEFAULTS = [
 HEADER_AT_OTHER_SETTINGS = [
     "objective = ehrenfest4 (p = 1, bounds = [1.0] .. [17.0])",
     "valueTarget = -8.5 (digitsTarget = 9)",
-    "solver MW03: kind=MW marks=8 radius=3 dither=0.25 stepsLimit=50 digitsTarget=9 seed=2",
+    "solver MW03: kind=MW marks=8 radius=3 dither=0.25 stepsLimit=50 digitsTarget=9",
     "solver MWR03: kind=MWR marks=8 radius=3 dither=0.25 stepsLimit=50 plateauLimit=5 "
-    "digitsTarget=9 seed=2",
-    "solver DEsF1: kind=DEsF marks=8 rde=0.75 stepsLimit=50 digitsTarget=9 seed=2",
-    "solver DEsFR1: kind=DEsFR marks=8 rde=0.75 stepsLimit=50 plateauLimit=5 digitsTarget=9 "
-    "seed=2",
-    *(f"solver DEoF{s}: kind=DEoF{s} marks=8 rde=0.75 cr=0.5 stepsLimit=50 digitsTarget=9 "
-      "seed=2" for s in range(1, 7)),
+    "digitsTarget=9",
+    "solver DEsF1: kind=DEsF marks=8 rde=0.75 stepsLimit=50 digitsTarget=9",
+    "solver DEsFR1: kind=DEsFR marks=8 rde=0.75 stepsLimit=50 plateauLimit=5 digitsTarget=9",
+    *(f"solver DEoF{s}: kind=DEoF{s} marks=8 rde=0.75 cr=0.5 stepsLimit=50 digitsTarget=9"
+      for s in range(1, 7)),
 ]
 
 
@@ -93,8 +92,8 @@ def test_config_lines_replay_only_the_settings_each_kind_reads():
                              radius=4 if k in ("MW", "MWR") else None) for k in SOLVER_KINDS]
     others = [SolverConfig(kind=k, seed=2, steps_limit=50, marks=8, radius=3, dither=0.25,
                            rde=0.75, cr=0.5, plateau_limit=5) for k in SOLVER_KINDS]
-    assert config_lines(spec, defaults, base_seed=1) == HEADER_AT_DEFAULTS
-    assert config_lines(spec, others, base_seed=1) == HEADER_AT_OTHER_SETTINGS
+    assert config_lines(spec, defaults) == HEADER_AT_DEFAULTS
+    assert config_lines(spec, others) == HEADER_AT_OTHER_SETTINGS
 
 
 def test_solver_labels():

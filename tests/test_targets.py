@@ -175,6 +175,14 @@ def test_store_apply(ehrenfest4_target):
         store.apply(replace(get_objective("ehrenfest4"), digits_target=7))
 
 
+def test_store_load_refuses_a_second_record_for_one_key(tmp_path):
+    path = tmp_path / "targets.csv"
+    path.write_text("ehrenfest4,-8.5,9,9.0,enumeration\nwild1,1.0,9,0.5,grid\n"
+                    "ehrenfest4,-1.5,9,9.0,enumeration\n")
+    with pytest.raises(ValueError, match=r"targets\.csv: line 3: .*\(ehrenfest4, 9\)"):
+        TargetStore.load(path)
+
+
 _token = st.text(string.ascii_letters + string.digits + "+_.-", min_size=1, max_size=12)
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
