@@ -392,9 +392,10 @@ def parse_trace(lines):
     (configuration and first-passage footer) and the ``(step, restart,
     agent, value)`` rows, each value kept as its original string.  Raises
     ValueError naming the first malformed row: a wrong field count, a
-    non-integer step, restart or agentId, a value that is not a float, or
-    step < 1, restart < 0 or agentId < 1."""
-    comments, rows = [], []
+    non-integer step, restart or agentId, a value that is not a float,
+    step < 1, restart < 0 or agentId < 1, or a repeated (step, restart,
+    agentId)."""
+    comments, rows = [], {}
     for number, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if line.startswith("#"):
@@ -410,8 +411,11 @@ def parse_trace(lines):
             if row[0] < 1 or row[1] < 0 or row[2] < 1:
                 raise ValueError(f"line {number}: trace row {line!r} needs "
                                  "step >= 1, restart >= 0 and agentId >= 1")
-            rows.append(row)
-    return comments, rows
+            if row[:3] in rows:
+                raise ValueError(f"line {number}: trace row {line!r} repeats an earlier "
+                                 "(step, restart, agentId)")
+            rows[row[:3]] = row
+    return comments, list(rows.values())
 
 
 def trace_wide_text(lines) -> str:

@@ -4,7 +4,8 @@ Targets are computed before any benchmarking and stored; solvers never
 certify their own targets.  Integer staircases are enumerated exhaustively,
 continuous objectives get a dense coarse grid scan followed by local grid
 refinement with a halving window around each of the best few scan cells.
-Every target is quantized to the spec's ``digits_target``.
+All of them share one grid scan: ties go to the lowest grid index (lowest
+coordinates) and NaN sorts last.  Targets are quantized to ``digits_target``.
 
 A wrong target poisons every benchmark on its objective (a solver that finds
 a better value than the stored target can never match it), so the per-
@@ -34,6 +35,7 @@ COARSE_POINTS = {1: 4001, 2: 1001, 3: 201}
 REFINE_POINTS = {1: 33, 2: 33, 3: 11}
 REFINE_ROUNDS = 60
 REFINE_INCUMBENTS = 8
+SCAN_POINTS = 401 ** 2    # most points per slab of a grid scan: one trefethen3 coarse row
 
 # Scan policy per registered objective.  wild's basins are ~0.15 wide over a
 # 100-wide box, far below the generic coarse spacing, and its coordinate-mean
@@ -60,48 +62,41 @@ class TargetRecord:
 def enumerate_integer_minimum(spec: ObjectiveSpec) -> TargetRecord:
     """Exhaustive scan of every integer state of a staircase objective.
 
-    Returns the quantized exact minimum and its lowest minimizer.  Refuses
-    non-staircase objectives and state counts beyond 2**24; a grid scan is
-    no substitute on a staircase.
+    Returns the quantized lowest non-NaN value and its lowest state.
+    Refuses non-staircase objectives and state counts beyond 2**24; a grid
+    scan is no substitute on a staircase.
     """
     if not spec.staircase:
         raise ValueError(f"{spec.name} is not an integer staircase; use grid_refine_minimum")
     lo = int(round(spec.lower[0]))
     hi = int(round(spec.upper[0]))
-    n_states = hi - lo + 1
-    if n_states > MAX_ENUMERATION_STATES:
+    if hi - lo + 1 > MAX_ENUMERATION_STATES:
         raise ValueError(
-            f"{spec.name} has {n_states} states, beyond the enumeration limit "
+            f"{spec.name} has {hi - lo + 1} states, beyond the enumeration limit "
             f"of {MAX_ENUMERATION_STATES}"
         )
-    xs = np.arange(lo, hi + 1, dtype=float)[:, None]
-    values = np.asarray(spec.fn(xs), dtype=float)
-    best = int(np.argmin(values))  # first minimum = lowest state
+    (value,), ((state,),) = _scan_top_cells(spec, [np.arange(lo, hi + 1, dtype=float)], keep=1)
     return TargetRecord(
         name=spec.name,
-        value_target=float(quantize(float(values[best]), spec.digits_target)),
+        value_target=float(quantize(float(value), spec.digits_target)),
         digits=spec.digits_target,
-        coords=(float(xs[best, 0]),),
+        coords=(float(state),),
         method="enumeration",
     )
 
 
 def _scan_top_cells(spec: ObjectiveSpec, axes, keep: int):
-    """Lowest-value grid points of a full tensor scan, chunked along the
-    first axis so 3-D scans stay flat in memory.  Ties and orderings resolve
-    toward the lowest coordinates (C-order argmin)."""
-    dims = spec.dims
-    if dims == 1:
-        pts = axes[0][:, None]
-        values = np.asarray(spec.fn(pts), dtype=float)
-        order = np.argsort(values, kind="stable")[:keep]
-        return values[order], pts[order]
-    rest = np.meshgrid(*axes[1:], indexing="ij")
-    tail = np.stack([r.ravel() for r in rest], axis=1)
+    """The ``keep`` lowest values over the tensor grid of ``axes`` and their
+    points, best first, evaluated in slabs of whole first-axis rows of at
+    most ``SCAN_POINTS`` points (or one row) so 3-D scans stay flat in memory.
+    Slab tops merge stably, so the result is a stable argsort of the whole
+    grid: ties go to the lowest C-order index and NaN sorts last."""
+    rows = max(1, SCAN_POINTS // math.prod(len(a) for a in axes[1:]))
     best_v = np.empty(0)
-    best_x = np.empty((0, dims))
-    for x0 in axes[0]:
-        pts = np.column_stack([np.full(len(tail), x0), tail])
+    best_x = np.empty((0, len(axes)))
+    for start in range(0, len(axes[0]), rows):
+        grids = np.meshgrid(axes[0][start:start + rows], *axes[1:], indexing="ij", copy=False)
+        pts = np.stack(grids, axis=-1).reshape(-1, len(axes))
         values = np.asarray(spec.fn(pts), dtype=float)
         order = np.argsort(values, kind="stable")[:keep]
         best_v = np.concatenate([best_v, values[order]])
@@ -124,33 +119,26 @@ def _separated_incumbents(values, points, spacing, keep: int):
     return chosen_v, chosen_x
 
 
-def _refine(spec: ObjectiveSpec, start_v: float, start_x: np.ndarray,
-            spacing: np.ndarray):
+def _refine(spec: ObjectiveSpec, best_v: float, best_x: np.ndarray, spacing: np.ndarray):
     """Local grid refinement, halving the window around the incumbent each
     round; the incumbent value never increases."""
-    local = REFINE_POINTS[spec.dims]
-    best_v, best_x = start_v, np.asarray(start_x, dtype=float)
     half = 2.0 * spacing
     for _ in range(REFINE_ROUNDS):
         lo = np.maximum(spec.lower, best_x - half)
         hi = np.minimum(spec.upper, best_x + half)
-        axes = [np.linspace(lo[d], hi[d], local) for d in range(spec.dims)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        values = np.asarray(spec.fn(pts), dtype=float)
-        i = int(np.argmin(values))
-        if values[i] < best_v:
-            best_v = float(values[i])
-            best_x = pts[i].copy()
+        axes = [np.linspace(lo[d], hi[d], REFINE_POINTS[spec.dims]) for d in range(spec.dims)]
+        (v,), (x,) = _scan_top_cells(spec, axes, keep=1)
+        if v < best_v:
+            best_v, best_x = float(v), x
         half = half / 2.0
     return best_v, best_x
 
 
 def grid_refine_minimum(spec: ObjectiveSpec) -> TargetRecord:
     """Dense coarse grid scan, then halving-window local refinement around
-    each of the best separated scan cells; the overall best wins, ties
-    breaking toward the lowest coordinates.  The coarse grid is the scan
-    policy's, else ``COARSE_POINTS[spec.dims]`` points per dimension.
+    each of the best separated scan cells; the lowest value wins, ties going
+    to the lowest coordinates, and NaN never beats a number.  The coarse grid
+    is the scan policy's, else ``COARSE_POINTS[spec.dims]`` points per dimension.
 
     Only defined for continuous objectives with at most 3 dimensions.
     """
@@ -165,11 +153,8 @@ def grid_refine_minimum(spec: ObjectiveSpec) -> TargetRecord:
     top_v, top_x = _scan_top_cells(spec, axes, keep=max(REFINE_INCUMBENTS * 8, 32))
     seeds_v, seeds_x = _separated_incumbents(top_v, top_x, spacing, REFINE_INCUMBENTS)
 
-    best_v, best_x = math.inf, None
-    for sv, sx in zip(seeds_v, seeds_x):
-        v, x = _refine(spec, sv, sx, spacing)
-        if v < best_v or (v == best_v and tuple(x) < tuple(best_x)):
-            best_v, best_x = v, x
+    best_v, best_x = min((_refine(spec, sv, sx, spacing) for sv, sx in zip(seeds_v, seeds_x)),
+                         key=lambda vx: (vx[0], tuple(vx[1])))
 
     return TargetRecord(
         name=spec.name,

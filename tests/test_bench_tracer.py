@@ -8,6 +8,7 @@ import sys
 
 import multiwalk
 import multiwalk.cli  # noqa: F401  (the tracer patches every package module)
+from multiwalk.objectives import get_objective
 from multiwalk.solvers import SolverConfig, run_solver
 
 LAYERS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "layers.py")
@@ -45,3 +46,16 @@ def test_traced_mwr_run_records_step_spans(ehrenfest15_spec):
     assert stats["solvers.mw_step"].self_s > 0
     # after uninstall the package calls the plain functions again
     assert not hasattr(multiwalk.solvers.mw_step, "__wrapped__")
+
+
+def test_traced_oracle_counts_the_separable_base_points():
+    # wild2's target is wild1's, reached through the patched targets.get_objective:
+    # one 40001-point coarse scan and 60 rounds of 33 points around 8 seeds
+    with _layers().Tracer(multiwalk) as tracer:
+        rec = multiwalk.targets.compute_target(get_objective("wild2"))
+    assert rec.value_target == 67.4677347
+    stats = tracer.summary()
+    assert stats["targets.compute_target"].calls == 2
+    assert stats["targets.grid_refine_minimum"].calls == 1
+    assert stats["objectives.fn"].calls == 1 + 8 * 60
+    assert tracer.counts["objectives.fn.points"] == 40001 + 8 * 60 * 33

@@ -319,13 +319,16 @@ BAD_STORE = "# name,valueTarget,digits,coords...,method\nehrenfest4,abc,9,9.0,en
       + "ehrenfest4,-1.5,9,9.0,enumeration\n"},
      ["solve", "--of", "ehrenfest4", "--solver", "MW:radius=4",
       "--targets", "dup_targets.csv"]),
+    ({"dup_walk.txt": "step,restart,agentId,value\n1,0,1,1.0\n1,0,1,2.0\n1,0,2,3.0\n"},
+     ["trace", "dup_walk.txt"]),
 ], ids=["solver-value", "trace-row", "store-list", "store-solve", "store-nan",
         "oracle-digits", "trace-out-dir", "trace-agent0", "trace-value",
         "flag-value", "flag-missing", "solver-digits", "solver-rde-nan",
         "solver-jitter-inf", "seed-negative", "list-digits0", "bench-workers0",
         "bench-workers-neg", "marks-huge", "label-empty", "label-duplicate",
         "flag-marks", "solver-steps-limit", "desf-radius", "mw-rde", "mw-plateau-limit",
-        "desfr-cr", "repeated-key", "solver-seed", "store-duplicate"])
+        "desfr-cr", "repeated-key", "solver-seed", "store-duplicate",
+        "trace-duplicate"])
 def test_bad_input_exits_1_without_traceback(store, files, args):
     for name, text in files.items():
         (store / name).write_text(text)

@@ -569,7 +569,7 @@ def test_trace_censored_footer(wild1_spec):
 _trace_steps = st.lists(
     st.tuples(st.integers(1, 10 ** 6), st.integers(0, 100),
               st.lists(st.floats(allow_nan=False), min_size=1, max_size=5)),
-    max_size=6)
+    max_size=6, unique_by=lambda s: (s[0], s[1]))
 
 
 @given(steps=_trace_steps,
@@ -598,6 +598,13 @@ def test_trace_parse_roundtrip(steps, first_passage, epoch_seeds):
 def test_parse_trace_rejects_meaningless_rows(row):
     with pytest.raises(ValueError, match="line 3"):
         parse_trace(["# solver = MW04", "step,restart,agentId,value", row])
+
+
+def test_parse_trace_rejects_a_repeated_row_key():
+    lines = ["step,restart,agentId,value", "1,0,1,1.0", "1,1,1,1.0", "1,0,2,3.0",
+             "1,0,1,2.0"]
+    with pytest.raises(ValueError, match=r"line 5: .*'1,0,1,2.0' repeats"):
+        parse_trace(lines)
 
 
 _trace_field = st.one_of(st.integers(-3, 3).map(str), st.floats().map(repr),

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiwalk import targets
@@ -62,6 +62,56 @@ def test_enumeration_refuses_too_many_states():
                          fn=partial(ehrenfest, n=n), staircase=True)
     with pytest.raises(ValueError):
         enumerate_integer_minimum(spec)
+
+
+def _staircase(name, fn, states):
+    return ObjectiveSpec(name=name, dims=1, lower=[1.0], upper=[float(states)],
+                         fn=fn, staircase=True)
+
+
+def test_enumeration_skips_a_nan_state_and_takes_the_lowest_tie():
+    # minima 0 at states 5 and 7, state 3 NaN: argmin would pick the NaN
+    def fn(pts):
+        x = pts[:, 0]
+        return np.where(x == 3.0, np.nan, np.minimum(np.abs(x - 5.0), np.abs(x - 7.0)))
+
+    rec = enumerate_integer_minimum(_staircase("nan3", fn, 9))
+    assert rec.value_target == 0.0
+    assert rec.coords == (5.0,)
+
+
+def test_enumeration_in_small_slabs_matches_one_slab(monkeypatch):
+    from functools import partial
+    from multiwalk.objectives import ehrenfest
+    spec = _staircase("ehrenfest8", partial(ehrenfest, n=8), 2 ** 8 + 1)
+    whole = enumerate_integer_minimum(spec)
+    monkeypatch.setattr(targets, "SCAN_POINTS", 7)
+    assert enumerate_integer_minimum(spec) == whole
+
+
+_scan_axis = st.lists(st.integers(-5, 5), min_size=1, max_size=5, unique=True).map(
+    lambda xs: np.array(sorted(xs), dtype=float))
+
+
+@settings(max_examples=200, deadline=None)
+@given(axes=st.lists(_scan_axis, min_size=1, max_size=3), data=st.data(),
+       keep=st.sampled_from([1, 3, 200]),
+       scan_points=st.sampled_from([1, 5, targets.SCAN_POINTS]))
+def test_scan_top_cells_is_a_stable_argsort_of_the_whole_grid(axes, data, keep, scan_points):
+    # a small value pool makes ties common; NaN must sort after every number
+    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    values = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 2.5, math.nan]),
+                                         min_size=len(grid), max_size=len(grid))))
+    table = {tuple(p): v for p, v in zip(grid.tolist(), values)}
+    spec = ObjectiveSpec(name="pool", dims=len(axes), lower=[-6.0] * len(axes),
+                         upper=[6.0] * len(axes),
+                         fn=lambda pts: np.array([table[tuple(p)] for p in pts.tolist()]))
+    order = np.argsort(values, kind="stable")[:keep]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(targets, "SCAN_POINTS", scan_points)
+        top_v, top_x = targets._scan_top_cells(spec, axes, keep)
+    assert top_v.tobytes() == values[order].tobytes()
+    assert top_x.tobytes() == grid[order].tobytes()
 
 
 def test_dispatch_guards():
