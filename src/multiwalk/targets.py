@@ -63,8 +63,9 @@ def enumerate_integer_minimum(spec: ObjectiveSpec) -> TargetRecord:
     """Exhaustive scan of every integer state of a staircase objective.
 
     Returns the quantized lowest non-NaN value and its lowest state.
-    Refuses non-staircase objectives and state counts beyond 2**24; a grid
-    scan is no substitute on a staircase.
+    Refuses non-staircase objectives and state counts beyond 2**24 (a grid
+    scan is no substitute on a staircase), and a staircase whose lowest
+    value is not finite.
     """
     if not spec.staircase:
         raise ValueError(f"{spec.name} is not an integer staircase; use grid_refine_minimum")
@@ -75,13 +76,24 @@ def enumerate_integer_minimum(spec: ObjectiveSpec) -> TargetRecord:
             f"{spec.name} has {hi - lo + 1} states, beyond the enumeration limit "
             f"of {MAX_ENUMERATION_STATES}"
         )
-    (value,), ((state,),) = _scan_top_cells(spec, [np.arange(lo, hi + 1, dtype=float)], keep=1)
+    (value,), (state,) = _scan_top_cells(spec, [np.arange(lo, hi + 1, dtype=float)], keep=1)
+    return _target_record(spec, float(value), state, "enumeration")
+
+
+def _target_record(spec: ObjectiveSpec, value: float, coords, method: str) -> TargetRecord:
+    """The scan's best quantized to ``spec.digits_target``.  A target that is
+    not finite (every scanned value NaN, or an infinite best) is refused,
+    since the store cannot read it back."""
+    target = float(quantize(value, spec.digits_target))
+    if not math.isfinite(target):
+        raise ValueError(f"{spec.name}: the {method} scan found no finite "
+                         f"minimum (best {value!r}); no target can be stored")
     return TargetRecord(
         name=spec.name,
-        value_target=float(quantize(float(value), spec.digits_target)),
+        value_target=target,
         digits=spec.digits_target,
-        coords=(float(state),),
-        method="enumeration",
+        coords=tuple(float(c) for c in coords),
+        method=method,
     )
 
 
@@ -89,8 +101,10 @@ def _scan_top_cells(spec: ObjectiveSpec, axes, keep: int):
     """The ``keep`` lowest values over the tensor grid of ``axes`` and their
     points, best first, evaluated in slabs of whole first-axis rows of at
     most ``SCAN_POINTS`` points (or one row) so 3-D scans stay flat in memory.
-    Slab tops merge stably, so the result is a stable argsort of the whole
-    grid: ties go to the lowest C-order index and NaN sorts last."""
+    Each slab's top is chosen by ``_lowest`` (a partition, then a stable
+    sort of only the cells at or below the cut), which equals the slab's
+    stable argsort; slab tops merge stably, so the result is a stable argsort
+    of the whole grid: ties go to the lowest C-order index and NaN sorts last."""
     rows = max(1, SCAN_POINTS // math.prod(len(a) for a in axes[1:]))
     best_v = np.empty(0)
     best_x = np.empty((0, len(axes)))
@@ -98,12 +112,25 @@ def _scan_top_cells(spec: ObjectiveSpec, axes, keep: int):
         grids = np.meshgrid(axes[0][start:start + rows], *axes[1:], indexing="ij", copy=False)
         pts = np.stack(grids, axis=-1).reshape(-1, len(axes))
         values = np.asarray(spec.fn(pts), dtype=float)
-        order = np.argsort(values, kind="stable")[:keep]
+        order = _lowest(values, keep)
         best_v = np.concatenate([best_v, values[order]])
         best_x = np.concatenate([best_x, pts[order]])
         merge = np.argsort(best_v, kind="stable")[:keep]
         best_v, best_x = best_v[merge], best_x[merge]
     return best_v, best_x
+
+
+def _lowest(values: np.ndarray, keep: int) -> np.ndarray:
+    """``np.argsort(values, kind="stable")[:keep]`` without sorting every
+    value: the cells at or below the keep-th lowest value hold all of its
+    ties in ascending index order, and NaN is never among them.  A keep-th
+    value that is NaN (fewer than ``keep`` numbers) takes the full sort."""
+    if len(values) > keep:
+        cut = np.partition(values, keep - 1)[keep - 1]
+        if not np.isnan(cut):
+            idx = np.flatnonzero(values <= cut)
+            return idx[np.argsort(values[idx], kind="stable")][:keep]
+    return np.argsort(values, kind="stable")[:keep]
 
 
 def _separated_incumbents(values, points, spacing, keep: int):
@@ -140,7 +167,8 @@ def grid_refine_minimum(spec: ObjectiveSpec) -> TargetRecord:
     to the lowest coordinates, and NaN never beats a number.  The coarse grid
     is the scan policy's, else ``COARSE_POINTS[spec.dims]`` points per dimension.
 
-    Only defined for continuous objectives with at most 3 dimensions.
+    Only defined for continuous objectives with at most 3 dimensions; a
+    lowest value that is not finite is refused.
     """
     if spec.staircase:
         raise ValueError(f"{spec.name} is an integer staircase; use enumerate_integer_minimum")
@@ -156,13 +184,7 @@ def grid_refine_minimum(spec: ObjectiveSpec) -> TargetRecord:
     best_v, best_x = min((_refine(spec, sv, sx, spacing) for sv, sx in zip(seeds_v, seeds_x)),
                          key=lambda vx: (vx[0], tuple(vx[1])))
 
-    return TargetRecord(
-        name=spec.name,
-        value_target=float(quantize(best_v, spec.digits_target)),
-        digits=spec.digits_target,
-        coords=tuple(float(c) for c in best_x),
-        method="grid+refine",
-    )
+    return _target_record(spec, best_v, best_x, "grid+refine")
 
 
 def compute_target(spec: ObjectiveSpec) -> TargetRecord:

@@ -4,11 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from multiwalk import targets
-from multiwalk.objectives import ObjectiveSpec, get_objective, quantize
+from multiwalk.objectives import ObjectiveSpec, get_objective, objective_names, quantize
 from multiwalk.targets import (TargetRecord, TargetStore, compute_target,
                                enumerate_integer_minimum, grid_refine_minimum)
 
@@ -91,20 +92,25 @@ def test_enumeration_in_small_slabs_matches_one_slab(monkeypatch):
 
 _scan_axis = st.lists(st.integers(-5, 5), min_size=1, max_size=5, unique=True).map(
     lambda xs: np.array(sorted(xs), dtype=float))
+# a first axis this long gives slabs of more than 64 points, so the partition
+# in targets._lowest runs and not only its full-sort fallback
+_long_axis = st.integers(65, 140).map(lambda n: np.arange(n, dtype=float) - 70.0)
+_grid_axes = st.one_of(
+    st.lists(_scan_axis, min_size=1, max_size=3),
+    st.builds(lambda first, rest: [first, *rest], _long_axis, st.lists(_scan_axis, max_size=1)))
+# a small pool makes ties common; NaN must sort after every number
+_value_pool = st.sampled_from([-1.0, -0.0, 0.0, 2.5, math.inf, -math.inf, math.nan])
 
 
 @settings(max_examples=200, deadline=None)
-@given(axes=st.lists(_scan_axis, min_size=1, max_size=3), data=st.data(),
-       keep=st.sampled_from([1, 3, 200]),
-       scan_points=st.sampled_from([1, 5, targets.SCAN_POINTS]))
+@given(axes=_grid_axes, data=st.data(), keep=st.sampled_from([1, 3, 64, 200]),
+       scan_points=st.sampled_from([1, 5, 100, targets.SCAN_POINTS]))
 def test_scan_top_cells_is_a_stable_argsort_of_the_whole_grid(axes, data, keep, scan_points):
-    # a small value pool makes ties common; NaN must sort after every number
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    values = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 2.5, math.nan]),
-                                         min_size=len(grid), max_size=len(grid))))
+    values = data.draw(hnp.arrays(float, len(grid), elements=_value_pool))
     table = {tuple(p): v for p, v in zip(grid.tolist(), values)}
-    spec = ObjectiveSpec(name="pool", dims=len(axes), lower=[-6.0] * len(axes),
-                         upper=[6.0] * len(axes),
+    spec = ObjectiveSpec(name="pool", dims=len(axes), lower=[-80.0] * len(axes),
+                         upper=[80.0] * len(axes),
                          fn=lambda pts: np.array([table[tuple(p)] for p in pts.tolist()]))
     order = np.argsort(values, kind="stable")[:keep]
     with pytest.MonkeyPatch.context() as mp:
@@ -114,11 +120,68 @@ def test_scan_top_cells_is_a_stable_argsort_of_the_whole_grid(axes, data, keep, 
     assert top_x.tobytes() == grid[order].tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(values=hnp.arrays(float, st.integers(1, 300),
+                         elements=st.one_of(_value_pool, st.floats(-3.0, 3.0))),
+       keep=st.sampled_from([1, 2, 7, 64, 299, 300, 301]))
+@example(values=np.full(100, math.nan), keep=64)                              # every value NaN
+@example(values=np.r_[np.full(90, math.nan), np.arange(10.0)], keep=64)       # cut is NaN
+@example(values=np.r_[np.full(30, 1.0), np.zeros(10), np.full(60, 1.0)], keep=20)  # ties straddle
+@example(values=np.r_[np.zeros(40), -0.0, np.zeros(40)], keep=64)             # -0.0 ties 0.0
+@example(values=np.r_[math.inf, -math.inf, np.arange(98.0)], keep=64)
+@example(values=np.arange(64.0)[::-1].copy(), keep=64)                       # keep == len
+@example(values=np.arange(10.0)[::-1].copy(), keep=64)                       # keep > len
+@example(values=np.r_[3.0, 1.0, 1.0, math.nan, 2.0], keep=1)
+def test_lowest_is_the_head_of_a_stable_argsort(values, keep):
+    reference = np.argsort(values, kind="stable")[:keep]
+    assert targets._lowest(values, keep).tobytes() == reference.tobytes()
+
+
 def test_dispatch_guards():
     with pytest.raises(ValueError):
         enumerate_integer_minimum(get_objective("wild1"))
     with pytest.raises(ValueError):
         grid_refine_minimum(get_objective("ehrenfest4"))
+
+
+@pytest.mark.parametrize("fill", [math.nan, math.inf, -math.inf])
+def test_enumeration_refuses_a_staircase_without_a_finite_minimum(fill):
+    spec = _staircase("flat", lambda pts: np.full(len(pts), fill), 9)
+    with pytest.raises(ValueError, match="flat: the enumeration scan found no finite"):
+        compute_target(spec)
+
+
+@pytest.mark.parametrize("fill", [math.nan, math.inf, -math.inf])
+def test_grid_refine_refuses_an_objective_without_a_finite_minimum(fill):
+    spec = ObjectiveSpec(name="flat", dims=1, lower=[-1.0], upper=[1.0],
+                         fn=lambda pts: np.full(len(pts), fill))
+    with pytest.raises(ValueError, match=r"flat: the grid\+refine scan found no finite"):
+        compute_target(spec)
+
+
+# repr of value_target and coords at digits 9; trefethen3 (the costly 3-D
+# scan) is pinned by the benchmark's golden store instead
+_PINNED_TARGETS = {
+    "ehrenfest4": ("-9.55728084", "(9.0,)"),
+    "ehrenfest15": ("-22934.6986", "(16385.0,)"),
+    "trefethen1": ("-1.50850335", "(-0.3961088708043099,)"),
+    "trefethen2": ("-3.30686865", "(-0.024403080032207095, 0.2106124271349981)"),
+    "wild1": ("67.4677347", "(-15.815151124000545,)"),
+    "wild2": ("67.4677347", "(-15.815151124000545, -15.815151124000545)"),
+    "wild3": ("67.4677347",
+              "(-15.815151124000545, -15.815151124000545, -15.815151124000545)"),
+}
+
+
+def test_pinned_targets_cover_every_cheap_objective():
+    assert sorted(_PINNED_TARGETS) == sorted(set(objective_names()) - {"trefethen3"})
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_TARGETS))
+def test_oracle_record_is_pinned(name):
+    rec = compute_target(get_objective(name))
+    assert rec.digits == 9
+    assert (repr(rec.value_target), repr(rec.coords)) == _PINNED_TARGETS[name]
 
 
 def test_quadratic_bowl_sanity():
