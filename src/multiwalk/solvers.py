@@ -192,8 +192,9 @@ def _distinct_triples(rng: np.random.Generator, m: int) -> np.ndarray:
 
 def _confine(trials: np.ndarray, lower: np.ndarray, upper: np.ndarray,
              rng: np.random.Generator) -> np.ndarray:
-    """Replace every out-of-box trial row by a fresh uniform draw."""
-    out = np.any(trials < lower, axis=1) | np.any(trials > upper, axis=1)
+    """Replace every trial row not inside the box by a fresh uniform draw;
+    a NaN coordinate (an overflowed donor) is not inside."""
+    out = ~np.all((trials >= lower) & (trials <= upper), axis=1)
     n_out = int(np.count_nonzero(out))
     if n_out:
         p = trials.shape[1]

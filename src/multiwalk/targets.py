@@ -6,6 +6,10 @@ continuous objectives get a dense coarse grid scan followed by local grid
 refinement with a halving window around each of the best few scan cells.
 All of them share one grid scan: ties go to the lowest grid index (lowest
 coordinates) and NaN sorts last.  Targets are quantized to ``digits_target``.
+trefethen3 is a chain of trefethen2 pairs, f(x, y) + f(y, z), so its scan
+sums two 2-D pair grids by broadcasting instead of evaluating every 3-D
+point; the sum is the same float operations, so the values are bit for bit
+those of its kernel.
 
 A wrong target poisons every benchmark on its objective (a solver that finds
 a better value than the stored target can never match it), so the per-
@@ -40,11 +44,13 @@ SCAN_POINTS = 401 ** 2    # most points per slab of a grid scan: one trefethen3 
 # Scan policy per registered objective.  wild's basins are ~0.15 wide over a
 # 100-wide box, far below the generic coarse spacing, and its coordinate-mean
 # aggregation makes the minimum of every wildP the minimum of the 1-D term.
+# trefethen3's grid values are trefethen2's on the first two axes plus
+# trefethen2's on the last two, which the chain scan adds by broadcasting.
 _ORACLE_POLICY = {
     "wild1": {"coarse_points": 40001},
     "wild2": {"separable_base": "wild1"},
     "wild3": {"separable_base": "wild1"},
-    "trefethen3": {"coarse_points": 401},
+    "trefethen3": {"coarse_points": 401, "chain_base": "trefethen2"},
 }
 
 
@@ -103,21 +109,39 @@ def _scan_top_cells(spec: ObjectiveSpec, axes, keep: int):
     most ``SCAN_POINTS`` points (or one row) so 3-D scans stay flat in memory.
     Each slab's top is chosen by ``_lowest`` (a partition, then a stable
     sort of only the cells at or below the cut), which equals the slab's
-    stable argsort; slab tops merge stably, so the result is a stable argsort
-    of the whole grid: ties go to the lowest C-order index and NaN sorts last."""
-    rows = max(1, SCAN_POINTS // math.prod(len(a) for a in axes[1:]))
-    best_v = np.empty(0)
-    best_x = np.empty((0, len(axes)))
+    stable argsort; the slab tops, in slab order, merge stably, so the result
+    is a stable argsort of the whole grid: ties go to the lowest C-order index
+    and NaN sorts last.  A kept cell's point is read from the axes at its grid
+    index.  A policy's ``chain_base`` makes each slab the broadcast sum of the
+    base over the slab's first two axes and over the last two, which is
+    computed once."""
+    chain = _ORACLE_POLICY.get(spec.name, {}).get("chain_base")
+    if chain is not None:
+        pair = get_objective(chain).fn
+        tail = _grid_values(pair, axes[1:]).reshape(len(axes[1]), len(axes[2]))
+    width = math.prod(len(a) for a in axes[1:])
+    rows = max(1, SCAN_POINTS // width)
+    tops_v, tops_i = [], []
     for start in range(0, len(axes[0]), rows):
-        grids = np.meshgrid(axes[0][start:start + rows], *axes[1:], indexing="ij", copy=False)
-        pts = np.stack(grids, axis=-1).reshape(-1, len(axes))
-        values = np.asarray(spec.fn(pts), dtype=float)
+        slab = [axes[0][start:start + rows], *axes[1:]]
+        if chain is None:
+            values = _grid_values(spec.fn, slab)
+        else:
+            head = _grid_values(pair, slab[:2]).reshape(-1, len(axes[1]), 1)
+            values = (head + tail).reshape(-1)
         order = _lowest(values, keep)
-        best_v = np.concatenate([best_v, values[order]])
-        best_x = np.concatenate([best_x, pts[order]])
-        merge = np.argsort(best_v, kind="stable")[:keep]
-        best_v, best_x = best_v[merge], best_x[merge]
-    return best_v, best_x
+        tops_v.append(values[order])
+        tops_i.append(order + start * width)
+    best_v, best_i = np.concatenate(tops_v), np.concatenate(tops_i)
+    merge = _lowest(best_v, keep)
+    cells = np.unravel_index(best_i[merge], [len(a) for a in axes])
+    return best_v[merge], np.array([a[i] for a, i in zip(axes, cells)]).T
+
+
+def _grid_values(fn, axes) -> np.ndarray:
+    """``fn`` over the points of the tensor grid of ``axes``, in C order."""
+    grids = np.meshgrid(*axes, indexing="ij", copy=False)
+    return np.asarray(fn(np.stack(grids, axis=-1).reshape(-1, len(axes))), dtype=float)
 
 
 def _lowest(values: np.ndarray, keep: int) -> np.ndarray:

@@ -79,6 +79,17 @@ def test_solve_missing_target_points_at_oracle(store):
     assert "oracle" in out.stderr
 
 
+@pytest.mark.parametrize("rde", ["1e308", "-1e308"])
+def test_solve_with_an_overflowing_de_scale_exits_0(store, rde):
+    # the donor overflows to inf - inf = NaN; confinement redraws that row,
+    # so only numpy's overflow RuntimeWarning reaches stderr
+    out = run_cli(["solve", "--of", "ehrenfest4", "--solver", f"DEoF2:marks=6,rde={rde}",
+                   "--steps-limit", "20", "--targets", "targets.csv"], cwd=store)
+    assert out.returncode == 0, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "valueBest" in out.stdout
+
+
 def test_missing_store_points_at_oracle(tmp_path):
     out = run_cli(["solve", "--of", "ehrenfest4", "--solver", "MW:radius=4"],
                   cwd=tmp_path)

@@ -65,13 +65,14 @@ def test_trefethen_anchor_values():
 
 
 def test_trefethen3_chains_pairs():
+    # exact, since the oracle's chain scan sums trefethen2 pairs in place of trefethen3
     counter = EvalCounter()
-    x, y, z = 0.3, -0.4, 0.9
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(20000, 3))
     t2 = get_objective("trefethen2")
-    v3 = evaluate_batch(get_objective("trefethen3"), [[x, y, z]], counter)[0]
-    vxy = evaluate_batch(t2, [[x, y]], counter)[0]
-    vyz = evaluate_batch(t2, [[y, z]], counter)[0]
-    assert v3 == pytest.approx(vxy + vyz, rel=1e-14)
+    v3 = evaluate_batch(get_objective("trefethen3"), pts, counter)
+    vxy = evaluate_batch(t2, pts[:, :2], counter)
+    vyz = evaluate_batch(t2, pts[:, 1:], counter)
+    assert np.array_equal(v3, vxy + vyz)
 
 
 def test_ehrenfest_values():

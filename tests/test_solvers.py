@@ -453,6 +453,14 @@ def test_de_simple_trials_confinement_redraws_inside_box():
         assert np.all(trials >= spec.lower) and np.all(trials <= spec.upper)
 
 
+def test_confine_redraws_a_nan_row_and_keeps_rows_inside():
+    lower, upper = np.array([0.0, 0.0]), np.array([1.0, 1.0])
+    trials = np.array([[0.5, 0.5], [math.nan, 0.5], [0.0, 1.0], [0.5, math.nan]])
+    out = solvers._confine(trials.copy(), lower, upper, np.random.default_rng(0))
+    assert np.all((out >= lower) & (out <= upper))
+    assert out[[0, 2]].tobytes() == trials[[0, 2]].tobytes()
+
+
 def test_de_population_collapse_only_confinement_escapes():
     spec = get_objective("wild1")
     cfg = SolverConfig(kind="DEsF", seed=1, steps_limit=5, marks=6)
