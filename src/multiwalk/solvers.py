@@ -143,8 +143,7 @@ class RunRecord:
 class WalkTrace:
     """Per-step, per-agent raw values with restart boundaries.
 
-    ``steps[k] = (step, restart_index, values_copy, running_best)`` where
-    ``running_best`` is the quantized best over the whole run so far.
+    ``steps[k] = (step, restart_index, values_copy)``.
     ``first_passage`` is ``(step, agent_id)`` once the target is reached.
     ``header`` holds the ``#`` lines naming the objective and solver run.
     """
@@ -316,7 +315,7 @@ def run_solver(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
                 best = epoch_best
 
             if trace is not None:
-                trace.steps.append((total_steps, restarts, values.copy(), float(best[0])))
+                trace.steps.append((total_steps, restarts, values.copy()))
 
             if cfg.restarts_enabled and epoch_best[0] != target:
                 error = epoch_best[0] - target
@@ -377,7 +376,7 @@ def trace_to_text(trace: WalkTrace) -> str:
     lines = [f"# {line}" for line in trace.header]
     lines.append(f"# epoch_seeds = {','.join(str(s) for s in trace.epoch_seeds)}")
     lines.append("step,restart,agentId,value")
-    for step, restart, values, _best in trace.steps:
+    for step, restart, values in trace.steps:
         for agent, value in enumerate(values, start=1):
             lines.append(f"{step},{restart},{agent},{float(value)!r}")
     if trace.first_passage is not None:
@@ -394,8 +393,8 @@ def parse_trace(lines):
     agent, value)`` rows, each value kept as its original string.  Raises
     ValueError naming the first malformed row: a wrong field count, a
     non-integer step, restart or agentId, a value that is not a float,
-    step < 1, restart < 0 or agentId < 1, or a repeated (step, restart,
-    agentId)."""
+    step < 1, restart < 0, agentId outside [1, MAX_MARKS], or a repeated
+    (step, restart, agentId)."""
     comments, rows = [], {}
     for number, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -409,9 +408,9 @@ def parse_trace(lines):
             except ValueError:
                 raise ValueError(f"line {number}: malformed trace row {line!r} "
                                  "(expected step,restart,agentId,value)") from None
-            if row[0] < 1 or row[1] < 0 or row[2] < 1:
-                raise ValueError(f"line {number}: trace row {line!r} needs "
-                                 "step >= 1, restart >= 0 and agentId >= 1")
+            if row[0] < 1 or row[1] < 0 or not 1 <= row[2] <= MAX_MARKS:
+                raise ValueError(f"line {number}: trace row {line!r} needs step >= 1, "
+                                 f"restart >= 0 and agentId in [1, {MAX_MARKS}]")
             if row[:3] in rows:
                 raise ValueError(f"line {number}: trace row {line!r} repeats an earlier "
                                  "(step, restart, agentId)")

@@ -43,7 +43,7 @@ SCAN_POINTS = 401 ** 2    # most points per slab of a grid scan: one trefethen3 
 
 # Scan policy per registered objective.  wild's basins are ~0.15 wide over a
 # 100-wide box, far below the generic coarse spacing, and its coordinate-mean
-# aggregation makes the minimum of every wildP the minimum of the 1-D term.
+# aggregation makes wildP's minimum on [a, b]^P the 1-D term's minimum on [a, b].
 # trefethen3's grid values are trefethen2's on the first two axes plus
 # trefethen2's on the last two, which the chain scan adds by broadcasting.
 _ORACLE_POLICY = {
@@ -157,15 +157,15 @@ def _lowest(values: np.ndarray, keep: int) -> np.ndarray:
     return np.argsort(values, kind="stable")[:keep]
 
 
-def _separated_incumbents(values, points, spacing, keep: int):
-    """Greedily keep the best cells at least two cells apart per dimension,
-    so the refinement seeds cover distinct basins."""
+def _separated_incumbents(values, points, spacing):
+    """Greedily keep the ``REFINE_INCUMBENTS`` best cells at least two cells
+    apart per dimension, so the refinement seeds cover distinct basins."""
     chosen_v, chosen_x = [], []
     for v, x in zip(values, points):
         if all(np.any(np.abs(x - cx) > 2.0 * spacing) for cx in chosen_x):
             chosen_v.append(float(v))
             chosen_x.append(np.asarray(x, dtype=float))
-            if len(chosen_x) == keep:
+            if len(chosen_x) == REFINE_INCUMBENTS:
                 break
     return chosen_v, chosen_x
 
@@ -202,8 +202,8 @@ def grid_refine_minimum(spec: ObjectiveSpec) -> TargetRecord:
 
     axes = [np.linspace(spec.lower[d], spec.upper[d], coarse) for d in range(spec.dims)]
     spacing = (spec.upper - spec.lower) / (coarse - 1)
-    top_v, top_x = _scan_top_cells(spec, axes, keep=max(REFINE_INCUMBENTS * 8, 32))
-    seeds_v, seeds_x = _separated_incumbents(top_v, top_x, spacing, REFINE_INCUMBENTS)
+    top_v, top_x = _scan_top_cells(spec, axes, keep=8 * REFINE_INCUMBENTS)
+    seeds_v, seeds_x = _separated_incumbents(top_v, top_x, spacing)
 
     best_v, best_x = min((_refine(spec, sv, sx, spacing) for sv, sx in zip(seeds_v, seeds_x)),
                          key=lambda vx: (vx[0], tuple(vx[1])))
@@ -212,16 +212,19 @@ def grid_refine_minimum(spec: ObjectiveSpec) -> TargetRecord:
 
 
 def compute_target(spec: ObjectiveSpec) -> TargetRecord:
-    """Dispatch to enumeration or grid refinement by objective kind,
-    applying the per-objective scan policy."""
+    """Dispatch to enumeration or grid refinement by objective kind, over the
+    box and at the digits of ``spec``; a separable objective scans its 1-D
+    base over the one interval that all of the spec's coordinates share."""
     if spec.staircase:
         return enumerate_integer_minimum(spec)
     base_name = _ORACLE_POLICY.get(spec.name, {}).get("separable_base")
-    if base_name is not None:
-        base = compute_target(replace(get_objective(base_name),
-                                      digits_target=spec.digits_target))
-        return replace(base, name=spec.name, coords=base.coords * spec.dims)
-    return grid_refine_minimum(spec)
+    if base_name is None:
+        return grid_refine_minimum(spec)
+    if np.any(spec.lower != spec.lower[0]) or np.any(spec.upper != spec.upper[0]):
+        raise ValueError(f"{spec.name} is separable, so its coordinates must share one interval")
+    base = grid_refine_minimum(replace(get_objective(base_name), lower=spec.lower[:1],
+                                       upper=spec.upper[:1], digits_target=spec.digits_target))
+    return replace(base, name=spec.name, coords=base.coords * spec.dims)
 
 
 class TargetStore:

@@ -332,6 +332,8 @@ BAD_STORE = "# name,valueTarget,digits,coords...,method\nehrenfest4,abc,9,9.0,en
       "--targets", "dup_targets.csv"]),
     ({"dup_walk.txt": "step,restart,agentId,value\n1,0,1,1.0\n1,0,1,2.0\n1,0,2,3.0\n"},
      ["trace", "dup_walk.txt"]),
+    ({"agent1025_walk.txt": "step,restart,agentId,value\n1,0,1,1.0\n1,0,1025,1.0\n"},
+     ["trace", "agent1025_walk.txt"]),
 ], ids=["solver-value", "trace-row", "store-list", "store-solve", "store-nan",
         "oracle-digits", "trace-out-dir", "trace-agent0", "trace-value",
         "flag-value", "flag-missing", "solver-digits", "solver-rde-nan",
@@ -339,7 +341,7 @@ BAD_STORE = "# name,valueTarget,digits,coords...,method\nehrenfest4,abc,9,9.0,en
         "bench-workers-neg", "marks-huge", "label-empty", "label-duplicate",
         "flag-marks", "solver-steps-limit", "desf-radius", "mw-rde", "mw-plateau-limit",
         "desfr-cr", "repeated-key", "solver-seed", "store-duplicate",
-        "trace-duplicate"])
+        "trace-duplicate", "trace-agent1025"])
 def test_bad_input_exits_1_without_traceback(store, files, args):
     for name, text in files.items():
         (store / name).write_text(text)

@@ -266,21 +266,37 @@ KINDS_FOR_TRACE = ("MW", "MWR", "DEsF", "DEsFR", "DEoF1", "DEoF2",
                    "DEoF3", "DEoF4", "DEoF5", "DEoF6")
 
 
+def _traced_run_with_epoch_bests(monkeypatch, cfg, spec):
+    """Run with a trace, recording the epoch best that each step's commit
+    returns (one commit per step, read through the module global)."""
+    greedy_commit = solvers._greedy_commit
+    bests = []
+
+    def record_commit(*args):
+        marks, values, best = greedy_commit(*args)
+        bests.append(best[0])
+        return marks, values, best
+
+    monkeypatch.setattr(solvers, "_greedy_commit", record_commit)
+    record, trace = run_solver(cfg, spec, record_trace=True)
+    assert len(bests) == len(trace.steps)
+    return record, trace, bests
+
+
 @pytest.mark.parametrize("kind", KINDS_FOR_TRACE)
-def test_greedy_monotone_per_agent_within_epoch(kind, ehrenfest15_spec):
+def test_greedy_monotone_per_agent_within_epoch(kind, ehrenfest15_spec, monkeypatch):
     cfg = SolverConfig(kind=kind, seed=7, steps_limit=40,
                        marks=8, radius=6 if kind in ("MW", "MWR") else None,
                        dither=0.01, plateau_limit=5)
-    record, trace = run_solver(cfg, ehrenfest15_spec, record_trace=True)
+    record, trace, bests = _traced_run_with_epoch_bests(monkeypatch, cfg, ehrenfest15_spec)
     prev_epoch = None
-    prev_values = None
-    for _step, epoch, values, best in trace.steps:
+    for (_step, epoch, values), best in zip(trace.steps, bests):
         if epoch == prev_epoch:
             assert np.all(values <= prev_values)
-        prev_epoch, prev_values = epoch, values
-    # running best is non-increasing over the whole run
-    bests = [b for *_ignored, b in trace.steps]
-    assert all(b2 <= b1 for b1, b2 in zip(bests, bests[1:]))
+            assert best <= prev_best
+        prev_epoch, prev_values, prev_best = epoch, values, best
+    # the record keeps the best over every epoch
+    assert record.value_best == min(bests)
 
 
 def test_first_passage_marker_matches_record(ehrenfest4_spec):
@@ -308,13 +324,13 @@ def test_restart_epoch_depends_only_on_drawn_seed(wild1_spec):
                        marks=8, radius=6, dither=0.01, plateau_limit=3)
     record, trace = run_solver(cfg, wild1_spec, record_trace=True)
     assert record.restarts >= 1, "expected at least one restart for this seed"
-    epoch1_rows = [(s, e, v) for s, e, v, _b in trace.steps if e == 1]
+    epoch1_rows = [row for row in trace.steps if row[1] == 1]
     # replay epoch 1 as a fresh non-restart run seeded with the drawn seed
     replay_cfg = SolverConfig(kind="MW", seed=trace.epoch_seeds[1], steps_limit=60,
                               marks=8, radius=6, dither=0.01)
     _replay, replay_trace = run_solver(replay_cfg, wild1_spec, record_trace=True)
     offset = epoch1_rows[0][0] - 1
-    for (step, _e, values), (rstep, _re, rvalues, _rb) in zip(
+    for (step, _e, values), (rstep, _re, rvalues) in zip(
             epoch1_rows, replay_trace.steps):
         assert step - offset == rstep
         assert np.array_equal(values, rvalues)
@@ -372,14 +388,14 @@ def test_plateau_on_the_last_budgeted_step_is_censored_without_restart(ehrenfest
         assert rec.probes == 6 * (1 + rec.restarts) + rec.steps * 6 * 2
 
 
-def _epoch0_plateau_counts(cfg, spec, trace):
+def _epoch0_plateau_counts(cfg, spec, trace, bests):
     """Replay the plateau rule over epoch 0 of a trace, counting the passing
-    step too; the running best of epoch 0 is that epoch's best."""
+    step too; ``bests`` holds each step's epoch best."""
     _marks, values = _init_population(spec, cfg.marks, cfg.uses_ruler,
                                       np.random.default_rng(cfg.seed), EvalCounter())
     err_prev = float(values.min()) - spec.value_target
     plateau, counts = 0, []
-    for _step, epoch, _values, best in trace.steps:
+    for (_step, epoch, _values), best in zip(trace.steps, bests):
         if epoch:
             break
         error = best - spec.value_target
@@ -392,12 +408,13 @@ def _epoch0_plateau_counts(cfg, spec, trace):
     return counts
 
 
-def test_pass_on_the_step_the_plateau_would_fill_is_not_a_restart(ehrenfest4_spec):
+def test_pass_on_the_step_the_plateau_would_fill_is_not_a_restart(ehrenfest4_spec,
+                                                                  monkeypatch):
     cfg = _small_mwr(seed=4, steps_limit=200, plateau_limit=2)
-    record, trace = run_solver(cfg, ehrenfest4_spec, record_trace=True)
+    record, trace, bests = _traced_run_with_epoch_bests(monkeypatch, cfg, ehrenfest4_spec)
     # the initial marks hold a raw value below the quantized target, so
     # every step, the passing one included, counts as flat
-    assert _epoch0_plateau_counts(cfg, ehrenfest4_spec, trace) == [1, 2]
+    assert _epoch0_plateau_counts(cfg, ehrenfest4_spec, trace, bests) == [1, 2]
     assert (record.steps, record.probes, record.restarts, record.is_censored,
             record.agent_id) == (2, 30, 0, False, 2)
     assert record.value_best == ehrenfest4_spec.value_target
@@ -587,7 +604,7 @@ def test_trace_parse_roundtrip(steps, first_passage, epoch_seeds):
     trace = WalkTrace(header=("objective = x", "solver = MW04"),
                       first_passage=first_passage, epoch_seeds=epoch_seeds)
     for step, restart, values in steps:
-        trace.steps.append((step, restart, np.array(values), min(values)))
+        trace.steps.append((step, restart, np.array(values)))
     comments, rows = parse_trace(trace_to_text(trace).splitlines())
     expected = [(step, restart, agent, repr(float(v)))
                 for step, restart, values in steps
@@ -602,10 +619,16 @@ def test_trace_parse_roundtrip(steps, first_passage, epoch_seeds):
 
 
 @pytest.mark.parametrize("row", ["0,0,1,1.0", "1,-1,1,1.0", "1,0,0,1.0",
-                                 "1,0,1,abc", "1,0,1", "x,0,1,1.0"])
+                                 "1,0,1,abc", "1,0,1", "x,0,1,1.0", "1,0,1025,1.0"])
 def test_parse_trace_rejects_meaningless_rows(row):
     with pytest.raises(ValueError, match="line 3"):
         parse_trace(["# solver = MW04", "step,restart,agentId,value", row])
+
+
+def test_parse_trace_accepts_the_largest_population():
+    # agentId is bounded by ruler.MAX_MARKS, so the pivot stays small
+    _comments, rows = parse_trace(["step,restart,agentId,value", "1,0,1024,1.0"])
+    assert rows == [(1, 0, 1024, "1.0")]
 
 
 def test_parse_trace_rejects_a_repeated_row_key():

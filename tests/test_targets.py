@@ -237,6 +237,22 @@ def test_separable_target_at_the_callers_digits():
     assert rec.coords == base.coords * 2
 
 
+def test_separable_target_scans_the_specs_own_box():
+    base = compute_target(replace(get_objective("wild1"), lower=[0.0], upper=[10.0]))
+    assert (base.value_target, base.coords) == (71.052347, (4.791555444478988,))
+    for p in (2, 3):
+        spec = replace(get_objective(f"wild{p}"), lower=[0.0] * p, upper=[10.0] * p)
+        assert compute_target(spec) == replace(base, name=spec.name, coords=base.coords * p)
+
+
+@pytest.mark.parametrize("lower, upper", [([0.0, -1.0], [10.0, 10.0]),
+                                          ([0.0, 0.0], [10.0, 9.0])])
+def test_separable_target_refuses_mixed_intervals(lower, upper):
+    spec = replace(get_objective("wild2"), lower=lower, upper=upper)
+    with pytest.raises(ValueError, match="wild2 is separable"):
+        compute_target(spec)
+
+
 def test_trefethen2_matches_published_challenge_value():
     rec = compute_target(get_objective("trefethen2"))
     # reference minimum of the 2002 hundred-digit challenge problem
