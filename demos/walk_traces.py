@@ -9,7 +9,7 @@ step where the quantized running best first equals the quantized target.
 
 from dataclasses import replace
 
-from multiwalk import SolverConfig, get_objective, run_solver, trace_to_text
+from multiwalk import SolverConfig, WalkTrace, get_objective, run_solver, trace_to_text
 from multiwalk.targets import compute_target
 
 spec = replace(get_objective("trefethen1"), digits_target=6)
@@ -19,7 +19,8 @@ print()
 
 for kind, extra in (("MWR", dict(radius=4, dither=0.01)), ("DEsFR", {})):
     cfg = SolverConfig(kind=kind, seed=5, steps_limit=2000, marks=32, **extra)
-    run, trace = run_solver(cfg, spec, record_trace=True)
+    trace = WalkTrace(cfg, spec)  # an observer: it sees every epoch and step
+    run = run_solver(cfg, spec, observe=trace)
     print(f"{cfg.solver_label}: steps={run.steps} probes={run.probes} "
           f"restarts={run.restarts} first_passage={trace.first_passage}")
     path = f"walk_{cfg.solver_label}.txt"

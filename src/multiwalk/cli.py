@@ -17,7 +17,7 @@ from dataclasses import replace
 from .experiments import (ExperimentPlan, run_experiment, summarize_experiment,
                           write_bargraph_csv, write_runs_csv, write_summary_csv)
 from .objectives import ObjectiveSpec, get_objective, objective_names
-from .solvers import (KIND_SETTINGS, SOLVER_KINDS, SolverConfig, run_solver,
+from .solvers import (KIND_SETTINGS, SOLVER_KINDS, SolverConfig, WalkTrace, run_solver,
                       trace_to_text, trace_wide_text)
 from .targets import TargetStore, compute_target
 
@@ -150,7 +150,8 @@ def _cmd_solve(args) -> int:
     if args.trace_out:
         # opened first, so an unwritable path fails before the run
         with open(args.trace_out, "w", encoding="utf-8", newline="\n") as fh:
-            record, trace = run_solver(cfg, spec, record_trace=True)
+            trace = WalkTrace(cfg, spec)
+            record = run_solver(cfg, spec, observe=trace)
             fh.write(trace_to_text(trace))
     else:
         record = run_solver(cfg, spec)

@@ -1,4 +1,4 @@
-"""Objective-function registry: test functions, bounds, targets, probe counting.
+"""Objective-function registry: test functions, bounds, targets, batch evaluation.
 
 Every objective is a pure function evaluated batch-wise on an (B, p) array of
 points.  Success for a solver run is defined by equality of the *quantized*
@@ -17,7 +17,6 @@ import numpy as np
 from scipy.special import gammaln
 
 __all__ = [
-    "EvalCounter",
     "ObjectiveSpec",
     "quantize",
     "evaluate_batch",
@@ -109,17 +108,8 @@ def quantize(value, digits: int):
 
 
 # ---------------------------------------------------------------------------
-# evaluation bookkeeping
+# objective specs and batch evaluation
 # ---------------------------------------------------------------------------
-
-class EvalCounter:
-    """Counts objective-function evaluations (probes), one per point."""
-
-    __slots__ = ("probes",)
-
-    def __init__(self) -> None:
-        self.probes = 0
-
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
@@ -161,14 +151,12 @@ class ObjectiveSpec:
         return replace(self, value_target=quantize(value_target, self.digits_target))
 
 
-def evaluate_batch(spec: ObjectiveSpec, points: np.ndarray, counter: EvalCounter) -> np.ndarray:
-    """Evaluate an (B, p) batch; increments ``counter.probes`` by B."""
+def evaluate_batch(spec: ObjectiveSpec, points: np.ndarray) -> np.ndarray:
+    """Evaluate an (B, p) batch: B probes, one value per point."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != spec.dims:
         raise ValueError(f"{spec.name}: expected (B, {spec.dims}) points, got shape {points.shape}")
-    values = np.asarray(spec.fn(points), dtype=float)
-    counter.probes += points.shape[0]
-    return values
+    return np.asarray(spec.fn(points), dtype=float)
 
 
 # ---------------------------------------------------------------------------

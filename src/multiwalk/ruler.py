@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .objectives import EvalCounter, ObjectiveSpec, evaluate_batch
+from .objectives import ObjectiveSpec, evaluate_batch
 
 __all__ = [
     "eligible_neighbors",
@@ -81,10 +81,10 @@ def _neighbor_sets(n_marks: int, radius: int, rng: np.random.Generator) -> np.nd
 
 
 def neighborhood_eval(marks: np.ndarray, spec: ObjectiveSpec, radius: int,
-                      dither: float, rng: np.random.Generator,
-                      counter: EvalCounter):
-    """Evaluate each mark's neighborhood and return ``(coords, values)``:
-    the best candidate per mark, (m, p), and its raw objective value, (m,).
+                      dither: float, rng: np.random.Generator):
+    """Evaluate each mark's neighborhood and return ``(coords, values, raw)``:
+    the best candidate per mark, (m, p), its raw objective value, (m,), and
+    every evaluated value, (m * radius,), mark-major in evaluation order.
 
     At full radius (m - 2) every eligible neighbor is consulted; otherwise a
     fresh uniform sample of ``radius`` neighbors is drawn per mark per step,
@@ -100,11 +100,11 @@ def neighborhood_eval(marks: np.ndarray, spec: ObjectiveSpec, radius: int,
     neighbor_sets = _neighbor_sets(m, radius, rng)
     cands = _candidates(marks, neighbor_sets, spec.lower, spec.upper, dither, rng)
 
-    values = evaluate_batch(spec, cands.reshape(m * radius, p), counter)
-    values = values.reshape(m, radius)
+    raw = evaluate_batch(spec, cands.reshape(m * radius, p))
+    values = raw.reshape(m, radius)
     pick = np.argmin(values, axis=1)  # first minimum = lowest index (sets ascend)
     rows = np.arange(m)
-    return cands[rows, pick], values[rows, pick]
+    return cands[rows, pick], values[rows, pick], raw
 
 
 def candidate_table_text(marks: np.ndarray, lower, upper) -> str:

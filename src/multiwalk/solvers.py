@@ -21,12 +21,12 @@ A run that exhausts its step budget first is censored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .objectives import EvalCounter, ObjectiveSpec, evaluate_batch, quantize
+from .objectives import ObjectiveSpec, evaluate_batch, quantize
 from .ruler import MAX_MARKS, MIN_MARKS, neighborhood_eval
 
 __all__ = [
@@ -139,19 +139,30 @@ class RunRecord:
     seed: int
 
 
-@dataclass
 class WalkTrace:
-    """Per-step, per-agent raw values with restart boundaries.
+    """Run observer (``run_solver(cfg, spec, observe=WalkTrace(cfg, spec))``)
+    recording per-step, per-agent raw values with restart boundaries.
 
-    ``steps[k] = (step, restart_index, values_copy)``.
-    ``first_passage`` is ``(step, agent_id)`` once the target is reached.
-    ``header`` holds the ``#`` lines naming the objective and solver run.
+    ``header`` holds the ``#`` lines naming the objective and solver run,
+    ``epoch_seeds`` each epoch's seed and ``steps[k] = (step, restart_index,
+    values_copy)``.  ``first_passage`` is ``(step, agent_id)`` once the
+    target is reached.
     """
 
-    header: tuple
-    steps: list = field(default_factory=list)
-    first_passage: Optional[tuple] = None
-    epoch_seeds: list = field(default_factory=list)
+    def __init__(self, cfg: SolverConfig, spec: ObjectiveSpec):
+        self.header = (*config_lines(spec, [cfg]), f"solver = {cfg.solver_label}")
+        self.steps: list = []
+        self.epoch_seeds: list = []
+        self.first_passage: Optional[tuple] = None
+        self._target = spec.value_target
+
+    def epoch(self, seed, marks, values):
+        self.epoch_seeds.append(seed)
+
+    def step(self, step, restart, raw, marks, values, best):
+        self.steps.append((step, restart, values.copy()))
+        if best[0] == self._target:  # the run's last step
+            self.first_passage = (step, int(np.argmin(values)) + 1)
 
 
 def _greedy_commit(marks, values, cand_coords, cand_values, best, digits: int):
@@ -173,13 +184,13 @@ def _greedy_commit(marks, values, cand_coords, cand_values, best, digits: int):
 
 
 def mw_step(marks, values, cfg: SolverConfig, spec: ObjectiveSpec,
-            rng: np.random.Generator, counter: EvalCounter, best):
-    """One multi-walk step: evaluate the neighborhood, then commit.  Costs
-    exactly ``marks * radius`` probes; returns ``(marks, values, best)``."""
-    coords, cand_values = neighborhood_eval(marks, spec, cfg.radius, cfg.dither,
-                                            rng, counter)
-    return _greedy_commit(marks, values, coords, cand_values, best,
-                          spec.digits_target)
+            rng: np.random.Generator, best):
+    """One multi-walk step: evaluate the neighborhood, then commit.  Returns
+    ``(marks, values, best, raw)``, ``raw`` the ``marks * radius`` values
+    it evaluated."""
+    coords, cand_values, raw = neighborhood_eval(marks, spec, cfg.radius, cfg.dither, rng)
+    return (*_greedy_commit(marks, values, coords, cand_values, best,
+                            spec.digits_target), raw)
 
 
 def _distinct_triples(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -243,21 +254,20 @@ def _de_trials(marks: np.ndarray, values: np.ndarray, cfg: SolverConfig,
 
 
 def _de_step(marks, values, cfg: SolverConfig, spec: ObjectiveSpec,
-             rng: np.random.Generator, counter: EvalCounter, best):
-    """One DE step: build, evaluate and commit ``marks`` trials."""
+             rng: np.random.Generator, best):
+    """One DE step: build, evaluate and commit ``marks`` trials.  Returns
+    ``(marks, values, best, raw)``, ``raw`` the trial values."""
     trials = _de_trials(marks, values, cfg, spec, rng)
-    return _greedy_commit(marks, values, trials, evaluate_batch(spec, trials, counter),
-                          best, spec.digits_target)
+    raw = evaluate_batch(spec, trials)
+    return (*_greedy_commit(marks, values, trials, raw, best, spec.digits_target), raw)
 
 
 def _init_population(spec: ObjectiveSpec, n_marks: int, anchored: bool,
-                     rng: np.random.Generator, counter: EvalCounter,
-                     initial_marks=None):
+                     rng: np.random.Generator, initial_marks=None):
     """Uniform random marks with their raw values; ``anchored`` (the ruler
     kinds) pins rows 1 and m at the bounds.  ``initial_marks`` replaces the
     drawn marks after the draw, so the stream position does not depend on it;
-    it must lie inside the bounds (so no NaN).  Costs exactly ``n_marks``
-    probes."""
+    it must lie inside the bounds (so no NaN)."""
     u = rng.uniform(size=(n_marks, spec.dims))
     marks = spec.lower + u * (spec.upper - spec.lower)
     if anchored:
@@ -267,40 +277,43 @@ def _init_population(spec: ObjectiveSpec, n_marks: int, anchored: bool,
         marks = np.array(initial_marks, dtype=float).reshape(n_marks, spec.dims)
         if not np.all((spec.lower <= marks) & (marks <= spec.upper)):
             raise ValueError(f"initial_marks must be finite and inside the bounds of {spec.name}")
-    return marks, evaluate_batch(spec, marks, counter)
+    return marks, evaluate_batch(spec, marks)
 
 
 def run_solver(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
-               record_trace: bool = False):
-    """Run any configured solver; returns a RunRecord, plus the WalkTrace
-    when ``record_trace`` is set.  ``initial_marks`` replaces the first
-    epoch's random population; a non-finite or out-of-box mark raises
-    ValueError."""
+               observe=None) -> RunRecord:
+    """Run any configured solver and return its RunRecord.
+
+    ``initial_marks`` replaces the first epoch's random population; a
+    non-finite or out-of-box mark raises ValueError.  ``observe`` (such as a
+    WalkTrace) watches the run without changing it: ``observe.epoch(seed,
+    marks, values)`` follows each epoch's initial evaluation, and
+    ``observe.step(step, restart, raw, marks, values, best)`` each commit,
+    with ``raw`` every value the step evaluated, flat in evaluation order,
+    and ``best`` the epoch's running best ``(quantized value, coord)``.  It
+    must not modify the arrays it is handed.  The probe count is the
+    initial values plus each step's ``raw``."""
     target = spec.value_target
     if target is None:
         raise ValueError(
             f"objective {spec.name!r} has no stored target value; "
             "compute it with the target oracle first"
         )
-    counter = EvalCounter()
-    trace = WalkTrace(header=(*config_lines(spec, [cfg]),
-                              f"solver = {cfg.solver_label}")) if record_trace else None
-
     step = mw_step if cfg.uses_ruler else _de_step
     plateau_limit = cfg.effective_plateau_limit if cfg.restarts_enabled else math.inf
     total_steps = 0
+    probes = 0
     restarts = 0
     best = (math.inf, None)  # quantized value and its coordinates, over all epochs
     epoch_seed = cfg.seed
 
     while True:
-        if trace is not None:
-            trace.epoch_seeds.append(epoch_seed)
         rng = np.random.default_rng(epoch_seed)
-
-        marks, values = _init_population(
-            spec, cfg.marks, cfg.uses_ruler, rng, counter,
-            initial_marks if restarts == 0 else None)
+        marks, values = _init_population(spec, cfg.marks, cfg.uses_ruler, rng,
+                                         initial_marks if restarts == 0 else None)
+        probes += len(values)
+        if observe is not None:
+            observe.epoch(epoch_seed, marks, values)
 
         err_prev = float(values.min()) - target  # raw seed for the plateau rule
         epoch_best = (math.inf, None)  # quantized value and its coordinates
@@ -309,13 +322,12 @@ def run_solver(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
         while (epoch_best[0] != target and plateau < plateau_limit
                and total_steps < cfg.steps_limit):
             total_steps += 1
-            marks, values, epoch_best = step(marks, values, cfg, spec, rng,
-                                             counter, epoch_best)
+            marks, values, epoch_best, raw = step(marks, values, cfg, spec, rng, epoch_best)
+            probes += raw.size
             if epoch_best[0] < best[0]:
                 best = epoch_best
-
-            if trace is not None:
-                trace.steps.append((total_steps, restarts, values.copy()))
+            if observe is not None:
+                observe.step(total_steps, restarts, raw, marks, values, epoch_best)
 
             if cfg.restarts_enabled and epoch_best[0] != target:
                 error = epoch_best[0] - target
@@ -331,20 +343,16 @@ def run_solver(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
         restarts += 1
         epoch_seed = int(rng.integers(1, 2 ** 31))  # drawn from the run's own stream
 
-    agent_id = int(np.argmin(values)) + 1
-    record = RunRecord(
+    return RunRecord(
         coord_best=tuple(float(x) for x in np.atleast_1d(best[1])),
         value_best=float(best[0]),
-        agent_id=agent_id,
+        agent_id=int(np.argmin(values)) + 1,
         steps=total_steps,
-        probes=counter.probes,
+        probes=probes,
         restarts=restarts,
         is_censored=epoch_best[0] != target,
         seed=cfg.seed,
     )
-    if trace is not None and not record.is_censored:
-        trace.first_passage = (total_steps, agent_id)
-    return (record, trace) if record_trace else record
 
 
 def config_lines(spec: ObjectiveSpec, configs) -> list:
@@ -392,8 +400,8 @@ def parse_trace(lines):
     (configuration and first-passage footer) and the ``(step, restart,
     agent, value)`` rows, each value kept as its original string.  Raises
     ValueError naming the first malformed row: a wrong field count, a
-    non-integer step, restart or agentId, a value that is not a float,
-    step < 1, restart < 0, agentId outside [1, MAX_MARKS], or a repeated
+    non-integer step, restart or agentId, a value that is not a float or is
+    NaN, step < 1, restart < 0, agentId outside [1, MAX_MARKS], or a repeated
     (step, restart, agentId)."""
     comments, rows = [], {}
     for number, raw in enumerate(lines, start=1):
@@ -404,13 +412,14 @@ def parse_trace(lines):
             try:
                 step, restart, agent, value = line.split(",")
                 row = (int(step), int(restart), int(agent), value)
-                float(value)
+                is_nan = math.isnan(float(value))
             except ValueError:
                 raise ValueError(f"line {number}: malformed trace row {line!r} "
                                  "(expected step,restart,agentId,value)") from None
-            if row[0] < 1 or row[1] < 0 or not 1 <= row[2] <= MAX_MARKS:
+            if row[0] < 1 or row[1] < 0 or not 1 <= row[2] <= MAX_MARKS or is_nan:
                 raise ValueError(f"line {number}: trace row {line!r} needs step >= 1, "
-                                 f"restart >= 0 and agentId in [1, {MAX_MARKS}]")
+                                 f"restart >= 0, agentId in [1, {MAX_MARKS}] and a "
+                                 "value that is not NaN")
             if row[:3] in rows:
                 raise ValueError(f"line {number}: trace row {line!r} repeats an earlier "
                                  "(step, restart, agentId)")

@@ -44,6 +44,8 @@ def test_traced_mwr_run_records_step_spans(ehrenfest15_spec):
     assert stats["solvers.mw_step"].calls == traced.steps
     assert stats["ruler.neighborhood_eval"].calls == traced.steps
     assert stats["solvers.mw_step"].self_s > 0
+    # the tracer's probe count, taken at evaluate_batch, is the run's ledger
+    assert tracer.counts["objectives.evaluate_batch.probes"] == traced.probes
     # after uninstall the package calls the plain functions again
     assert not hasattr(multiwalk.solvers.mw_step, "__wrapped__")
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from multiwalk.objectives import (EvalCounter, ObjectiveSpec, _ehrenfest_table,
+from multiwalk.objectives import (ObjectiveSpec, _ehrenfest_table,
                                   ehrenfest, evaluate_batch, get_objective,
                                   objective_names, wild)
 
@@ -36,16 +36,13 @@ def test_registry_bounds():
 
 
 def test_wild_at_origin_is_exactly_80():
-    counter = EvalCounter()
-    assert evaluate_batch(get_objective("wild1"), [[0.0]], counter)[0] == 80.0
-    assert counter.probes == 1
+    assert evaluate_batch(get_objective("wild1"), [[0.0]])[0] == 80.0
 
 
 def test_wild_mean_of_identical_coordinates():
-    counter = EvalCounter()
     t = -15.815
-    v1 = evaluate_batch(get_objective("wild1"), [[t]], counter)[0]
-    v3 = evaluate_batch(get_objective("wild3"), [[t, t, t]], counter)[0]
+    v1 = evaluate_batch(get_objective("wild1"), [[t]])[0]
+    v3 = evaluate_batch(get_objective("wild3"), [[t, t, t]])[0]
     assert v3 == pytest.approx(v1, rel=1e-14)
 
 
@@ -57,36 +54,32 @@ def test_wild_separability(coords):
 
 
 def test_trefethen_anchor_values():
-    counter = EvalCounter()
-    v2 = evaluate_batch(get_objective("trefethen2"), [[0.0, 0.0]], counter)[0]
+    v2 = evaluate_batch(get_objective("trefethen2"), [[0.0, 0.0]])[0]
     assert v2 == pytest.approx(1.0 + math.sin(60.0), abs=1e-12)
-    v1 = evaluate_batch(get_objective("trefethen1"), [[0.0]], counter)[0]
+    v1 = evaluate_batch(get_objective("trefethen1"), [[0.0]])[0]
     assert v1 == v2
 
 
 def test_trefethen3_chains_pairs():
     # exact, since the oracle's chain scan sums trefethen2 pairs in place of trefethen3
-    counter = EvalCounter()
     pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(20000, 3))
     t2 = get_objective("trefethen2")
-    v3 = evaluate_batch(get_objective("trefethen3"), pts, counter)
-    vxy = evaluate_batch(t2, pts[:, :2], counter)
-    vyz = evaluate_batch(t2, pts[:, 1:], counter)
+    v3 = evaluate_batch(get_objective("trefethen3"), pts)
+    vxy = evaluate_batch(t2, pts[:, :2])
+    vyz = evaluate_batch(t2, pts[:, 1:])
     assert np.array_equal(v3, vxy + vyz)
 
 
 def test_ehrenfest_values():
-    counter = EvalCounter()
     spec = get_objective("ehrenfest4")
-    assert evaluate_batch(spec, [[1.0]], counter)[0] == 0.0
-    v9 = evaluate_batch(spec, [[9.0]], counter)[0]
+    assert evaluate_batch(spec, [[1.0]])[0] == 0.0
+    v9 = evaluate_batch(spec, [[9.0]])[0]
     assert v9 == pytest.approx(-1.01 * math.log(math.comb(16, 8)), rel=1e-13)
 
 
 def test_ehrenfest_staircase_in_x():
     spec = get_objective("ehrenfest4")
-    counter = EvalCounter()
-    assert evaluate_batch(spec, [[8.7]], counter)[0] == evaluate_batch(spec, [[9.2]], counter)[0]
+    assert evaluate_batch(spec, [[8.7]])[0] == evaluate_batch(spec, [[9.2]])[0]
 
 
 def test_ehrenfest_symmetry_all_n_up_to_16():
@@ -174,47 +167,51 @@ def test_ehrenfest_table_is_read_only():
                          ids=["lone", "among-valid"])
 def test_ehrenfest_nan_coordinate_is_a_value_error(points):
     with pytest.raises(ValueError, match=r"ehrenfest15: a coordinate is NaN"):
-        evaluate_batch(get_objective("ehrenfest15"), points, EvalCounter())
+        evaluate_batch(get_objective("ehrenfest15"), points)
 
 
 def test_ehrenfest_empty_batch_is_empty():
-    values = evaluate_batch(get_objective("ehrenfest15"), np.zeros((0, 1)), EvalCounter())
+    values = evaluate_batch(get_objective("ehrenfest15"), np.zeros((0, 1)))
     assert values.shape == (0,)
 
 
 def test_evaluate_dimension_mismatch():
-    counter = EvalCounter()
     with pytest.raises(ValueError):
-        evaluate_batch(get_objective("wild2"), [[0.0]], counter)
+        evaluate_batch(get_objective("wild2"), [[0.0]])
     with pytest.raises(ValueError):
-        evaluate_batch(get_objective("wild2"), np.zeros((3, 1)), counter)
-    assert counter.probes == 0
+        evaluate_batch(get_objective("wild2"), np.zeros((3, 1)))
 
 
 def test_evaluate_out_of_bounds_still_evaluates():
-    counter = EvalCounter()
-    value = evaluate_batch(get_objective("wild1"), [[60.0]], counter)[0]
+    value = evaluate_batch(get_objective("wild1"), [[60.0]])[0]
     assert math.isfinite(value)
-    assert counter.probes == 1
 
 
 def test_evaluate_deterministic():
-    counter = EvalCounter()
     spec = get_objective("trefethen2")
     x = [0.123, -0.456]
-    assert evaluate_batch(spec, [x], counter)[0] == evaluate_batch(spec, [x], counter)[0]
+    assert evaluate_batch(spec, [x])[0] == evaluate_batch(spec, [x])[0]
 
 
-@given(st.lists(st.integers(min_value=1, max_value=40), max_size=12))
-def test_probe_accounting_exact(batch_sizes):
-    counter = EvalCounter()
-    spec = get_objective("wild1")
-    rng = np.random.default_rng(0)
-    total = 0
-    for size in batch_sizes:
-        evaluate_batch(spec, rng.uniform(-50, 50, size=(size, 1)), counter)
-        total += size
-    assert counter.probes == total
+@given(st.sampled_from(objective_names()), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 200), st.data())
+def test_kernel_batch_invariance(name, seed, size, data):
+    # a batch's values do not depend on how the points are batched or laid
+    # out: sub-batches, single points and a view offset by one float in a
+    # larger buffer give the same bytes
+    spec = get_objective(name)
+    rng = np.random.default_rng(seed)
+    points = spec.lower + rng.uniform(size=(size, spec.dims)) * (spec.upper - spec.lower)
+    whole = evaluate_batch(spec, points).tobytes()
+    cuts = sorted(data.draw(st.lists(st.integers(1, size - 1), max_size=5))) if size > 1 else []
+    parts = [part for part in np.split(points, cuts) if len(part)]
+    assert np.concatenate([evaluate_batch(spec, part) for part in parts]).tobytes() == whole
+    singles = [evaluate_batch(spec, points[i:i + 1]) for i in range(size)]
+    assert np.concatenate(singles).tobytes() == whole
+    buffer = np.empty(points.size + 1)
+    shifted = buffer[1:].reshape(points.shape)
+    shifted[...] = points
+    assert evaluate_batch(spec, shifted).tobytes() == whole
 
 
 def test_spec_invariants():

@@ -3,10 +3,10 @@ solvers see and every committed population, for a fixed plan.
 
 The golden CSV fingerprint of the benchmark holds quantized values only, so
 last-ulp drift in a kernel, the candidate generator or a commit can leave it
-unchanged.  This hash sees every raw float.  It is captured from outside by
-rebinding the module globals the solvers call (``evaluate_batch`` where the
-ruler and the DE step look it up, ``_greedy_commit`` where both steps look
-it up), so nothing in the package knows it is being watched.
+unchanged.  This hash sees every raw float.  It is captured by a run
+observer (``run_solver(..., observe=...)``): each epoch's initial values,
+then per step the values it evaluated, the committed marks and values, and
+the epoch best.
 
 Raw floats depend on numpy's SIMD dispatch (``NPY_DISABLE_CPU_FEATURES``)
 and on the numpy and scipy builds, so the pin records the environment it
@@ -19,7 +19,6 @@ from dataclasses import replace
 import numpy as np
 import scipy
 
-from multiwalk import ruler, solvers
 from multiwalk.objectives import get_objective
 from multiwalk.solvers import SOLVER_KINDS, SolverConfig, run_solver
 from multiwalk.targets import compute_target
@@ -73,38 +72,36 @@ def _update(digest, tag: bytes, array) -> None:
     digest.update(a.tobytes())
 
 
-def probe_stream_sha256(monkeypatch) -> tuple:
-    """Run the plan with capturing wrappers installed; returns the hex
-    digest and the number of runs that restarted at least once."""
+class _Hasher:
+    """Run observer feeding every event into one digest."""
+
+    def __init__(self, digest):
+        self.digest = digest
+
+    def epoch(self, seed, marks, values):
+        _update(self.digest, b"eval", values)
+
+    def step(self, step, restart, raw, marks, values, best):
+        _update(self.digest, b"eval", raw)
+        _update(self.digest, b"marks", marks)
+        _update(self.digest, b"values", values)
+        _update(self.digest, b"best", [best[0]])
+
+
+def probe_stream_sha256() -> tuple:
+    """Run the plan under the hashing observer; returns the hex digest and
+    the number of runs that restarted at least once."""
     digest = hashlib.sha256()
-    evaluate_batch = solvers.evaluate_batch
-    greedy_commit = solvers._greedy_commit
-
-    def capture_eval(spec, points, counter):
-        values = evaluate_batch(spec, points, counter)
-        _update(digest, b"eval", values)
-        return values
-
-    def capture_commit(*args):
-        marks, values, best = greedy_commit(*args)
-        _update(digest, b"marks", marks)
-        _update(digest, b"values", values)
-        _update(digest, b"best", [best[0]])
-        return marks, values, best
-
-    monkeypatch.setattr(ruler, "evaluate_batch", capture_eval)
-    monkeypatch.setattr(solvers, "evaluate_batch", capture_eval)
-    monkeypatch.setattr(solvers, "_greedy_commit", capture_commit)
     restarted = 0
     for spec, cfg in _plan():
-        record = run_solver(cfg, spec)
+        record = run_solver(cfg, spec, observe=_Hasher(digest))
         digest.update(repr(record).encode())
         restarted += record.restarts > 0
     return digest.hexdigest(), restarted
 
 
-def test_probe_stream_fingerprint(monkeypatch):
-    sha, restarted = probe_stream_sha256(monkeypatch)
+def test_probe_stream_fingerprint():
+    sha, restarted = probe_stream_sha256()
     assert restarted >= 3, "the plan must exercise restarts"
     features = _active_cpu_features()
     assert sha == PINNED_SHA256, (

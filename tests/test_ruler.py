@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multiwalk.objectives import EvalCounter, get_objective
+from multiwalk.objectives import get_objective
 from multiwalk.ruler import (_candidates, _neighbor_sets, candidate_table_text,
                              eligible_neighbors, neighborhood_eval)
 from multiwalk.solvers import _init_population
@@ -9,9 +9,9 @@ from multiwalk.solvers import _init_population
 DEMO_MARKS = np.array([1.0, 2.0, 4.0, 10.0, 12.0, 17.0])[:, None]
 
 
-def _anchored_init(spec, n_marks, seed, counter):
+def _anchored_init(spec, n_marks, seed):
     """The ruler kinds' epoch initialization, as the solver loop calls it."""
-    return _init_population(spec, n_marks, True, np.random.default_rng(seed), counter)
+    return _init_population(spec, n_marks, True, np.random.default_rng(seed))
 
 
 def _pair_table(marks, lower, upper, dither=0.0, rng=None):
@@ -22,25 +22,23 @@ def _pair_table(marks, lower, upper, dither=0.0, rng=None):
 
 def test_init_anchors_exactly_at_bounds():
     spec = get_objective("ehrenfest4")
-    counter = EvalCounter()
-    marks, _values = _anchored_init(spec, 6, 11, counter)
+    marks, values = _anchored_init(spec, 6, 11)
     assert marks[0, 0] == 1.0
     assert marks[5, 0] == 17.0
-    assert counter.probes == 6
+    assert values.shape == (6,)
 
 
 def test_init_marks_within_bounds():
     spec = get_objective("trefethen2")
-    counter = EvalCounter()
-    marks, values = _anchored_init(spec, 16, 5, counter)
+    marks, values = _anchored_init(spec, 16, 5)
     assert np.all(marks >= spec.lower) and np.all(marks <= spec.upper)
     assert np.array_equal(values, np.array([spec.fn(row[None])[0] for row in marks]))
 
 
 def test_init_deterministic():
     spec = get_objective("wild2")
-    a_marks, a_values = _anchored_init(spec, 8, 7, EvalCounter())
-    b_marks, b_values = _anchored_init(spec, 8, 7, EvalCounter())
+    a_marks, a_values = _anchored_init(spec, 8, 7)
+    b_marks, b_values = _anchored_init(spec, 8, 7)
     assert np.array_equal(a_marks, b_marks)
     assert np.array_equal(a_values, b_values)
 
@@ -127,7 +125,7 @@ def _neighbor_sets_reference(n_marks, radius, rng):
 def test_candidates_match_clip_reference(name, dither):
     spec = get_objective(name)
     for seed, (m, radius) in enumerate([(4, 1), (8, 3), (32, 30), (32, 4)]):
-        marks, _values = _anchored_init(spec, m, seed, EvalCounter())
+        marks, _values = _anchored_init(spec, m, seed)
         neighbor_sets = _neighbor_sets(m, radius, np.random.default_rng(seed))
         assert np.array_equal(
             neighbor_sets, _neighbor_sets_reference(m, radius, np.random.default_rng(seed)))
@@ -151,7 +149,7 @@ def test_anchored_noop_columns_on_integer_ruler():
 
 def test_anchored_noop_columns_on_random_init():
     spec = get_objective("wild3")
-    marks, _values = _anchored_init(spec, 10, 21, EvalCounter())
+    marks, _values = _anchored_init(spec, 10, 21)
     table = _pair_table(marks, spec.lower, spec.upper)
     for i in range(1, 10):
         assert table[i, 0] == pytest.approx(marks[i], rel=1e-12, abs=1e-12)
@@ -160,36 +158,35 @@ def test_anchored_noop_columns_on_random_init():
 
 def test_full_radius_proposal_finds_center_state(ehrenfest4_spec):
     spec = ehrenfest4_spec
-    counter = EvalCounter()
-    coords, values = neighborhood_eval(DEMO_MARKS.copy(), spec, radius=4, dither=0.0,
-                                       rng=np.random.default_rng(0), counter=counter)
+    coords, values, raw = neighborhood_eval(DEMO_MARKS.copy(), spec, radius=4, dither=0.0,
+                                            rng=np.random.default_rng(0))
     # mark at coordinate 4 reaches nine via its distance to the mark at 12
     assert coords[2, 0] == 9.0
     row = _candidates(DEMO_MARKS, eligible_neighbors(6), spec.lower, spec.upper)[2, :, 0]
     assert eligible_neighbors(6)[2][row == coords[2, 0]].tolist() == [4]
     assert values[2] == spec.fn(np.array([[9.0]]))[0]
-    assert counter.probes == 6 * 4
+    # raw holds every evaluated value, mark-major; values is its row minimum
+    assert raw.shape == (6 * 4,)
+    assert np.array_equal(values, raw.reshape(6, 4).min(axis=1))
 
 
 def test_probe_count_per_step_both_modes(ehrenfest4_spec):
     spec = ehrenfest4_spec
     for radius in (1, 2, 4):
-        counter = EvalCounter()
-        neighborhood_eval(DEMO_MARKS, spec, radius=radius, dither=0.01,
-                          rng=np.random.default_rng(9), counter=counter)
-        assert counter.probes == 6 * radius
+        _coords, _values, raw = neighborhood_eval(DEMO_MARKS, spec, radius=radius,
+                                                  dither=0.01, rng=np.random.default_rng(9))
+        assert raw.shape == (6 * radius,)
 
 
 def test_full_radius_dither_zero_ignores_rng(ehrenfest4_spec):
     spec = ehrenfest4_spec
     rng = np.random.default_rng(123)
     before = rng.bit_generator.state
-    a_coords, a_values = neighborhood_eval(DEMO_MARKS, spec, radius=4, dither=0.0,
-                                           rng=rng, counter=EvalCounter())
+    a_coords, a_values, _raw = neighborhood_eval(DEMO_MARKS, spec, radius=4, dither=0.0,
+                                                 rng=rng)
     assert rng.bit_generator.state == before
-    b_coords, b_values = neighborhood_eval(DEMO_MARKS, spec, radius=4, dither=0.0,
-                                           rng=np.random.default_rng(999),
-                                           counter=EvalCounter())
+    b_coords, b_values, _raw = neighborhood_eval(DEMO_MARKS, spec, radius=4, dither=0.0,
+                                                 rng=np.random.default_rng(999))
     assert np.array_equal(a_coords, b_coords)
     assert np.array_equal(a_values, b_values)
 
@@ -204,9 +201,8 @@ def test_random_radius_samples_eligible_sorted(ehrenfest4_spec):
         eligible = set(eligible_neighbors(6)[i].tolist())
         assert set(row.tolist()) <= eligible
     # neighborhood_eval draws the same sets: each pick is one of their candidates
-    coords, _values = neighborhood_eval(DEMO_MARKS, spec, radius=2, dither=0.0,
-                                        rng=np.random.default_rng(17),
-                                        counter=EvalCounter())
+    coords, _values, _raw = neighborhood_eval(DEMO_MARKS, spec, radius=2, dither=0.0,
+                                              rng=np.random.default_rng(17))
     cands = _candidates(DEMO_MARKS, neighbor_sets, spec.lower, spec.upper)
     for i in range(6):
         assert coords[i, 0] in cands[i, :, 0]
@@ -216,15 +212,15 @@ def test_radius_out_of_range(ehrenfest4_spec):
     for radius in (0, 5):
         with pytest.raises(ValueError):
             neighborhood_eval(DEMO_MARKS, ehrenfest4_spec, radius=radius, dither=0.0,
-                              rng=np.random.default_rng(0), counter=EvalCounter())
+                              rng=np.random.default_rng(0))
 
 
 def test_proposals_in_bounds_any_dither():
     spec = get_objective("trefethen3")
-    marks, _values = _anchored_init(spec, 8, 2, EvalCounter())
+    marks, _values = _anchored_init(spec, 8, 2)
     for dither in (0.0, 0.3, 1.0):
-        coords, _ = neighborhood_eval(marks, spec, radius=6, dither=dither,
-                                      rng=np.random.default_rng(4), counter=EvalCounter())
+        coords, _values, _raw = neighborhood_eval(marks, spec, radius=6, dither=dither,
+                                                  rng=np.random.default_rng(4))
         assert np.all(coords >= spec.lower) and np.all(coords <= spec.upper)
 
 

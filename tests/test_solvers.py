@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multiwalk import solvers
-from multiwalk.objectives import EvalCounter, get_objective, quantize
+from multiwalk.objectives import get_objective, quantize
 from multiwalk.solvers import (SOLVER_KINDS, SolverConfig, WalkTrace, _de_trials,
                                config_lines,
                                _greedy_commit, _init_population, mw_step, parse_trace,
@@ -14,6 +15,12 @@ from multiwalk.solvers import (SOLVER_KINDS, SolverConfig, WalkTrace, _de_trials
 
 DEMO_MARKS = np.array([1.0, 2.0, 4.0, 10.0, 12.0, 17.0])[:, None]
 NO_BEST = (math.inf, None)  # the running best before any candidate
+
+
+def _traced(cfg, spec, initial_marks=None):
+    """Run with a WalkTrace observing; returns the record and the trace."""
+    trace = WalkTrace(cfg, spec)
+    return run_solver(cfg, spec, initial_marks, observe=trace), trace
 
 
 def _cfg(**kw):
@@ -122,21 +129,19 @@ def test_run_requires_target():
 
 def test_mw_step_finds_demo_target_in_one_step(ehrenfest4_spec):
     spec = ehrenfest4_spec
-    counter = EvalCounter()
-    _marks, _values, best = mw_step(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS), _cfg(),
-                                    spec, np.random.default_rng(0), counter, NO_BEST)
+    _marks, _values, best, raw = mw_step(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS), _cfg(),
+                                         spec, np.random.default_rng(0), NO_BEST)
     assert best[0] == spec.value_target
-    assert counter.probes == 6 * 4
+    assert raw.shape == (6 * 4,)
 
 
 def test_mw_step_without_improvement_changes_nothing(ehrenfest4_spec):
     spec = ehrenfest4_spec
-    marks, values, best = mw_step(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS), _cfg(),
-                                  spec, np.random.default_rng(0), EvalCounter(), NO_BEST)
+    marks, values, best, _raw = mw_step(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS), _cfg(),
+                                        spec, np.random.default_rng(0), NO_BEST)
     # the demo neighborhood is idempotent once the optimum is taken
-    again_marks, again_values, best2 = mw_step(marks, values, _cfg(), spec,
-                                               np.random.default_rng(0),
-                                               EvalCounter(), best)
+    again_marks, again_values, best2, _raw = mw_step(marks, values, _cfg(), spec,
+                                                     np.random.default_rng(0), best)
     assert np.array_equal(again_marks, marks)
     assert np.array_equal(again_values, values)
     assert best2[0] == best[0]
@@ -146,8 +151,8 @@ def test_mw_step_shared_candidate_moves_both_marks(ehrenfest4_spec):
     # marks at 2 and 10 both propose 9 through their distances to other
     # marks; both accept, and the running best is set once
     spec = ehrenfest4_spec
-    marks, _values, best = mw_step(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS), _cfg(),
-                                   spec, np.random.default_rng(0), EvalCounter(), NO_BEST)
+    marks, _values, best, _raw = mw_step(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS), _cfg(),
+                                         spec, np.random.default_rng(0), NO_BEST)
     nine_holders = np.flatnonzero(marks[:, 0] == 9.0)
     assert len(nine_holders) >= 2
     assert best[0] == spec.value_target
@@ -224,8 +229,8 @@ def test_forced_censoring(wild1_spec):
 def test_determinism_bitwise(ehrenfest15_spec):
     cfg = SolverConfig(kind="MWR", seed=42,
                        steps_limit=60, marks=16, radius=6, dither=0.01)
-    a, trace_a = run_solver(cfg, ehrenfest15_spec, record_trace=True)
-    b, trace_b = run_solver(cfg, ehrenfest15_spec, record_trace=True)
+    a, trace_a = _traced(cfg, ehrenfest15_spec)
+    b, trace_b = _traced(cfg, ehrenfest15_spec)
     assert a == b
     assert trace_to_text(trace_a) == trace_to_text(trace_b)
 
@@ -252,7 +257,7 @@ def test_censored_record_keeps_global_best(wild1_spec):
 def test_agent_id_is_argmin_of_final_values(ehrenfest15_spec):
     cfg = SolverConfig(kind="MW", seed=3,
                        steps_limit=25, marks=10, radius=8, dither=0.01)
-    record, trace = run_solver(cfg, ehrenfest15_spec, record_trace=True)
+    record, trace = _traced(cfg, ehrenfest15_spec)
     final_values = trace.steps[-1][2]
     assert 1 <= record.agent_id <= 10
     assert final_values[record.agent_id - 1] == final_values.min()
@@ -266,29 +271,31 @@ KINDS_FOR_TRACE = ("MW", "MWR", "DEsF", "DEsFR", "DEoF1", "DEoF2",
                    "DEoF3", "DEoF4", "DEoF5", "DEoF6")
 
 
-def _traced_run_with_epoch_bests(monkeypatch, cfg, spec):
-    """Run with a trace, recording the epoch best that each step's commit
-    returns (one commit per step, read through the module global)."""
-    greedy_commit = solvers._greedy_commit
-    bests = []
+class _BestsTrace(WalkTrace):
+    """A walk trace that also keeps the epoch best after each step."""
 
-    def record_commit(*args):
-        marks, values, best = greedy_commit(*args)
-        bests.append(best[0])
-        return marks, values, best
+    def __init__(self, cfg, spec):
+        super().__init__(cfg, spec)
+        self.bests = []
 
-    monkeypatch.setattr(solvers, "_greedy_commit", record_commit)
-    record, trace = run_solver(cfg, spec, record_trace=True)
-    assert len(bests) == len(trace.steps)
-    return record, trace, bests
+    def step(self, step, restart, raw, marks, values, best):
+        super().step(step, restart, raw, marks, values, best)
+        self.bests.append(best[0])
+
+
+def _traced_run_with_epoch_bests(cfg, spec):
+    """Run with a trace, recording the epoch best after each step."""
+    trace = _BestsTrace(cfg, spec)
+    record = run_solver(cfg, spec, observe=trace)
+    return record, trace, trace.bests
 
 
 @pytest.mark.parametrize("kind", KINDS_FOR_TRACE)
-def test_greedy_monotone_per_agent_within_epoch(kind, ehrenfest15_spec, monkeypatch):
+def test_greedy_monotone_per_agent_within_epoch(kind, ehrenfest15_spec):
     cfg = SolverConfig(kind=kind, seed=7, steps_limit=40,
                        marks=8, radius=6 if kind in ("MW", "MWR") else None,
                        dither=0.01, plateau_limit=5)
-    record, trace, bests = _traced_run_with_epoch_bests(monkeypatch, cfg, ehrenfest15_spec)
+    record, trace, bests = _traced_run_with_epoch_bests(cfg, ehrenfest15_spec)
     prev_epoch = None
     for (_step, epoch, values), best in zip(trace.steps, bests):
         if epoch == prev_epoch:
@@ -302,7 +309,7 @@ def test_greedy_monotone_per_agent_within_epoch(kind, ehrenfest15_spec, monkeypa
 def test_first_passage_marker_matches_record(ehrenfest4_spec):
     cfg = SolverConfig(kind="MWR", seed=1, steps_limit=400,
                        marks=6, radius=4, dither=0.01)
-    record, trace = run_solver(cfg, ehrenfest4_spec, record_trace=True)
+    record, trace = _traced(cfg, ehrenfest4_spec)
     assert not record.is_censored
     assert trace.first_passage == (record.steps, record.agent_id)
     markers = [s for s, *_ in trace.steps]
@@ -312,7 +319,7 @@ def test_first_passage_marker_matches_record(ehrenfest4_spec):
 def test_trace_epoch_bookkeeping(wild1_spec):
     cfg = SolverConfig(kind="MWR", seed=11, steps_limit=60,
                        marks=8, radius=6, dither=0.01, plateau_limit=3)
-    record, trace = run_solver(cfg, wild1_spec, record_trace=True)
+    record, trace = _traced(cfg, wild1_spec)
     epochs = sorted({e for _s, e, *_ in trace.steps})
     assert epochs == list(range(record.restarts + 1))
     assert len(trace.epoch_seeds) == record.restarts + 1
@@ -322,13 +329,13 @@ def test_trace_epoch_bookkeeping(wild1_spec):
 def test_restart_epoch_depends_only_on_drawn_seed(wild1_spec):
     cfg = SolverConfig(kind="MWR", seed=11, steps_limit=60,
                        marks=8, radius=6, dither=0.01, plateau_limit=3)
-    record, trace = run_solver(cfg, wild1_spec, record_trace=True)
+    record, trace = _traced(cfg, wild1_spec)
     assert record.restarts >= 1, "expected at least one restart for this seed"
     epoch1_rows = [row for row in trace.steps if row[1] == 1]
     # replay epoch 1 as a fresh non-restart run seeded with the drawn seed
     replay_cfg = SolverConfig(kind="MW", seed=trace.epoch_seeds[1], steps_limit=60,
                               marks=8, radius=6, dither=0.01)
-    _replay, replay_trace = run_solver(replay_cfg, wild1_spec, record_trace=True)
+    _replay, replay_trace = _traced(replay_cfg, wild1_spec)
     offset = epoch1_rows[0][0] - 1
     for (step, _e, values), (rstep, _re, rvalues) in zip(
             epoch1_rows, replay_trace.steps):
@@ -355,7 +362,7 @@ def test_mwr_without_restarts_equals_mw(ehrenfest4_spec):
 def test_plateau_limit_one_restarts_after_first_flat_step(wild1_spec):
     cfg = SolverConfig(kind="MWR", seed=13, steps_limit=30,
                        marks=8, radius=1, dither=0.0, plateau_limit=1)
-    record, trace = run_solver(cfg, wild1_spec, record_trace=True)
+    record, trace = _traced(cfg, wild1_spec)
     if record.restarts:
         epoch0 = [row for row in trace.steps if row[1] == 0]
         # every epoch-0 step after the first error reduction can at most
@@ -372,15 +379,15 @@ def _small_mwr(**kw):
 
 def test_plateau_on_the_last_budgeted_step_is_censored_without_restart(ehrenfest4_spec):
     # epoch 2 of this run hits its plateau limit on step 13
-    record, trace = run_solver(_small_mwr(seed=12, steps_limit=13, plateau_limit=3),
-                               ehrenfest4_spec, record_trace=True)
+    record, trace = _traced(_small_mwr(seed=12, steps_limit=13, plateau_limit=3),
+                            ehrenfest4_spec)
     assert (record.steps, record.probes, record.restarts, record.is_censored,
             record.value_best, record.agent_id) == (13, 174, 2, True, -9.25142255, 2)
     assert record.restarts == len(trace.epoch_seeds) - 1
     assert trace.first_passage is None
     # one step more of budget, and the plateau starts epoch 3
-    longer, longer_trace = run_solver(_small_mwr(seed=12, steps_limit=14, plateau_limit=3),
-                                      ehrenfest4_spec, record_trace=True)
+    longer, longer_trace = _traced(_small_mwr(seed=12, steps_limit=14, plateau_limit=3),
+                                   ehrenfest4_spec)
     assert (longer.steps, longer.restarts, longer.is_censored) == (14, 3, False)
     assert longer_trace.steps[-1][:2] == (14, 3)
     assert longer_trace.epoch_seeds[:3] == trace.epoch_seeds
@@ -392,7 +399,7 @@ def _epoch0_plateau_counts(cfg, spec, trace, bests):
     """Replay the plateau rule over epoch 0 of a trace, counting the passing
     step too; ``bests`` holds each step's epoch best."""
     _marks, values = _init_population(spec, cfg.marks, cfg.uses_ruler,
-                                      np.random.default_rng(cfg.seed), EvalCounter())
+                                      np.random.default_rng(cfg.seed))
     err_prev = float(values.min()) - spec.value_target
     plateau, counts = 0, []
     for (_step, epoch, _values), best in zip(trace.steps, bests):
@@ -408,10 +415,9 @@ def _epoch0_plateau_counts(cfg, spec, trace, bests):
     return counts
 
 
-def test_pass_on_the_step_the_plateau_would_fill_is_not_a_restart(ehrenfest4_spec,
-                                                                  monkeypatch):
+def test_pass_on_the_step_the_plateau_would_fill_is_not_a_restart(ehrenfest4_spec):
     cfg = _small_mwr(seed=4, steps_limit=200, plateau_limit=2)
-    record, trace, bests = _traced_run_with_epoch_bests(monkeypatch, cfg, ehrenfest4_spec)
+    record, trace, bests = _traced_run_with_epoch_bests(cfg, ehrenfest4_spec)
     # the initial marks hold a raw value below the quantized target, so
     # every step, the passing one included, counts as flat
     assert _epoch0_plateau_counts(cfg, ehrenfest4_spec, trace, bests) == [1, 2]
@@ -424,7 +430,7 @@ def test_pass_on_the_step_the_plateau_would_fill_is_not_a_restart(ehrenfest4_spe
 
 def test_non_restart_kind_out_of_budget_has_no_restarts(ehrenfest4_spec):
     cfg = SolverConfig(kind="DEoF2", seed=2, steps_limit=3, marks=6)
-    record, trace = run_solver(cfg, ehrenfest4_spec, record_trace=True)
+    record, trace = _traced(cfg, ehrenfest4_spec)
     assert (record.steps, record.probes, record.restarts, record.is_censored,
             record.value_best, record.agent_id) == (3, 24, 0, True, -9.25142255, 6)
     assert record.probes == cfg.marks * (1 + record.restarts) + record.steps * cfg.marks
@@ -438,10 +444,21 @@ def test_non_restart_kind_out_of_budget_has_no_restarts(ehrenfest4_spec):
 
 @pytest.mark.parametrize("kind", KINDS_FOR_TRACE)
 def test_probe_ledger_exact(kind, ehrenfest15_spec):
+    # the points that reach the kernel are counted independently of the run
+    points = []
+
+    def counting_fn(x):
+        points.append(len(x))
+        return ehrenfest15_spec.fn(x)
+
+    spec = dataclasses.replace(ehrenfest15_spec, fn=counting_fn)
     cfg = SolverConfig(kind=kind, seed=23, steps_limit=30,
                        marks=8, radius=3 if kind in ("MW", "MWR") else None,
                        dither=0.01, plateau_limit=4)
-    record = run_solver(cfg, ehrenfest15_spec)
+    record = run_solver(cfg, spec)
+    if cfg.restarts_enabled:
+        assert record.restarts >= 1, "the ledger check must cover restarts"
+    assert sum(points) == record.probes
     per_step = cfg.marks * cfg.radius if kind in ("MW", "MWR") else cfg.marks
     assert record.probes == cfg.marks * (1 + record.restarts) + record.steps * per_step
 
@@ -552,7 +569,7 @@ def test_desf_first_step_matches_documented_draw_order(ehrenfest4_spec):
 def test_desfr_restart_machinery_matches_mwr_contract(ehrenfest15_spec):
     cfg = SolverConfig(kind="DEsFR", seed=31,
                        steps_limit=50, marks=6, plateau_limit=2)
-    record, trace = run_solver(cfg, ehrenfest15_spec, record_trace=True)
+    record, trace = _traced(cfg, ehrenfest15_spec)
     assert record.restarts == len(trace.epoch_seeds) - 1
     if record.is_censored:
         assert record.steps == 50
@@ -565,8 +582,7 @@ def test_desfr_restart_machinery_matches_mwr_contract(ehrenfest15_spec):
 def test_trace_export_format(ehrenfest4_spec):
     cfg = SolverConfig(kind="MW", seed=1, steps_limit=50,
                        marks=6, radius=4, dither=0.0)
-    record, trace = run_solver(cfg, ehrenfest4_spec, initial_marks=DEMO_MARKS,
-                           record_trace=True)
+    record, trace = _traced(cfg, ehrenfest4_spec, initial_marks=DEMO_MARKS)
     text = trace_to_text(trace)
     lines = text.splitlines()
     assert lines[0] == "# objective = ehrenfest4 (p = 1, bounds = [1.0] .. [17.0])"
@@ -586,7 +602,7 @@ def test_trace_export_format(ehrenfest4_spec):
 def test_trace_censored_footer(wild1_spec):
     cfg = SolverConfig(kind="MW", seed=3, steps_limit=2,
                        marks=6, radius=4, dither=0.01)
-    record, trace = run_solver(cfg, wild1_spec, record_trace=True)
+    record, trace = _traced(cfg, wild1_spec)
     assert record.is_censored
     assert trace_to_text(trace).splitlines()[-1] == "# first_passage=none"
 
@@ -601,8 +617,9 @@ _trace_steps = st.lists(
        first_passage=st.none() | st.tuples(st.integers(1, 10 ** 6), st.integers(1, 5)),
        epoch_seeds=st.lists(st.integers(0, 2 ** 31), min_size=1, max_size=3))
 def test_trace_parse_roundtrip(steps, first_passage, epoch_seeds):
-    trace = WalkTrace(header=("objective = x", "solver = MW04"),
-                      first_passage=first_passage, epoch_seeds=epoch_seeds)
+    trace = WalkTrace(_cfg(), get_objective("ehrenfest4"))
+    trace.header = ("objective = x", "solver = MW04")
+    trace.first_passage, trace.epoch_seeds = first_passage, epoch_seeds
     for step, restart, values in steps:
         trace.steps.append((step, restart, np.array(values)))
     comments, rows = parse_trace(trace_to_text(trace).splitlines())
@@ -619,7 +636,8 @@ def test_trace_parse_roundtrip(steps, first_passage, epoch_seeds):
 
 
 @pytest.mark.parametrize("row", ["0,0,1,1.0", "1,-1,1,1.0", "1,0,0,1.0",
-                                 "1,0,1,abc", "1,0,1", "x,0,1,1.0", "1,0,1025,1.0"])
+                                 "1,0,1,abc", "1,0,1", "x,0,1,1.0", "1,0,1025,1.0",
+                                 "1,0,1,nan"])
 def test_parse_trace_rejects_meaningless_rows(row):
     with pytest.raises(ValueError, match="line 3"):
         parse_trace(["# solver = MW04", "step,restart,agentId,value", row])
@@ -655,7 +673,7 @@ def test_parse_trace_on_arbitrary_text(text):
         return
     for step, restart, agent, value in rows:
         assert step >= 1 and restart >= 0 and agent >= 1
-        float(value)
+        assert not math.isnan(float(value))
 
 
 _wide_rows = st.dictionaries(
