@@ -6,26 +6,23 @@ continuous objectives get a dense coarse grid scan followed by local grid
 refinement with a halving window around each of the best few scan cells.
 All of them share one grid scan: ties go to the lowest grid index (lowest
 coordinates) and NaN sorts last.  Targets are quantized to ``digits_target``.
-trefethen3 is a chain of trefethen2 pairs, f(x, y) + f(y, z), so its scan
-sums two 2-D pair grids by broadcasting instead of evaluating every 3-D
-point; the sum is the same float operations, so the values are bit for bit
-those of its kernel.
 
-A wrong target poisons every benchmark on its objective (a solver that finds
-a better value than the stored target can never match it), so the per-
-objective scan policy errs on the dense side and the averaged ``wild``
-family is reduced to its 1-D term, which the mean-aggregation makes exact.
+A target is a function of the spec's kernel, box and digits, never of its
+name: each kernel's scan policy errs on the dense side, since a wrong target
+poisons every benchmark on its objective (a solver that finds a better value
+than the stored target can never match it).
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .objectives import MAX_ENUMERATION_STATES, ObjectiveSpec, get_objective, quantize
+from .objectives import MAX_ENUMERATION_STATES, ObjectiveSpec, get_objective, quantize, wild
 
 __all__ = [
     "TargetRecord",
@@ -41,17 +38,22 @@ REFINE_ROUNDS = 60
 REFINE_INCUMBENTS = 8
 SCAN_POINTS = 401 ** 2    # most points per slab of a grid scan: one trefethen3 coarse row
 
-# Scan policy per registered objective.  wild's basins are ~0.15 wide over a
-# 100-wide box, far below the generic coarse spacing, and its coordinate-mean
-# aggregation makes wildP's minimum on [a, b]^P the 1-D term's minimum on [a, b].
-# trefethen3's grid values are trefethen2's on the first two axes plus
-# trefethen2's on the last two, which the chain scan adds by broadcasting.
-_ORACLE_POLICY = {
-    "wild1": {"coarse_points": 40001},
-    "wild2": {"separable_base": "wild1"},
-    "wild3": {"separable_base": "wild1"},
-    "trefethen3": {"coarse_points": 401, "chain_base": "trefethen2"},
-}
+# Scan policy per registered kernel: wild's basins (~0.15 wide in a 100-wide
+# box) need a dense grid, and its coordinate mean makes its minimum on
+# [a, b]^P the 1-D term's on [a, b]; trefethen3's values are trefethen2's on
+# the first two axes plus on the last two, which the chain scan broadcasts.
+_ORACLE_POLICY = (
+    (wild, {"coarse_points": 40001, "separable": True}),
+    (get_objective("trefethen3").fn, {"coarse_points": 401, "chain_base": "trefethen2"}),
+)
+
+
+def _policy(spec: ObjectiveSpec) -> dict:
+    """The scan policy of ``inspect.unwrap(spec.fn)``, matched by identity (a
+    kernel need not be hashable): a wrapper that sets ``__wrapped__`` keeps
+    its kernel's policy, one that hides it gets the generic scan."""
+    kernel = inspect.unwrap(spec.fn)
+    return next((policy for fn, policy in _ORACLE_POLICY if fn is kernel), {})
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ def _scan_top_cells(spec: ObjectiveSpec, axes, keep: int):
     index.  A policy's ``chain_base`` makes each slab the broadcast sum of the
     base over the slab's first two axes and over the last two, which is
     computed once."""
-    chain = _ORACLE_POLICY.get(spec.name, {}).get("chain_base")
+    chain = _policy(spec).get("chain_base")
     if chain is not None:
         pair = get_objective(chain).fn
         tail = _grid_values(pair, axes[1:]).reshape(len(axes[1]), len(axes[2]))
@@ -189,42 +191,40 @@ def grid_refine_minimum(spec: ObjectiveSpec) -> TargetRecord:
     """Dense coarse grid scan, then halving-window local refinement around
     each of the best separated scan cells; the lowest value wins, ties going
     to the lowest coordinates, and NaN never beats a number.  The coarse grid
-    is the scan policy's, else ``COARSE_POINTS[spec.dims]`` points per dimension.
-
-    Only defined for continuous objectives with at most 3 dimensions; a
-    lowest value that is not finite is refused.
+    is the scan policy's, else ``COARSE_POINTS[dims]`` points per dimension;
+    a separable kernel scans its first coordinate over the one interval that
+    every coordinate must share, and repeats the minimizer.  Only continuous
+    objectives with at most 3 scanned dimensions are defined, and a lowest
+    value that is not finite is refused.
     """
     if spec.staircase:
         raise ValueError(f"{spec.name} is an integer staircase; use enumerate_integer_minimum")
-    if spec.dims > 3:
+    policy = _policy(spec)
+    scan = spec
+    if policy.get("separable"):
+        if np.any(spec.lower != spec.lower[0]) or np.any(spec.upper != spec.upper[0]):
+            raise ValueError(f"{spec.name} is separable: its coordinates must share one interval")
+        scan = replace(spec, dims=1, lower=spec.lower[:1], upper=spec.upper[:1])
+    if scan.dims > 3:
         raise ValueError("grid refinement supports at most 3 dimensions")
-    coarse = _ORACLE_POLICY.get(spec.name, {}).get("coarse_points", COARSE_POINTS[spec.dims])
+    coarse = policy.get("coarse_points", COARSE_POINTS[scan.dims])
 
-    axes = [np.linspace(spec.lower[d], spec.upper[d], coarse) for d in range(spec.dims)]
-    spacing = (spec.upper - spec.lower) / (coarse - 1)
-    top_v, top_x = _scan_top_cells(spec, axes, keep=8 * REFINE_INCUMBENTS)
+    axes = [np.linspace(scan.lower[d], scan.upper[d], coarse) for d in range(scan.dims)]
+    spacing = (scan.upper - scan.lower) / (coarse - 1)
+    top_v, top_x = _scan_top_cells(scan, axes, keep=8 * REFINE_INCUMBENTS)
     seeds_v, seeds_x = _separated_incumbents(top_v, top_x, spacing)
 
-    best_v, best_x = min((_refine(spec, sv, sx, spacing) for sv, sx in zip(seeds_v, seeds_x)),
+    best_v, best_x = min((_refine(scan, sv, sx, spacing) for sv, sx in zip(seeds_v, seeds_x)),
                          key=lambda vx: (vx[0], tuple(vx[1])))
 
-    return _target_record(spec, best_v, best_x, "grid+refine")
+    return _target_record(spec, best_v, np.resize(best_x, spec.dims), "grid+refine")
 
 
 def compute_target(spec: ObjectiveSpec) -> TargetRecord:
-    """Dispatch to enumeration or grid refinement by objective kind, over the
-    box and at the digits of ``spec``; a separable objective scans its 1-D
-    base over the one interval that all of the spec's coordinates share."""
+    """Enumeration for an integer staircase, grid refinement otherwise."""
     if spec.staircase:
         return enumerate_integer_minimum(spec)
-    base_name = _ORACLE_POLICY.get(spec.name, {}).get("separable_base")
-    if base_name is None:
-        return grid_refine_minimum(spec)
-    if np.any(spec.lower != spec.lower[0]) or np.any(spec.upper != spec.upper[0]):
-        raise ValueError(f"{spec.name} is separable, so its coordinates must share one interval")
-    base = grid_refine_minimum(replace(get_objective(base_name), lower=spec.lower[:1],
-                                       upper=spec.upper[:1], digits_target=spec.digits_target))
-    return replace(base, name=spec.name, coords=base.coords * spec.dims)
+    return grid_refine_minimum(spec)
 
 
 class TargetStore:

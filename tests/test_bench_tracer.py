@@ -51,11 +51,13 @@ def test_traced_mwr_run_records_step_spans(ehrenfest15_spec):
 
 
 def test_traced_oracle_counts_the_separable_base_points():
-    # wild2's target is wild1's over wild2's interval, in one compute_target
-    # call; wild1's kernel is reached through the patched targets.get_objective:
-    # one 40001-point coarse scan and 60 rounds of 33 points around 8 seeds
+    # wild2's target is its 1-D term's over wild2's interval, in one
+    # compute_target call; wild2 is fetched through the patched
+    # targets.get_objective, as the CLI fetches it through cli's, so its kernel
+    # is counted: one 40001-point coarse scan and 60 rounds of 33 points
+    # around 8 seeds
     with _layers().Tracer(multiwalk) as tracer:
-        rec = multiwalk.targets.compute_target(get_objective("wild2"))
+        rec = multiwalk.targets.compute_target(multiwalk.targets.get_objective("wild2"))
     assert rec.value_target == 67.4677347
     stats = tracer.summary()
     assert stats["targets.compute_target"].calls == 1

@@ -7,15 +7,20 @@ setting that a header leaves out fails these tests.
 """
 
 import re
+import string
 from ast import literal_eval
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiwalk.experiments import (ExperimentPlan, run_experiment, summarize_experiment,
                                    write_bargraph_csv, write_runs_csv, write_summary_csv)
-from multiwalk.objectives import get_objective
-from multiwalk.solvers import SolverConfig, WalkTrace, run_solver, trace_to_text
+from multiwalk.objectives import get_objective, objective_names
+from multiwalk.ruler import MIN_MARKS
+from multiwalk.solvers import (KIND_SETTINGS, SOLVER_KINDS, SolverConfig, WalkTrace, run_solver,
+                               trace_to_text)
 from multiwalk.targets import compute_target
 
 _OBJECTIVE = re.compile(r"# objective = (\S+) \(p = (\d+), bounds = \[(.*)\] \.\. \[(.*)\]\)")
@@ -63,8 +68,12 @@ def narrow_trefethen1():
     SolverConfig(kind="DEsFR", seed=9, steps_limit=80, marks=6, rde=0.8, plateau_limit=2),
 ], ids=lambda cfg: cfg.kind)
 def test_walk_trace_header_replays_the_run(cfg, narrow_trefethen1):
-    trace = WalkTrace(cfg, narrow_trefethen1)
-    run_solver(cfg, narrow_trefethen1, observe=trace)
+    _assert_trace_replays(cfg, narrow_trefethen1)
+
+
+def _assert_trace_replays(cfg, spec):
+    trace = WalkTrace(cfg, spec)
+    run_solver(cfg, spec, observe=trace)
     text = trace_to_text(trace)
     lines = text.splitlines()
     seed = int(_header_value(lines, "epoch_seeds").split(",")[0])
@@ -83,16 +92,58 @@ def _write_all(tmp_path, prefix, plan):
     return [path.read_bytes() for path in paths]
 
 
-def test_runs_csv_header_replays_the_plan(tmp_path, narrow_trefethen1):
-    common = dict(seed=42, steps_limit=50)
-    plan = ExperimentPlan(spec=narrow_trefethen1, sample_size=3, configs=[
-        SolverConfig(kind="MWR", marks=12, radius=8, dither=0.02, plateau_limit=5,
-                     label="A", **common),
-        SolverConfig(kind="DEoF3", marks=8, rde=0.7, cr=0.5, **common),
-        SolverConfig(kind="DEsF", **common)])
+def _assert_plan_replays(tmp_path, plan):
     written = _write_all(tmp_path, "first", plan)
     lines = written[0].decode().splitlines()
     spec, configs = _replay_header(lines, int(_header_value(lines, "baseSeed")))
     replayed = ExperimentPlan(spec=spec, configs=configs,
                               sample_size=int(_header_value(lines, "sampleSize")))
     assert _write_all(tmp_path, "again", replayed) == written
+
+
+def test_runs_csv_header_replays_the_plan(tmp_path, narrow_trefethen1):
+    common = dict(seed=42, steps_limit=50)
+    _assert_plan_replays(tmp_path, ExperimentPlan(spec=narrow_trefethen1, sample_size=3, configs=[
+        SolverConfig(kind="MWR", marks=12, radius=8, dither=0.02, plateau_limit=5,
+                     label="A", **common),
+        SolverConfig(kind="DEoF3", marks=8, rde=0.7, cr=0.5, **common),
+        SolverConfig(kind="DEsF", **common)]))
+
+
+_unit = st.floats(0.0, 1.0)
+_label = st.text(string.ascii_letters + string.digits + "_-+.:", min_size=1, max_size=8)
+
+
+@st.composite
+def _configs(draw, seed, steps_limit):
+    """One config of a drawn kind, drawing only the settings that kind reads."""
+    kind = draw(st.sampled_from(SOLVER_KINDS))
+    marks = draw(st.integers(MIN_MARKS, 12))
+    setting = {"radius": st.integers(1, marks - 2), "dither": _unit, "rde": st.floats(-2.0, 2.0),
+               "cr": _unit, "plateau_limit": st.none() | st.integers(1, 8)}
+    return SolverConfig(kind=kind, seed=seed, steps_limit=steps_limit, marks=marks,
+                        label=draw(st.none() | _label),
+                        **{key: draw(setting[key]) for key in KIND_SETTINGS[kind]})
+
+
+@st.composite
+def _plans(draw):
+    """A plan on a sub-box of a registered objective's bounds at digits 1-12.
+    Any quantized target will do, since the replay reads it from the header,
+    so the value at the box's lower corner stands in for an oracle run."""
+    base = get_objective(draw(st.sampled_from(objective_names())))
+    corners = [sorted(draw(st.lists(st.floats(lo, hi), min_size=2, max_size=2, unique=True)))
+               for lo, hi in zip(base.lower, base.upper)]
+    spec = replace(base, lower=[lo for lo, _ in corners], upper=[hi for _, hi in corners],
+                   digits_target=draw(st.integers(1, 12)))
+    spec = spec.with_target(float(spec.fn(spec.lower[None])[0]))
+    configs = st.lists(_configs(draw(st.integers(0, 2 ** 31 - 1)), draw(st.integers(1, 30))),
+                       min_size=1, max_size=3, unique_by=lambda cfg: cfg.solver_label)
+    return ExperimentPlan(spec=spec, configs=draw(configs), sample_size=draw(st.integers(1, 3)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(plan=_plans())
+def test_drawn_headers_replay_their_outputs(tmp_path_factory, plan):
+    _assert_plan_replays(tmp_path_factory.mktemp("replay"), plan)
+    _assert_trace_replays(plan.configs[0], plan.spec)

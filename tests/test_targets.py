@@ -1,3 +1,4 @@
+import functools
 import math
 import string
 from dataclasses import replace
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from multiwalk import targets
-from multiwalk.objectives import ObjectiveSpec, get_objective, objective_names, quantize
+from multiwalk.objectives import (ObjectiveSpec, get_objective, objective_names, quantize,
+                                  trefethen)
 from multiwalk.targets import (TargetRecord, TargetStore, compute_target,
                                enumerate_integer_minimum, grid_refine_minimum)
 
@@ -133,7 +135,7 @@ def test_chain_scan_is_a_stable_argsort_of_the_spec(axes, keep, slab_rows):
     spec = get_objective("trefethen3")
     scan_points = (targets.SCAN_POINTS if slab_rows is None
                    else slab_rows * len(axes[1]) * len(axes[2]))
-    assert targets._ORACLE_POLICY[spec.name]["chain_base"] == "trefethen2"
+    assert targets._policy(spec)["chain_base"] == "trefethen2"
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     values = spec.fn(grid)
     order = np.argsort(values, kind="stable")[:keep]
@@ -207,6 +209,49 @@ def test_oracle_record_is_pinned(name):
     rec = compute_target(get_objective(name))
     assert rec.digits == 9
     assert (repr(rec.value_target), repr(rec.coords)) == _PINNED_TARGETS[name]
+
+
+def _wrapped(spec):
+    @functools.wraps(spec.fn)
+    def fn(pts):
+        return spec.fn(pts)
+    return replace(spec, fn=fn)
+
+
+_CONTINUOUS = [name for name in sorted(_PINNED_TARGETS) if not get_objective(name).staircase]
+
+
+@pytest.mark.parametrize("name", _CONTINUOUS)
+@pytest.mark.parametrize("oracle", [
+    lambda spec: compute_target(replace(spec, name="renamed")),
+    lambda spec: compute_target(_wrapped(spec)),
+    grid_refine_minimum,
+], ids=["renamed", "wrapped", "direct"])
+def test_target_depends_on_the_kernel_not_the_name(name, oracle):
+    # the scan policy is the kernel's, so a renamed copy, a copy whose kernel
+    # sits behind functools.wraps and a direct grid scan get the registry record
+    rec = oracle(get_objective(name))
+    assert (rec.digits, rec.method) == (9, "grid+refine")
+    assert (repr(rec.value_target), repr(rec.coords)) == _PINNED_TARGETS[name]
+
+
+def test_every_policy_kernel_is_a_registered_kernel():
+    # a re-created partial(trefethen, dims=3) would silently lose the chain scan
+    kernels = [get_objective(name).fn for name in objective_names()]
+    for kernel, _ in targets._ORACLE_POLICY:
+        assert any(fn is kernel for fn in kernels)
+
+
+def test_an_unhashable_kernel_gets_the_generic_scan():
+    class Unhashable:
+        __hash__ = None
+
+        def __call__(self, pts):
+            return trefethen(pts, dims=1)
+
+    spec = replace(get_objective("trefethen1"), fn=Unhashable())
+    # a finite target, not the TypeError of a hash-keyed policy lookup
+    assert repr(compute_target(spec).value_target) == _PINNED_TARGETS["trefethen1"][0]
 
 
 def test_quadratic_bowl_sanity():
