@@ -39,7 +39,6 @@ __all__ = [
     "run_solver",
     "config_lines",
     "trace_to_text",
-    "parse_trace",
     "trace_wide_text",
 ]
 
@@ -395,53 +394,42 @@ def trace_to_text(trace: WalkTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_trace(lines):
-    """Read back a ``trace_to_text`` export: returns the ``#`` comment lines
-    (configuration and first-passage footer) and the ``(step, restart,
-    agent, value)`` rows, each value kept as its original string.  Raises
-    ValueError naming the first malformed row: a wrong field count, a
-    non-integer step, restart or agentId, a value that is not a float or is
-    NaN, step < 1, restart < 0, agentId outside [1, MAX_MARKS], or a repeated
-    (step, restart, agentId)."""
-    comments, rows = [], {}
+def trace_wide_text(lines) -> str:
+    """Read a ``trace_to_text`` export and pivot it to one row per (step,
+    restart) with one ``agentN`` column per agent, each value kept as its
+    original string, after the original ``#`` lines (configuration and
+    first-passage footer).  Raises ValueError when there are no data rows, or
+    naming the first malformed row: a wrong field count, a non-integer step,
+    restart or agentId, a value that is not a float or is NaN, step < 1,
+    restart < 0, agentId outside [1, MAX_MARKS], or a repeated (step,
+    restart, agentId)."""
+    out, by_step, n_agents = [], {}, 0  # out starts with the # lines
     for number, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if line.startswith("#"):
-            comments.append(line)
+            out.append(line)
         elif line and not line.startswith("step,"):
             try:
                 step, restart, agent, value = line.split(",")
-                row = (int(step), int(restart), int(agent), value)
+                step, restart, agent = int(step), int(restart), int(agent)
                 is_nan = math.isnan(float(value))
             except ValueError:
                 raise ValueError(f"line {number}: malformed trace row {line!r} "
                                  "(expected step,restart,agentId,value)") from None
-            if row[0] < 1 or row[1] < 0 or not 1 <= row[2] <= MAX_MARKS or is_nan:
+            if step < 1 or restart < 0 or not 1 <= agent <= MAX_MARKS or is_nan:
                 raise ValueError(f"line {number}: trace row {line!r} needs step >= 1, "
                                  f"restart >= 0, agentId in [1, {MAX_MARKS}] and a "
                                  "value that is not NaN")
-            if row[:3] in rows:
+            agents = by_step.setdefault((step, restart), {})
+            if agent in agents:
                 raise ValueError(f"line {number}: trace row {line!r} repeats an earlier "
                                  "(step, restart, agentId)")
-            rows[row[:3]] = row
-    return comments, list(rows.values())
-
-
-def trace_wide_text(lines) -> str:
-    """Pivot a ``trace_to_text`` export to one row per (step, restart) with
-    one ``agentN`` column per agent, after the original ``#`` lines.  Raises
-    ValueError on a malformed row or when there are no data rows."""
-    comments, rows = parse_trace(lines)
-    if not rows:
+            agents[agent] = value
+            n_agents = max(n_agents, agent)
+    if not by_step:
         raise ValueError("no data rows")
-    n_agents = max(r[2] for r in rows)
-    by_step: dict = {}
-    for step, restart, agent, value in rows:
-        by_step.setdefault((step, restart), {})[agent] = value
-    out = list(comments)
     out.append("step,restart," + ",".join(f"agent{a}" for a in range(1, n_agents + 1)))
-    for (step, restart) in sorted(by_step):
-        agents = by_step[(step, restart)]
+    for (step, restart), agents in sorted(by_step.items()):
         out.append(f"{step},{restart}," + ",".join(
             agents.get(a, "") for a in range(1, n_agents + 1)))
     return "\n".join(out) + "\n"

@@ -9,30 +9,40 @@ then per step the values it evaluated, the committed marks and values, and
 the epoch best.
 
 Raw floats depend on numpy's SIMD dispatch (``NPY_DISABLE_CPU_FEATURES``)
-and on the numpy and scipy builds, so the pin records the environment it
-was taken in; a mismatch names both sides.
+and on the numpy and scipy builds, so the pins are keyed by dispatch class
+and record the builds they were taken with; a mismatch names both sides.
+Every run checks the X86_V3 pins too, in a child process with AVX-512
+dispatch turned off.
+
+The walk-trace pin covers one real walk through ``trace_to_text`` and the
+``trace_wide_text`` pivot; its bytes are the same under both classes.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import scipy
 
-from multiwalk.objectives import get_objective
-from multiwalk.solvers import SOLVER_KINDS, SolverConfig, run_solver
+from multiwalk.objectives import get_objective, objective_names
+from multiwalk.solvers import (SOLVER_KINDS, SolverConfig, WalkTrace, run_solver,
+                               trace_to_text, trace_wide_text)
 from multiwalk.targets import compute_target
 
-PINNED_SHA256 = "f5abd7a52beeedcaa6f102c19d322f7f28d3192440eb18fba9dac6832e012d2b"
+# keyed by numpy dispatch class, the first one active wins
+PINNED_SHA256 = {
+    "X86_V4": "f5abd7a52beeedcaa6f102c19d322f7f28d3192440eb18fba9dac6832e012d2b",
+    "X86_V3": "7b33138f39c05e69bc26b83a009a7a4781a8b9df93284f019d9abbe918af36cd",
+}
 PINNED_NUMPY = "2.4.6"
 PINNED_SCIPY = "1.17.1"
-PINNED_CPU_FEATURES = (
-    "AVX AVX2 AVX512BF16 AVX512BITALG AVX512BW AVX512CD AVX512DQ AVX512F "
-    "AVX512FP16 AVX512IFMA AVX512VBMI AVX512VBMI2 AVX512VL AVX512VNNI "
-    "AVX512VPOPCNTDQ AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SKX AVX512_SPR "
-    "BMI BMI2 CX16 F16C FMA3 GFNI LAHF LZCNT MMX MOVBE POPCNT SSE SSE2 SSE3 "
-    "SSE41 SSE42 SSSE3 VAES VPCLMULQDQ X86_V2 X86_V3 X86_V4"
-).split()
+# sha256 of trace_to_text and of its trace_wide_text pivot for walk_trace()
+TRACE_SHA256 = ("972c5680eef17e49423d94a3977a23c03613469de1ae04809df364834acfef28",
+                "432d9ca3818ff50faceee0096ebcdc61c0a4daa67819bc259a9d51ae28e0bce8")
 
 # (objective, target digits); trefethen1 at 6 digits is the benchmark's solve
 OBJECTIVES = (("ehrenfest15", 9), ("trefethen1", 6), ("wild2", 9))
@@ -46,6 +56,13 @@ def _active_cpu_features() -> list:
     except ImportError:  # numpy < 2
         from numpy.core._multiarray_umath import __cpu_features__
     return sorted(name for name, on in __cpu_features__.items() if on)
+
+
+def dispatch_class():
+    """The pinned numpy dispatch class active here: X86_V4 if it is on, else
+    X86_V3 if it is on, else None (no pin)."""
+    features = _active_cpu_features()
+    return next((cls for cls in PINNED_SHA256 if cls in features), None)
 
 
 def _plan():
@@ -100,19 +117,77 @@ def probe_stream_sha256() -> tuple:
     return digest.hexdigest(), restarted
 
 
+def walk_trace():
+    """The pinned walk: ehrenfest15 at digits 9, MWR with radius 4, plateau
+    limit 8 and 32 marks, seed 7, at most 200 steps.  Returns the record, the
+    trace text and its wide pivot."""
+    spec = get_objective("ehrenfest15")
+    spec = spec.with_target(compute_target(spec).value_target)
+    cfg = SolverConfig(kind="MWR", seed=7, steps_limit=200, marks=32, radius=4,
+                       plateau_limit=8)
+    trace = WalkTrace(cfg, spec)
+    record = run_solver(cfg, spec, observe=trace)
+    text = trace_to_text(trace)
+    return record, text, trace_wide_text(text.splitlines())
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_probe_stream_fingerprint():
     sha, restarted = probe_stream_sha256()
     assert restarted >= 3, "the plan must exercise restarts"
-    features = _active_cpu_features()
-    assert sha == PINNED_SHA256, (
-        f"probe-stream sha256 {sha} != pinned {PINNED_SHA256}.\n"
+    cls = dispatch_class()
+    assert sha == PINNED_SHA256.get(cls), (
+        f"probe-stream sha256 {sha} != pinned {PINNED_SHA256.get(cls)} "
+        f"for numpy dispatch class {cls}.\n"
         f"pinned under numpy {PINNED_NUMPY}, scipy {PINNED_SCIPY}; "
         f"running numpy {np.__version__}, scipy {scipy.__version__}.\n"
-        f"CPU features active here but not at the pin: "
-        f"{sorted(set(features) - set(PINNED_CPU_FEATURES)) or 'none'}; "
-        f"at the pin but not here: "
-        f"{sorted(set(PINNED_CPU_FEATURES) - set(features)) or 'none'} "
-        f"(see NPY_DISABLE_CPU_FEATURES).\n"
+        f"CPU features active here: {' '.join(_active_cpu_features())} "
+        f"(pins exist for {', '.join(PINNED_SHA256)}; see NPY_DISABLE_CPU_FEATURES).\n"
         "A code change that moves one raw float or one random draw changes "
         "this hash; an environment change can too."
     )
+
+
+def test_walk_trace_is_pinned():
+    record, text, wide = walk_trace()
+    assert (record.steps, record.restarts, record.is_censored) == (179, 20, False)
+    assert (_sha256(text), _sha256(wide)) == TRACE_SHA256
+
+
+_X86_V3_CHILD = """
+import json
+from multiwalk.objectives import get_objective, objective_names
+from multiwalk.targets import compute_target
+from test_probe_fingerprint import _sha256, dispatch_class, probe_stream_sha256, walk_trace
+
+records = {}
+for name in objective_names():
+    rec = compute_target(get_objective(name))
+    records[name] = [repr(rec.value_target), repr(rec.coords)]
+_record, text, wide = walk_trace()
+print(json.dumps({"class": dispatch_class(), "probe": probe_stream_sha256()[0],
+                  "records": records, "trace": [_sha256(text), _sha256(wide)]}))
+"""
+
+
+def test_pins_hold_under_x86_v3_dispatch():
+    # numpy reads NPY_DISABLE_CPU_FEATURES once, at import, so the X86_V3
+    # kernels run in a child process
+    from test_targets import pinned_target  # test_targets imports this module
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = [os.path.join(here, os.pardir, "src"), here, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", _X86_V3_CHILD], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {
+        "class": "X86_V3",
+        "probe": PINNED_SHA256["X86_V3"],
+        "records": {name: list(pinned_target(name, "X86_V3")) for name in objective_names()},
+        "trace": list(TRACE_SHA256),
+    }

@@ -10,8 +10,9 @@ from multiwalk import solvers
 from multiwalk.objectives import get_objective, quantize
 from multiwalk.solvers import (SOLVER_KINDS, SolverConfig, WalkTrace, _de_trials,
                                config_lines,
-                               _greedy_commit, _init_population, mw_step, parse_trace,
+                               _greedy_commit, _init_population, mw_step,
                                run_solver, trace_to_text, trace_wide_text)
+from multiwalk.ruler import MAX_MARKS
 
 DEMO_MARKS = np.array([1.0, 2.0, 4.0, 10.0, 12.0, 17.0])[:, None]
 NO_BEST = (math.inf, None)  # the running best before any candidate
@@ -613,26 +614,39 @@ _trace_steps = st.lists(
     max_size=6, unique_by=lambda s: (s[0], s[1]))
 
 
-@given(steps=_trace_steps,
-       first_passage=st.none() | st.tuples(st.integers(1, 10 ** 6), st.integers(1, 5)),
-       epoch_seeds=st.lists(st.integers(0, 2 ** 31), min_size=1, max_size=3))
-def test_trace_parse_roundtrip(steps, first_passage, epoch_seeds):
+def _written_trace(steps, first_passage, epoch_seeds):
     trace = WalkTrace(_cfg(), get_objective("ehrenfest4"))
     trace.header = ("objective = x", "solver = MW04")
     trace.first_passage, trace.epoch_seeds = first_passage, epoch_seeds
     for step, restart, values in steps:
         trace.steps.append((step, restart, np.array(values)))
-    comments, rows = parse_trace(trace_to_text(trace).splitlines())
-    expected = [(step, restart, agent, repr(float(v)))
-                for step, restart, values in steps
-                for agent, v in enumerate(values, start=1)]
-    assert rows == expected
+    return trace_to_text(trace)
+
+
+_first_passage = st.none() | st.tuples(st.integers(1, 10 ** 6), st.integers(1, 5))
+_epoch_seeds = st.lists(st.integers(0, 2 ** 31), min_size=1, max_size=3)
+
+
+@given(steps=_trace_steps, first_passage=_first_passage, epoch_seeds=_epoch_seeds)
+def test_trace_parse_roundtrip(steps, first_passage, epoch_seeds):
+    # the pivot holds each step's repr(float(v)) in its agent column, after
+    # the comment lines in order
+    lines = _written_trace(steps, first_passage, epoch_seeds).splitlines()
+    if not steps:
+        with pytest.raises(ValueError, match="no data rows"):
+            trace_wide_text(lines)
+        return
     footer = ("# first_passage=none" if first_passage is None else
               f"# first_passage_step={first_passage[0]},"
               f"first_passage_agentId={first_passage[1]}")
-    assert comments == ["# objective = x", "# solver = MW04",
-                        f"# epoch_seeds = {','.join(map(str, epoch_seeds))}", footer]
-
+    n_agents = max(len(values) for _, _, values in steps)
+    expected = ["# objective = x", "# solver = MW04",
+                f"# epoch_seeds = {','.join(map(str, epoch_seeds))}", footer,
+                "step,restart," + ",".join(f"agent{a}" for a in range(1, n_agents + 1))]
+    for step, restart, values in sorted(steps, key=lambda s: s[:2]):
+        cells = [repr(float(v)) for v in values] + [""] * (n_agents - len(values))
+        expected.append(f"{step},{restart}," + ",".join(cells))
+    assert trace_wide_text(lines).splitlines() == expected
 
 
 @pytest.mark.parametrize("row", ["0,0,1,1.0", "1,-1,1,1.0", "1,0,0,1.0",
@@ -640,20 +654,21 @@ def test_trace_parse_roundtrip(steps, first_passage, epoch_seeds):
                                  "1,0,1,nan"])
 def test_parse_trace_rejects_meaningless_rows(row):
     with pytest.raises(ValueError, match="line 3"):
-        parse_trace(["# solver = MW04", "step,restart,agentId,value", row])
+        trace_wide_text(["# solver = MW04", "step,restart,agentId,value", row])
 
 
 def test_parse_trace_accepts_the_largest_population():
     # agentId is bounded by ruler.MAX_MARKS, so the pivot stays small
-    _comments, rows = parse_trace(["step,restart,agentId,value", "1,0,1024,1.0"])
-    assert rows == [(1, 0, 1024, "1.0")]
+    out = trace_wide_text(["step,restart,agentId,value", "1,0,1024,1.0"]).splitlines()
+    assert out == ["step,restart," + ",".join(f"agent{a}" for a in range(1, 1025)),
+                   "1,0," + "," * 1023 + "1.0"]
 
 
 def test_parse_trace_rejects_a_repeated_row_key():
     lines = ["step,restart,agentId,value", "1,0,1,1.0", "1,1,1,1.0", "1,0,2,3.0",
              "1,0,1,2.0"]
     with pytest.raises(ValueError, match=r"line 5: .*'1,0,1,2.0' repeats"):
-        parse_trace(lines)
+        trace_wide_text(lines)
 
 
 _trace_field = st.one_of(st.integers(-3, 3).map(str), st.floats().map(repr),
@@ -666,14 +681,80 @@ _trace_text = st.one_of(
 
 @given(_trace_text)
 def test_parse_trace_on_arbitrary_text(text):
-    # arbitrary text either parses into meaningful rows or raises ValueError
+    # arbitrary text either pivots into meaningful rows or raises ValueError
     try:
-        _comments, rows = parse_trace(text.splitlines())
+        out = trace_wide_text(text.splitlines()).splitlines()
     except ValueError:
         return
+    n_comments = sum(line.startswith("#") for line in out)
+    assert out[n_comments].startswith("step,restart,agent1")
+    for row in out[n_comments + 1:]:
+        step, restart, *values = row.split(",")
+        assert int(step) >= 1 and int(restart) >= 0
+        assert not any(math.isnan(float(v)) for v in values if v)
+
+
+def _wide_text_reference(lines):
+    """The two-pass reader the merged ``trace_wide_text`` replaced: check
+    every row into a list, then regroup the list by (step, restart)."""
+    comments, rows = [], {}
+    for number, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if line.startswith("#"):
+            comments.append(line)
+        elif line and not line.startswith("step,"):
+            try:
+                step, restart, agent, value = line.split(",")
+                row = (int(step), int(restart), int(agent), value)
+                is_nan = math.isnan(float(value))
+            except ValueError:
+                raise ValueError(f"line {number}: malformed trace row {line!r} "
+                                 "(expected step,restart,agentId,value)") from None
+            if row[0] < 1 or row[1] < 0 or not 1 <= row[2] <= MAX_MARKS or is_nan:
+                raise ValueError(f"line {number}: trace row {line!r} needs step >= 1, "
+                                 f"restart >= 0, agentId in [1, {MAX_MARKS}] and a "
+                                 "value that is not NaN")
+            if row[:3] in rows:
+                raise ValueError(f"line {number}: trace row {line!r} repeats an earlier "
+                                 "(step, restart, agentId)")
+            rows[row[:3]] = row
+    rows = list(rows.values())
+    if not rows:
+        raise ValueError("no data rows")
+    n_agents = max(r[2] for r in rows)
+    by_step: dict = {}
     for step, restart, agent, value in rows:
-        assert step >= 1 and restart >= 0 and agent >= 1
-        assert not math.isnan(float(value))
+        by_step.setdefault((step, restart), {})[agent] = value
+    out = list(comments)
+    out.append("step,restart," + ",".join(f"agent{a}" for a in range(1, n_agents + 1)))
+    for (step, restart) in sorted(by_step):
+        agents = by_step[(step, restart)]
+        out.append(f"{step},{restart}," + ",".join(
+            agents.get(a, "") for a in range(1, n_agents + 1)))
+    return "\n".join(out) + "\n"
+
+
+def _text_or_error(reader, lines):
+    try:
+        return reader(lines)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# small step and restart ranges, so written traces repeat rows; NaN values too
+_colliding_steps = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(0, 2),
+              st.lists(st.floats(), min_size=1, max_size=5)), max_size=6)
+
+
+@given(st.one_of(
+    _trace_text.map(lambda text: text.splitlines(keepends=True)),
+    st.builds(_written_trace, st.one_of(_trace_steps, _colliding_steps),
+              _first_passage, _epoch_seeds).map(str.splitlines)))
+def test_trace_wide_text_matches_the_reference(lines):
+    # the one-pass reader gives the same text, or the same error, as the
+    # two-pass reference on arbitrary text and on written traces
+    assert _text_or_error(trace_wide_text, lines) == _text_or_error(_wide_text_reference, lines)
 
 
 _wide_rows = st.dictionaries(
