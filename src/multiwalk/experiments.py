@@ -3,6 +3,9 @@
 A plan runs each configured solver ``sample_size`` times with seeds
 ``seed + run_index`` from the one seed its configs share, keeps censoring
 bookkeeping exact, and reduces the outcome to mean/standard-error summaries.
+Each config's seeds run in lockstep chunks (``solvers.run_seeds``), one pool
+task per (config, seed chunk); a seed's record depends neither on its chunk
+nor on the worker count.
 The headline comparison statistic is the mean number of steps over
 *uncensored* runs only; the inclusive mean (censored runs entering at the
 step limit) is always reported next to it.
@@ -14,14 +17,18 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .objectives import ObjectiveSpec
-from .solvers import RunRecord, config_lines, run_solver
+from .solvers import RunRecord, config_lines, run_seeds
+
+# most candidate points (and sampling ranks) one lockstep step of a seed
+# chunk stacks; it bounds the stacked arrays, and so peak memory, not results
+STEP_POINTS = 16384
 
 __all__ = [
     "ExperimentPlan",
@@ -57,21 +64,49 @@ class ExperimentPlan:
             raise ValueError(f"solver labels in a plan must be distinct, got {', '.join(labels)}")
 
 
+def _step_points(cfg) -> int:
+    """Values one lockstep step stacks per seed: its candidate points and,
+    for a ruler kind below full radius, its (m, m - 2) sampling ranks."""
+    if not cfg.uses_ruler:
+        return cfg.marks
+    ranks = cfg.marks * (cfg.marks - 2) if cfg.radius < cfg.marks - 2 else 0
+    return cfg.marks * cfg.radius + ranks
+
+
+def _seed_chunks(plan: ExperimentPlan):
+    """(config index, seeds) tasks: each config's seeds in contiguous chunks
+    of near-equal size, none of which stacks more than ``STEP_POINTS``
+    values into one step (a seed larger than that runs alone)."""
+    n = plan.sample_size
+    for k, cfg in enumerate(plan.configs):
+        n_chunks = -(-n // max(1, STEP_POINTS // _step_points(cfg)))
+        seeds = [cfg.seed + ri for ri in range(n)]
+        for c in range(n_chunks):
+            yield k, seeds[c * n // n_chunks:(c + 1) * n // n_chunks]
+
+
+def _run_chunk(plan: ExperimentPlan, task) -> list:
+    k, seeds = task
+    return run_seeds(plan.configs[k], plan.spec, seeds)
+
+
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list:
     """Execute the plan; returns one list of RunRecords per config, ordered
-    by run index regardless of execution order.  The pool holds at most one
-    process per run and per CPU; one worker runs in this process."""
-    seeded = [replace(cfg, seed=cfg.seed + ri)
-              for cfg in plan.configs for ri in range(plan.sample_size)]
-    run = partial(run_solver, spec=plan.spec)
-    workers = min(workers, len(seeded), os.cpu_count() or 1)
+    by run index.  The pool maps over (config, seed chunk) tasks and holds
+    at most one process per run and per CPU; one worker runs in this
+    process."""
+    tasks = list(_seed_chunks(plan))
+    run = partial(_run_chunk, plan)
+    workers = min(workers, len(plan.configs) * plan.sample_size, os.cpu_count() or 1)
     if workers <= 1:
-        records = list(map(run, seeded))
+        chunks = list(map(run, tasks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run, seeded, chunksize=8))
-    n = plan.sample_size
-    return [records[i:i + n] for i in range(0, len(records), n)]
+            chunks = list(pool.map(run, tasks))
+    results = [[] for _ in plan.configs]
+    for (k, _seeds), records in zip(tasks, chunks):
+        results[k] += records
+    return results
 
 
 @dataclass(frozen=True)

@@ -46,20 +46,24 @@ def eligible_neighbors(n_marks: int) -> np.ndarray:
 
 def _candidates(marks: np.ndarray, neighbor_sets: np.ndarray, lower: np.ndarray,
                 upper: np.ndarray, dither: float = 0.0,
-                rng: np.random.Generator | None = None) -> np.ndarray:
-    """(m, r, p) candidates for mark ``i`` from neighbor ``neighbor_sets[i, k]``:
+                u: np.ndarray | None = None) -> np.ndarray:
+    """Candidates for mark ``i`` from neighbor ``neighbor_sets[..., i, k]``:
     the pairwise difference offset by the lower bound, optionally dithered,
-    clamped into the box.
+    clamped into the box.  ``marks`` is (m, p) or (N, m, p); the (m, r) sets
+    are shared by every population, (N, m, r) sets give each its own.  The
+    result is (..., m, r, p).
 
     Per dimension: ``clip(lower + |marks[i] - marks[j]| * (1 + dither * u),
-    lower, upper)`` with ``u`` drawn from U(-1, 1) as one block filled
-    mark-major, neighbor-minor, dimension-minor.  With ``dither == 0`` no
-    draws are consumed.
+    lower, upper)`` with ``u`` the caller's U(-1, 1) draws shaped like the
+    result (overwritten); with ``dither == 0`` it is not read.
     """
-    diffs = marks[:, None, :] - marks[neighbor_sets]
+    if neighbor_sets.ndim == 3:  # one set table per stacked population
+        others = marks[np.arange(len(marks))[:, None, None], neighbor_sets]
+    else:
+        others = marks[..., neighbor_sets, :]
+    diffs = marks[..., None, :] - others
     np.abs(diffs, out=diffs)
     if dither > 0.0:
-        u = rng.uniform(-1.0, 1.0, size=diffs.shape)
         u *= dither
         u += 1.0
         diffs *= u
@@ -68,43 +72,58 @@ def _candidates(marks: np.ndarray, neighbor_sets: np.ndarray, lower: np.ndarray,
     return np.minimum(diffs, upper, out=diffs)
 
 
-def _neighbor_sets(n_marks: int, radius: int, rng: np.random.Generator) -> np.ndarray:
-    """(m, radius) neighbor indices per mark, ascending.  At full radius
-    (m - 2) every eligible neighbor, with no draws; otherwise a uniform
-    sample of ``radius`` eligible neighbors per mark from one rank block."""
+def _neighbor_sets(n_marks: int, radius: int, ranks: np.ndarray | None) -> np.ndarray:
+    """Neighbor indices per mark, ascending.  At full radius (m - 2) the
+    shared (m, m - 2) table of every eligible neighbor, and ``ranks`` is not
+    read; otherwise (..., m, radius), a uniform sample of ``radius`` eligible
+    neighbors per mark from its row of the (..., m, m - 2) rank block."""
     eligible = eligible_neighbors(n_marks)
     if radius == n_marks - 2:
         return eligible
-    ranks = rng.uniform(size=(n_marks, n_marks - 2))
-    sel = np.sort(np.argsort(ranks, axis=1)[:, :radius], axis=1)
+    sel = np.sort(np.argsort(ranks, axis=-1)[..., :radius], axis=-1)
     return eligible[np.arange(n_marks)[:, None], sel]
 
 
 def neighborhood_eval(marks: np.ndarray, spec: ObjectiveSpec, radius: int,
-                      dither: float, rng: np.random.Generator):
-    """Evaluate each mark's neighborhood and return ``(coords, values, raw)``:
-    the best candidate per mark, (m, p), its raw objective value, (m,), and
-    every evaluated value, (m * radius,), mark-major in evaluation order.
+                      dither: float, rngs):
+    """Evaluate the neighborhoods of N stacked (m, p) populations, (N, m, p),
+    population ``n`` drawing from ``rngs[n]``, in one objective call.
+    Returns ``(coords, values, raw)``: the best candidate per mark,
+    (N, m, p), its raw objective value, (N, m), and every evaluated value,
+    (N, m * radius), mark-major in evaluation order.
 
     At full radius (m - 2) every eligible neighbor is consulted; otherwise a
     fresh uniform sample of ``radius`` neighbors is drawn per mark per step,
-    shared across dimensions.  Random draws happen in a fixed order (sampling
-    block first, then one dither block filled mark-major, neighbor-minor,
-    dimension-minor) so the evaluations themselves can be farmed out without
-    changing the committed step.  Costs exactly ``m * radius`` probes.
-    Ties between candidates break toward the lowest neighbor index.
+    shared across dimensions.  Each population draws one block of doubles
+    per step from its own generator: the (m, m - 2) sampling ranks (below
+    full radius), then the dither block filled mark-major, neighbor-minor,
+    dimension-minor (dither > 0), ``u`` entering as ``-1 + 2 u``, which is
+    ``uniform(-1, 1)`` bit for bit.  So a population's step does not depend
+    on the others it is stacked with.  Costs exactly ``m * radius`` probes
+    per population.  Ties between candidates break toward the lowest
+    neighbor index.
     """
-    m, p = marks.shape
+    n, m, p = marks.shape
     if not 1 <= radius <= m - 2:
         raise ValueError(f"radius must be in [1, {m - 2}], got {radius}")
-    neighbor_sets = _neighbor_sets(m, radius, rng)
-    cands = _candidates(marks, neighbor_sets, spec.lower, spec.upper, dither, rng)
+    n_ranks = 0 if radius == m - 2 else m * (m - 2)
+    draws = np.empty((n, n_ranks + (m * radius * p if dither > 0.0 else 0)))
+    if draws.shape[1]:
+        for row, rng in zip(draws, rngs):
+            rng.random(out=row)
+    neighbor_sets = _neighbor_sets(m, radius, draws[:, :n_ranks].reshape(n, m, -1))
+    u = draws[:, n_ranks:].reshape(n, m, radius, -1)
+    if dither > 0.0:
+        u *= 2.0
+        u -= 1.0
+    cands = _candidates(marks, neighbor_sets, spec.lower, spec.upper, dither, u)
 
-    raw = evaluate_batch(spec, cands.reshape(m * radius, p))
-    values = raw.reshape(m, radius)
-    pick = np.argmin(values, axis=1)  # first minimum = lowest index (sets ascend)
-    rows = np.arange(m)
-    return cands[rows, pick], values[rows, pick], raw
+    raw = evaluate_batch(spec, cands.reshape(n * m * radius, p))
+    values = raw.reshape(n * m, radius)
+    pick = values.argmin(axis=1)  # first minimum = lowest index (sets ascend)
+    rows = np.arange(n * m)
+    return (cands.reshape(n * m, radius, p)[rows, pick].reshape(n, m, p),
+            values[rows, pick].reshape(n, m), raw.reshape(n, m * radius))
 
 
 def candidate_table_text(marks: np.ndarray, lower, upper) -> str:

@@ -16,6 +16,12 @@ All solvers move the whole population once per step, commit acceptances
 synchronously at step end, accept strictly improving candidates only, and
 stop the moment the quantized running best equals the quantized target.
 A run that exhausts its step budget first is censored.
+
+One engine runs every kind: ``run_seeds`` steps the populations of many
+seeds of one config in lockstep, with one objective call per step for all of
+them, and ``run_solver`` is its one-seed call.  Each seed keeps its own
+random stream and draw order, so its record does not depend on the seeds it
+runs with.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ __all__ = [
     "WalkTrace",
     "mw_step",
     "run_solver",
+    "run_seeds",
     "config_lines",
     "trace_to_text",
     "trace_wide_text",
@@ -165,29 +172,37 @@ class WalkTrace:
 
 
 def _greedy_commit(marks, values, cand_coords, cand_values, best, digits: int):
-    """Synchronous step commit: each member accepts its candidate only on a
-    strict improvement; the running best ``(quantized value, coord)`` tracks
-    every candidate, accepted or not, comparing raw value against quantized
+    """Synchronous step commit of N stacked populations: each member accepts
+    its candidate only on a strict improvement; each population's running
+    best ``((N,) quantized values, (N, p) coords)`` tracks every candidate of
+    that population, accepted or not, comparing raw value against quantized
     best so the best value only ever decreases.  Returns the updated
-    ``(marks, values, best)``."""
-    best_value, best_coord = best
-    # the best only decreases, so no index outside this prefilter can trigger
-    for i in np.flatnonzero(cand_values < best_value):
-        fi = cand_values[i]
-        if fi < best_value:
-            best_value = quantize(float(fi), digits)
-            best_coord = cand_coords[i].copy()
+    ``(marks, values, best)``; the arrays handed in are not modified, and
+    ``best`` is returned as it came unless a candidate moved it."""
+    best_values, best_coords = best
+    # the best only decreases, so no candidate outside this prefilter can move it
+    hits = np.flatnonzero(cand_values < best_values[:, None])
+    if hits.size:
+        best_values, best_coords = best_values.copy(), best_coords.copy()
+        m = cand_values.shape[1]
+        flat_values, flat_coords = cand_values.ravel(), cand_coords.reshape(-1, marks.shape[-1])
+        for k in hits.tolist():  # population-major, candidates in order
+            if flat_values[k] < best_values[k // m]:
+                best_values[k // m] = quantize(float(flat_values[k]), digits)
+                best_coords[k // m] = flat_coords[k]
+        best = (best_values, best_coords)
     improved = cand_values < values
-    return (np.where(improved[:, None], cand_coords, marks),
-            np.where(improved, cand_values, values), (best_value, best_coord))
+    return (np.where(improved[..., None], cand_coords, marks),
+            np.where(improved, cand_values, values), best)
 
 
-def mw_step(marks, values, cfg: SolverConfig, spec: ObjectiveSpec,
-            rng: np.random.Generator, best):
-    """One multi-walk step: evaluate the neighborhood, then commit.  Returns
-    ``(marks, values, best, raw)``, ``raw`` the ``marks * radius`` values
-    it evaluated."""
-    coords, cand_values, raw = neighborhood_eval(marks, spec, cfg.radius, cfg.dither, rng)
+def mw_step(marks, values, cfg: SolverConfig, spec: ObjectiveSpec, rngs, best):
+    """One multi-walk step of N stacked populations, (N, m, p) marks and
+    (N, m) values, population ``n`` drawing from ``rngs[n]``: evaluate every
+    neighborhood in one objective call, then commit.  Returns ``(marks,
+    values, best, raw)``, ``raw`` the (N, marks * radius) values it
+    evaluated."""
+    coords, cand_values, raw = neighborhood_eval(marks, spec, cfg.radius, cfg.dither, rngs)
     return (*_greedy_commit(marks, values, coords, cand_values, best,
                             spec.digits_target), raw)
 
@@ -252,12 +267,15 @@ def _de_trials(marks: np.ndarray, values: np.ndarray, cfg: SolverConfig,
     return _confine(donors, spec.lower, spec.upper, rng)
 
 
-def _de_step(marks, values, cfg: SolverConfig, spec: ObjectiveSpec,
-             rng: np.random.Generator, best):
-    """One DE step: build, evaluate and commit ``marks`` trials.  Returns
-    ``(marks, values, best, raw)``, ``raw`` the trial values."""
-    trials = _de_trials(marks, values, cfg, spec, rng)
-    raw = evaluate_batch(spec, trials)
+def _de_step(marks, values, cfg: SolverConfig, spec: ObjectiveSpec, rngs, best):
+    """One DE step of N stacked populations: build each population's trials
+    from its own generator, evaluate them all in one objective call, and
+    commit.  Returns ``(marks, values, best, raw)``, ``raw`` the (N, marks)
+    trial values."""
+    trials = np.empty_like(marks)
+    for n, rng in enumerate(rngs):
+        trials[n] = _de_trials(marks[n], values[n], cfg, spec, rng)
+    raw = evaluate_batch(spec, trials.reshape(-1, spec.dims)).reshape(values.shape)
     return (*_greedy_commit(marks, values, trials, raw, best, spec.digits_target), raw)
 
 
@@ -292,66 +310,128 @@ def run_solver(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
     and ``best`` the epoch's running best ``(quantized value, coord)``.  It
     must not modify the arrays it is handed.  The probe count is the
     initial values plus each step's ``raw``."""
+    return run_seeds(cfg, spec, [cfg.seed], initial_marks, observe)[0]
+
+
+def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
+              observe=None) -> list:
+    """Run ``cfg`` once per seed of ``seeds`` in lockstep, returning the
+    RunRecords in seed order; ``run_solver`` is the one-seed call.
+
+    The seeds' populations are stacked, (N, m, p), and take every step
+    together: one ``mw_step`` or ``_de_step`` call and one objective call per
+    step for all of them.  Each seed keeps its own generator, epochs, plateau
+    counter and running bests, and draws in the order a run alone would, so
+    its record does not depend on the seeds it runs with.  A seed leaves the
+    stack when it passes or runs out of budget.  ``initial_marks`` and
+    ``observe`` are as for ``run_solver``; ``observe`` watches one-seed calls
+    only."""
     target = spec.value_target
     if target is None:
         raise ValueError(
             f"objective {spec.name!r} has no stored target value; "
             "compute it with the target oracle first"
         )
+    if observe is not None and len(seeds) != 1:
+        raise ValueError("observe watches a one-seed run")
     step = mw_step if cfg.uses_ruler else _de_step
-    plateau_limit = cfg.effective_plateau_limit if cfg.restarts_enabled else math.inf
-    total_steps = 0
-    probes = 0
-    restarts = 0
-    best = (math.inf, None)  # quantized value and its coordinates, over all epochs
-    epoch_seed = cfg.seed
+    restarts_enabled, plateau_limit = cfg.restarts_enabled, cfg.effective_plateau_limit
+    m, p = cfg.marks, spec.dims
+    n = len(seeds)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    marks, values = np.empty((n, m, p)), np.empty((n, m))
+    for i, rng in enumerate(rngs):
+        marks[i], values[i] = _init_population(spec, m, cfg.uses_ruler, rng, initial_marks)
+        if observe is not None:
+            observe.epoch(seeds[i], marks[i], values[i])
+    # the plateau rule per seed: a step is flat unless its epoch error drops
+    # below ``err_prev``; a seed's plateau is the number of flat steps since
+    # step ``anchor`` (the last drop or the epoch start)
+    err_prev = values.min(axis=1) - target  # raw seed for the plateau rule
+    anchor = np.zeros(n, dtype=np.int64)
+    oldest = 0  # min(anchor), so the longest plateau is total_steps - oldest
+    epoch_best = (np.full(n, math.inf), np.full((n, p), math.nan))  # quantized
+    best_values, best_coords = epoch_best[0].copy(), epoch_best[1].copy()  # over all epochs
+    restarts = np.zeros(n, dtype=np.int64)
+    index = np.arange(n)  # each stacked row's position in ``seeds``
+    records = [None] * n
+    total_steps, unmoved, finite_target = 0, None, math.isfinite(target)
 
     while True:
-        rng = np.random.default_rng(epoch_seed)
-        marks, values = _init_population(spec, cfg.marks, cfg.uses_ruler, rng,
-                                         initial_marks if restarts == 0 else None)
-        probes += len(values)
+        total_steps += 1
+        marks, values, epoch_best, raw = step(marks, values, cfg, spec, rngs, epoch_best)
         if observe is not None:
-            observe.epoch(epoch_seed, marks, values)
-
-        err_prev = float(values.min()) - target  # raw seed for the plateau rule
-        epoch_best = (math.inf, None)  # quantized value and its coordinates
-        plateau = 0
-
-        while (epoch_best[0] != target and plateau < plateau_limit
-               and total_steps < cfg.steps_limit):
-            total_steps += 1
-            marks, values, epoch_best, raw = step(marks, values, cfg, spec, rng, epoch_best)
-            probes += raw.size
-            if epoch_best[0] < best[0]:
-                best = epoch_best
-            if observe is not None:
-                observe.step(total_steps, restarts, raw, marks, values, epoch_best)
-
-            if cfg.restarts_enabled and epoch_best[0] != target:
+            observe.step(total_steps, int(restarts[0]), raw[0], marks[0], values[0],
+                         (epoch_best[0][0], epoch_best[1][0]))
+        done = None
+        # A commit returns the bests as they came unless a candidate moved
+        # one.  If none moved, each seed's error is where the last update
+        # left it, at or above err_prev, so the step is flat for every seed
+        # and the plateau rule has nothing to update.  An infinite target
+        # (its error can be NaN) and an epoch's first step (err_prev can be
+        # NaN) get the full rule anyway.
+        if epoch_best is not unmoved:
+            better = epoch_best[0] < best_values
+            np.copyto(best_values, epoch_best[0], where=better)
+            np.copyto(best_coords, epoch_best[1], where=better[:, None])
+            passed = epoch_best[0] == target
+            if passed.any():
+                done = passed
+            if restarts_enabled:
                 error = epoch_best[0] - target
-                if error >= err_prev:
-                    plateau += 1
-                else:
-                    plateau = 0
-                    err_prev = error
+                flat = error >= err_prev
+                anchor = np.where(flat, anchor, total_steps)
+                err_prev = np.where(flat, err_prev, error)
+                oldest = int(anchor.min())
+        if total_steps == cfg.steps_limit:
+            done = np.ones(len(index), dtype=bool)
+        unmoved = epoch_best if finite_target else None
 
         # only a plateau with budget left starts a new epoch
-        if plateau < plateau_limit or total_steps == cfg.steps_limit:
-            break
-        restarts += 1
-        epoch_seed = int(rng.integers(1, 2 ** 31))  # drawn from the run's own stream
+        if restarts_enabled and total_steps - oldest >= plateau_limit:
+            restart = total_steps - anchor >= plateau_limit
+            if done is not None:
+                restart &= ~done
+            if restart.any():
+                marks, values = marks.copy(), values.copy()  # what observe saw stays put
+                epoch_best = (epoch_best[0].copy(), epoch_best[1].copy())
+                unmoved = None
+                for i in np.flatnonzero(restart):
+                    epoch_seed = int(rngs[i].integers(1, 2 ** 31))  # from the seed's stream
+                    rngs[i] = rng = np.random.default_rng(epoch_seed)
+                    marks[i], values[i] = _init_population(spec, m, cfg.uses_ruler, rng)
+                    restarts[i] += 1
+                    err_prev[i] = values[i].min() - target
+                    anchor[i] = total_steps
+                    epoch_best[0][i], epoch_best[1][i] = math.inf, math.nan
+                    if observe is not None:
+                        observe.epoch(epoch_seed, marks[i], values[i])
+                oldest = int(anchor.min())
 
-    return RunRecord(
-        coord_best=tuple(float(x) for x in np.atleast_1d(best[1])),
-        value_best=float(best[0]),
-        agent_id=int(np.argmin(values)) + 1,
-        steps=total_steps,
-        probes=probes,
-        restarts=restarts,
-        is_censored=epoch_best[0] != target,
-        seed=cfg.seed,
-    )
+        if done is not None:
+            for i in np.flatnonzero(done):
+                records[index[i]] = RunRecord(
+                    coord_best=tuple(float(x) for x in best_coords[i]),
+                    value_best=float(best_values[i]),
+                    agent_id=int(np.argmin(values[i])) + 1,
+                    steps=total_steps,
+                    # each epoch's initial values, then every step's candidates
+                    probes=m * (1 + int(restarts[i])) + total_steps * raw.shape[1],
+                    restarts=int(restarts[i]),
+                    is_censored=bool(epoch_best[0][i] != target),
+                    seed=seeds[index[i]],
+                )
+            if done.all():
+                return records
+            # compact only when a seed leaves, so a step never gathers the stack
+            keep = ~done
+            marks, values = marks[keep], values[keep]
+            epoch_best = (epoch_best[0][keep], epoch_best[1][keep])  # the next step: full rule
+            best_values, best_coords = best_values[keep], best_coords[keep]
+            err_prev, anchor, restarts = err_prev[keep], anchor[keep], restarts[keep]
+            oldest = int(anchor.min())
+            index = index[keep]
+            rngs = [rng for rng, k in zip(rngs, keep) if k]
 
 
 def config_lines(spec: ObjectiveSpec, configs) -> list:
@@ -400,9 +480,10 @@ def trace_wide_text(lines) -> str:
     original string, after the original ``#`` lines (configuration and
     first-passage footer).  Raises ValueError when there are no data rows, or
     naming the first malformed row: a wrong field count, a non-integer step,
-    restart or agentId, a value that is not a float or is NaN, step < 1,
-    restart < 0, agentId outside [1, MAX_MARKS], or a repeated (step,
-    restart, agentId)."""
+    restart or agentId, a value that is not a float, is NaN or is not
+    written as ``repr(float(value))`` (as ``trace_to_text`` writes it),
+    step < 1, restart < 0, agentId outside [1, MAX_MARKS], or a repeated
+    (step, restart, agentId)."""
     out, by_step, n_agents = [], {}, 0  # out starts with the # lines
     for number, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -412,14 +493,15 @@ def trace_wide_text(lines) -> str:
             try:
                 step, restart, agent, value = line.split(",")
                 step, restart, agent = int(step), int(restart), int(agent)
-                is_nan = math.isnan(float(value))
+                x = float(value)
             except ValueError:
                 raise ValueError(f"line {number}: malformed trace row {line!r} "
                                  "(expected step,restart,agentId,value)") from None
-            if step < 1 or restart < 0 or not 1 <= agent <= MAX_MARKS or is_nan:
+            if (step < 1 or restart < 0 or not 1 <= agent <= MAX_MARKS or math.isnan(x)
+                    or repr(x) != value):
                 raise ValueError(f"line {number}: trace row {line!r} needs step >= 1, "
                                  f"restart >= 0, agentId in [1, {MAX_MARKS}] and a "
-                                 "value that is not NaN")
+                                 "value that is not NaN, written as its float's repr")
             agents = by_step.setdefault((step, restart), {})
             if agent in agents:
                 raise ValueError(f"line {number}: trace row {line!r} repeats an earlier "

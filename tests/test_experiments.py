@@ -3,9 +3,12 @@ import os
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multiwalk import experiments
-from multiwalk.experiments import (ExperimentPlan, run_experiment, summarize,
+from multiwalk.experiments import (STEP_POINTS, ExperimentPlan, _seed_chunks, run_experiment,
+                                   summarize,
                                    summarize_experiment, write_bargraph_csv,
                                    write_runs_csv, write_summary_csv)
 from multiwalk.objectives import get_objective
@@ -80,6 +83,40 @@ def test_worker_counts_agree(ehrenfest4_spec):
     serial = run_experiment(plan, workers=1)
     parallel = run_experiment(plan, workers=2)
     assert serial == parallel
+
+
+def test_worker_counts_agree_over_uneven_seed_chunks(tmp_path, ehrenfest15_spec):
+    # a few seeds fit one lockstep step of the full-radius walk, so its 7
+    # seeds split into chunks of unequal size; the DE config's form one chunk
+    wide = _mwr(steps_limit=5, marks=70, radius=68)
+    plan = ExperimentPlan(spec=ehrenfest15_spec, sample_size=7,
+                          configs=[wide, SolverConfig(kind="DEsFR", seed=1, steps_limit=5)])
+    sizes = [len(seeds) for _k, seeds in _seed_chunks(plan)]
+    assert sizes[-1] == 7 and len(set(sizes[:-1])) > 1
+    assert max(sizes[:-1]) * wide.marks * wide.radius <= STEP_POINTS
+    texts = []
+    for workers in (1, 2, 3):
+        path = tmp_path / f"runs_{workers}.csv"
+        write_runs_csv(path, plan, run_experiment(plan, workers=workers))
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1] == texts[2]
+    assert texts[0].count(b"\nehrenfest15,") == 14  # one row per run
+
+
+@given(st.integers(1, 300), st.sampled_from(["MW", "MWR", "DEsF", "DEoF3"]),
+       st.integers(4, 1024), st.data())
+def test_seed_chunks_cover_each_config_in_order_within_the_step_budget(n, kind, marks, data):
+    radius = data.draw(st.integers(1, marks - 2)) if kind in ("MW", "MWR") else None
+    cfg = SolverConfig(kind=kind, seed=5, steps_limit=1, marks=marks, radius=radius)
+    plan = ExperimentPlan(spec=get_objective("ehrenfest4"), configs=[cfg], sample_size=n)
+    chunks = [seeds for _k, seeds in _seed_chunks(plan)]
+    assert [s for seeds in chunks for s in seeds] == list(range(5, 5 + n))
+    assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+    held = marks * radius + (marks * (marks - 2) if radius < marks - 2 else 0) if radius else marks
+    for seeds in chunks:
+        assert len(seeds) == 1 or len(seeds) * held <= STEP_POINTS
+    # the fewest chunks that keep to the budget
+    assert len(chunks) == -(-n // max(1, STEP_POINTS // held))
 
 
 class _InProcessPool:

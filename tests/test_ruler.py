@@ -14,10 +14,27 @@ def _anchored_init(spec, n_marks, seed):
     return _init_population(spec, n_marks, True, np.random.default_rng(seed))
 
 
+def _dither_draws(rng, shape, dither):
+    """The U(-1, 1) dither block a candidate table of ``shape`` draws, or
+    None when ``dither == 0`` draws nothing."""
+    return rng.uniform(-1.0, 1.0, size=shape) if dither > 0.0 else None
+
+
+def _ranks(rng, n_marks, radius):
+    """The sampling rank block, or None at full radius (no draws)."""
+    return None if radius == n_marks - 2 else rng.uniform(size=(n_marks, n_marks - 2))
+
+
+def _eval_one(marks, spec, radius, dither, rng):
+    """``neighborhood_eval`` of one (m, p) population: row 0 of each output."""
+    return tuple(a[0] for a in neighborhood_eval(marks[None], spec, radius, dither, [rng]))
+
+
 def _pair_table(marks, lower, upper, dither=0.0, rng=None):
     """(m, m, p) candidates of every mark from every mark, self included."""
-    m = marks.shape[0]
-    return _candidates(marks, np.tile(np.arange(m), (m, 1)), lower, upper, dither, rng)
+    m, p = marks.shape
+    return _candidates(marks, np.tile(np.arange(m), (m, 1)), lower, upper, dither,
+                       _dither_draws(rng, (m, m, p), dither))
 
 
 def test_init_anchors_exactly_at_bounds():
@@ -126,11 +143,12 @@ def test_candidates_match_clip_reference(name, dither):
     spec = get_objective(name)
     for seed, (m, radius) in enumerate([(4, 1), (8, 3), (32, 30), (32, 4)]):
         marks, _values = _anchored_init(spec, m, seed)
-        neighbor_sets = _neighbor_sets(m, radius, np.random.default_rng(seed))
+        neighbor_sets = _neighbor_sets(m, radius, _ranks(np.random.default_rng(seed), m, radius))
         assert np.array_equal(
             neighbor_sets, _neighbor_sets_reference(m, radius, np.random.default_rng(seed)))
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _candidates(marks, neighbor_sets, spec.lower, spec.upper, dither, rng)
+        got = _candidates(marks, neighbor_sets, spec.lower, spec.upper, dither,
+                          _dither_draws(rng, (m, radius, spec.dims), dither))
         want = _candidates_reference(marks, neighbor_sets, spec.lower, spec.upper,
                                      dither, ref_rng)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -158,8 +176,8 @@ def test_anchored_noop_columns_on_random_init():
 
 def test_full_radius_proposal_finds_center_state(ehrenfest4_spec):
     spec = ehrenfest4_spec
-    coords, values, raw = neighborhood_eval(DEMO_MARKS.copy(), spec, radius=4, dither=0.0,
-                                            rng=np.random.default_rng(0))
+    coords, values, raw = _eval_one(DEMO_MARKS.copy(), spec, radius=4, dither=0.0,
+                                    rng=np.random.default_rng(0))
     # mark at coordinate 4 reaches nine via its distance to the mark at 12
     assert coords[2, 0] == 9.0
     row = _candidates(DEMO_MARKS, eligible_neighbors(6), spec.lower, spec.upper)[2, :, 0]
@@ -173,8 +191,8 @@ def test_full_radius_proposal_finds_center_state(ehrenfest4_spec):
 def test_probe_count_per_step_both_modes(ehrenfest4_spec):
     spec = ehrenfest4_spec
     for radius in (1, 2, 4):
-        _coords, _values, raw = neighborhood_eval(DEMO_MARKS, spec, radius=radius,
-                                                  dither=0.01, rng=np.random.default_rng(9))
+        _coords, _values, raw = _eval_one(DEMO_MARKS, spec, radius=radius,
+                                          dither=0.01, rng=np.random.default_rng(9))
         assert raw.shape == (6 * radius,)
 
 
@@ -182,18 +200,18 @@ def test_full_radius_dither_zero_ignores_rng(ehrenfest4_spec):
     spec = ehrenfest4_spec
     rng = np.random.default_rng(123)
     before = rng.bit_generator.state
-    a_coords, a_values, _raw = neighborhood_eval(DEMO_MARKS, spec, radius=4, dither=0.0,
-                                                 rng=rng)
+    a_coords, a_values, _raw = _eval_one(DEMO_MARKS, spec, radius=4, dither=0.0,
+                                         rng=rng)
     assert rng.bit_generator.state == before
-    b_coords, b_values, _raw = neighborhood_eval(DEMO_MARKS, spec, radius=4, dither=0.0,
-                                                 rng=np.random.default_rng(999))
+    b_coords, b_values, _raw = _eval_one(DEMO_MARKS, spec, radius=4, dither=0.0,
+                                         rng=np.random.default_rng(999))
     assert np.array_equal(a_coords, b_coords)
     assert np.array_equal(a_values, b_values)
 
 
 def test_random_radius_samples_eligible_sorted(ehrenfest4_spec):
     spec = ehrenfest4_spec
-    neighbor_sets = _neighbor_sets(6, 2, np.random.default_rng(17))
+    neighbor_sets = _neighbor_sets(6, 2, _ranks(np.random.default_rng(17), 6, 2))
     assert neighbor_sets.shape == (6, 2)
     for i in range(6):
         row = neighbor_sets[i]
@@ -201,8 +219,8 @@ def test_random_radius_samples_eligible_sorted(ehrenfest4_spec):
         eligible = set(eligible_neighbors(6)[i].tolist())
         assert set(row.tolist()) <= eligible
     # neighborhood_eval draws the same sets: each pick is one of their candidates
-    coords, _values, _raw = neighborhood_eval(DEMO_MARKS, spec, radius=2, dither=0.0,
-                                              rng=np.random.default_rng(17))
+    coords, _values, _raw = _eval_one(DEMO_MARKS, spec, radius=2, dither=0.0,
+                                      rng=np.random.default_rng(17))
     cands = _candidates(DEMO_MARKS, neighbor_sets, spec.lower, spec.upper)
     for i in range(6):
         assert coords[i, 0] in cands[i, :, 0]
@@ -211,16 +229,16 @@ def test_random_radius_samples_eligible_sorted(ehrenfest4_spec):
 def test_radius_out_of_range(ehrenfest4_spec):
     for radius in (0, 5):
         with pytest.raises(ValueError):
-            neighborhood_eval(DEMO_MARKS, ehrenfest4_spec, radius=radius, dither=0.0,
-                              rng=np.random.default_rng(0))
+            _eval_one(DEMO_MARKS, ehrenfest4_spec, radius=radius, dither=0.0,
+                      rng=np.random.default_rng(0))
 
 
 def test_proposals_in_bounds_any_dither():
     spec = get_objective("trefethen3")
     marks, _values = _anchored_init(spec, 8, 2)
     for dither in (0.0, 0.3, 1.0):
-        coords, _values, _raw = neighborhood_eval(marks, spec, radius=6, dither=dither,
-                                                  rng=np.random.default_rng(4))
+        coords, _values, _raw = _eval_one(marks, spec, radius=6, dither=dither,
+                                          rng=np.random.default_rng(4))
         assert np.all(coords >= spec.lower) and np.all(coords <= spec.upper)
 
 

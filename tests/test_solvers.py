@@ -1,18 +1,22 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiwalk import solvers
-from multiwalk.objectives import get_objective, quantize
-from multiwalk.solvers import (SOLVER_KINDS, SolverConfig, WalkTrace, _de_trials,
+from multiwalk.experiments import STEP_POINTS, ExperimentPlan, _seed_chunks, run_experiment
+from multiwalk.objectives import evaluate_batch, get_objective, quantize
+from multiwalk.solvers import (KIND_SETTINGS, SOLVER_KINDS, RunRecord, SolverConfig, WalkTrace,
+                               _de_trials,
                                config_lines,
                                _greedy_commit, _init_population, mw_step,
-                               run_solver, trace_to_text, trace_wide_text)
-from multiwalk.ruler import MAX_MARKS
+                               run_seeds, run_solver, trace_to_text, trace_wide_text)
+from multiwalk.ruler import MAX_MARKS, eligible_neighbors
+from multiwalk.targets import compute_target
 
 DEMO_MARKS = np.array([1.0, 2.0, 4.0, 10.0, 12.0, 17.0])[:, None]
 NO_BEST = (math.inf, None)  # the running best before any candidate
@@ -22,6 +26,21 @@ def _traced(cfg, spec, initial_marks=None):
     """Run with a WalkTrace observing; returns the record and the trace."""
     trace = WalkTrace(cfg, spec)
     return run_solver(cfg, spec, initial_marks, observe=trace), trace
+
+
+def _stacked_best(best, dims):
+    """A one-population running best ``(value, coord or None)`` as the
+    stacked ``((1,) values, (1, dims) coords)`` the steps take."""
+    value, coord = best
+    return (np.array([value]),
+            np.full((1, dims), math.nan) if coord is None else np.array([coord], dtype=float))
+
+
+def _mw_step_one(marks, values, cfg, spec, rng, best):
+    """``mw_step`` of one population: row 0 of each output."""
+    marks, values, (best_values, best_coords), raw = mw_step(
+        marks[None], values[None], cfg, spec, [rng], _stacked_best(best, spec.dims))
+    return marks[0], values[0], (best_values[0], best_coords[0]), raw[0]
 
 
 def _cfg(**kw):
@@ -130,19 +149,19 @@ def test_run_requires_target():
 
 def test_mw_step_finds_demo_target_in_one_step(ehrenfest4_spec):
     spec = ehrenfest4_spec
-    _marks, _values, best, raw = mw_step(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS), _cfg(),
-                                         spec, np.random.default_rng(0), NO_BEST)
+    _marks, _values, best, raw = _mw_step_one(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS), _cfg(),
+                                              spec, np.random.default_rng(0), NO_BEST)
     assert best[0] == spec.value_target
     assert raw.shape == (6 * 4,)
 
 
 def test_mw_step_without_improvement_changes_nothing(ehrenfest4_spec):
     spec = ehrenfest4_spec
-    marks, values, best, _raw = mw_step(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS), _cfg(),
-                                        spec, np.random.default_rng(0), NO_BEST)
+    marks, values, best, _raw = _mw_step_one(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS), _cfg(),
+                                             spec, np.random.default_rng(0), NO_BEST)
     # the demo neighborhood is idempotent once the optimum is taken
-    again_marks, again_values, best2, _raw = mw_step(marks, values, _cfg(), spec,
-                                                     np.random.default_rng(0), best)
+    again_marks, again_values, best2, _raw = _mw_step_one(marks, values, _cfg(), spec,
+                                                          np.random.default_rng(0), best)
     assert np.array_equal(again_marks, marks)
     assert np.array_equal(again_values, values)
     assert best2[0] == best[0]
@@ -152,8 +171,8 @@ def test_mw_step_shared_candidate_moves_both_marks(ehrenfest4_spec):
     # marks at 2 and 10 both propose 9 through their distances to other
     # marks; both accept, and the running best is set once
     spec = ehrenfest4_spec
-    marks, _values, best, _raw = mw_step(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS), _cfg(),
-                                         spec, np.random.default_rng(0), NO_BEST)
+    marks, _values, best, _raw = _mw_step_one(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS), _cfg(),
+                                              spec, np.random.default_rng(0), NO_BEST)
     nine_holders = np.flatnonzero(marks[:, 0] == 9.0)
     assert len(nine_holders) >= 2
     assert best[0] == spec.value_target
@@ -179,6 +198,30 @@ _commit_value = st.one_of(
     st.floats(-100.0, 100.0))
 
 
+def _greedy_commit_serial(marks, values, cand_coords, cand_values, best, digits):
+    """The one-population commit the stacked ``_greedy_commit`` replaced,
+    kept as its reference: the prefiltered loop over record-breaking
+    candidates, the best a ``(value, coord or None)`` pair."""
+    best_value, best_coord = best
+    for i in np.flatnonzero(cand_values < best_value):
+        fi = cand_values[i]
+        if fi < best_value:
+            best_value = quantize(float(fi), digits)
+            best_coord = cand_coords[i].copy()
+    improved = cand_values < values
+    return (np.where(improved[:, None], cand_coords, marks),
+            np.where(improved, cand_values, values), (best_value, best_coord))
+
+
+def _commit_one(marks, values, cand_coords, cand_values, best, digits):
+    """``_greedy_commit`` of one population, its best as ``(float, coord or
+    None)`` again."""
+    got = _greedy_commit(marks[None], values[None], cand_coords[None], cand_values[None],
+                         _stacked_best(best, marks.shape[1]), digits)
+    value, coord = float(got[2][0][0]), got[2][1][0]
+    return got[0][0], got[1][0], (value, None if np.isnan(coord).all() else coord)
+
+
 @given(st.integers(1, 10).flatmap(lambda m: st.tuples(
            st.lists(_commit_value, min_size=m, max_size=m),
            st.lists(_commit_value, min_size=m, max_size=m))),
@@ -188,13 +231,44 @@ def test_greedy_commit_matches_full_loop(vals, best_raw, digits, dims):
     m = len(values)
     marks = np.arange(m * dims, dtype=float).reshape(m, dims)
     cand_coords = marks + 0.5
-    best = NO_BEST if best_raw is None else (quantize(best_raw, digits), np.array([-1.0]))
-    got = _greedy_commit(marks, values, cand_coords, cand_values, best, digits)
+    best = NO_BEST if best_raw is None else (quantize(best_raw, digits), np.full(dims, -1.0))
+    got = _commit_one(marks, values, cand_coords, cand_values, best, digits)
     want = _greedy_commit_reference(marks, values, cand_coords, cand_values, best, digits)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
     assert repr(got[2][0]) == repr(want[2][0])
     assert repr(got[2][1]) == repr(want[2][1])
+
+
+@given(st.integers(1, 6).flatmap(lambda m: st.lists(st.tuples(
+           st.lists(_commit_value, min_size=m, max_size=m),
+           st.lists(_commit_value, min_size=m, max_size=m),
+           st.one_of(st.none(), _commit_value)), min_size=1, max_size=5)),
+       st.integers(1, 4), st.integers(1, 2))
+def test_stacked_commit_matches_the_serial_commit_per_population(pops, digits, dims):
+    # each population of the stack commits as it would alone
+    n, m = len(pops), len(pops[0][0])
+    marks = np.arange(n * m * dims, dtype=float).reshape(n, m, dims)
+    cand_coords = marks + 0.5
+    cand_values = np.array([p[0] for p in pops])
+    values = np.array([p[1] for p in pops])
+    bests = [NO_BEST if b is None else (quantize(b, digits), np.full(dims, -1.0 - k))
+             for k, (_c, _v, b) in enumerate(pops)]
+    best_in = (np.array([b[0] for b in bests]),
+               np.array([np.full(dims, math.nan) if b[1] is None else b[1] for b in bests]))
+    before = best_in[0].tobytes(), best_in[1].tobytes()
+    got_marks, got_values, (got_best, got_coords) = _greedy_commit(
+        marks, values, cand_coords, cand_values, best_in, digits)
+    for k in range(n):
+        want = _greedy_commit_serial(marks[k], values[k], cand_coords[k], cand_values[k],
+                                     bests[k], digits)
+        assert got_marks[k].tobytes() == want[0].tobytes()
+        assert got_values[k].tobytes() == want[1].tobytes()
+        assert repr(float(got_best[k])) == repr(float(want[2][0]))
+        want_coord = np.full(dims, math.nan) if want[2][1] is None else want[2][1]
+        assert got_coords[k].tobytes() == want_coord.tobytes()
+    # the stack handed in is not modified
+    assert (best_in[0].tobytes(), best_in[1].tobytes()) == before
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +539,168 @@ def test_probe_ledger_exact(kind, ehrenfest15_spec):
 
 
 # ---------------------------------------------------------------------------
+# the lockstep engine against the serial loop it replaced
+# ---------------------------------------------------------------------------
+
+def _neighborhood_eval_serial(marks, spec, radius, dither, rng):
+    """One population's neighborhood step as the serial loop drew it: the
+    rank block, then the dither block, each from its own ``uniform`` call."""
+    m, p = marks.shape
+    eligible = eligible_neighbors(m)
+    if radius == m - 2:
+        sets = eligible
+    else:
+        ranks = rng.uniform(size=(m, m - 2))
+        sel = np.sort(np.argsort(ranks, axis=1)[:, :radius], axis=1)
+        sets = eligible[np.arange(m)[:, None], sel]
+    diffs = np.abs(marks[:, None, :] - marks[sets])
+    if dither > 0.0:
+        diffs = diffs * (1.0 + dither * rng.uniform(-1.0, 1.0, size=diffs.shape))
+    cands = np.clip(spec.lower + diffs, spec.lower, spec.upper)
+    raw = evaluate_batch(spec, cands.reshape(m * radius, p))
+    values = raw.reshape(m, radius)
+    pick = np.argmin(values, axis=1)
+    rows = np.arange(m)
+    return cands[rows, pick], values[rows, pick], raw
+
+
+def _run_solver_serial(cfg, spec, initial_marks=None):
+    """The serial run loop the lockstep engine replaced, kept as its
+    reference: one seed, scalar bookkeeping, one objective call per step."""
+    target = spec.value_target
+    plateau_limit = cfg.effective_plateau_limit if cfg.restarts_enabled else math.inf
+    total_steps = probes = restarts = 0
+    best = NO_BEST  # over all epochs
+    epoch_seed = cfg.seed
+    while True:
+        rng = np.random.default_rng(epoch_seed)
+        marks, values = _init_population(spec, cfg.marks, cfg.uses_ruler, rng,
+                                         initial_marks if restarts == 0 else None)
+        probes += len(values)
+        err_prev = float(values.min()) - target
+        epoch_best = NO_BEST
+        plateau = 0
+        while (epoch_best[0] != target and plateau < plateau_limit
+               and total_steps < cfg.steps_limit):
+            total_steps += 1
+            if cfg.uses_ruler:
+                coords, cand_values, raw = _neighborhood_eval_serial(
+                    marks, spec, cfg.radius, cfg.dither, rng)
+            else:
+                coords = _de_trials(marks, values, cfg, spec, rng)
+                cand_values = raw = evaluate_batch(spec, coords)
+            marks, values, epoch_best = _greedy_commit_serial(
+                marks, values, coords, cand_values, epoch_best, spec.digits_target)
+            probes += raw.size
+            if epoch_best[0] < best[0]:
+                best = epoch_best
+            if cfg.restarts_enabled and epoch_best[0] != target:
+                error = epoch_best[0] - target
+                if error >= err_prev:
+                    plateau += 1
+                else:
+                    plateau = 0
+                    err_prev = error
+        if plateau < plateau_limit or total_steps == cfg.steps_limit:
+            break
+        restarts += 1
+        epoch_seed = int(rng.integers(1, 2 ** 31))
+    return RunRecord(
+        coord_best=tuple(float(x) for x in np.atleast_1d(best[1])),
+        value_best=float(best[0]), agent_id=int(np.argmin(values)) + 1,
+        steps=total_steps, probes=probes, restarts=restarts,
+        is_censored=epoch_best[0] != target, seed=cfg.seed)
+
+
+def _serial_records(cfg, spec, seeds):
+    return [_run_solver_serial(dataclasses.replace(cfg, seed=seed), spec) for seed in seeds]
+
+
+@functools.cache
+def _target_spec(name, digits):
+    spec = dataclasses.replace(get_objective(name), digits_target=digits)
+    return spec.with_target(compute_target(spec).value_target)
+
+
+_SETTING_VALUES = {
+    "radius": None,  # drawn below marks - 2
+    "dither": st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+    "rde": st.sampled_from([0.0, 0.5, 1.0, 1.7]),
+    "cr": st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+    "plateau_limit": st.one_of(st.none(), st.integers(1, 6)),
+}
+
+
+@st.composite
+def _lockstep_cases(draw):
+    kind = draw(st.sampled_from(SOLVER_KINDS))
+    marks = draw(st.integers(4, 12))
+    settings = {key: draw(st.integers(1, marks - 2) if key == "radius"
+                          else _SETTING_VALUES[key]) for key in KIND_SETTINGS[kind]}
+    cfg = SolverConfig(kind=kind, seed=0, steps_limit=draw(st.integers(1, 40)),
+                       marks=marks, **settings)
+    spec = _target_spec(*draw(st.sampled_from(
+        [("ehrenfest4", 9), ("ehrenfest15", 9), ("trefethen1", 3), ("trefethen1", 6),
+         ("wild2", 4)])))
+    seeds = draw(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6))
+    return cfg, spec, seeds
+
+
+@settings(deadline=None)
+@given(_lockstep_cases())
+def test_lockstep_records_equal_the_serial_reference(case):
+    cfg, spec, seeds = case
+    assert run_seeds(cfg, spec, seeds) == _serial_records(cfg, spec, seeds)
+
+
+def test_lockstep_one_seed_passes_at_step_one_while_the_others_run_on(ehrenfest4_spec):
+    cfg = SolverConfig(kind="MWR", seed=1, steps_limit=100, marks=6, radius=2)
+    seeds = [2, 8, 13, 17]  # the first row leaves the stack after step 1
+    records = run_seeds(cfg, ehrenfest4_spec, seeds)
+    assert [(r.seed, r.steps, r.restarts) for r in records] == [
+        (2, 1, 0), (8, 23, 3), (13, 6, 0), (17, 20, 3)]
+    assert records == _serial_records(cfg, ehrenfest4_spec, seeds)
+
+
+def test_lockstep_restart_lands_mid_chunk(ehrenfest4_spec):
+    cfg = SolverConfig(kind="MWR", seed=1, steps_limit=100, marks=6, radius=2)
+    seeds = [12, 8, 17, 19, 20]
+    trace = WalkTrace(dataclasses.replace(cfg, seed=8), ehrenfest4_spec)
+    run_solver(dataclasses.replace(cfg, seed=8), ehrenfest4_spec, observe=trace)
+    first_restart = next(step for step, restart, _values in trace.steps if restart == 1)
+    records = run_seeds(cfg, ehrenfest4_spec, seeds)
+    # seed 8 restarts while every seed of the chunk still runs
+    assert 1 < first_restart < min(r.steps for r in records)
+    assert records[1].restarts == 3 and all(r.restarts for r in records)
+    assert records == _serial_records(cfg, ehrenfest4_spec, seeds)
+
+
+def test_lockstep_one_seed_equals_a_hundred_on_the_seeds_they_share(ehrenfest4_spec):
+    cfg = SolverConfig(kind="MWR", seed=1, steps_limit=100, marks=6, radius=2)
+    hundred = run_seeds(cfg, ehrenfest4_spec, list(range(1, 101)))
+    assert sum(r.restarts > 0 for r in hundred) > 10
+    assert len({r.steps for r in hundred}) > 10  # seeds leave the stack at many steps
+    assert hundred == [run_solver(dataclasses.replace(cfg, seed=seed), ehrenfest4_spec)
+                       for seed in range(1, 101)]
+
+
+def test_a_seed_larger_than_the_step_budget_runs_alone(ehrenfest15_spec):
+    cfg = SolverConfig(kind="MW", seed=1, steps_limit=1, marks=1024, radius=1000)
+    assert cfg.marks * cfg.radius > STEP_POINTS
+    plan = ExperimentPlan(spec=ehrenfest15_spec, configs=[cfg], sample_size=2)
+    assert list(_seed_chunks(plan)) == [(0, [1]), (0, [2])]
+    (records,) = run_experiment(plan)
+    assert records == _serial_records(cfg, ehrenfest15_spec, [1, 2])
+    assert all(r.probes == 1024 + 1024 * 1000 for r in records)
+
+
+def test_observe_watches_one_seed_only(ehrenfest4_spec):
+    trace = WalkTrace(_cfg(), ehrenfest4_spec)
+    with pytest.raises(ValueError, match="one-seed"):
+        run_seeds(_cfg(), ehrenfest4_spec, [1, 2], observe=trace)
+
+
+# ---------------------------------------------------------------------------
 # differential evolution pieces
 # ---------------------------------------------------------------------------
 
@@ -657,6 +893,20 @@ def test_parse_trace_rejects_meaningless_rows(row):
         trace_wide_text(["# solver = MW04", "step,restart,agentId,value", row])
 
 
+@pytest.mark.parametrize("value", ["1_0", " 1.0", "1", "1e3", "+1.0", "infinity", "-0",
+                                   "1.00", "0.1000000000000000055"])
+def test_trace_wide_text_refuses_a_value_not_written_as_its_repr(value):
+    # trace_to_text writes repr(float(v)); any other spelling is refused, not copied
+    with pytest.raises(ValueError, match="line 2: .* written as its float's repr"):
+        trace_wide_text(["step,restart,agentId,value", f"1,0,1,{value}"])
+
+
+def test_trace_wide_text_keeps_every_repr_it_writes():
+    values = ["-0.0", "inf", "-inf", "1e+300", "5e-324", "0.1", "-22934.6986"]
+    rows = [f"1,0,{agent},{value}" for agent, value in enumerate(values, start=1)]
+    assert trace_wide_text(rows).splitlines()[1] == "1,0," + ",".join(values)
+
+
 def test_parse_trace_accepts_the_largest_population():
     # agentId is bounded by ruler.MAX_MARKS, so the pivot stays small
     out = trace_wide_text(["step,restart,agentId,value", "1,0,1024,1.0"]).splitlines()
@@ -710,10 +960,11 @@ def _wide_text_reference(lines):
             except ValueError:
                 raise ValueError(f"line {number}: malformed trace row {line!r} "
                                  "(expected step,restart,agentId,value)") from None
-            if row[0] < 1 or row[1] < 0 or not 1 <= row[2] <= MAX_MARKS or is_nan:
+            if (row[0] < 1 or row[1] < 0 or not 1 <= row[2] <= MAX_MARKS or is_nan
+                    or repr(float(value)) != value):
                 raise ValueError(f"line {number}: trace row {line!r} needs step >= 1, "
                                  f"restart >= 0, agentId in [1, {MAX_MARKS}] and a "
-                                 "value that is not NaN")
+                                 "value that is not NaN, written as its float's repr")
             if row[:3] in rows:
                 raise ValueError(f"line {number}: trace row {line!r} repeats an earlier "
                                  "(step, restart, agentId)")
