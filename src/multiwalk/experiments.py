@@ -93,11 +93,11 @@ def _run_chunk(plan: ExperimentPlan, task) -> list:
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list:
     """Execute the plan; returns one list of RunRecords per config, ordered
     by run index.  The pool maps over (config, seed chunk) tasks and holds
-    at most one process per run and per CPU; one worker runs in this
+    at most one process per task and per CPU; one worker runs in this
     process."""
     tasks = list(_seed_chunks(plan))
     run = partial(_run_chunk, plan)
-    workers = min(workers, len(plan.configs) * plan.sample_size, os.cpu_count() or 1)
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         chunks = list(map(run, tasks))
     else:

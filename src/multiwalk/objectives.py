@@ -8,7 +8,6 @@ significant-digit quantizer lives here next to the functions it judges.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, Optional
@@ -36,62 +35,40 @@ MAX_ENUMERATION_STATES = 2 ** 24
 # significant-digit quantization
 # ---------------------------------------------------------------------------
 
-# Exact (correctly rounded) float values of 10**k, shared by the scalar and
-# array code paths so both round identically bit for bit.
+# Exact (correctly rounded) float values of 10**k, looked up by exponent.
 _POW10_MIN = -340
-_POW10_LIST = [float(f"1e{k}") for k in range(_POW10_MIN, 341)]
-_POW10 = np.array(_POW10_LIST)
+_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, 341)])
 
 
-def _quantize_scalar(value: float, digits: int) -> float:
-    if value == 0.0 or not math.isfinite(value):
-        return value
-    a = abs(value)
-    e = math.floor(math.log10(a))
-    # log10 can land one decade off near boundaries; repair by exact compares
-    if a >= _POW10_LIST[e + 1 - _POW10_MIN]:
-        e += 1
-    elif a < _POW10_LIST[e - _POW10_MIN]:
-        e -= 1
-    k = digits - 1 - e
-    k1 = min(max(k, -308), 308)  # two-step scaling keeps factors finite
-    scaled = (a * _POW10_LIST[k1 - _POW10_MIN]) * _POW10_LIST[k - k1 - _POW10_MIN]
-    n = math.floor(scaled + 0.5)
-    if n >= _POW10_LIST[digits - _POW10_MIN]:
-        # rounded up across a decade: renormalize so requantization is stable
-        n = int(_POW10_LIST[digits - 1 - _POW10_MIN])
-        e += 1
-        k = digits - 1 - e
-        k1 = min(max(k, -308), 308)
-    r = (n / _POW10_LIST[k1 - _POW10_MIN]) / _POW10_LIST[k - k1 - _POW10_MIN]
-    return math.copysign(r, value)
-
-
-def _quantize_array(values: np.ndarray, digits: int) -> np.ndarray:
+def _quantize_array(values, digits: int) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     ok = np.isfinite(v) & (v != 0.0)
     a = np.where(ok, np.abs(v), 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
+    # log10 can land one decade off near boundaries; repair by exact compares
     e = np.where(a >= _POW10[e + 1 - _POW10_MIN], e + 1, e)
     e = np.where(a < _POW10[e - _POW10_MIN], e - 1, e)
     k = digits - 1 - e
-    k1 = np.clip(k, -308, 308)
+    k1 = np.minimum(np.maximum(k, -308), 308)  # two-step scaling keeps factors finite
     scaled = (a * _POW10[k1 - _POW10_MIN]) * _POW10[k - k1 - _POW10_MIN]
     n = np.floor(scaled + 0.5)
-    carry = n >= _POW10_LIST[digits - _POW10_MIN]
-    n = np.where(carry, _POW10_LIST[digits - 1 - _POW10_MIN], n)
+    # rounded up across a decade: renormalize so requantization is stable
+    carry = n >= _POW10[digits - _POW10_MIN]
+    n = np.where(carry, _POW10[digits - 1 - _POW10_MIN], n)
     e = np.where(carry, e + 1, e)
     k = digits - 1 - e
-    k1 = np.clip(k, -308, 308)
-    r = (n / _POW10[k1 - _POW10_MIN]) / _POW10[k - k1 - _POW10_MIN]
+    k1 = np.minimum(np.maximum(k, -308), 308)
+    with np.errstate(over="ignore"):  # rounding up past the largest double gives inf
+        r = (n / _POW10[k1 - _POW10_MIN]) / _POW10[k - k1 - _POW10_MIN]
     return np.where(ok, np.copysign(r, v), v)
 
 
 def quantize(value, digits: int):
     """Round to ``digits`` significant decimal digits, half away from zero.
 
-    Accepts a scalar or an ndarray.  Zero and non-finite inputs pass through
-    unchanged.  The operation is idempotent and odd-symmetric:
+    A scalar or 0-d input gives a Python ``float``, an array an ndarray of
+    its shape.  Zero and non-finite inputs pass through unchanged.  The
+    operation is idempotent and odd-symmetric:
     ``quantize(quantize(v, d), d) == quantize(v, d)`` and
     ``quantize(-v, d) == -quantize(v, d)``.
 
@@ -102,9 +79,8 @@ def quantize(value, digits: int):
         raise ValueError(f"digits must be a positive integer, got {digits!r}")
     if digits >= 17:
         return value
-    if isinstance(value, np.ndarray) and value.ndim > 0:
-        return _quantize_array(value, int(digits))
-    return _quantize_scalar(float(value), int(digits))
+    q = _quantize_array(value, int(digits))
+    return q if q.ndim else float(q)
 
 
 # ---------------------------------------------------------------------------

@@ -177,8 +177,7 @@ def _greedy_commit(marks, values, cand_coords, cand_values, best, digits: int):
     best ``((N,) quantized values, (N, p) coords)`` tracks every candidate of
     that population, accepted or not, comparing raw value against quantized
     best so the best value only ever decreases.  Returns the updated
-    ``(marks, values, best)``; the arrays handed in are not modified, and
-    ``best`` is returned as it came unless a candidate moved it."""
+    ``(marks, values, best)``; the arrays handed in are not modified."""
     best_values, best_coords = best
     # the best only decreases, so no candidate outside this prefilter can move it
     hits = np.flatnonzero(cand_values < best_values[:, None])
@@ -186,9 +185,10 @@ def _greedy_commit(marks, values, cand_coords, cand_values, best, digits: int):
         best_values, best_coords = best_values.copy(), best_coords.copy()
         m = cand_values.shape[1]
         flat_values, flat_coords = cand_values.ravel(), cand_coords.reshape(-1, marks.shape[-1])
-        for k in hits.tolist():  # population-major, candidates in order
+        quantized = quantize(flat_values[hits], digits).tolist()
+        for k, q in zip(hits.tolist(), quantized):  # population-major, candidates in order
             if flat_values[k] < best_values[k // m]:
-                best_values[k // m] = quantize(float(flat_values[k]), digits)
+                best_values[k // m] = q
                 best_coords[k // m] = flat_coords[k]
         best = (best_values, best_coords)
     improved = cand_values < values
@@ -345,17 +345,16 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
         if observe is not None:
             observe.epoch(seeds[i], marks[i], values[i])
     # the plateau rule per seed: a step is flat unless its epoch error drops
-    # below ``err_prev``; a seed's plateau is the number of flat steps since
-    # step ``anchor`` (the last drop or the epoch start)
+    # below ``err_prev``, and ``plateau`` counts the flat steps since the last
+    # drop or the epoch start
     err_prev = values.min(axis=1) - target  # raw seed for the plateau rule
-    anchor = np.zeros(n, dtype=np.int64)
-    oldest = 0  # min(anchor), so the longest plateau is total_steps - oldest
+    plateau = np.zeros(n, dtype=np.int64)
     epoch_best = (np.full(n, math.inf), np.full((n, p), math.nan))  # quantized
     best_values, best_coords = epoch_best[0].copy(), epoch_best[1].copy()  # over all epochs
     restarts = np.zeros(n, dtype=np.int64)
     index = np.arange(n)  # each stacked row's position in ``seeds``
     records = [None] * n
-    total_steps, unmoved, finite_target = 0, None, math.isfinite(target)
+    total_steps = 0
 
     while True:
         total_steps += 1
@@ -363,52 +362,35 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
         if observe is not None:
             observe.step(total_steps, int(restarts[0]), raw[0], marks[0], values[0],
                          (epoch_best[0][0], epoch_best[1][0]))
-        done = None
-        # A commit returns the bests as they came unless a candidate moved
-        # one.  If none moved, each seed's error is where the last update
-        # left it, at or above err_prev, so the step is flat for every seed
-        # and the plateau rule has nothing to update.  An infinite target
-        # (its error can be NaN) and an epoch's first step (err_prev can be
-        # NaN) get the full rule anyway.
-        if epoch_best is not unmoved:
-            better = epoch_best[0] < best_values
-            np.copyto(best_values, epoch_best[0], where=better)
-            np.copyto(best_coords, epoch_best[1], where=better[:, None])
-            passed = epoch_best[0] == target
-            if passed.any():
-                done = passed
-            if restarts_enabled:
-                error = epoch_best[0] - target
-                flat = error >= err_prev
-                anchor = np.where(flat, anchor, total_steps)
-                err_prev = np.where(flat, err_prev, error)
-                oldest = int(anchor.min())
+        better = epoch_best[0] < best_values
+        np.copyto(best_values, epoch_best[0], where=better)
+        np.copyto(best_coords, epoch_best[1], where=better[:, None])
+        done = epoch_best[0] == target
         if total_steps == cfg.steps_limit:
-            done = np.ones(len(index), dtype=bool)
-        unmoved = epoch_best if finite_target else None
+            done[:] = True
 
-        # only a plateau with budget left starts a new epoch
-        if restarts_enabled and total_steps - oldest >= plateau_limit:
-            restart = total_steps - anchor >= plateau_limit
-            if done is not None:
-                restart &= ~done
+        if restarts_enabled:
+            error = epoch_best[0] - target
+            flat = error >= err_prev
+            plateau = np.where(flat, plateau + 1, 0)
+            err_prev = np.where(flat, err_prev, error)
+            # only a plateau with budget left starts a new epoch
+            restart = (plateau >= plateau_limit) & ~done
             if restart.any():
                 marks, values = marks.copy(), values.copy()  # what observe saw stays put
                 epoch_best = (epoch_best[0].copy(), epoch_best[1].copy())
-                unmoved = None
                 for i in np.flatnonzero(restart):
                     epoch_seed = int(rngs[i].integers(1, 2 ** 31))  # from the seed's stream
                     rngs[i] = rng = np.random.default_rng(epoch_seed)
                     marks[i], values[i] = _init_population(spec, m, cfg.uses_ruler, rng)
                     restarts[i] += 1
                     err_prev[i] = values[i].min() - target
-                    anchor[i] = total_steps
+                    plateau[i] = 0
                     epoch_best[0][i], epoch_best[1][i] = math.inf, math.nan
                     if observe is not None:
                         observe.epoch(epoch_seed, marks[i], values[i])
-                oldest = int(anchor.min())
 
-        if done is not None:
+        if done.any():
             for i in np.flatnonzero(done):
                 records[index[i]] = RunRecord(
                     coord_best=tuple(float(x) for x in best_coords[i]),
@@ -426,10 +408,9 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
             # compact only when a seed leaves, so a step never gathers the stack
             keep = ~done
             marks, values = marks[keep], values[keep]
-            epoch_best = (epoch_best[0][keep], epoch_best[1][keep])  # the next step: full rule
+            epoch_best = (epoch_best[0][keep], epoch_best[1][keep])
             best_values, best_coords = best_values[keep], best_coords[keep]
-            err_prev, anchor, restarts = err_prev[keep], anchor[keep], restarts[keep]
-            oldest = int(anchor.min())
+            err_prev, plateau, restarts = err_prev[keep], plateau[keep], restarts[keep]
             index = index[keep]
             rngs = [rng for rng, k in zip(rngs, keep) if k]
 

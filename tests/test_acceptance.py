@@ -17,7 +17,7 @@ import pytest
 from multiwalk.experiments import (ExperimentPlan, run_experiment, summarize,
                                    summarize_experiment, write_runs_csv,
                                    write_summary_csv)
-from multiwalk.objectives import _quantize_array, get_objective, quantize
+from multiwalk.objectives import get_objective, quantize
 from multiwalk.ruler import eligible_neighbors
 from multiwalk.solvers import SolverConfig, run_solver
 from multiwalk.targets import compute_target, enumerate_integer_minimum
@@ -40,9 +40,9 @@ def test_quantization_exactness_and_bulk_properties():
     start = time.perf_counter()
     rng = np.random.default_rng(20260808)
     values = rng.uniform(-1e6, 1e6, 10 ** 6) * 10.0 ** rng.integers(-9, 9, 10 ** 6)
-    q = _quantize_array(values, 9)
-    idempotent = np.array_equal(_quantize_array(q, 9), q)
-    odd = np.array_equal(_quantize_array(-values, 9), -q)
+    q = quantize(values, 9)
+    idempotent = np.array_equal(quantize(q, 9), q)
+    odd = np.array_equal(quantize(-values, 9), -q)
     elapsed = time.perf_counter() - start
 
     _check("quantization exactness", idempotent and odd and elapsed < 1.0,

@@ -145,12 +145,24 @@ class _InProcessPool:
 ])
 def test_pool_size_is_capped(ehrenfest4_spec, monkeypatch, cpus, sample_size, expected):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(experiments, "STEP_POINTS", 1)  # one task per run
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     plan = ExperimentPlan(spec=ehrenfest4_spec, configs=[_mwr()], sample_size=sample_size)
+    assert len(list(_seed_chunks(plan))) == sample_size
     pooled = run_experiment(plan, workers=1000)
     assert _InProcessPool.sizes == ([] if expected == 1 else [expected])
     assert pooled == run_experiment(plan, workers=1)
+
+
+def test_a_plan_with_fewer_tasks_than_runs_asks_for_no_pool(ehrenfest4_spec, monkeypatch):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    plan = ExperimentPlan(spec=ehrenfest4_spec, configs=[_mwr()], sample_size=6)
+    assert len(list(_seed_chunks(plan))) == 1  # six runs, one task
+    run_experiment(plan, workers=2)
+    assert _InProcessPool.sizes == []
 
 
 def test_censoring_consistency(ehrenfest4_spec):
