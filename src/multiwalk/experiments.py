@@ -66,7 +66,8 @@ class ExperimentPlan:
 
 def _step_points(cfg) -> int:
     """Values one lockstep step stacks per seed: its candidate points and,
-    for a ruler kind below full radius, its (m, m - 2) sampling ranks."""
+    for a ruler kind below full radius, its (m, m - 2) sampling ranks.  A DE
+    seed's (m, m) rank block is sorted as it is drawn and never stacked."""
     if not cfg.uses_ruler:
         return cfg.marks
     ranks = cfg.marks * (cfg.marks - 2) if cfg.radius < cfg.marks - 2 else 0

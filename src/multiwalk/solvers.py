@@ -21,7 +21,8 @@ One engine runs every kind: ``run_seeds`` steps the populations of many
 seeds of one config in lockstep, with one objective call per step for all of
 them, and ``run_solver`` is its one-seed call.  Each seed keeps its own
 random stream and draw order, so its record does not depend on the seeds it
-runs with.
+runs with.  Within a step only the random draws loop over seeds; the DE
+trials, the ruler neighborhoods and the commit span the whole stack.
 """
 
 from __future__ import annotations
@@ -175,21 +176,28 @@ def _greedy_commit(marks, values, cand_coords, cand_values, best, digits: int):
     """Synchronous step commit of N stacked populations: each member accepts
     its candidate only on a strict improvement; each population's running
     best ``((N,) quantized values, (N, p) coords)`` tracks every candidate of
-    that population, accepted or not, comparing raw value against quantized
-    best so the best value only ever decreases.  Returns the updated
-    ``(marks, values, best)``; the arrays handed in are not modified."""
+    that population in order, accepted or not, comparing raw value against
+    quantized best so the best value only ever decreases.  As ``quantize`` is
+    monotone and idempotent, that walk has a closed form: with ``Q`` the
+    least quantized hit (candidate below the best), it ends on the last
+    candidate below ``Q``, or else on the first hit quantizing to ``Q``, and
+    the best becomes that candidate's quantized value; one ``quantize`` call
+    serves every hit.  Returns the updated ``(marks, values, best)``; the
+    arrays handed in are not modified."""
     best_values, best_coords = best
-    # the best only decreases, so no candidate outside this prefilter can move it
-    hits = np.flatnonzero(cand_values < best_values[:, None])
-    if hits.size:
+    hit = cand_values < best_values[:, None]
+    rows = np.flatnonzero(hit.any(axis=1))
+    if rows.size:
+        hit, v = hit[rows], cand_values[rows]
+        q = np.full(v.shape, math.inf)
+        q[hit] = quantize(v[hit], digits)
+        low = q.min(axis=1, keepdims=True)
+        below = v < low
+        k = np.where(below.any(axis=1), v.shape[1] - 1 - np.argmax(below[:, ::-1], axis=1),
+                     np.argmax(hit & (q == low), axis=1))
         best_values, best_coords = best_values.copy(), best_coords.copy()
-        m = cand_values.shape[1]
-        flat_values, flat_coords = cand_values.ravel(), cand_coords.reshape(-1, marks.shape[-1])
-        quantized = quantize(flat_values[hits], digits).tolist()
-        for k, q in zip(hits.tolist(), quantized):  # population-major, candidates in order
-            if flat_values[k] < best_values[k // m]:
-                best_values[k // m] = q
-                best_coords[k // m] = flat_coords[k]
+        best_values[rows] = q[np.arange(rows.size), k]
+        best_coords[rows] = cand_coords[rows, k]
         best = (best_values, best_coords)
     improved = cand_values < values
     return (np.where(improved[..., None], cand_coords, marks),
@@ -207,74 +215,63 @@ def mw_step(marks, values, cfg: SolverConfig, spec: ObjectiveSpec, rngs, best):
                             spec.digits_target), raw)
 
 
-def _distinct_triples(rng: np.random.Generator, m: int) -> np.ndarray:
-    """(m, 3) donor indices, each row a uniformly random ordered distinct
-    triple from [0, m); one rank block per step keeps the draw order fixed."""
-    ranks = rng.uniform(size=(m, m))
-    return np.argsort(ranks, axis=1)[:, :3]
-
-
-def _confine(trials: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-             rng: np.random.Generator) -> np.ndarray:
-    """Replace every trial row not inside the box by a fresh uniform draw;
-    a NaN coordinate (an overflowed donor) is not inside."""
-    out = ~np.all((trials >= lower) & (trials <= upper), axis=1)
-    n_out = int(np.count_nonzero(out))
-    if n_out:
-        p = trials.shape[1]
-        trials[out] = lower + rng.uniform(size=(n_out, p)) * (upper - lower)
-    return trials
-
-
-def _de_trials(marks: np.ndarray, values: np.ndarray, cfg: SolverConfig,
-               spec: ObjectiveSpec, rng: np.random.Generator) -> np.ndarray:
-    """Donor per strategy, then (DEoF only) binomial crossover with one
-    guaranteed donor component, then confinement.  DEsF/DEsFR take the
-    strategy-1 rand/1 donor as the trial.  Draw order per step: per-step
-    scale, donor index block, per-vector extras, crossover positions,
-    crossover mask, confinement redraws."""
-    m, p = marks.shape
+def _de_trials(marks, values, cfg: SolverConfig, spec: ObjectiveSpec, rngs) -> np.ndarray:
+    """Trials of N stacked populations, (N, m, p) marks and (N, m) values,
+    population ``n`` drawing from ``rngs[n]``: a donor per strategy from a
+    random ordered distinct triple of rows, then (DEoF only) binomial
+    crossover with one guaranteed donor component, then confinement: a row
+    not inside the box (a NaN from an overflowed donor is not) is redrawn.
+    DEsF/DEsFR take the strategy-1 rand/1 donor as the trial."""
+    n, m, p = marks.shape
     strategy = int(cfg.kind[-1]) if cfg.kind.startswith("DEoF") else None
-    rde = cfg.rde
-    step_scale = rng.uniform(0.5, 1.0) if strategy == 5 else None
-    idx = _distinct_triples(rng, m)
-    a, b, c = idx[:, 0], idx[:, 1], idx[:, 2]
-    best = marks[int(np.argmin(values))] if strategy in (2, 3) else None
-
-    if strategy in (None, 1):
-        donors = marks[a] + rde * (marks[b] - marks[c])
+    head = 1 if strategy == 5 else 0  # the step scale comes before the ranks
+    row = np.empty(head + m * m + {3: m * p, 4: m, 6: m}.get(strategy, 0))
+    ranks = row[head:head + m * m].reshape(m, m)
+    drawn = row[:head] if head else row[m * m:]
+    extras, idx = np.empty((n, drawn.size)), np.empty((n, m, 3), dtype=np.intp)
+    forced, cross = np.empty((n, m), dtype=np.int64), np.empty((n, m, p))
+    for k, rng in enumerate(rngs):
+        rng.random(out=row)
+        idx[k], extras[k] = np.argsort(ranks, axis=1)[:, :3], drawn
+        if strategy is not None:
+            forced[k] = rng.integers(0, p, size=m)
+            rng.random(out=cross[k])
+    xa, xb, xc = np.moveaxis(marks[np.arange(n)[:, None, None], idx], 2, 0)
+    best = marks[np.arange(n), np.argmin(values, axis=1)][:, None] if strategy in (2, 3) else None
+    if strategy in (None, 1, 6):
+        donors = xa + cfg.rde * (xb - xc)
     elif strategy == 2:
-        donors = marks + rde * (best - marks) + rde * (marks[a] - marks[b])
+        donors = marks + cfg.rde * (best - marks) + cfg.rde * (xa - xb)
     elif strategy == 3:
-        scale = rde + _DE_JITTER * (rng.uniform(size=(m, p)) - 0.5)
-        donors = best + scale * (marks[a] - marks[b])
-    elif strategy == 4:
-        scale = rng.uniform(0.5, 1.0, size=m)[:, None]
-        donors = marks[a] + scale * (marks[b] - marks[c])
-    elif strategy == 5:
-        donors = marks[a] + step_scale * (marks[b] - marks[c])
-    else:  # strategy 6
-        coins = rng.uniform(size=m) < 0.5
-        mutants = marks[a] + rde * (marks[b] - marks[c])
-        recombined = marks + 0.5 * (rde + 1.0) * (marks[a] + marks[b] - 2.0 * marks)
-        donors = np.where(coins[:, None], mutants, recombined)
-
+        scale = cfg.rde + _DE_JITTER * (extras.reshape(n, m, p) - 0.5)
+        donors = best + scale * (xa - xb)
+    else:  # strategies 4 and 5: a per-vector or per-step scale in [0.5, 1)
+        donors = xa + (0.5 + 0.5 * extras)[..., None] * (xb - xc)
+    if strategy == 6:
+        recombined = marks + 0.5 * (cfg.rde + 1.0) * (xa + xb - 2.0 * marks)
+        donors = np.where((extras < 0.5)[..., None], donors, recombined)
     if strategy is not None:
-        forced = rng.integers(0, p, size=m)
-        take = rng.uniform(size=(m, p)) < cfg.cr
-        take[np.arange(m), forced] = True
+        take = cross < cfg.cr
+        take[np.arange(n)[:, None], np.arange(m), forced] = True
         donors = np.where(take, donors, marks)
-    return _confine(donors, spec.lower, spec.upper, rng)
+    out = ~np.all((donors >= spec.lower) & (donors <= spec.upper), axis=2)
+    for k in np.flatnonzero(out.any(axis=1)):
+        redraws = rngs[k].random((int(np.count_nonzero(out[k])), p))
+        donors[k, out[k]] = spec.lower + redraws * (spec.upper - spec.lower)
+    return donors
 
 
 def _de_step(marks, values, cfg: SolverConfig, spec: ObjectiveSpec, rngs, best):
-    """One DE step of N stacked populations: build each population's trials
-    from its own generator, evaluate them all in one objective call, and
-    commit.  Returns ``(marks, values, best, raw)``, ``raw`` the (N, marks)
-    trial values."""
-    trials = np.empty_like(marks)
-    for n, rng in enumerate(rngs):
-        trials[n] = _de_trials(marks[n], values[n], cfg, spec, rng)
+    """One DE step of N stacked populations: build every trial, evaluate
+    them all in one objective call, and commit.  Only the draws run per seed,
+    in a lone run's order: one ``random`` block of the strategy-5 scale, the
+    (m, m) rank block and the per-vector extras; for DEoF the crossover
+    positions, then the crossover block; last, confinement redraws for the
+    seeds with an out-of-box row.  Each rank block is sorted into donor
+    indices as it is drawn, never stacked; the gathers, donor formulas,
+    crossover and box test run once over the stack.  Returns ``(marks,
+    values, best, raw)``, ``raw`` the (N, marks) trial values."""
+    trials = _de_trials(marks, values, cfg, spec, rngs)
     raw = evaluate_batch(spec, trials.reshape(-1, spec.dims)).reshape(values.shape)
     return (*_greedy_commit(marks, values, trials, raw, best, spec.digits_target), raw)
 

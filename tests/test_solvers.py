@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,25 +242,19 @@ def test_greedy_commit_matches_full_loop(vals, best_raw, digits, dims):
     assert repr(got[2][1]) == repr(want[2][1])
 
 
-@given(st.integers(1, 6).flatmap(lambda m: st.lists(st.tuples(
-           st.lists(_commit_value, min_size=m, max_size=m),
-           st.lists(_commit_value, min_size=m, max_size=m),
-           st.one_of(st.none(), _commit_value)), min_size=1, max_size=5)),
-       st.sampled_from([1, 2, 3, 4, 17]), st.integers(1, 2))
-def test_stacked_commit_matches_the_serial_commit_per_population(pops, digits, dims):
-    # each population of the stack commits as it would alone
-    n, m = len(pops), len(pops[0][0])
+def _commit_stack(cand_values, values, bests, digits, dims):
+    """``_greedy_commit`` of a stack of populations, each checked against
+    ``_greedy_commit_serial``, and the arrays handed in checked unmodified;
+    returns the stacked result and the candidate coords."""
+    n, m = cand_values.shape
     marks = np.arange(n * m * dims, dtype=float).reshape(n, m, dims)
     cand_coords = marks + 0.5
-    cand_values = np.array([p[0] for p in pops])
-    values = np.array([p[1] for p in pops])
-    bests = [NO_BEST if b is None else (quantize(b, digits), np.full(dims, -1.0 - k))
-             for k, (_c, _v, b) in enumerate(pops)]
     best_in = (np.array([b[0] for b in bests]),
                np.array([np.full(dims, math.nan) if b[1] is None else b[1] for b in bests]))
-    before = best_in[0].tobytes(), best_in[1].tobytes()
-    got_marks, got_values, (got_best, got_coords) = _greedy_commit(
-        marks, values, cand_coords, cand_values, best_in, digits)
+    inputs = (marks, values, cand_coords, cand_values, *best_in)
+    before = [a.tobytes() for a in inputs]
+    got = _greedy_commit(marks, values, cand_coords, cand_values, best_in, digits)
+    got_marks, got_values, (got_best, got_coords) = got
     for k in range(n):
         want = _greedy_commit_serial(marks[k], values[k], cand_coords[k], cand_values[k],
                                      bests[k], digits)
@@ -268,8 +263,51 @@ def test_stacked_commit_matches_the_serial_commit_per_population(pops, digits, d
         assert repr(float(got_best[k])) == repr(float(want[2][0]))
         want_coord = np.full(dims, math.nan) if want[2][1] is None else want[2][1]
         assert got_coords[k].tobytes() == want_coord.tobytes()
-    # the stack handed in is not modified
-    assert (best_in[0].tobytes(), best_in[1].tobytes()) == before
+    assert [a.tobytes() for a in inputs] == before
+    return got, cand_coords
+
+
+@given(st.integers(1, 6).flatmap(lambda m: st.lists(st.tuples(
+           st.lists(_commit_value, min_size=m, max_size=m),
+           st.lists(_commit_value, min_size=m, max_size=m),
+           st.one_of(st.none(), _commit_value)), min_size=1, max_size=5)),
+       st.sampled_from([1, 2, 3, 4, 17]), st.integers(1, 2))
+def test_stacked_commit_matches_the_serial_commit_per_population(pops, digits, dims):
+    # each population of the stack commits as it would alone
+    bests = [NO_BEST if b is None else (quantize(b, digits), np.full(dims, -1.0 - k))
+             for k, (_c, _v, b) in enumerate(pops)]
+    _commit_stack(np.array([p[0] for p in pops]), np.array([p[1] for p in pops]), bests,
+                  digits, dims)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("digits, rows", [
+    # (running best, candidates, the best after the step, the candidate it
+    # came from or None); at two digits -2.46, -2.47 and -2.51 quantize to -2.5
+    (2, [(-2.5, [-2.51, -2.52, 0.0, -2.54, 3.0], -2.5, 3),  # hits at the best: the last
+         (INF, [-2.46, -2.51, -2.47, 1.0], -2.5, 1),        # a hit at Q, then one below it
+         (INF, [-2.46, -2.47, 1.0], -2.5, 0),               # none below Q: the first at Q
+         (-10.0, [-2.46, 5.0, NAN], -10.0, None)]),         # no hit: untouched
+    (2, [(INF, [NAN, INF, -2.0, -INF, NAN, -INF], -INF, 3),
+         (INF, [NAN, INF, NAN], INF, None),
+         (2.0, [INF, 1.0, NAN], 1.0, 1),
+         (NAN, [-1.0, 0.0], NAN, None)]),
+    (3, [(INF, [-0.0, 0.0], -0.0, 0), (INF, [0.0, -0.0], 0.0, 0)]),
+    (17, [(INF, [1.25, 1.2501, 1.25, 1.0000000000000002, 1.0, 1.0], 1.0, 4),
+          (1.25, [1.25, 1.2500000000000002, 1.2499999999999998], 1.2499999999999998, 2)]),
+])
+def test_commit_edge_cases_match_the_serial_commit(digits, rows):
+    m = max(len(r[1]) for r in rows)
+    cand_values = np.array([r[1] + [NAN] * (m - len(r[1])) for r in rows])
+    bests = [(r[0], np.full(2, -1.0 - k)) for k, r in enumerate(rows)]
+    (_marks, _values, (best, coords)), cand_coords = _commit_stack(
+        cand_values, np.full(cand_values.shape, 1.5), bests, digits, dims=2)
+    for k, (best_in, _cands, best_out, at) in enumerate(rows):
+        assert repr(float(best[k])) == repr(best_out)
+        want = bests[k][1] if at is None else cand_coords[k, at]
+        assert coords[k].tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +603,47 @@ def _neighborhood_eval_serial(marks, spec, radius, dither, rng):
     return cands[rows, pick], values[rows, pick], raw
 
 
+def _de_trials_serial(marks, values, cfg, spec, rng):
+    """One population's DE trials as the per-seed builder drew them, kept as
+    the reference of the stacked ``_de_trials``: per-step scale, donor index
+    block, per-vector extras, crossover positions, crossover mask,
+    confinement redraws."""
+    m, p = marks.shape
+    strategy = int(cfg.kind[-1]) if cfg.kind.startswith("DEoF") else None
+    rde = cfg.rde
+    step_scale = rng.uniform(0.5, 1.0) if strategy == 5 else None
+    idx = np.argsort(rng.uniform(size=(m, m)), axis=1)[:, :3]
+    a, b, c = idx[:, 0], idx[:, 1], idx[:, 2]
+    best = marks[int(np.argmin(values))] if strategy in (2, 3) else None
+    if strategy in (None, 1):
+        donors = marks[a] + rde * (marks[b] - marks[c])
+    elif strategy == 2:
+        donors = marks + rde * (best - marks) + rde * (marks[a] - marks[b])
+    elif strategy == 3:
+        scale = rde + solvers._DE_JITTER * (rng.uniform(size=(m, p)) - 0.5)
+        donors = best + scale * (marks[a] - marks[b])
+    elif strategy == 4:
+        scale = rng.uniform(0.5, 1.0, size=m)[:, None]
+        donors = marks[a] + scale * (marks[b] - marks[c])
+    elif strategy == 5:
+        donors = marks[a] + step_scale * (marks[b] - marks[c])
+    else:  # strategy 6
+        coins = rng.uniform(size=m) < 0.5
+        mutants = marks[a] + rde * (marks[b] - marks[c])
+        recombined = marks + 0.5 * (rde + 1.0) * (marks[a] + marks[b] - 2.0 * marks)
+        donors = np.where(coins[:, None], mutants, recombined)
+    if strategy is not None:
+        forced = rng.integers(0, p, size=m)
+        take = rng.uniform(size=(m, p)) < cfg.cr
+        take[np.arange(m), forced] = True
+        donors = np.where(take, donors, marks)
+    out = ~np.all((donors >= spec.lower) & (donors <= spec.upper), axis=1)
+    n_out = int(np.count_nonzero(out))
+    if n_out:
+        donors[out] = spec.lower + rng.uniform(size=(n_out, p)) * (spec.upper - spec.lower)
+    return donors
+
+
 def _run_solver_serial(cfg, spec, initial_marks=None):
     """The serial run loop the lockstep engine replaced, kept as its
     reference: one seed, scalar bookkeeping, one objective call per step."""
@@ -588,7 +667,7 @@ def _run_solver_serial(cfg, spec, initial_marks=None):
                 coords, cand_values, raw = _neighborhood_eval_serial(
                     marks, spec, cfg.radius, cfg.dither, rng)
             else:
-                coords = _de_trials(marks, values, cfg, spec, rng)
+                coords = _de_trials_serial(marks, values, cfg, spec, rng)
                 cand_values = raw = evaluate_batch(spec, coords)
             marks, values, epoch_best = _greedy_commit_serial(
                 marks, values, coords, cand_values, epoch_best, spec.digits_target)
@@ -646,7 +725,7 @@ def _lockstep_cases(draw):
     # an unreachable target runs every seed, and the plateau rule, to the budget
     spec = _target_spec(*draw(st.sampled_from(
         [("ehrenfest4", 9), ("ehrenfest15", 9), ("trefethen1", 3), ("trefethen1", 6),
-         ("wild2", 4)])), draw(st.sampled_from(["oracle", "below", "-inf"])))
+         ("wild2", 4), ("wild3", 4)])), draw(st.sampled_from(["oracle", "below", "-inf"])))
     seeds = draw(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6))
     return cfg, spec, seeds
 
@@ -709,12 +788,53 @@ def test_observe_watches_one_seed_only(ehrenfest4_spec):
 # differential evolution pieces
 # ---------------------------------------------------------------------------
 
+def _de_trials_one(marks, values, cfg, spec, rng):
+    """``_de_trials`` of one population: row 0 of a one-seed stack."""
+    return _de_trials(marks[None], values[None], cfg, spec, [rng])[0]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(SOLVER_KINDS[2:]), st.integers(4, 12), st.sampled_from([0.0, 1.0, 1.7]),
+       st.sampled_from([0.0, 0.3, 1.0]),
+       st.sampled_from(["ehrenfest15", "trefethen1", "wild2", "wild3"]),
+       st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=5))
+def test_stacked_trials_equal_the_serial_builder(kind, m, rde, cr, name, seeds):
+    # each row of the stack is the trial block a lone run builds, and each
+    # generator ends where the lone run leaves it
+    spec = get_objective(name)
+    cfg = SolverConfig(kind=kind, seed=0, steps_limit=5, marks=m, rde=rde, cr=cr)
+    init = np.random.default_rng(seeds[0])
+    marks = spec.lower + init.random((len(seeds), m, spec.dims)) * (spec.upper - spec.lower)
+    values = np.stack([evaluate_batch(spec, x) for x in marks])
+    stacked = [np.random.default_rng(seed) for seed in seeds]
+    alone = [np.random.default_rng(seed) for seed in seeds]
+    got = _de_trials(marks, values, cfg, spec, stacked)
+    for k, rng in enumerate(alone):
+        assert got[k].tobytes() == _de_trials_serial(marks[k], values[k], cfg, spec,
+                                                     rng).tobytes()
+        assert stacked[k].random() == rng.random()
+
+
+def test_de_step_sorts_one_rank_block_at_a_time(ehrenfest15_spec):
+    # four stacked (1024, 1024) rank blocks and their argsort indices would
+    # take 64 MB; the builder holds one block at a time
+    cfg = SolverConfig(kind="DEsF", seed=1, steps_limit=1, marks=1024)
+    tracemalloc.start()
+    try:
+        records = run_seeds(cfg, ehrenfest15_spec, [1, 2, 3, 4])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.steps for r in records] == [1, 1, 1, 1]
+    assert peak < 32 << 20
+
+
 def test_de_simple_trials_degenerate_scale():
     spec = get_objective("ehrenfest4")
     cfg = SolverConfig(kind="DEsF", seed=1, steps_limit=5,
                        marks=4, rde=0.0)
     marks = np.array([[2.0], [5.0], [9.0], [14.0]])
-    trials = _de_trials(marks, spec.fn(marks), cfg, spec, np.random.default_rng(0))
+    trials = _de_trials_one(marks, spec.fn(marks), cfg, spec, np.random.default_rng(0))
     assert all(t in marks[:, 0] for t in trials[:, 0])
 
 
@@ -725,23 +845,30 @@ def test_de_simple_trials_confinement_redraws_inside_box():
     marks = np.array([[1.0], [2.0], [4.0], [10.0]])
     rng = np.random.default_rng(1)
     for _ in range(200):
-        trials = _de_trials(marks, spec.fn(marks), cfg, spec, rng)
+        trials = _de_trials_one(marks, spec.fn(marks), cfg, spec, rng)
         assert np.all(trials >= spec.lower) and np.all(trials <= spec.upper)
 
 
 def test_confine_redraws_a_nan_row_and_keeps_rows_inside():
-    lower, upper = np.array([0.0, 0.0]), np.array([1.0, 1.0])
-    trials = np.array([[0.5, 0.5], [math.nan, 0.5], [0.0, 1.0], [0.5, math.nan]])
-    out = solvers._confine(trials.copy(), lower, upper, np.random.default_rng(0))
-    assert np.all((out >= lower) & (out <= upper))
-    assert out[[0, 2]].tobytes() == trials[[0, 2]].tobytes()
+    # at rde = 0 a donor is its base row, or NaN when its triple holds a NaN
+    # row; the NaN rows are redrawn inside the box, the others kept
+    spec = dataclasses.replace(get_objective("wild2"), lower=np.zeros(2), upper=np.ones(2))
+    cfg = SolverConfig(kind="DEsF", seed=1, steps_limit=5, marks=6, rde=0.0)
+    marks = np.array([[0.5, 0.5], [math.nan, 0.5], [0.0, 1.0], [0.5, math.nan],
+                      [0.25, 0.75], [1.0, 0.0]])
+    idx = np.argsort(np.random.default_rng(0).random((6, 6)), axis=1)[:, :3]  # the rank block
+    nan_rows = np.isnan(marks[idx]).any(axis=(1, 2))
+    assert nan_rows.any() and not nan_rows.all()
+    out = _de_trials_one(marks, np.zeros(6), cfg, spec, np.random.default_rng(0))
+    assert np.all((out >= spec.lower) & (out <= spec.upper))
+    assert out[~nan_rows].tobytes() == marks[idx[~nan_rows, 0]].tobytes()
 
 
 def test_de_population_collapse_only_confinement_escapes():
     spec = get_objective("wild1")
     cfg = SolverConfig(kind="DEsF", seed=1, steps_limit=5, marks=6)
     marks = np.full((6, 1), 3.25)
-    trials = _de_trials(marks, spec.fn(marks), cfg, spec, np.random.default_rng(0))
+    trials = _de_trials_one(marks, spec.fn(marks), cfg, spec, np.random.default_rng(0))
     assert np.all(trials == 3.25)
 
 
@@ -753,7 +880,7 @@ def test_de_strategy_trials_stay_in_bounds():
     for strategy in range(1, 7):
         cfg = SolverConfig(kind=f"DEoF{strategy}", seed=1,
                            steps_limit=5, marks=12)
-        trials = _de_trials(marks, values, cfg, spec, np.random.default_rng(3))
+        trials = _de_trials_one(marks, values, cfg, spec, np.random.default_rng(3))
         assert trials.shape == marks.shape
         assert np.all(trials >= spec.lower) and np.all(trials <= spec.upper)
 
@@ -766,7 +893,7 @@ def test_strategy2_with_zero_scale_keeps_population():
     values = np.asarray(spec.fn(marks))
     cfg = SolverConfig(kind="DEoF2", seed=1, steps_limit=5,
                        marks=8, rde=0.0, cr=0.9)
-    trials = _de_trials(marks, values, cfg, spec, np.random.default_rng(5))
+    trials = _de_trials_one(marks, values, cfg, spec, np.random.default_rng(5))
     assert np.allclose(trials, marks)
 
 
@@ -781,7 +908,7 @@ def test_strategy3_zero_jitter_zero_scale_is_best_with_full_crossover(monkeypatc
     best = marks[int(np.argmin(values))]
     cfg = SolverConfig(kind="DEoF3", seed=1, steps_limit=5,
                        marks=8, rde=0.0, cr=1.0)
-    trials = _de_trials(marks, values, cfg, spec, np.random.default_rng(6))
+    trials = _de_trials_one(marks, values, cfg, spec, np.random.default_rng(6))
     assert np.all(trials == best)
 
 
