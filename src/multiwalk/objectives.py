@@ -44,19 +44,18 @@ def _quantize_array(values, digits: int) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     ok = np.isfinite(v) & (v != 0.0)
     a = np.where(ok, np.abs(v), 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    # log10 can land one decade off near boundaries; repair by exact compares
-    e = np.where(a >= _POW10[e + 1 - _POW10_MIN], e + 1, e)
-    e = np.where(a < _POW10[e - _POW10_MIN], e - 1, e)
-    k = digits - 1 - e
+    # the decade as a _POW10 index, repaired by exact compares where log10 is one off
+    i = np.floor(np.log10(a)).astype(np.int64) - _POW10_MIN
+    i += a >= _POW10[i + 1]
+    i -= a < _POW10[i]
+    k = digits - 1 - _POW10_MIN - i  # scale by 10**k
     k1 = np.minimum(np.maximum(k, -308), 308)  # two-step scaling keeps factors finite
     scaled = (a * _POW10[k1 - _POW10_MIN]) * _POW10[k - k1 - _POW10_MIN]
     n = np.floor(scaled + 0.5)
     # rounded up across a decade: renormalize so requantization is stable
     carry = n >= _POW10[digits - _POW10_MIN]
     n = np.where(carry, _POW10[digits - 1 - _POW10_MIN], n)
-    e = np.where(carry, e + 1, e)
-    k = digits - 1 - e
+    k -= carry
     k1 = np.minimum(np.maximum(k, -308), 308)
     with np.errstate(over="ignore"):  # rounding up past the largest double gives inf
         r = (n / _POW10[k1 - _POW10_MIN]) / _POW10[k - k1 - _POW10_MIN]

@@ -18,11 +18,14 @@ stop the moment the quantized running best equals the quantized target.
 A run that exhausts its step budget first is censored.
 
 One engine runs every kind: ``run_seeds`` steps the populations of many
-seeds of one config in lockstep, with one objective call per step for all of
-them, and ``run_solver`` is its one-seed call.  Each seed keeps its own
-random stream and draw order, so its record does not depend on the seeds it
-runs with.  Within a step only the random draws loop over seeds; the DE
-trials, the ruler neighborhoods and the commit span the whole stack.
+seeds of one config in lockstep, and ``run_solver`` is its one-seed call.
+A family only proposes (``mw_step``, ``_de_step``: candidates, their values
+and every raw value, from one objective call for the whole stack);
+``run_seeds`` commits each step with one ``_greedy_commit`` call and starts
+every epoch with ``_start_epochs``, one objective call for all the seeds
+starting one.  Each seed keeps its own random stream and draw order, so its
+record does not depend on the seeds it runs with.  Only the random draws and
+record assembly loop over seeds.
 """
 
 from __future__ import annotations
@@ -204,24 +207,34 @@ def _greedy_commit(marks, values, cand_coords, cand_values, best, digits: int):
             np.where(improved, cand_values, values), best)
 
 
-def mw_step(marks, values, cfg: SolverConfig, spec: ObjectiveSpec, rngs, best):
-    """One multi-walk step of N stacked populations, (N, m, p) marks and
-    (N, m) values, population ``n`` drawing from ``rngs[n]``: evaluate every
-    neighborhood in one objective call, then commit.  Returns ``(marks,
-    values, best, raw)``, ``raw`` the (N, marks * radius) values it
-    evaluated."""
-    coords, cand_values, raw = neighborhood_eval(marks, spec, cfg.radius, cfg.dither, rngs)
-    return (*_greedy_commit(marks, values, coords, cand_values, best,
-                            spec.digits_target), raw)
+def mw_step(marks, values, cfg: SolverConfig, spec: ObjectiveSpec, rngs):
+    """Propose one multi-walk step of N stacked populations, (N, m, p) marks
+    and (N, m) values, population ``n`` drawing from ``rngs[n]``: every
+    neighborhood evaluated in one objective call.  Returns ``(coords,
+    values, raw)``: each mark's best candidate with its value, and ``raw``
+    the (N, marks * radius) values evaluated."""
+    return neighborhood_eval(marks, spec, cfg.radius, cfg.dither, rngs)
 
 
-def _de_trials(marks, values, cfg: SolverConfig, spec: ObjectiveSpec, rngs) -> np.ndarray:
-    """Trials of N stacked populations, (N, m, p) marks and (N, m) values,
-    population ``n`` drawing from ``rngs[n]``: a donor per strategy from a
-    random ordered distinct triple of rows, then (DEoF only) binomial
-    crossover with one guaranteed donor component, then confinement: a row
-    not inside the box (a NaN from an overflowed donor is not) is redrawn.
-    DEsF/DEsFR take the strategy-1 rand/1 donor as the trial."""
+def _de_step(marks, values, cfg: SolverConfig, spec: ObjectiveSpec, rngs):
+    """Propose one DE step of N stacked populations, (N, m, p) marks and
+    (N, m) values, population ``n`` drawing from ``rngs[n]``: a trial per
+    member, all evaluated in one objective call.  Returns ``(trials, raw,
+    raw)``, ``raw`` the (N, marks) trial values.
+
+    A trial is a donor per strategy from a random ordered distinct triple of
+    rows, then (DEoF only) binomial crossover with one guaranteed donor
+    component, then confinement: a row not inside the box (a NaN from an
+    overflowed donor is not) is redrawn.  DEsF/DEsFR take the strategy-1
+    rand/1 donor as the trial.
+
+    Only the draws run per seed, in a lone run's order: one ``random`` block
+    of the strategy-5 scale, the (m, m) rank block and the per-vector
+    extras; for DEoF the crossover positions, then the crossover block;
+    last, confinement redraws for the seeds with an out-of-box row.  Each
+    rank block is sorted into donor indices as it is drawn, never stacked;
+    the gathers, donor formulas, crossover and box test run once over the
+    stack."""
     n, m, p = marks.shape
     strategy = int(cfg.kind[-1]) if cfg.kind.startswith("DEoF") else None
     head = 1 if strategy == 5 else 0  # the step scale comes before the ranks
@@ -258,40 +271,25 @@ def _de_trials(marks, values, cfg: SolverConfig, spec: ObjectiveSpec, rngs) -> n
     for k in np.flatnonzero(out.any(axis=1)):
         redraws = rngs[k].random((int(np.count_nonzero(out[k])), p))
         donors[k, out[k]] = spec.lower + redraws * (spec.upper - spec.lower)
-    return donors
+    raw = evaluate_batch(spec, donors.reshape(-1, p)).reshape(n, m)
+    return donors, raw, raw
 
 
-def _de_step(marks, values, cfg: SolverConfig, spec: ObjectiveSpec, rngs, best):
-    """One DE step of N stacked populations: build every trial, evaluate
-    them all in one objective call, and commit.  Only the draws run per seed,
-    in a lone run's order: one ``random`` block of the strategy-5 scale, the
-    (m, m) rank block and the per-vector extras; for DEoF the crossover
-    positions, then the crossover block; last, confinement redraws for the
-    seeds with an out-of-box row.  Each rank block is sorted into donor
-    indices as it is drawn, never stacked; the gathers, donor formulas,
-    crossover and box test run once over the stack.  Returns ``(marks,
-    values, best, raw)``, ``raw`` the (N, marks) trial values."""
-    trials = _de_trials(marks, values, cfg, spec, rngs)
-    raw = evaluate_batch(spec, trials.reshape(-1, spec.dims)).reshape(values.shape)
-    return (*_greedy_commit(marks, values, trials, raw, best, spec.digits_target), raw)
-
-
-def _init_population(spec: ObjectiveSpec, n_marks: int, anchored: bool,
-                     rng: np.random.Generator, initial_marks=None):
-    """Uniform random marks with their raw values; ``anchored`` (the ruler
-    kinds) pins rows 1 and m at the bounds.  ``initial_marks`` replaces the
-    drawn marks after the draw, so the stream position does not depend on it;
-    it must lie inside the bounds (so no NaN)."""
-    u = rng.uniform(size=(n_marks, spec.dims))
+def _start_epochs(spec: ObjectiveSpec, n_marks: int, anchored: bool, rngs, initial_marks=None):
+    """K fresh epochs: (K, m, p) uniform random marks, population ``k``
+    drawing its (m, p) block from ``rngs[k]``, and their (K, m) raw values
+    from one objective call; ``anchored`` (the ruler kinds) pins rows 1 and m
+    at the bounds.  ``initial_marks`` replaces every population after the
+    draw, so no stream position depends on it; it must be finite and in the bounds."""
+    u = np.reshape([rng.random((n_marks, spec.dims)) for rng in rngs], (-1, n_marks, spec.dims))
     marks = spec.lower + u * (spec.upper - spec.lower)
     if anchored:
-        marks[0] = spec.lower
-        marks[-1] = spec.upper
+        marks[:, 0], marks[:, -1] = spec.lower, spec.upper
     if initial_marks is not None:
-        marks = np.array(initial_marks, dtype=float).reshape(n_marks, spec.dims)
+        marks[:] = np.array(initial_marks, dtype=float).reshape(n_marks, spec.dims)
         if not np.all((spec.lower <= marks) & (marks <= spec.upper)):
             raise ValueError(f"initial_marks must be finite and inside the bounds of {spec.name}")
-    return marks, evaluate_batch(spec, marks)
+    return marks, evaluate_batch(spec, marks.reshape(-1, spec.dims)).reshape(marks.shape[:2])
 
 
 def run_solver(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
@@ -316,13 +314,14 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
     RunRecords in seed order; ``run_solver`` is the one-seed call.
 
     The seeds' populations are stacked, (N, m, p), and take every step
-    together: one ``mw_step`` or ``_de_step`` call and one objective call per
-    step for all of them.  Each seed keeps its own generator, epochs, plateau
-    counter and running bests, and draws in the order a run alone would, so
-    its record does not depend on the seeds it runs with.  A seed leaves the
-    stack when it passes or runs out of budget.  ``initial_marks`` and
-    ``observe`` are as for ``run_solver``; ``observe`` watches one-seed calls
-    only."""
+    together: one proposal (``mw_step`` or ``_de_step``, one objective call)
+    and one ``_greedy_commit`` for all of them; the seeds whose plateau fills
+    that step start new epochs together, in one ``_start_epochs`` call.  Each
+    seed keeps its own generator, epochs, plateau counter and running bests,
+    and draws in the order a run alone would, so its record does not depend
+    on the seeds it runs with.  A seed leaves the stack when it passes or
+    runs out of budget.  ``initial_marks`` and ``observe`` are as for
+    ``run_solver``; ``observe`` watches one-seed calls only."""
     target = spec.value_target
     if target is None:
         raise ValueError(
@@ -331,34 +330,33 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
         )
     if observe is not None and len(seeds) != 1:
         raise ValueError("observe watches a one-seed run")
-    step = mw_step if cfg.uses_ruler else _de_step
-    restarts_enabled, plateau_limit = cfg.restarts_enabled, cfg.effective_plateau_limit
-    m, p = cfg.marks, spec.dims
-    n = len(seeds)
+    propose = mw_step if cfg.uses_ruler else _de_step
+    m, n = cfg.marks, len(seeds)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    marks, values = np.empty((n, m, p)), np.empty((n, m))
-    for i, rng in enumerate(rngs):
-        marks[i], values[i] = _init_population(spec, m, cfg.uses_ruler, rng, initial_marks)
-        if observe is not None:
-            observe.epoch(seeds[i], marks[i], values[i])
+    marks, values = _start_epochs(spec, m, cfg.uses_ruler, rngs, initial_marks)
+    if observe is not None:
+        observe.epoch(seeds[0], marks[0], values[0])
     # the plateau rule per seed: a step is flat unless its epoch error drops
     # below ``err_prev``, and ``plateau`` counts the flat steps since the last
     # drop or the epoch start
     err_prev = values.min(axis=1) - target  # raw seed for the plateau rule
     plateau = np.zeros(n, dtype=np.int64)
-    epoch_best = (np.full(n, math.inf), np.full((n, p), math.nan))  # quantized
+    epoch_best = (np.full(n, math.inf), np.full((n, spec.dims), math.nan))  # quantized
     best_values, best_coords = epoch_best[0].copy(), epoch_best[1].copy()  # over all epochs
     restarts = np.zeros(n, dtype=np.int64)
     index = np.arange(n)  # each stacked row's position in ``seeds``
     records = [None] * n
     total_steps = 0
 
-    while True:
+    while index.size:
         total_steps += 1
-        marks, values, epoch_best, raw = step(marks, values, cfg, spec, rngs, epoch_best)
+        coords, cand_values, raw = propose(marks, values, cfg, spec, rngs)
+        marks, values, epoch_best = _greedy_commit(marks, values, coords, cand_values,
+                                                   epoch_best, spec.digits_target)
         if observe is not None:
             observe.step(total_steps, int(restarts[0]), raw[0], marks[0], values[0],
                          (epoch_best[0][0], epoch_best[1][0]))
+        # each step, not at epoch end: a later hit of equal value moves the epoch best's coord
         better = epoch_best[0] < best_values
         np.copyto(best_values, epoch_best[0], where=better)
         np.copyto(best_coords, epoch_best[1], where=better[:, None])
@@ -366,26 +364,29 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
         if total_steps == cfg.steps_limit:
             done[:] = True
 
-        if restarts_enabled:
+        if cfg.restarts_enabled:
             error = epoch_best[0] - target
             flat = error >= err_prev
             plateau = np.where(flat, plateau + 1, 0)
             err_prev = np.where(flat, err_prev, error)
             # only a plateau with budget left starts a new epoch
-            restart = (plateau >= plateau_limit) & ~done
+            restart = (plateau >= cfg.effective_plateau_limit) & ~done
             if restart.any():
+                rows = np.flatnonzero(restart)
+                # each restarting seed draws its epoch's seed from its own stream
+                epoch_seeds = [int(rngs[i].integers(1, 2 ** 31)) for i in rows]
+                for i, epoch_seed in zip(rows, epoch_seeds):
+                    rngs[i] = np.random.default_rng(epoch_seed)
                 marks, values = marks.copy(), values.copy()  # what observe saw stays put
-                epoch_best = (epoch_best[0].copy(), epoch_best[1].copy())
-                for i in np.flatnonzero(restart):
-                    epoch_seed = int(rngs[i].integers(1, 2 ** 31))  # from the seed's stream
-                    rngs[i] = rng = np.random.default_rng(epoch_seed)
-                    marks[i], values[i] = _init_population(spec, m, cfg.uses_ruler, rng)
-                    restarts[i] += 1
-                    err_prev[i] = values[i].min() - target
-                    plateau[i] = 0
-                    epoch_best[0][i], epoch_best[1][i] = math.inf, math.nan
-                    if observe is not None:
-                        observe.epoch(epoch_seed, marks[i], values[i])
+                marks[rows], values[rows] = _start_epochs(spec, m, cfg.uses_ruler,
+                                                          [rngs[i] for i in rows])
+                restarts += restart
+                err_prev[rows] = values[rows].min(axis=1) - target
+                plateau[rows] = 0
+                epoch_best = (np.where(restart, math.inf, epoch_best[0]),
+                              np.where(restart[:, None], math.nan, epoch_best[1]))
+                if observe is not None:
+                    observe.epoch(epoch_seeds[0], marks[0], values[0])
 
         if done.any():
             for i in np.flatnonzero(done):
@@ -400,8 +401,6 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
                     is_censored=bool(epoch_best[0][i] != target),
                     seed=seeds[index[i]],
                 )
-            if done.all():
-                return records
             # compact only when a seed leaves, so a step never gathers the stack
             keep = ~done
             marks, values = marks[keep], values[keep]
@@ -410,6 +409,7 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
             err_prev, plateau, restarts = err_prev[keep], plateau[keep], restarts[keep]
             index = index[keep]
             rngs = [rng for rng, k in zip(rngs, keep) if k]
+    return records
 
 
 def config_lines(spec: ObjectiveSpec, configs) -> list:

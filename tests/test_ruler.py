@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
 
-from multiwalk.objectives import get_objective
+from multiwalk.objectives import evaluate_batch, get_objective
 from multiwalk.ruler import (_candidates, _neighbor_sets, candidate_table_text,
                              eligible_neighbors, neighborhood_eval)
-from multiwalk.solvers import _init_population
+from multiwalk.solvers import _start_epochs
 
 DEMO_MARKS = np.array([1.0, 2.0, 4.0, 10.0, 12.0, 17.0])[:, None]
 
 
 def _anchored_init(spec, n_marks, seed):
-    """The ruler kinds' epoch initialization, as the solver loop calls it."""
-    return _init_population(spec, n_marks, True, np.random.default_rng(seed))
+    """The ruler kinds' one-population epoch start, kept apart from the
+    stacked ``solvers._start_epochs`` it is checked against: uniform marks
+    with rows 1 and m pinned at the bounds, and their values."""
+    u = np.random.default_rng(seed).uniform(size=(n_marks, spec.dims))
+    marks = spec.lower + u * (spec.upper - spec.lower)
+    marks[0], marks[-1] = spec.lower, spec.upper
+    return marks, evaluate_batch(spec, marks)
 
 
 def _dither_draws(rng, shape, dither):
@@ -37,25 +42,31 @@ def _pair_table(marks, lower, upper, dither=0.0, rng=None):
                        _dither_draws(rng, (m, m, p), dither))
 
 
+def _start(spec, n_marks, seeds):
+    """Anchored epoch starts of one stacked population per seed."""
+    return _start_epochs(spec, n_marks, True, [np.random.default_rng(s) for s in seeds])
+
+
 def test_init_anchors_exactly_at_bounds():
     spec = get_objective("ehrenfest4")
-    marks, values = _anchored_init(spec, 6, 11)
-    assert marks[0, 0] == 1.0
-    assert marks[5, 0] == 17.0
-    assert values.shape == (6,)
+    marks, values = _start(spec, 6, [11, 12])
+    assert np.all(marks[:, 0, 0] == 1.0)
+    assert np.all(marks[:, 5, 0] == 17.0)
+    assert values.shape == (2, 6)
 
 
 def test_init_marks_within_bounds():
     spec = get_objective("trefethen2")
-    marks, values = _anchored_init(spec, 16, 5)
+    marks, values = _start(spec, 16, [5, 6, 7])
     assert np.all(marks >= spec.lower) and np.all(marks <= spec.upper)
-    assert np.array_equal(values, np.array([spec.fn(row[None])[0] for row in marks]))
+    assert np.array_equal(values, np.array([[spec.fn(row[None])[0] for row in population]
+                                            for population in marks]))
 
 
 def test_init_deterministic():
     spec = get_objective("wild2")
-    a_marks, a_values = _anchored_init(spec, 8, 7)
-    b_marks, b_values = _anchored_init(spec, 8, 7)
+    a_marks, a_values = _start(spec, 8, [7, 8])
+    b_marks, b_values = _start(spec, 8, [7, 8])
     assert np.array_equal(a_marks, b_marks)
     assert np.array_equal(a_values, b_values)
 

@@ -8,13 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiwalk import solvers
+from multiwalk import ruler, solvers
 from multiwalk.experiments import STEP_POINTS, ExperimentPlan, _seed_chunks, run_experiment
 from multiwalk.objectives import evaluate_batch, get_objective, quantize
 from multiwalk.solvers import (KIND_SETTINGS, SOLVER_KINDS, RunRecord, SolverConfig, WalkTrace,
-                               _de_trials,
-                               config_lines,
-                               _greedy_commit, _init_population, mw_step,
+                               _de_step, _greedy_commit, _start_epochs, config_lines, mw_step,
                                run_seeds, run_solver, trace_to_text, trace_wide_text)
 from multiwalk.ruler import MAX_MARKS, eligible_neighbors
 from multiwalk.targets import compute_target
@@ -38,10 +36,30 @@ def _stacked_best(best, dims):
 
 
 def _mw_step_one(marks, values, cfg, spec, rng, best):
-    """``mw_step`` of one population: row 0 of each output."""
-    marks, values, (best_values, best_coords), raw = mw_step(
-        marks[None], values[None], cfg, spec, [rng], _stacked_best(best, spec.dims))
+    """``mw_step``'s proposal for one population, committed as ``run_seeds``
+    commits it: row 0 of each output, and the raw values evaluated."""
+    coords, cand_values, raw = mw_step(marks[None], values[None], cfg, spec, [rng])
+    marks, values, (best_values, best_coords) = _greedy_commit(
+        marks[None], values[None], coords, cand_values, _stacked_best(best, spec.dims),
+        spec.digits_target)
     return marks[0], values[0], (best_values[0], best_coords[0]), raw[0]
+
+
+def _init_population_reference(spec, n_marks, anchored, rng, initial_marks=None):
+    """One population's epoch start as the per-seed init made it, kept as the
+    reference of the stacked ``_start_epochs``: uniform marks, rows 1 and m
+    pinned at the bounds when ``anchored``, replaced by ``initial_marks``
+    after the draw, and their values."""
+    u = rng.uniform(size=(n_marks, spec.dims))
+    marks = spec.lower + u * (spec.upper - spec.lower)
+    if anchored:
+        marks[0] = spec.lower
+        marks[-1] = spec.upper
+    if initial_marks is not None:
+        marks = np.array(initial_marks, dtype=float).reshape(n_marks, spec.dims)
+        if not np.all((spec.lower <= marks) & (marks <= spec.upper)):
+            raise ValueError(f"initial_marks must be finite and inside the bounds of {spec.name}")
+    return marks, evaluate_batch(spec, marks)
 
 
 def _cfg(**kw):
@@ -512,8 +530,8 @@ def test_plateau_on_the_last_budgeted_step_is_censored_without_restart(ehrenfest
 def _epoch0_plateau_counts(cfg, spec, trace, bests):
     """Replay the plateau rule over epoch 0 of a trace, counting the passing
     step too; ``bests`` holds each step's epoch best."""
-    _marks, values = _init_population(spec, cfg.marks, cfg.uses_ruler,
-                                      np.random.default_rng(cfg.seed))
+    _marks, values = _init_population_reference(spec, cfg.marks, cfg.uses_ruler,
+                                                np.random.default_rng(cfg.seed))
     err_prev = float(values.min()) - spec.value_target
     plateau, counts = 0, []
     for (_step, epoch, _values), best in zip(trace.steps, bests):
@@ -605,7 +623,7 @@ def _neighborhood_eval_serial(marks, spec, radius, dither, rng):
 
 def _de_trials_serial(marks, values, cfg, spec, rng):
     """One population's DE trials as the per-seed builder drew them, kept as
-    the reference of the stacked ``_de_trials``: per-step scale, donor index
+    the reference of the stacked ``_de_step``: per-step scale, donor index
     block, per-vector extras, crossover positions, crossover mask,
     confinement redraws."""
     m, p = marks.shape
@@ -654,8 +672,8 @@ def _run_solver_serial(cfg, spec, initial_marks=None):
     epoch_seed = cfg.seed
     while True:
         rng = np.random.default_rng(epoch_seed)
-        marks, values = _init_population(spec, cfg.marks, cfg.uses_ruler, rng,
-                                         initial_marks if restarts == 0 else None)
+        marks, values = _init_population_reference(spec, cfg.marks, cfg.uses_ruler, rng,
+                                                   initial_marks if restarts == 0 else None)
         probes += len(values)
         err_prev = float(values.min()) - target
         epoch_best = NO_BEST
@@ -784,13 +802,149 @@ def test_observe_watches_one_seed_only(ehrenfest4_spec):
         run_seeds(_cfg(), ehrenfest4_spec, [1, 2], observe=trace)
 
 
+@settings(deadline=None)
+@given(st.sampled_from(["ehrenfest4", "ehrenfest15", "trefethen1", "trefethen3", "wild2"]),
+       st.integers(4, 12), st.booleans(), st.sampled_from([None, "inside", "outside"]),
+       st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=5))
+def test_stacked_epoch_start_equals_one_population_inits(name, m, anchored, initial, seeds):
+    # each row is the population a lone init makes, the one objective call
+    # gives each row its lone values, and each generator ends where the lone
+    # init leaves it, also when initial_marks is refused
+    spec = get_objective(name)
+    initial_marks = None
+    if initial is not None:
+        u = np.random.default_rng(seeds[0] + 1).random((m, spec.dims))
+        initial_marks = spec.lower + u * (spec.upper - spec.lower)
+        if initial == "outside":
+            initial_marks[m // 2, -1] = (math.nan, spec.upper[-1] * 2.0 + 1.0)[seeds[0] % 2]
+    stacked = [np.random.default_rng(seed) for seed in seeds]
+    alone = [np.random.default_rng(seed) for seed in seeds]
+    if initial == "outside":
+        with pytest.raises(ValueError, match="initial_marks"):
+            _start_epochs(spec, m, anchored, stacked, initial_marks)
+        for rng in alone:
+            with pytest.raises(ValueError, match="initial_marks"):
+                _init_population_reference(spec, m, anchored, rng, initial_marks)
+    else:
+        marks, values = _start_epochs(spec, m, anchored, stacked, initial_marks)
+        assert marks.shape == (len(seeds), m, spec.dims) and values.shape == (len(seeds), m)
+        for k, rng in enumerate(alone):
+            want_marks, want_values = _init_population_reference(spec, m, anchored, rng,
+                                                                  initial_marks)
+            assert marks[k].tobytes() == want_marks.tobytes()
+            assert values[k].tobytes() == want_values.tobytes()
+    for got, want in zip(stacked, alone):
+        assert got.bit_generator.state == want.bit_generator.state
+
+
+class _KeepingObserver:
+    """An observer that keeps every array it is handed, each with a copy
+    taken when it was handed."""
+
+    def __init__(self):
+        self.kept = []
+
+    def epoch(self, seed, marks, values):
+        self.kept += [(a, a.copy()) for a in (marks, values)]
+
+    def step(self, step, restart, raw, marks, values, best):
+        self.kept += [(a, a.copy()) for a in (raw, marks, values, best[1])]
+
+
+@pytest.mark.parametrize("kind", ["MWR", "DEsFR"])
+def test_arrays_handed_to_observe_stay_put(kind, ehrenfest15_spec):
+    # restarts replace rows of the stack; the arrays observe saw keep theirs
+    cfg = SolverConfig(kind=kind, seed=3, steps_limit=40, marks=6,
+                       radius=2 if kind == "MWR" else None, plateau_limit=2)
+    observer = _KeepingObserver()
+    record = run_solver(cfg, ehrenfest15_spec, observe=observer)
+    assert record.restarts >= 2
+    assert all(a.tobytes() == copy.tobytes() for a, copy in observer.kept)
+
+
+def test_record_keeps_the_coord_that_first_reached_its_best(ehrenfest4_spec):
+    # on a staircase a later candidate below the running best can quantize to
+    # the same value: the epoch best moves to its coord, the record does not
+    cfg = SolverConfig(kind="DEoF3", seed=0, steps_limit=10, marks=4)
+    bests = []
+
+    class Watch:
+        def epoch(self, seed, marks, values):
+            pass
+
+        def step(self, step, restart, raw, marks, values, best):
+            bests.append((float(best[0]), best[1].copy()))
+
+    record = run_solver(cfg, ehrenfest4_spec, observe=Watch())
+    first = next(coord for value, coord in bests if value == record.value_best)
+    assert any(value == record.value_best and coord.tobytes() != first.tobytes()
+               for value, coord in bests)
+    assert record.coord_best == tuple(first)
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    """Replace ``module.name`` by a wrapper that counts its calls in
+    ``counts[name]``."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_no_seeds_give_no_records(ehrenfest4_spec, monkeypatch):
+    # an empty stack has nothing to step: a loop that stepped it anyway
+    # fails on the fourth objective call instead of running forever
+    counts = {"evaluate_batch": 0}
+
+    def evaluate(spec, points):
+        counts["evaluate_batch"] += 1
+        assert counts["evaluate_batch"] <= 3, "stepped an empty stack"
+        return evaluate_batch(spec, points)
+
+    monkeypatch.setattr(solvers, "evaluate_batch", evaluate)
+    monkeypatch.setattr(ruler, "evaluate_batch", evaluate)
+    for cfg in (_small_mwr(seed=1, steps_limit=50), SolverConfig(kind="DEsFR", seed=1,
+                                                                 steps_limit=50, marks=6)):
+        assert run_seeds(cfg, ehrenfest4_spec, []) == []
+
+
+@pytest.mark.parametrize("cfg", [
+    SolverConfig(kind="MWR", seed=1, steps_limit=40, marks=6, radius=2, plateau_limit=2),
+    SolverConfig(kind="DEsFR", seed=1, steps_limit=40, marks=6, plateau_limit=2),
+], ids=["MWR", "DEsFR"])
+def test_a_step_starts_every_restarting_seed_in_one_call(cfg, ehrenfest15_spec, monkeypatch):
+    # the steps each seed restarts on, read from its lone trace
+    seeds = list(range(1, 9))
+    restart_steps = set()
+    for seed in seeds:
+        _record, trace = _traced(dataclasses.replace(cfg, seed=seed), ehrenfest15_spec)
+        restart_steps.update(step for (step, epoch, _v), (_s, next_epoch, _w)
+                             in zip(trace.steps, trace.steps[1:]) if next_epoch > epoch)
+    counts = {"evaluate_batch": 0, "_greedy_commit": 0}
+    _count_calls(monkeypatch, solvers, "evaluate_batch", counts)
+    _count_calls(monkeypatch, ruler, "evaluate_batch", counts)
+    _count_calls(monkeypatch, solvers, "_greedy_commit", counts)
+    records = run_seeds(cfg, ehrenfest15_spec, seeds)
+    steps = max(r.steps for r in records)
+    # several seeds restart on one step
+    assert sum(r.restarts for r in records) > len(restart_steps) > 1
+    # the first epochs, each step's proposals, and each step that restarts seeds
+    assert counts["evaluate_batch"] == 1 + steps + len(restart_steps)
+    assert counts["_greedy_commit"] == steps
+    assert records == _serial_records(cfg, ehrenfest15_spec, seeds)
+
+
 # ---------------------------------------------------------------------------
 # differential evolution pieces
 # ---------------------------------------------------------------------------
 
 def _de_trials_one(marks, values, cfg, spec, rng):
-    """``_de_trials`` of one population: row 0 of a one-seed stack."""
-    return _de_trials(marks[None], values[None], cfg, spec, [rng])[0]
+    """The trials ``_de_step`` proposes for one population: row 0 of a
+    one-seed stack."""
+    return _de_step(marks[None], values[None], cfg, spec, [rng])[0][0]
 
 
 @settings(deadline=None)
@@ -808,10 +962,12 @@ def test_stacked_trials_equal_the_serial_builder(kind, m, rde, cr, name, seeds):
     values = np.stack([evaluate_batch(spec, x) for x in marks])
     stacked = [np.random.default_rng(seed) for seed in seeds]
     alone = [np.random.default_rng(seed) for seed in seeds]
-    got = _de_trials(marks, values, cfg, spec, stacked)
+    got, cand_values, raw = _de_step(marks, values, cfg, spec, stacked)
+    assert cand_values is raw
     for k, rng in enumerate(alone):
-        assert got[k].tobytes() == _de_trials_serial(marks[k], values[k], cfg, spec,
-                                                     rng).tobytes()
+        want = _de_trials_serial(marks[k], values[k], cfg, spec, rng)
+        assert got[k].tobytes() == want.tobytes()
+        assert raw[k].tobytes() == evaluate_batch(spec, want).tobytes()
         assert stacked[k].random() == rng.random()
 
 
