@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .objectives import ObjectiveSpec
+from .objectives import ObjectiveSpec, evaluate_batch
 from .solvers import RunRecord, config_lines, run_seeds
 
 # most candidate points (and sampling ranks) one lockstep step of a seed
@@ -102,6 +101,9 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list:
     if workers <= 1:
         chunks = list(map(run, tasks))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+        # one probe builds lazy kernel state (a staircase table) for the forks to inherit
+        evaluate_batch(plan.spec, plan.spec.lower[None])
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run, tasks))
     results = [[] for _ in plan.configs]

@@ -13,7 +13,6 @@ from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "ObjectiveSpec",
@@ -174,6 +173,7 @@ def _ehrenfest_table(n: int) -> np.ndarray:
     if big_n + 1 > MAX_ENUMERATION_STATES:
         raise ValueError(f"ehrenfest{n} has 2**{n} + 1 states, beyond the enumeration "
                          f"limit of {MAX_ENUMERATION_STATES}")
+    from scipy.special import gammaln  # imported here: only staircases pay for scipy
     # allocated before its temporaries, so the kept table does not pin the
     # top of the heap (about 1 MB of peak RSS in a full oracle run)
     table = np.empty(big_n + 1)

@@ -36,6 +36,32 @@ def store(tmp_path_factory):
     return workdir
 
 
+def test_oracle_and_solve_off_the_staircase_leave_scipy_unloaded(tmp_path):
+    # a fresh interpreter: this test process has scipy loaded already
+    script = f"""
+import sys
+import numpy as np
+from multiwalk import cli
+from multiwalk.objectives import ehrenfest
+store = {str(tmp_path / "targets.csv")!r}
+assert cli.main(["oracle", "--of", "trefethen1,wild1", "--digits", "6", "--out", store]) == 0
+assert cli.main(["solve", "--of", "wild1", "--solver", "MW:radius=4,marks=6", "--digits", "6",
+                 "--steps-limit", "20", "--targets", store]) == 0
+try:
+    ehrenfest(np.array([[1.0]]), n=24)
+except ValueError:
+    pass
+else:
+    raise AssertionError("ehrenfest24 was not refused")
+assert "scipy" not in sys.modules, "scipy loaded"
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         cwd=tmp_path, env=env)
+    assert out.returncode == 0, out.stderr
+    assert "valueBest" in out.stdout
+
+
 def test_list_without_store(tmp_path):
     out = run_cli(["list"], cwd=tmp_path)
     assert out.returncode == 0

@@ -1,5 +1,8 @@
+import concurrent.futures
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -144,7 +147,7 @@ class _InProcessPool:
     (None, 6, 1),   # unknown CPU count: serial, no pool
 ])
 def test_pool_size_is_capped(ehrenfest4_spec, monkeypatch, cpus, sample_size, expected):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(experiments, "STEP_POINTS", 1)  # one task per run
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
@@ -156,13 +159,37 @@ def test_pool_size_is_capped(ehrenfest4_spec, monkeypatch, cpus, sample_size, ex
 
 
 def test_a_plan_with_fewer_tasks_than_runs_asks_for_no_pool(ehrenfest4_spec, monkeypatch):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     plan = ExperimentPlan(spec=ehrenfest4_spec, configs=[_mwr()], sample_size=6)
     assert len(list(_seed_chunks(plan))) == 1  # six runs, one task
     run_experiment(plan, workers=2)
     assert _InProcessPool.sizes == []
+
+
+def test_pool_parent_builds_the_staircase_table_before_it_forks():
+    # a fresh interpreter: the table cache is state every test in this process shares
+    script = """
+from multiwalk.experiments import ExperimentPlan, run_experiment
+from multiwalk.objectives import _ehrenfest_table, get_objective
+from multiwalk.solvers import SolverConfig
+from multiwalk.targets import compute_target
+spec = get_objective("ehrenfest15")
+configs = [SolverConfig(kind="MWR", seed=1, steps_limit=30, marks=8, radius=3),
+           SolverConfig(kind="DEsF", seed=1, steps_limit=30, marks=8)]
+plan = ExperimentPlan(spec=spec.with_target(compute_target(spec).value_target),
+                      configs=configs, sample_size=4)
+_ehrenfest_table.cache_clear()
+pooled = run_experiment(plan, workers=2)
+# built in this process: before the fork, or on one CPU by the in-process run
+assert _ehrenfest_table.cache_info().currsize == 1, _ehrenfest_table.cache_info()
+assert pooled == run_experiment(plan, workers=1)
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
 
 
 def test_censoring_consistency(ehrenfest4_spec):
