@@ -8,6 +8,7 @@ significant-digit quantizer lives here next to the functions it judges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, Optional
@@ -166,20 +167,40 @@ def trefethen(points: np.ndarray, dims: int) -> np.ndarray:
     raise ValueError("trefethen is defined for 1, 2 or 3 dimensions")
 
 
+def _ln_gamma(top: int) -> np.ndarray:
+    """``ln Gamma(x)`` for x = 1..top, bit for bit as cephes ``lgam`` (scipy's
+    ``gammaln``) computes it: the log of the exact factorial below 13, else
+    its Stirling series, in cephes' operation order.  Logs come from libm
+    (``math.log``), as cephes' do; numpy's SIMD log is off on a few integers."""
+    x = np.arange(13.0, top + 1.0)
+    log_x = np.fromiter(map(math.log, range(13, top + 1)), float, len(x))
+    q = (x - 0.5) * log_x - x + 0.91893853320467274178  # ln sqrt(2 pi)
+    p = 1.0 / (x * x)
+    series = np.full(len(x), 8.11614167470508450300e-4)
+    for a in (-5.95061904284301438324e-4, 7.93650340457716943945e-4,
+              -2.77777777730099687205e-3, 8.33333333333331927722e-2):
+        series = series * p + a
+    large = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+    series = np.where(x < 1000.0, series, large + 0.0833333333333333333333)
+    small = [math.log(math.factorial(k)) for k in range(min(top, 12))]
+    return np.concatenate([small, q + series / x])
+
+
 @lru_cache(maxsize=None)
 def _ehrenfest_table(n: int) -> np.ndarray:
-    """Read-only values of all ``2**n + 1`` states, indexed by state - 1."""
+    """Read-only values of all ``2**n + 1`` states, indexed by state - 1:
+    ``-ln C(2**n, k)`` from one ``ln Gamma`` array, scaled by the parity."""
     big_n = 2 ** n
     if big_n + 1 > MAX_ENUMERATION_STATES:
         raise ValueError(f"ehrenfest{n} has 2**{n} + 1 states, beyond the enumeration "
                          f"limit of {MAX_ENUMERATION_STATES}")
-    from scipy.special import gammaln  # imported here: only staircases pay for scipy
     # allocated before its temporaries, so the kept table does not pin the
     # top of the heap (about 1 MB of peak RSS in a full oracle run)
     table = np.empty(big_n + 1)
     k = np.arange(big_n + 1, dtype=np.int64)
+    ln_fact = _ln_gamma(big_n + 1)  # ln k! at index k
     # grouping the subtrahends keeps f(x) == f(s + 1 - x) exact in floats
-    ln_comb = gammaln(big_n + 1.0) - (gammaln(k + 1.0) + gammaln(big_n - k + 1.0))
+    ln_comb = ln_fact[big_n] - (ln_fact + ln_fact[::-1])
     parity = np.where(k % 2 == 0, 1.0, -1.0)
     np.multiply(-ln_comb, 1.0 + 0.01 * parity, out=table)
     table.flags.writeable = False

@@ -3,9 +3,11 @@
 Targets are computed before any benchmarking and stored; solvers never
 certify their own targets.  Integer staircases are enumerated exhaustively,
 continuous objectives get a dense coarse grid scan followed by local grid
-refinement with a halving window around each of the best few scan cells.
-All of them share one grid scan: ties go to the lowest grid index (lowest
-coordinates) and NaN sorts last.  Targets are quantized to ``digits_target``.
+refinement with a halving window around each of the best few scan cells,
+all windows in lockstep with one kernel call per round.  Enumeration and
+the coarse scan share one grid scan, and the refinement picks as it does:
+ties go to the lowest grid index (lowest coordinates) and NaN sorts last.
+Targets are quantized to ``digits_target``.
 
 A target is a function of the spec's kernel, box and digits, never of its
 name: each kernel's scan policy errs on the dense side, since a wrong target
@@ -109,41 +111,52 @@ def _scan_top_cells(spec: ObjectiveSpec, axes, keep: int):
     """The ``keep`` lowest values over the tensor grid of ``axes`` and their
     points, best first, evaluated in slabs of whole first-axis rows of at
     most ``SCAN_POINTS`` points (or one row) so 3-D scans stay flat in memory.
-    Each slab's top is chosen by ``_lowest`` (a partition, then a stable
-    sort of only the cells at or below the cut), which equals the slab's
-    stable argsort; the slab tops, in slab order, merge stably, so the result
-    is a stable argsort of the whole grid: ties go to the lowest C-order index
+    Each slab merges into the running top by ``_lowest`` (a partition, then a
+    stable sort of only the cells at or below the cut), which equals a stable
+    argsort, and the top's cells precede the slab's, so the result is a
+    stable argsort of the whole grid: ties go to the lowest C-order index
     and NaN sorts last.  A kept cell's point is read from the axes at its grid
     index.  A policy's ``chain_base`` makes each slab the broadcast sum of the
     base over the slab's first two axes and over the last two, which is
-    computed once."""
+    computed once; once the running top is full, a slab skips the cells
+    whose head plus their row's lowest tail is above the top's last value
+    (rounding is monotone, so none of their sums could enter the top)."""
     chain = _policy(spec).get("chain_base")
     if chain is not None:
         pair = get_objective(chain).fn
         tail = _grid_values(pair, axes[1:]).reshape(len(axes[1]), len(axes[2]))
+        floor = np.fmin.reduce(tail, axis=1)
     width = math.prod(len(a) for a in axes[1:])
     rows = max(1, SCAN_POINTS // width)
-    tops_v, tops_i = [], []
+    top_v, top_i = np.empty(0), np.empty(0, dtype=np.intp)
     for start in range(0, len(axes[0]), rows):
         slab = [axes[0][start:start + rows], *axes[1:]]
         if chain is None:
-            values = _grid_values(spec.fn, slab)
+            values, idx = _grid_values(spec.fn, slab), np.arange(len(slab[0]) * width)
         else:
-            head = _grid_values(pair, slab[:2]).reshape(-1, len(axes[1]), 1)
-            values = (head + tail).reshape(-1)
-        order = _lowest(values, keep)
-        tops_v.append(values[order])
-        tops_i.append(order + start * width)
-    best_v, best_i = np.concatenate(tops_v), np.concatenate(tops_i)
-    merge = _lowest(best_v, keep)
-    cells = np.unravel_index(best_i[merge], [len(a) for a in axes])
-    return best_v[merge], np.array([a[i] for a, i in zip(axes, cells)]).T
+            head = _grid_values(pair, slab[:2]).reshape(-1, len(axes[1]))
+            cut = top_v[-1] if len(top_v) == keep else np.nan  # nothing is above NaN
+            r = np.flatnonzero(~(head + floor > cut))  # the kept head cells, flat
+            values = (head.reshape(-1)[r, None] + tail[r % len(axes[1])]).reshape(-1)
+            idx = (r[:, None] * len(axes[2]) + np.arange(len(axes[2]))).reshape(-1)
+        top_v = np.concatenate([top_v, values])
+        top_i = np.concatenate([top_i, start * width + idx])
+        order = _lowest(top_v, keep)
+        top_v, top_i = top_v[order], top_i[order]
+    cells = np.unravel_index(top_i, [len(a) for a in axes])
+    return top_v, np.array([a[i] for a, i in zip(axes, cells)]).T
 
 
-def _grid_values(fn, axes) -> np.ndarray:
-    """``fn`` over the points of the tensor grid of ``axes``, in C order."""
-    grids = np.meshgrid(*axes, indexing="ij", copy=False)
-    return np.asarray(fn(np.stack(grids, axis=-1).reshape(-1, len(axes))), dtype=float)
+def _grid_values(fn, *grids) -> np.ndarray:
+    """``fn``, in one call, over the C-order points of the tensor grid of each
+    of ``grids`` in turn; axes of shape ``(K, n_d)`` stack K grids by row."""
+    points = []
+    for axes in grids:
+        n = len(axes)
+        cols = [np.reshape(a, a.shape[:-1] + (1,) * d + (-1,) + (1,) * (n - 1 - d))
+                for d, a in enumerate(axes)]
+        points.append(np.stack(np.broadcast_arrays(*cols), -1).reshape(-1, n))
+    return np.asarray(fn(np.concatenate(points)), dtype=float)
 
 
 def _lowest(values: np.ndarray, keep: int) -> np.ndarray:
@@ -172,17 +185,33 @@ def _separated_incumbents(values, points, spacing):
     return chosen_v, chosen_x
 
 
-def _refine(spec: ObjectiveSpec, best_v: float, best_x: np.ndarray, spacing: np.ndarray):
-    """Local grid refinement, halving the window around the incumbent each
-    round; the incumbent value never increases."""
+def _refine(spec: ObjectiveSpec, seeds_v, seeds_x, spacing: np.ndarray):
+    """Local grid refinement of every incumbent in lockstep: each round halves
+    the windows around the incumbents and evaluates all their grids (or a
+    chain policy's head and tail pair grids) in one kernel call.  Each window
+    picks its lowest value, ties to the lowest index and NaN last, and its
+    incumbent moves only to a lower value."""
+    best_v, best_x = np.array(seeds_v, dtype=float), np.array(seeds_x, dtype=float)
+    win, n = np.arange(len(best_v)), REFINE_POINTS[spec.dims]
+    chain = _policy(spec).get("chain_base")
+    pair = get_objective(chain).fn if chain else None
     half = 2.0 * spacing
     for _ in range(REFINE_ROUNDS):
         lo = np.maximum(spec.lower, best_x - half)
         hi = np.minimum(spec.upper, best_x + half)
-        axes = [np.linspace(lo[d], hi[d], REFINE_POINTS[spec.dims]) for d in range(spec.dims)]
-        (v,), (x,) = _scan_top_cells(spec, axes, keep=1)
-        if v < best_v:
-            best_v, best_x = float(v), x
+        # one linspace per window axis: a stacked linspace takes its zero-step
+        # formula for every row once any window has shrunk to zero width
+        axes = np.array([[np.linspace(a, b, n) for a, b in zip(*ends)] for ends in zip(lo.T, hi.T)])
+        if pair is None:
+            values = _grid_values(spec.fn, axes).reshape(len(win), -1)
+        else:
+            head, tail = _grid_values(pair, axes[:2], axes[1:]).reshape(2, -1, n, n)
+            values = (head[:, :, :, None] + tail[:, None]).reshape(len(win), -1)
+        pick = np.argsort(values, axis=1, kind="stable")[:, 0]
+        cells = np.array(np.unravel_index(pick, [n] * spec.dims)).T
+        v, x = values[win, pick], axes[np.arange(spec.dims), win[:, None], cells]
+        better = v < best_v
+        best_v[better], best_x[better] = v[better], x[better]
         half = half / 2.0
     return best_v, best_x
 
@@ -214,10 +243,10 @@ def grid_refine_minimum(spec: ObjectiveSpec) -> TargetRecord:
     top_v, top_x = _scan_top_cells(scan, axes, keep=8 * REFINE_INCUMBENTS)
     seeds_v, seeds_x = _separated_incumbents(top_v, top_x, spacing)
 
-    best_v, best_x = min((_refine(scan, sv, sx, spacing) for sv, sx in zip(seeds_v, seeds_x)),
+    best_v, best_x = min(zip(*_refine(scan, seeds_v, seeds_x, spacing)),
                          key=lambda vx: (vx[0], tuple(vx[1])))
 
-    return _target_record(spec, best_v, np.resize(best_x, spec.dims), "grid+refine")
+    return _target_record(spec, float(best_v), np.resize(best_x, spec.dims), "grid+refine")
 
 
 def compute_target(spec: ObjectiveSpec) -> TargetRecord:

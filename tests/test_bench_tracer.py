@@ -54,29 +54,30 @@ def test_traced_oracle_counts_the_separable_base_points():
     # wild2's target is its 1-D term's over wild2's interval, in one
     # compute_target call; wild2 is fetched through the patched
     # targets.get_objective, as the CLI fetches it through cli's, so its kernel
-    # is counted: one 40001-point coarse scan and 60 rounds of 33 points
-    # around 8 seeds
+    # is counted: one 40001-point coarse scan, then 60 lockstep rounds, each
+    # one call for the 33-point windows of all 8 seeds
     with _layers().Tracer(multiwalk) as tracer:
         rec = multiwalk.targets.compute_target(multiwalk.targets.get_objective("wild2"))
     assert rec.value_target == 67.4677347
     stats = tracer.summary()
     assert stats["targets.compute_target"].calls == 1
     assert stats["targets.grid_refine_minimum"].calls == 1
-    assert stats["objectives.fn"].calls == 1 + 8 * 60
+    assert stats["objectives.fn"].calls == 1 + 60
     assert tracer.counts["objectives.fn.points"] == 40001 + 8 * 60 * 33
 
 
 def test_traced_oracle_counts_the_chain_base_points():
     # trefethen3 is scanned as trefethen2 pairs, reached through the patched
     # targets.get_objective.  Coarse 401^3 grid: one 401x401 tail grid plus
-    # one 1x401 head row per slab (401 slabs of one row).  Refinement: 8
-    # seeds x 60 rounds of an 11^3 grid in one slab, each an 11x11 tail and an
-    # 11x11 head.  Calls 1 + 401 + 480 * 2; points 2 * 401^2 + 480 * 2 * 11^2.
+    # one 1x401 head row per slab (401 slabs of one row).  Refinement: 60
+    # lockstep rounds, each one call for the 11x11 head and 11x11 tail grids
+    # of all 8 seeds' 11^3 windows.  Calls 1 + 401 + 60; points
+    # 2 * 401^2 + 60 * 8 * 2 * 11^2.
     with _layers().Tracer(multiwalk) as tracer:
         rec = multiwalk.targets.compute_target(get_objective("trefethen3"))
     assert rec.value_target == -5.74309093
     stats = tracer.summary()
     assert stats["targets.compute_target"].calls == 1
     assert stats["targets.grid_refine_minimum"].calls == 1
-    assert stats["objectives.fn"].calls == 1 + 401 + 8 * 60 * 2
+    assert stats["objectives.fn"].calls == 1 + 401 + 60
     assert tracer.counts["objectives.fn.points"] == 2 * 401 ** 2 + 8 * 60 * 2 * 11 ** 2

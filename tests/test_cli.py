@@ -36,8 +36,10 @@ def store(tmp_path_factory):
     return workdir
 
 
-def test_oracle_and_solve_off_the_staircase_leave_scipy_unloaded(tmp_path):
-    # a fresh interpreter: this test process has scipy loaded already
+def test_no_command_loads_scipy(tmp_path):
+    # a fresh interpreter: this test process has scipy loaded already.  The
+    # staircase table computes its own ln-gamma, so a staircase oracle and a
+    # pooled staircase bench (its parent builds the table) load no scipy either
     script = f"""
 import sys
 import numpy as np
@@ -47,6 +49,10 @@ store = {str(tmp_path / "targets.csv")!r}
 assert cli.main(["oracle", "--of", "trefethen1,wild1", "--digits", "6", "--out", store]) == 0
 assert cli.main(["solve", "--of", "wild1", "--solver", "MW:radius=4,marks=6", "--digits", "6",
                  "--steps-limit", "20", "--targets", store]) == 0
+assert cli.main(["oracle", "--of", "ehrenfest4", "--out", store]) == 0
+assert cli.main(["bench", "--of", "ehrenfest4", "--solver", "MWR:radius=4,marks=6",
+                 "--solver", "DEsFR:marks=6", "--sample-size", "3", "--steps-limit", "200",
+                 "--workers", "2", "--targets", store, "--out", "exp"]) == 0
 try:
     ehrenfest(np.array([[1.0]]), n=24)
 except ValueError:

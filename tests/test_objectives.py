@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from multiwalk.objectives import (ObjectiveSpec, _ehrenfest_table,
-                                  ehrenfest, evaluate_batch, get_objective,
+from multiwalk.objectives import (MAX_ENUMERATION_STATES, ObjectiveSpec, _ehrenfest_table,
+                                  _ln_gamma, ehrenfest, evaluate_batch, get_objective,
                                   objective_names, wild)
 
 
@@ -150,6 +150,13 @@ def test_ehrenfest_table_matches_closed_form_off_grid(n):
         assert _same_bits(ehrenfest(xs, n=n), _ehrenfest_closed_form(xs, n))
     point = np.array([s / 2.0])  # one point as a 1-D array
     assert _same_bits(ehrenfest(point, n=n), _ehrenfest_closed_form(point, n))
+
+
+def test_ln_gamma_is_scipys_on_every_enumerable_integer():
+    # the largest table the enumeration limit admits is ehrenfest23's, which
+    # reads ln-gamma at 1..2**23 + 1
+    top = MAX_ENUMERATION_STATES // 2 + 1
+    assert _same_bits(_ln_gamma(top), gammaln(np.arange(1.0, top + 1.0)))
 
 
 def test_ehrenfest_table_is_read_only():

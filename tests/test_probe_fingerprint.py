@@ -9,8 +9,9 @@ then per step the values it evaluated, the committed marks and values, and
 the epoch best.
 
 Raw floats depend on numpy's SIMD dispatch (``NPY_DISABLE_CPU_FEATURES``)
-and on the numpy and scipy builds, so the pins are keyed by dispatch class
-and record the builds they were taken with; a mismatch names both sides.
+and on the numpy build, so the pins are keyed by dispatch class and record
+the numpy build they were taken with; a mismatch names both sides.  They do
+not depend on scipy, which the staircase tables no longer call.
 Every run checks the X86_V3 pins too, in a child process with AVX-512
 dispatch turned off.
 
@@ -26,7 +27,6 @@ import sys
 from dataclasses import replace
 
 import numpy as np
-import scipy
 
 from multiwalk.objectives import get_objective, objective_names
 from multiwalk.solvers import (SOLVER_KINDS, SolverConfig, WalkTrace, run_solver,
@@ -39,7 +39,6 @@ PINNED_SHA256 = {
     "X86_V3": "7b33138f39c05e69bc26b83a009a7a4781a8b9df93284f019d9abbe918af36cd",
 }
 PINNED_NUMPY = "2.4.6"
-PINNED_SCIPY = "1.17.1"
 # sha256 of trace_to_text and of its trace_wide_text pivot for walk_trace()
 TRACE_SHA256 = ("972c5680eef17e49423d94a3977a23c03613469de1ae04809df364834acfef28",
                 "432d9ca3818ff50faceee0096ebcdc61c0a4daa67819bc259a9d51ae28e0bce8")
@@ -142,8 +141,7 @@ def test_probe_stream_fingerprint():
     assert sha == PINNED_SHA256.get(cls), (
         f"probe-stream sha256 {sha} != pinned {PINNED_SHA256.get(cls)} "
         f"for numpy dispatch class {cls}.\n"
-        f"pinned under numpy {PINNED_NUMPY}, scipy {PINNED_SCIPY}; "
-        f"running numpy {np.__version__}, scipy {scipy.__version__}.\n"
+        f"pinned under numpy {PINNED_NUMPY}; running numpy {np.__version__}.\n"
         f"CPU features active here: {' '.join(_active_cpu_features())} "
         f"(pins exist for {', '.join(PINNED_SHA256)}; see NPY_DISABLE_CPU_FEATURES).\n"
         "A code change that moves one raw float or one random draw changes "

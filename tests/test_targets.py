@@ -123,28 +123,125 @@ def test_scan_top_cells_is_a_stable_argsort_of_the_whole_grid(axes, data, keep, 
     assert top_x.tobytes() == grid[order].tobytes()
 
 
+def _pool_kernel(pool):
+    """A kernel that hashes the bits of each point into ``pool``: one value
+    per point whatever the batch, tied wherever the pool repeats a value."""
+    pool = np.asarray(pool, dtype=float)
+
+    def fn(pts):
+        bits = np.ascontiguousarray(pts, dtype=float).view(np.uint64)
+        h = (bits * np.uint64(0x9E3779B97F4A7C15)).sum(axis=-1)
+        return pool[(h >> np.uint64(40)) % np.uint64(len(pool))]
+    return fn
+
+
+_pools = st.lists(st.one_of(_value_pool, st.floats(-3.0, 3.0)), min_size=1, max_size=6)
+
+
+def _patch_chain_base(mp, base):
+    """Make ``base`` the kernel of trefethen2 as ``targets`` fetches it, the
+    chain base of trefethen3's scan policy."""
+    mp.setattr(targets, "get_objective",
+               {"trefethen2": replace(get_objective("trefethen2"), fn=base)}.__getitem__)
+
+
 # repeated coordinates give tied values
 _chain_axis = st.integers(1, 40).flatmap(
     lambda n: hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)))
+# a first axis longer than keep fills the running top with finite values
+# before the last slabs, so they are pruned against its cut
+_long_chain_axis = st.integers(65, 100).flatmap(
+    lambda n: hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)))
 
 
-@settings(max_examples=100, deadline=None)
-@given(axes=st.lists(_chain_axis, min_size=3, max_size=3), keep=st.sampled_from([1, 5, 64]),
-       slab_rows=st.sampled_from([1, 3, None]))
-def test_chain_scan_is_a_stable_argsort_of_the_spec(axes, keep, slab_rows):
-    # trefethen3 is scanned as trefethen2 pairs; its bytes must be spec.fn's
+@settings(max_examples=150, deadline=None)
+@given(first=st.one_of(_chain_axis, _long_chain_axis),
+       rest=st.lists(_chain_axis, min_size=2, max_size=2), keep=st.sampled_from([1, 5, 64]),
+       slab_rows=st.sampled_from([1, 3, None]), pool=st.none() | _pools)
+@example(first=np.array([0.6]), rest=[np.zeros(1), np.zeros(1)], keep=1, slab_rows=1,
+         pool=[math.inf, -math.inf])
+def test_chain_scan_is_a_stable_argsort_of_the_spec(first, rest, keep, slab_rows, pool):
+    # trefethen3 is scanned as trefethen2 pairs; its bytes must be spec.fn's,
+    # and with a pooled base (ties, -0.0, +-inf, NaN) the pair sums'
     spec = get_objective("trefethen3")
+    axes = [first, *rest]
     scan_points = (targets.SCAN_POINTS if slab_rows is None
                    else slab_rows * len(axes[1]) * len(axes[2]))
     assert targets._policy(spec)["chain_base"] == "trefethen2"
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    values = spec.fn(grid)
-    order = np.argsort(values, kind="stable")[:keep]
-    with pytest.MonkeyPatch.context() as mp:
+    # inf + -inf is a NaN sum, not an error
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
         mp.setattr(targets, "SCAN_POINTS", scan_points)
+        if pool is None:
+            values = spec.fn(grid)
+        else:
+            base = _pool_kernel(pool)
+            _patch_chain_base(mp, base)
+            values = base(grid[:, :2]) + base(grid[:, 1:])
         top_v, top_x = targets._scan_top_cells(spec, axes, keep)
+    order = np.argsort(values, kind="stable")[:keep]
     assert top_v.tobytes() == values[order].tobytes()
     assert top_x.tobytes() == grid[order].tobytes()
+
+
+def _serial_refine(spec, best_v, best_x, spacing):
+    """The refinement of one incumbent, one grid scan per round: the
+    reference that ``targets._refine`` runs in lockstep for all of them."""
+    half = 2.0 * spacing
+    for _ in range(targets.REFINE_ROUNDS):
+        lo = np.maximum(spec.lower, best_x - half)
+        hi = np.minimum(spec.upper, best_x + half)
+        axes = [np.linspace(lo[d], hi[d], targets.REFINE_POINTS[spec.dims])
+                for d in range(spec.dims)]
+        (v,), (x,) = targets._scan_top_cells(spec, axes, keep=1)
+        if v < best_v:
+            best_v, best_x = float(v), x
+        half = half / 2.0
+    return best_v, best_x
+
+
+# box edges and zero: late windows shrink to zero width at different rounds
+_refine_coord = st.one_of(st.sampled_from([-1.0, 1.0, 0.0, -0.0, 1e-300]), st.floats(-1.0, 1.0))
+_refine_seeds = st.lists(st.tuples(st.one_of(_value_pool, st.floats(-3.0, 3.0)),
+                                   hnp.arrays(float, 3, elements=_refine_coord)),
+                         min_size=1, max_size=targets.REFINE_INCUMBENTS)
+
+
+def _bowl(pts):
+    # no grid reaches the minimum, so a window around it improves every round
+    return np.sum((pts - 3e-20) ** 2, axis=-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.sampled_from([1, 2, 3, "chain"]), pool=st.none() | _pools, seeds=_refine_seeds,
+       coarse=st.sampled_from([3, 33, 4001]))
+# with 11-point windows, once the window at the box edge has zero width and
+# the one still improving near 0 has not, a stacked linspace moves the latter
+@example(dims=3, pool=None, coarse=4001,
+         seeds=[(9.0, np.array([1.0, 1.0, 1.0])), (9.0, np.zeros(3))])
+@example(dims="chain", pool=None, coarse=4001,
+         seeds=[(9.0, np.array([1.0, 1.0, 1.0])), (9.0, np.zeros(3))])
+@example(dims=2, pool=[math.nan, 1.0, -0.0, 0.0], coarse=33,  # NaN sorts last
+         seeds=[(9.0, np.array([0.5, -0.5, 0.0]))])
+def test_lockstep_refinement_matches_the_serial_reference(dims, pool, seeds, coarse):
+    # pool None is the bowl
+    kernel = _bowl if pool is None else _pool_kernel(pool)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+        if dims == "chain":
+            spec = get_objective("trefethen3")
+            _patch_chain_base(mp, kernel)
+        else:
+            spec = ObjectiveSpec(name="pool", dims=dims, lower=[-1.0] * dims,
+                                 upper=[1.0] * dims, fn=kernel)
+        seeds_v = [v for v, _ in seeds]
+        seeds_x = [x[:spec.dims].copy() for _, x in seeds]
+        seeds_x[0][0] = spec.upper[0]  # an incumbent on the box edge
+        spacing = (spec.upper - spec.lower) / (coarse - 1)
+        got_v, got_x = targets._refine(spec, seeds_v, seeds_x, spacing)
+        for k, (v, x) in enumerate(zip(seeds_v, seeds_x)):
+            ref_v, ref_x = _serial_refine(spec, v, x, spacing)
+            assert np.float64(ref_v).tobytes() == got_v[k].tobytes(), k
+            assert np.asarray(ref_x).tobytes() == got_x[k].tobytes(), k
 
 
 @settings(max_examples=300, deadline=None)
