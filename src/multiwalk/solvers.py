@@ -21,11 +21,11 @@ One engine runs every kind: ``run_seeds`` steps the populations of many
 seeds of one config in lockstep, and ``run_solver`` is its one-seed call.
 A family only proposes (``mw_step``, ``_de_step``: candidates, their values
 and every raw value, from one objective call for the whole stack);
-``run_seeds`` commits each step with one ``_greedy_commit`` call and starts
-every epoch with ``_start_epochs``, one objective call for all the seeds
-starting one.  Each seed keeps its own random stream and draw order, so its
-record does not depend on the seeds it runs with.  Only the random draws and
-record assembly loop over seeds.
+``run_seeds`` commits each step with one ``_greedy_commit`` call; every
+epoch, first or restarted, starts in one block, one ``_start_epochs`` call
+(one objective call) for all the seeds starting one.  Each seed keeps its
+own random stream and draw order, so its record does not depend on the
+seeds it runs with.  Only the random draws and record assembly loop over seeds.
 """
 
 from __future__ import annotations
@@ -315,40 +315,55 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
 
     The seeds' populations are stacked, (N, m, p), and take every step
     together: one proposal (``mw_step`` or ``_de_step``, one objective call)
-    and one ``_greedy_commit`` for all of them; the seeds whose plateau fills
-    that step start new epochs together, in one ``_start_epochs`` call.  Each
-    seed keeps its own generator, epochs, plateau counter and running bests,
-    and draws in the order a run alone would, so its record does not depend
-    on the seeds it runs with.  A seed leaves the stack when it passes or
-    runs out of budget.  ``initial_marks`` and ``observe`` are as for
-    ``run_solver``; ``observe`` watches one-seed calls only."""
+    and one ``_greedy_commit`` for all of them.  Every epoch, first or
+    restarted, starts in one block at the head of a step, in one
+    ``_start_epochs`` call for all the seeds starting one.  Each seed keeps
+    its own generator, epochs, plateau counter and running bests, and draws
+    in the order a run alone would, so its record does not depend on the
+    seeds it runs with.  A seed leaves the stack when it passes or runs out
+    of budget.  ``initial_marks`` and ``observe`` are as for ``run_solver``;
+    ``observe`` watches one-seed calls only."""
     target = spec.value_target
     if target is None:
-        raise ValueError(
-            f"objective {spec.name!r} has no stored target value; "
-            "compute it with the target oracle first"
-        )
+        raise ValueError(f"objective {spec.name!r} has no stored target value; "
+                         "compute it with the target oracle first")
     if observe is not None and len(seeds) != 1:
         raise ValueError("observe watches a one-seed run")
     propose = mw_step if cfg.uses_ruler else _de_step
     m, n = cfg.marks, len(seeds)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    marks, values = _start_epochs(spec, m, cfg.uses_ruler, rngs, initial_marks)
-    if observe is not None:
-        observe.epoch(seeds[0], marks[0], values[0])
+    rngs = [None] * n  # each row's generator, replaced at every epoch start
+    marks, values = np.empty((n, m, spec.dims)), np.empty((n, m))
     # the plateau rule per seed: a step is flat unless its epoch error drops
     # below ``err_prev``, and ``plateau`` counts the flat steps since the last
     # drop or the epoch start
-    err_prev = values.min(axis=1) - target  # raw seed for the plateau rule
-    plateau = np.zeros(n, dtype=np.int64)
+    err_prev, plateau = np.empty(n), np.zeros(n, dtype=np.int64)
     epoch_best = (np.full(n, math.inf), np.full((n, spec.dims), math.nan))  # quantized
     best_values, best_coords = epoch_best[0].copy(), epoch_best[1].copy()  # over all epochs
     restarts = np.zeros(n, dtype=np.int64)
+    fresh = np.ones(n, dtype=bool)  # the rows that start an epoch before the next step
     index = np.arange(n)  # each stacked row's position in ``seeds``
     records = [None] * n
     total_steps = 0
 
     while index.size:
+        if fresh.any():  # every epoch, first or restarted, starts here
+            rows = np.flatnonzero(fresh)
+            # a first epoch runs on its seed, a restart on one drawn from its row's stream
+            epoch_seeds = [int(rngs[i].integers(1, 2 ** 31)) if total_steps else seeds[i]
+                           for i in rows]
+            for i, epoch_seed in zip(rows, epoch_seeds):
+                rngs[i] = np.random.default_rng(epoch_seed)
+            marks, values = marks.copy(), values.copy()  # what observe saw stays put
+            marks[rows], values[rows] = _start_epochs(spec, m, cfg.uses_ruler,
+                                                      [rngs[i] for i in rows],
+                                                      None if total_steps else initial_marks)
+            err_prev[rows], plateau[rows] = values[rows].min(axis=1) - target, 0
+            epoch_best = (np.where(fresh, math.inf, epoch_best[0]),
+                          np.where(fresh[:, None], math.nan, epoch_best[1]))
+            fresh[:] = False
+            if observe is not None:
+                observe.epoch(epoch_seeds[0], marks[0], values[0])
+
         total_steps += 1
         coords, cand_values, raw = propose(marks, values, cfg, spec, rngs)
         marks, values, epoch_best = _greedy_commit(marks, values, coords, cand_values,
@@ -360,9 +375,7 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
         better = epoch_best[0] < best_values
         np.copyto(best_values, epoch_best[0], where=better)
         np.copyto(best_coords, epoch_best[1], where=better[:, None])
-        done = epoch_best[0] == target
-        if total_steps == cfg.steps_limit:
-            done[:] = True
+        done = (epoch_best[0] == target) | (total_steps == cfg.steps_limit)
 
         if cfg.restarts_enabled:
             error = epoch_best[0] - target
@@ -370,23 +383,8 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
             plateau = np.where(flat, plateau + 1, 0)
             err_prev = np.where(flat, err_prev, error)
             # only a plateau with budget left starts a new epoch
-            restart = (plateau >= cfg.effective_plateau_limit) & ~done
-            if restart.any():
-                rows = np.flatnonzero(restart)
-                # each restarting seed draws its epoch's seed from its own stream
-                epoch_seeds = [int(rngs[i].integers(1, 2 ** 31)) for i in rows]
-                for i, epoch_seed in zip(rows, epoch_seeds):
-                    rngs[i] = np.random.default_rng(epoch_seed)
-                marks, values = marks.copy(), values.copy()  # what observe saw stays put
-                marks[rows], values[rows] = _start_epochs(spec, m, cfg.uses_ruler,
-                                                          [rngs[i] for i in rows])
-                restarts += restart
-                err_prev[rows] = values[rows].min(axis=1) - target
-                plateau[rows] = 0
-                epoch_best = (np.where(restart, math.inf, epoch_best[0]),
-                              np.where(restart[:, None], math.nan, epoch_best[1]))
-                if observe is not None:
-                    observe.epoch(epoch_seeds[0], marks[0], values[0])
+            fresh = (plateau >= cfg.effective_plateau_limit) & ~done
+            restarts += fresh
 
         if done.any():
             for i in np.flatnonzero(done):
@@ -407,7 +405,7 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
             epoch_best = (epoch_best[0][keep], epoch_best[1][keep])
             best_values, best_coords = best_values[keep], best_coords[keep]
             err_prev, plateau, restarts = err_prev[keep], plateau[keep], restarts[keep]
-            index = index[keep]
+            index, fresh = index[keep], fresh[keep]
             rngs = [rng for rng, k in zip(rngs, keep) if k]
     return records
 

@@ -117,13 +117,14 @@ def _scan_top_cells(spec: ObjectiveSpec, axes, keep: int):
     stable argsort of the whole grid: ties go to the lowest C-order index
     and NaN sorts last.  A kept cell's point is read from the axes at its grid
     index.  A policy's ``chain_base`` makes each slab the broadcast sum of the
-    base over the slab's first two axes and over the last two, which is
-    computed once; once the running top is full, a slab skips the cells
-    whose head plus their row's lowest tail is above the top's last value
-    (rounding is monotone, so none of their sums could enter the top)."""
+    base over the first two axes and over the last two, both evaluated once;
+    once the running top is full, a slab skips the cells whose head plus
+    their row's lowest tail is above the top's last value (rounding is
+    monotone, so none of their sums could enter the top)."""
     chain = _policy(spec).get("chain_base")
     if chain is not None:
         pair = get_objective(chain).fn
+        head = _grid_values(pair, axes[:2]).reshape(len(axes[0]), len(axes[1]))
         tail = _grid_values(pair, axes[1:]).reshape(len(axes[1]), len(axes[2]))
         floor = np.fmin.reduce(tail, axis=1)
     width = math.prod(len(a) for a in axes[1:])
@@ -134,10 +135,10 @@ def _scan_top_cells(spec: ObjectiveSpec, axes, keep: int):
         if chain is None:
             values, idx = _grid_values(spec.fn, slab), np.arange(len(slab[0]) * width)
         else:
-            head = _grid_values(pair, slab[:2]).reshape(-1, len(axes[1]))
+            heads = head[start:start + rows]
             cut = top_v[-1] if len(top_v) == keep else np.nan  # nothing is above NaN
-            r = np.flatnonzero(~(head + floor > cut))  # the kept head cells, flat
-            values = (head.reshape(-1)[r, None] + tail[r % len(axes[1])]).reshape(-1)
+            r = np.flatnonzero(~(heads + floor > cut))  # the kept head cells, flat
+            values = (heads.reshape(-1)[r, None] + tail[r % len(axes[1])]).reshape(-1)
             idx = (r[:, None] * len(axes[2]) + np.arange(len(axes[2]))).reshape(-1)
         top_v = np.concatenate([top_v, values])
         top_i = np.concatenate([top_i, start * width + idx])

@@ -13,7 +13,8 @@ and on the numpy build, so the pins are keyed by dispatch class and record
 the numpy build they were taken with; a mismatch names both sides.  They do
 not depend on scipy, which the staircase tables no longer call.
 Every run checks the X86_V3 pins too, in a child process with AVX-512
-dispatch turned off.
+dispatch turned off, and that the child's target values at digits 6 and 12
+equal this process's (the coordinates may differ across classes).
 
 The walk-trace pin covers one real walk through ``trace_to_text`` and the
 ``trace_wide_text`` pivot; its bytes are the same under both classes.
@@ -130,6 +131,12 @@ def walk_trace():
     return record, text, trace_wide_text(text.splitlines())
 
 
+def target_values() -> dict:
+    """Each objective's oracle target value at digits 6 and 12, as its repr."""
+    return {name: [repr(compute_target(replace(get_objective(name), digits_target=d)).value_target)
+                   for d in (6, 12)] for name in objective_names()}
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -159,7 +166,8 @@ _X86_V3_CHILD = """
 import json
 from multiwalk.objectives import get_objective, objective_names
 from multiwalk.targets import compute_target
-from test_probe_fingerprint import _sha256, dispatch_class, probe_stream_sha256, walk_trace
+from test_probe_fingerprint import (_sha256, dispatch_class, probe_stream_sha256, target_values,
+                                    walk_trace)
 
 records = {}
 for name in objective_names():
@@ -167,7 +175,8 @@ for name in objective_names():
     records[name] = [repr(rec.value_target), repr(rec.coords)]
 _record, text, wide = walk_trace()
 print(json.dumps({"class": dispatch_class(), "probe": probe_stream_sha256()[0],
-                  "records": records, "trace": [_sha256(text), _sha256(wide)]}))
+                  "records": records, "trace": [_sha256(text), _sha256(wide)],
+                  "values": target_values()}))
 """
 
 
@@ -188,4 +197,5 @@ def test_pins_hold_under_x86_v3_dispatch():
         "probe": PINNED_SHA256["X86_V3"],
         "records": {name: list(pinned_target(name, "X86_V3")) for name in objective_names()},
         "trace": list(TRACE_SHA256),
+        "values": target_values(),
     }

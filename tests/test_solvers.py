@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiwalk import ruler, solvers
@@ -710,8 +710,9 @@ def _run_solver_serial(cfg, spec, initial_marks=None):
         is_censored=epoch_best[0] != target, seed=cfg.seed)
 
 
-def _serial_records(cfg, spec, seeds):
-    return [_run_solver_serial(dataclasses.replace(cfg, seed=seed), spec) for seed in seeds]
+def _serial_records(cfg, spec, seeds, initial_marks=None):
+    return [_run_solver_serial(dataclasses.replace(cfg, seed=seed), spec, initial_marks)
+            for seed in seeds]
 
 
 @functools.cache
@@ -745,14 +746,26 @@ def _lockstep_cases(draw):
         [("ehrenfest4", 9), ("ehrenfest15", 9), ("trefethen1", 3), ("trefethen1", 6),
          ("wild2", 4), ("wild3", 4)])), draw(st.sampled_from(["oracle", "below", "-inf"])))
     seeds = draw(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6))
-    return cfg, spec, seeds
+    # every seed's first epoch starts from its own draw, or from one in-box population
+    initial_marks = None
+    if draw(st.booleans()):
+        u = np.random.default_rng(draw(st.integers(0, 10 ** 6))).random((marks, spec.dims))
+        initial_marks = spec.lower + u * (spec.upper - spec.lower)
+    return cfg, spec, seeds, initial_marks
 
 
 @settings(deadline=None)
 @given(_lockstep_cases())
+# every seed runs to the budget and restarts, so each restart must draw afresh
+@example((SolverConfig(kind="MWR", seed=0, steps_limit=40, marks=6, radius=2, plateau_limit=3),
+          _target_spec("ehrenfest4", 9, "below"), [2, 8, 13, 17], DEMO_MARKS))
+@example((SolverConfig(kind="DEsFR", seed=0, steps_limit=40, marks=6, plateau_limit=3),
+          _target_spec("ehrenfest4", 9, "below"), [2, 8, 13, 17], DEMO_MARKS))
 def test_lockstep_records_equal_the_serial_reference(case):
-    cfg, spec, seeds = case
-    assert run_seeds(cfg, spec, seeds) == _serial_records(cfg, spec, seeds)
+    # a restart draws its population afresh: initial_marks reaches the first epoch only
+    cfg, spec, seeds, initial_marks = case
+    assert (run_seeds(cfg, spec, seeds, initial_marks)
+            == _serial_records(cfg, spec, seeds, initial_marks))
 
 
 def test_lockstep_one_seed_passes_at_step_one_while_the_others_run_on(ehrenfest4_spec):
