@@ -138,8 +138,60 @@ def evaluate_batch(spec: ObjectiveSpec, points: np.ndarray) -> np.ndarray:
 # test functions
 # ---------------------------------------------------------------------------
 
+_SPLIT = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
+
+
+def _exact_square(a):
+    """``a * a`` as ``p + e`` exactly (T. J. Dekker, Numer. Math. 18, 1971),
+    wherever its partial products neither overflow nor underflow.  It works
+    in place where it can: at the solvers' batches, fresh temporaries cost
+    about as much as the arithmetic."""
+    hi = _SPLIT * a
+    lo = hi - a
+    hi -= lo  # the high half of a
+    np.subtract(a, hi, out=lo)  # and the low half
+    p = a * a
+    e = hi * hi
+    e -= p
+    hi *= lo
+    hi += hi
+    e += hi
+    lo *= lo
+    e += lo  # ((hi*hi - p) + 2*hi*lo) + lo*lo
+    return p, e
+
+
+def _rational_quartic(x: float) -> float:
+    try:
+        n, d = x.as_integer_ratio()
+        return n ** 4 / d ** 4  # int true division rounds correctly
+    except OverflowError:  # x is infinite, or x**4 rounds past the largest double
+        return math.inf
+
+
+def _quartic(t: np.ndarray) -> np.ndarray:
+    """``t ** 4`` correctly rounded: two exact squares, rounded once.
+
+    Only ``+``, ``-`` and ``*``, which IEEE rounds the same at every SIMD
+    width, so the bits do not depend on numpy's dispatch.  Where the squares'
+    error terms could underflow (``t**4`` below about 1e-289) or overflow
+    (above about 1e301) exact rationals give the value; ``fmin`` sends an
+    overflowed square's NaN correction there as ``+inf``."""
+    t2, e = _exact_square(t)
+    p, t4 = _exact_square(t2)
+    e *= t2
+    e += e
+    t4 += e  # the correction 2*t2*e + pe
+    np.fmin(t4, p, out=t4)
+    t4 += p
+    rare = (t4 < 2.0 ** -960) | (t4 > 2.0 ** 1000)
+    if rare.any():
+        t4[rare] = [_rational_quartic(x) for x in t[rare].tolist()]
+    return t4
+
+
 def _wild_term(t):
-    return 10.0 * np.sin(0.3 * t) * np.sin(1.3 * t * t) + 1e-5 * t ** 4 + 0.2 * t + 80.0
+    return 10.0 * np.sin(0.3 * t) * np.sin(1.3 * t * t) + 1e-5 * _quartic(t) + 0.2 * t + 80.0
 
 
 def wild(points: np.ndarray) -> np.ndarray:

@@ -117,15 +117,17 @@ def _scan_top_cells(spec: ObjectiveSpec, axes, keep: int):
     stable argsort of the whole grid: ties go to the lowest C-order index
     and NaN sorts last.  A kept cell's point is read from the axes at its grid
     index.  A policy's ``chain_base`` makes each slab the broadcast sum of the
-    base over the first two axes and over the last two, both evaluated once;
-    once the running top is full, a slab skips the cells whose head plus
-    their row's lowest tail is above the top's last value (rounding is
-    monotone, so none of their sums could enter the top)."""
+    base over the first two axes and over the last two, each evaluated once
+    (one grid serves both when the three axes are equal); once the running
+    top is full, a slab skips the cells whose head plus their row's lowest
+    tail is above the top's last value (rounding is monotone, so none of
+    their sums could enter the top)."""
     chain = _policy(spec).get("chain_base")
     if chain is not None:
         pair = get_objective(chain).fn
-        head = _grid_values(pair, axes[:2]).reshape(len(axes[0]), len(axes[1]))
         tail = _grid_values(pair, axes[1:]).reshape(len(axes[1]), len(axes[2]))
+        same = np.array_equal(axes[0], axes[1]) and np.array_equal(axes[1], axes[2])
+        head = tail if same else _grid_values(pair, axes[:2]).reshape(len(axes[0]), len(axes[1]))
         floor = np.fmin.reduce(tail, axis=1)
     width = math.prod(len(a) for a in axes[1:])
     rows = max(1, SCAN_POINTS // width)

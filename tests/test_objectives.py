@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from multiwalk.objectives import (MAX_ENUMERATION_STATES, ObjectiveSpec, _ehrenfest_table,
-                                  _ln_gamma, ehrenfest, evaluate_batch, get_objective,
+                                  _ln_gamma, _quartic, ehrenfest, evaluate_batch, get_objective,
                                   objective_names, wild)
 
 
@@ -51,6 +52,45 @@ def test_wild_separability(coords):
     per_coord = [float(wild(np.array([[c]]))[0]) for c in coords]
     joint = float(wild(np.array([coords]))[0])
     assert joint == pytest.approx(np.mean(per_coord), rel=1e-12, abs=1e-12)
+
+
+def _rounds_like_fractions(t) -> bool:
+    return _quartic(t).tolist() == [float(Fraction(x) ** 4) for x in t.tolist()]
+
+
+def test_quartic_is_correctly_rounded():
+    rng = np.random.default_rng(4)
+    u, v = rng.uniform(-50.0, 50.0, size=(2, 5000))
+    tiny = np.geomspace(1e-82, 1e-70, 2000)  # around the exact squares' underflow limit
+    inside = np.concatenate([
+        -50.0 + np.abs(u - v),  # ruler-like candidates, mostly negative
+        u, np.abs(v),
+        [50.0, -50.0, 0.0, -0.0, 5e-324],
+        np.arange(-50.0, 51.0),
+        tiny, -tiny, 1e-80 * rng.uniform(0.5, 2.0, 1000),
+    ])
+    assert _rounds_like_fractions(inside)  # and raises no floating-point warning
+    huge = np.append(np.geomspace(1e70, 1.15e77, 2000), np.nextafter(2.0 ** 256, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # near the largest finite t**4
+        assert _rounds_like_fractions(huge)
+
+
+@given(st.floats(min_value=-50, max_value=50))
+def test_quartic_is_correctly_rounded_in_the_box(t):
+    assert _quartic(np.array([t]))[0] == float(Fraction(t) ** 4)
+
+
+@pytest.mark.parametrize("t, value", [
+    (1e60, 9.999999999999999e234), (-1e70, 1.0000000000000003e275),
+    (1e80, math.inf), (1e100, math.inf), (math.inf, math.nan), (-math.inf, math.nan),
+    (math.nan, math.nan), (0.0, 80.0), (-0.0, 80.0),
+])
+def test_wild_outside_the_box_keeps_its_values(t, value):
+    # numpy's t**4 gave these: +inf where the quartic overflows, NaN where
+    # sin sees an infinity
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = wild(np.array([[t]]))
+    assert repr(float(got[0])) == repr(value)
 
 
 def test_trefethen_anchor_values():

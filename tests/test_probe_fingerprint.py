@@ -8,13 +8,16 @@ observer (``run_solver(..., observe=...)``): each epoch's initial values,
 then per step the values it evaluated, the committed marks and values, and
 the epoch best.
 
-Raw floats depend on numpy's SIMD dispatch (``NPY_DISABLE_CPU_FEATURES``)
-and on the numpy build, so the pins are keyed by dispatch class and record
-the numpy build they were taken with; a mismatch names both sides.  They do
-not depend on scipy, which the staircase tables no longer call.
-Every run checks the X86_V3 pins too, in a child process with AVX-512
-dispatch turned off, and that the child's target values at digits 6 and 12
-equal this process's (the coordinates may differ across classes).
+ehrenfest and wild raw floats are the same under every numpy SIMD dispatch
+class (``NPY_DISABLE_CPU_FEATURES``): the staircase reads a table built from
+libm logs, and wild uses ``np.sin`` and a quartic of ``+``, ``-`` and ``*``
+only.  trefethen's ``np.exp`` is not, so the pins are keyed by dispatch class
+and record the numpy build they were taken with; a mismatch names both
+sides.  They do not depend on scipy, which the staircase tables no longer
+call.  Every run checks the X86_V3 pins too, in a child process with
+AVX-512 dispatch turned off, and that the child's target values at digits 6
+and 12 and its ``wild`` values over a fixed point set equal this process's
+(the target coordinates may differ across classes).
 
 The walk-trace pin covers one real walk through ``trace_to_text`` and the
 ``trace_wide_text`` pivot; its bytes are the same under both classes.
@@ -29,15 +32,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from multiwalk.objectives import get_objective, objective_names
+from multiwalk.objectives import get_objective, objective_names, wild
 from multiwalk.solvers import (SOLVER_KINDS, SolverConfig, WalkTrace, run_solver,
                                trace_to_text, trace_wide_text)
 from multiwalk.targets import compute_target
 
 # keyed by numpy dispatch class, the first one active wins
 PINNED_SHA256 = {
-    "X86_V4": "f5abd7a52beeedcaa6f102c19d322f7f28d3192440eb18fba9dac6832e012d2b",
-    "X86_V3": "7b33138f39c05e69bc26b83a009a7a4781a8b9df93284f019d9abbe918af36cd",
+    "X86_V4": "458b2027c6e32fdf7ae6d26bb553cd06ffb727abe3bc92447bc39abddeae6def",
+    "X86_V3": "d0b6958e0adc10b7070aaaaf80bb031d7ddab4570b8641204dcaf4b8ea7b56a0",
 }
 PINNED_NUMPY = "2.4.6"
 # sha256 of trace_to_text and of its trace_wide_text pivot for walk_trace()
@@ -137,6 +140,18 @@ def target_values() -> dict:
                    for d in (6, 12)] for name in objective_names()}
 
 
+def wild_sha256() -> str:
+    """sha256 of ``wild`` over a fixed seeded point set: for p = 1, 2 and 3,
+    points uniform in the box and ruler-like points ``-50 + |u - v|``."""
+    rng = np.random.default_rng(26)
+    digest = hashlib.sha256()
+    for p in (1, 2, 3):
+        u, v, w = rng.uniform(-50.0, 50.0, size=(3, 40000, p))
+        for points in (u, -50.0 + np.abs(v - w)):
+            _update(digest, b"wild", wild(points))
+    return digest.hexdigest()
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -164,10 +179,10 @@ def test_walk_trace_is_pinned():
 
 _X86_V3_CHILD = """
 import json
-from multiwalk.objectives import get_objective, objective_names
+from multiwalk.objectives import get_objective, objective_names, wild
 from multiwalk.targets import compute_target
 from test_probe_fingerprint import (_sha256, dispatch_class, probe_stream_sha256, target_values,
-                                    walk_trace)
+                                    walk_trace, wild_sha256)
 
 records = {}
 for name in objective_names():
@@ -176,7 +191,7 @@ for name in objective_names():
 _record, text, wide = walk_trace()
 print(json.dumps({"class": dispatch_class(), "probe": probe_stream_sha256()[0],
                   "records": records, "trace": [_sha256(text), _sha256(wide)],
-                  "values": target_values()}))
+                  "values": target_values(), "wild": wild_sha256()}))
 """
 
 
@@ -198,4 +213,5 @@ def test_pins_hold_under_x86_v3_dispatch():
         "records": {name: list(pinned_target(name, "X86_V3")) for name in objective_names()},
         "trace": list(TRACE_SHA256),
         "values": target_values(),
+        "wild": wild_sha256(),
     }
