@@ -3,8 +3,13 @@ solves with traces, run N-seed benchmarks, emit CSV/bargraph/trace files.
 
 Exit status: 0 on success; 1 on any bad input (flags, solver specs, target
 stores, walk traces, unreadable or unwritable paths), reported as one
-``error:`` line; 2 only when a benchmark completes but every run of some
-solver was censored (the comparison is then unreliable).
+``error:`` line by ``main``, which catches every ``ValueError`` (the
+library's input checks raise it) and ``OSError``; 2 only when a benchmark
+completes but every run of some solver was censored (the comparison is then
+unreliable).  ``main`` cannot tell a refused input from a defect that raises
+``ValueError`` inside a command (a numpy shape mismatch in a solver, say):
+that too ends as one ``error:`` line and exit 1, without a traceback.
+Exceptions of any other type propagate with theirs.
 """
 
 from __future__ import annotations
@@ -28,10 +33,6 @@ _KEY_TYPES = {
 }
 
 
-class CliError(Exception):
-    pass
-
-
 def _positive_int(text: str) -> int:
     """argparse type for a count that must be >= 1."""
     try:
@@ -45,11 +46,11 @@ def _positive_int(text: str) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reports argparse's own errors (bad, missing or unknown flags) as
-    CliError, so they exit 1 like every other bad input; subparsers inherit
+    ValueError, so they exit 1 like every other bad input; subparsers inherit
     the class."""
 
     def error(self, message):
-        raise CliError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _parse_solver_spec(text: str, args) -> SolverConfig:
@@ -65,55 +66,46 @@ def _parse_solver_spec(text: str, args) -> SolverConfig:
             key, eq, value = item.partition("=")
             key = key.strip().replace("-", "_")
             if not eq:
-                raise CliError(f"bad solver option {item!r} in {text!r} (expected key=value)")
+                raise ValueError(f"bad solver option {item!r} in {text!r} (expected key=value)")
             if key not in _KEY_TYPES:
-                raise CliError(f"unknown solver option {key!r} in {text!r}")
+                raise ValueError(f"unknown solver option {key!r} in {text!r}")
             if key in fields:
-                raise CliError(f"repeated solver option {key!r} in {text!r}")
+                raise ValueError(f"repeated solver option {key!r} in {text!r}")
             if key not in readable:
-                raise CliError(f"{fields['kind']} does not read solver option {key!r} "
-                               f"in {text!r} (it reads {', '.join(readable)})")
+                raise ValueError(f"{fields['kind']} does not read solver option {key!r} "
+                                 f"in {text!r} (it reads {', '.join(readable)})")
             try:
                 fields[key] = _KEY_TYPES[key](value)
             except ValueError:
-                raise CliError(f"bad value {value!r} for solver option {key!r} "
-                               f"in {text!r}") from None
-    try:
-        return SolverConfig(**fields)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+                raise ValueError(f"bad value {value!r} for solver option {key!r} "
+                                 f"in {text!r}") from None
+    return SolverConfig(**fields)
 
 
 def _load_store(path) -> TargetStore:
     """The target store at ``path``, or an empty one if there is none."""
-    if not os.path.exists(path):
-        return TargetStore()
-    try:
-        return TargetStore.load(path)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return TargetStore.load(path) if os.path.exists(path) else TargetStore()
 
 
 def _objective(name: str, digits: int):
     """The registered objective ``name`` at ``digits`` target digits."""
     try:
         return replace(get_objective(name), digits_target=digits)
-    except KeyError as exc:
-        raise CliError(str(exc.args[0])) from None
+    except KeyError as exc:  # an unknown name, reported by main like any refusal
+        raise ValueError(exc.args[0]) from None
 
 
 def _load_objective(args):
+    """``args.of`` at ``args.digits``, with its target from the store ``args.targets``."""
     spec = _objective(args.of, args.digits)
     if not os.path.exists(args.targets):
-        raise CliError(
-            f"target store {args.targets!r} not found; compute it with "
-            f"`multiwalk oracle --of {args.of}`"
-        )
-    store = _load_store(args.targets)
+        raise ValueError(f"target store {args.targets!r} not found; compute it with "
+                         f"`multiwalk oracle --of {args.of}`")
+    store = TargetStore.load(args.targets)
     try:
         return store.apply(spec)
-    except KeyError as exc:
-        raise CliError(str(exc.args[0])) from None
+    except KeyError as exc:  # no stored target at these digits
+        raise ValueError(exc.args[0]) from None
 
 
 def _cmd_list(args) -> int:
@@ -171,11 +163,7 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     spec = _load_objective(args)
     configs = [_parse_solver_spec(s, args) for s in args.solver]
-    try:
-        plan = ExperimentPlan(spec=spec, configs=configs,
-                              sample_size=args.sample_size)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    plan = ExperimentPlan(spec=spec, configs=configs, sample_size=args.sample_size)
     runs_csv, summary_csv, bars_csv = outputs = [
         f"{args.out}_{part}.csv" for part in ("runs", "summary", "bars")]
     for path in outputs:
@@ -187,9 +175,9 @@ def _cmd_bench(args) -> int:
     write_bargraph_csv(bars_csv, plan, summaries)
     status = 0
     for s in summaries:
-        flag = " (all runs censored!)" if s.censored == s.n else ""
+        flag = ""
         if s.censored == s.n:
-            status = 2
+            flag, status = " (all runs censored!)", 2
         mean = "n/a" if s.mean_steps_unc is None else f"{s.mean_steps_unc:.2f}"
         print(f"{s.label}: n={s.n} censored={s.censored} mean_steps_unc={mean}{flag}")
     print(f"wrote {', '.join(outputs)}")
@@ -201,7 +189,7 @@ def _cmd_trace(args) -> int:
         try:
             text = trace_wide_text(fh)
         except ValueError as exc:
-            raise CliError(f"trace file {args.input!r}: {exc}") from None
+            raise ValueError(f"trace file {args.input!r}: {exc}") from None
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -267,7 +255,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (CliError, OSError) as exc:  # OSError: an unreadable or unwritable path
+    # ValueError: a refused input, or any other ValueError a command raises;
+    # OSError: an unreadable or unwritable path
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -101,7 +101,8 @@ def neighborhood_eval(marks: np.ndarray, spec: ObjectiveSpec, radius: int,
     ``uniform(-1, 1)`` bit for bit.  So a population's step does not depend
     on the others it is stacked with.  Costs exactly ``m * radius`` probes
     per population.  Ties between candidates break toward the lowest
-    neighbor index.
+    neighbor index, and NaN never wins: a mark proposes a NaN only when all
+    of its candidates are NaN.
     """
     n, m, p = marks.shape
     if not 1 <= radius <= m - 2:
@@ -122,8 +123,13 @@ def neighborhood_eval(marks: np.ndarray, spec: ObjectiveSpec, radius: int,
     values = raw.reshape(n * m, radius)
     pick = values.argmin(axis=1)  # first minimum = lowest index (sets ascend)
     rows = np.arange(n * m)
+    best = values[rows, pick]
+    nan = np.isnan(best)  # argmin stops at a row's first NaN
+    if nan.any():
+        pick[nan] = np.argsort(values[nan], axis=1, kind="stable")[:, 0]
+        best = values[rows, pick]
     return (cands.reshape(n * m, radius, p)[rows, pick].reshape(n, m, p),
-            values[rows, pick].reshape(n, m), raw.reshape(n, m * radius))
+            best.reshape(n, m), raw.reshape(n, m * radius))
 
 
 def candidate_table_text(marks: np.ndarray, lower, upper) -> str:

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multiwalk import cli
-from multiwalk.cli import _KEY_TYPES, CliError, _parse_solver_spec, build_parser
+from multiwalk.cli import _KEY_TYPES, _parse_solver_spec, build_parser
 from multiwalk.experiments import (ExperimentPlan, run_experiment, summarize_experiment,
                                    write_bargraph_csv, write_runs_csv, write_summary_csv)
 from multiwalk.objectives import get_objective
@@ -384,6 +384,30 @@ def test_bad_input_exits_1_without_traceback(store, files, args):
     assert "Traceback" not in out.stderr
 
 
+def _raise(exc):
+    def fail(spec):
+        raise exc
+    return fail
+
+
+def test_value_error_deep_in_a_command_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # main is the one place where a refused input becomes exit 1
+    monkeypatch.setattr(cli, "compute_target", _raise(ValueError("no target here")))
+    out = str(tmp_path / "targets.csv")
+    assert cli.main(["oracle", "--of", "ehrenfest4", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: no target here\n"
+    assert captured.out == ""
+
+
+def test_other_errors_deep_in_a_command_propagate(tmp_path, monkeypatch):
+    # a defect of any other type keeps its traceback
+    monkeypatch.setattr(cli, "compute_target", _raise(RuntimeError("a defect")))
+    out = str(tmp_path / "targets.csv")
+    with pytest.raises(RuntimeError, match="a defect"):
+        cli.main(["oracle", "--of", "ehrenfest4", "--out", out])
+
+
 _SPEC_ARGS = build_parser().parse_args(["solve", "--of", "ehrenfest4", "--solver", "MW"])
 _spec_option = st.tuples(st.sampled_from([*_KEY_TYPES, "bogus"]),
                          st.one_of(st.integers(-5, 40).map(str), st.floats().map(repr),
@@ -397,21 +421,21 @@ _spec_text = st.one_of(
 
 @given(_spec_text)
 def test_solver_spec_parser_on_arbitrary_text(text):
-    # arbitrary text either parses into a valid config or raises CliError
+    # arbitrary text either parses into a valid config or raises ValueError
     try:
         cfg = _parse_solver_spec(text, _SPEC_ARGS)
-    except CliError:
+    except ValueError:
         return
     assert isinstance(cfg, SolverConfig)
 
 
 def test_seed_is_no_solver_spec_key():
-    with pytest.raises(CliError, match="unknown solver option 'seed'"):
+    with pytest.raises(ValueError, match="unknown solver option 'seed'"):
         _parse_solver_spec("MW:radius=2,marks=6,seed=50", _SPEC_ARGS)
 
 
 def test_repeated_solver_spec_key_is_named():
-    with pytest.raises(CliError, match="repeated solver option 'radius'"):
+    with pytest.raises(ValueError, match="repeated solver option 'radius'"):
         _parse_solver_spec("MW:radius=2,radius=3,marks=6", _SPEC_ARGS)
 
 
@@ -441,5 +465,5 @@ def test_solver_spec_takes_only_the_keys_its_kind_reads(kind, key):
         cfg = _parse_solver_spec(text, _SPEC_ARGS)
         assert getattr(cfg, key) == _KEY_TYPES[key](value)
     else:
-        with pytest.raises(CliError):
+        with pytest.raises(ValueError):
             _parse_solver_spec(text, _SPEC_ARGS)

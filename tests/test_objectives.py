@@ -11,7 +11,7 @@ from scipy.special import gammaln
 
 from multiwalk.objectives import (MAX_ENUMERATION_STATES, ObjectiveSpec, _ehrenfest_table,
                                   _ln_gamma, _quartic, ehrenfest, evaluate_batch, get_objective,
-                                  objective_names, wild)
+                                  objective_names, trefethen, wild)
 
 
 def test_registry_names():
@@ -98,6 +98,8 @@ def test_trefethen_anchor_values():
     assert v2 == pytest.approx(1.0 + math.sin(60.0), abs=1e-12)
     v1 = evaluate_batch(get_objective("trefethen1"), [[0.0]])[0]
     assert v1 == v2
+    with pytest.raises(ValueError, match="1, 2 or 3 dimensions"):
+        trefethen(np.zeros((1, 4)), 4)
 
 
 def test_trefethen3_chains_pairs():
@@ -262,8 +264,14 @@ def test_kernel_batch_invariance(name, seed, size, data):
 
 
 def test_spec_invariants():
+    with pytest.raises(ValueError, match="bounds must be length-2 vectors"):
+        ObjectiveSpec(name="bad", dims=2, lower=[0.0], upper=[1.0, 1.0], fn=wild)
+    with pytest.raises(ValueError, match="bounds must be length-1 vectors"):
+        ObjectiveSpec(name="bad", dims=1, lower=[0.0], upper=[[1.0]], fn=wild)
     with pytest.raises(ValueError):
         ObjectiveSpec(name="bad", dims=1, lower=[1.0], upper=[1.0], fn=wild)
+    with pytest.raises(ValueError, match="digits_target must be >= 1"):
+        ObjectiveSpec(name="bad", dims=1, lower=[0.0], upper=[1.0], fn=wild, digits_target=0)
     with pytest.raises(ValueError):
         ObjectiveSpec(name="bad", dims=1, lower=[0.0], upper=[1.0], fn=wild,
                       value_target=0.123456789123, digits_target=3)

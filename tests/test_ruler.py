@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multiwalk.objectives import evaluate_batch, get_objective
+from multiwalk.objectives import ObjectiveSpec, evaluate_batch, get_objective
 from multiwalk.ruler import (_candidates, _neighbor_sets, candidate_table_text,
                              eligible_neighbors, neighborhood_eval)
 from multiwalk.solvers import _start_epochs
@@ -199,6 +199,29 @@ def test_full_radius_proposal_finds_center_state(ehrenfest4_spec):
     assert np.array_equal(values, raw.reshape(6, 4).min(axis=1))
 
 
+def test_nan_never_wins_a_marks_pick():
+    # NaN outside [9, 15], half the box: argmin alone would stop at each
+    # row's first NaN and propose it
+    def half_nan(points):
+        x = points[:, 0]
+        return np.where((x >= 9.0) & (x <= 15.0), -x, np.nan)
+
+    spec = ObjectiveSpec(name="half_nan", dims=1, lower=[1.0], upper=[17.0], fn=half_nan)
+    coords, values, raw = _eval_one(DEMO_MARKS, spec, radius=4, dither=0.0,
+                                    rng=np.random.default_rng(0))
+    assert np.isnan(raw).sum() == 14
+    # the lowest number of each candidate row (test_candidate_table_text)
+    assert coords[:, 0].tolist() == [12.0, 11.0, 14.0, 9.0, 11.0, 14.0]
+    assert values.tolist() == [-12.0, -11.0, -14.0, -9.0, -11.0, -14.0]
+    # a mark whose candidates are all NaN proposes its first one
+    all_nan = ObjectiveSpec(name="all_nan", dims=1, lower=[1.0], upper=[17.0],
+                            fn=lambda points: np.full(len(points), np.nan))
+    coords, values, _raw = _eval_one(DEMO_MARKS, all_nan, radius=4, dither=0.0,
+                                     rng=np.random.default_rng(0))
+    assert coords[:, 0].tolist() == [2.0, 3.0, 3.0, 9.0, 11.0, 16.0]
+    assert np.isnan(values).all()
+
+
 def test_probe_count_per_step_both_modes(ehrenfest4_spec):
     spec = ehrenfest4_spec
     for radius in (1, 2, 4):
@@ -266,3 +289,10 @@ def test_candidate_table_text():
         [16, 14, 8, 6],
     ]
     assert text.endswith("\n")
+    # p > 1: one block per dimension under a "dimension N" header
+    marks = np.hstack([DEMO_MARKS, DEMO_MARKS[::-1]])
+    text2 = candidate_table_text(marks, [1.0, 1.0], [17.0, 17.0])
+    blocks = text2.split("dimension ")
+    assert blocks[0] == "" and [b.splitlines()[0] for b in blocks[1:]] == ["1", "2"]
+    assert blocks[1][2:] == text
+    assert len(blocks[2].splitlines()) == 1 + 1 + 6

@@ -266,6 +266,10 @@ def test_dispatch_guards():
         enumerate_integer_minimum(get_objective("wild1"))
     with pytest.raises(ValueError):
         grid_refine_minimum(get_objective("ehrenfest4"))
+    box4 = ObjectiveSpec(name="box4", dims=4, lower=[-1.0] * 4, upper=[1.0] * 4,
+                         fn=lambda points: points.sum(axis=1))
+    with pytest.raises(ValueError, match="at most 3 dimensions"):
+        grid_refine_minimum(box4)
 
 
 @pytest.mark.parametrize("fill", [math.nan, math.inf, -math.inf])
