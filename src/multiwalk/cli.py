@@ -87,25 +87,13 @@ def _load_store(path) -> TargetStore:
     return TargetStore.load(path) if os.path.exists(path) else TargetStore()
 
 
-def _objective(name: str, digits: int):
-    """The registered objective ``name`` at ``digits`` target digits."""
-    try:
-        return replace(get_objective(name), digits_target=digits)
-    except KeyError as exc:  # an unknown name, reported by main like any refusal
-        raise ValueError(exc.args[0]) from None
-
-
 def _load_objective(args):
     """``args.of`` at ``args.digits``, with its target from the store ``args.targets``."""
-    spec = _objective(args.of, args.digits)
+    spec = replace(get_objective(args.of), digits_target=args.digits)
     if not os.path.exists(args.targets):
         raise ValueError(f"target store {args.targets!r} not found; compute it with "
                          f"`multiwalk oracle --of {args.of}`")
-    store = TargetStore.load(args.targets)
-    try:
-        return store.apply(spec)
-    except KeyError as exc:  # no stored target at these digits
-        raise ValueError(exc.args[0]) from None
+    return TargetStore.load(args.targets).apply(spec)
 
 
 def _cmd_list(args) -> int:
@@ -122,7 +110,7 @@ def _cmd_list(args) -> int:
 
 def _cmd_oracle(args) -> int:
     names = objective_names() if args.of == "all" else [n.strip() for n in args.of.split(",")]
-    specs = [_objective(name, args.digits) for name in names]
+    specs = [replace(get_objective(name), digits_target=args.digits) for name in names]
     store = _load_store(args.out)
     open(args.out, "a").close()  # an unwritable --out fails before the scan
     for spec in specs:

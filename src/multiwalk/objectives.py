@@ -127,11 +127,13 @@ class ObjectiveSpec:
 
 
 def evaluate_batch(spec: ObjectiveSpec, points: np.ndarray) -> np.ndarray:
-    """Evaluate an (B, p) batch: B probes, one value per point."""
+    """Evaluate an (B, p) batch: B probes, one value per point.  A NaN the
+    kernel returns is reported as ``+inf``, so every comparison ranks an
+    undefined point last; every other value keeps its bits."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != spec.dims:
         raise ValueError(f"{spec.name}: expected (B, {spec.dims}) points, got shape {points.shape}")
-    return np.asarray(spec.fn(points), dtype=float)
+    return np.fmin(np.asarray(spec.fn(points), dtype=float), np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +317,6 @@ def get_objective(name: str) -> ObjectiveSpec:
     try:
         return _REGISTRY[name]
     except KeyError:
-        raise KeyError(
+        raise ValueError(
             f"unknown objective {name!r}; known: {', '.join(objective_names())}"
         ) from None

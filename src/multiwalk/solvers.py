@@ -31,6 +31,7 @@ seeds it runs with.  Only the random draws and record assembly loop over seeds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,6 +86,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.kind not in SOLVER_KINDS:
             raise ValueError(f"unknown solver kind {self.kind!r}; known: {', '.join(SOLVER_KINDS)}")
+        # a fractional or non-finite steps_limit would pass the range checks
+        # and never be met, so the run would never end
+        for name in ("seed", "steps_limit", "marks", "radius", "plateau_limit"):
+            value = getattr(self, name)
+            unset = value is None and name in ("radius", "plateau_limit")
+            if not (isinstance(value, numbers.Integral) or unset):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not MIN_MARKS <= self.marks <= MAX_MARKS:
             raise ValueError(f"marks must be in [{MIN_MARKS}, {MAX_MARKS}], got {self.marks}")
         if self.seed < 0:

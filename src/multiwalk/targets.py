@@ -279,11 +279,11 @@ class TargetStore:
         return [self._records[k] for k in sorted(self._records)]
 
     def apply(self, spec: ObjectiveSpec) -> ObjectiveSpec:
-        """Return the spec with its stored target filled in; raise if the
-        store has no record for it at ``spec.digits_target``."""
+        """Return the spec with its stored target filled in; raise ValueError
+        if the store has no record for it at ``spec.digits_target``."""
         record = self.lookup(spec.name, spec.digits_target)
         if record is None:
-            raise KeyError(
+            raise ValueError(
                 f"no stored target for {spec.name!r} at {spec.digits_target} digits; "
                 "run the target oracle first"
             )

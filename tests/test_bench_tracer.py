@@ -1,6 +1,7 @@
 """The benchmark's layer tracer (benchmarks/layers.py) wraps package
 functions by their module-global names; these tests keep those names live."""
 
+import csv
 import functools
 import importlib.util
 import os
@@ -81,3 +82,23 @@ def test_traced_oracle_counts_the_chain_base_points():
     assert stats["targets.grid_refine_minimum"].calls == 1
     assert stats["objectives.fn"].calls == 1 + 60
     assert tracer.counts["objectives.fn.points"] == 401 ** 2 + 8 * 60 * 2 * 11 ** 2
+
+
+def test_traced_cli_probe_ledger_matches_the_run_records(tmp_path, monkeypatch):
+    # the ledger rule benchmarks/run.py enforces under --trace 1: every probe
+    # the solvers make crosses evaluate_batch, and the oracle's grid points
+    # reach the kernel without crossing it
+    monkeypatch.chdir(tmp_path)
+    with _layers().Tracer(multiwalk) as tracer:
+        assert multiwalk.cli.main(["oracle", "--of", "ehrenfest4"]) == 0
+        assert multiwalk.cli.main([
+            "bench", "--of", "ehrenfest4", "--solver", "MWR:radius=2,marks=6",
+            "--solver", "DEsFR:marks=6", "--sample-size", "5", "--steps-limit", "20",
+            "--workers", "1", "--out", "b"]) == 0
+    with open("b_runs.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert len(rows) == 10
+    probes = sum(int(row["probes"]) for row in rows)
+    assert tracer.counts["objectives.evaluate_batch.probes"] == probes
+    # plus the 17 states the oracle enumerates
+    assert tracer.counts["objectives.fn.points"] == probes + 17

@@ -23,7 +23,7 @@ def test_registry_names():
 
 
 def test_unknown_objective():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown objective 'nope'"):
         get_objective("nope")
 
 
@@ -229,6 +229,15 @@ def test_evaluate_dimension_mismatch():
         evaluate_batch(get_objective("wild2"), [[0.0]])
     with pytest.raises(ValueError):
         evaluate_batch(get_objective("wild2"), np.zeros((3, 1)))
+
+
+def test_evaluate_batch_reports_nan_as_inf_and_keeps_every_other_bit():
+    kernel = np.array([np.nan, -np.nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, -1.5,
+                       1.7976931348623157e308])
+    spec = ObjectiveSpec(name="fixed", dims=1, lower=[0.0], upper=[1.0],
+                         fn=lambda points: kernel.copy())
+    values = evaluate_batch(spec, np.zeros((len(kernel), 1)))
+    assert values.tobytes() == np.array([np.inf, np.inf, *kernel[2:]]).tobytes()
 
 
 def test_evaluate_out_of_bounds_still_evaluates():

@@ -200,8 +200,8 @@ def test_full_radius_proposal_finds_center_state(ehrenfest4_spec):
 
 
 def test_nan_never_wins_a_marks_pick():
-    # NaN outside [9, 15], half the box: argmin alone would stop at each
-    # row's first NaN and propose it
+    # NaN outside [9, 15], half the box: evaluate_batch reports it as +inf,
+    # so argmin never stops at it
     def half_nan(points):
         x = points[:, 0]
         return np.where((x >= 9.0) & (x <= 15.0), -x, np.nan)
@@ -209,17 +209,17 @@ def test_nan_never_wins_a_marks_pick():
     spec = ObjectiveSpec(name="half_nan", dims=1, lower=[1.0], upper=[17.0], fn=half_nan)
     coords, values, raw = _eval_one(DEMO_MARKS, spec, radius=4, dither=0.0,
                                     rng=np.random.default_rng(0))
-    assert np.isnan(raw).sum() == 14
+    assert np.isposinf(raw).sum() == 14 and not np.isnan(raw).any()
     # the lowest number of each candidate row (test_candidate_table_text)
     assert coords[:, 0].tolist() == [12.0, 11.0, 14.0, 9.0, 11.0, 14.0]
     assert values.tolist() == [-12.0, -11.0, -14.0, -9.0, -11.0, -14.0]
-    # a mark whose candidates are all NaN proposes its first one
+    # a mark whose candidates are all NaN proposes its first one, as +inf
     all_nan = ObjectiveSpec(name="all_nan", dims=1, lower=[1.0], upper=[17.0],
                             fn=lambda points: np.full(len(points), np.nan))
     coords, values, _raw = _eval_one(DEMO_MARKS, all_nan, radius=4, dither=0.0,
                                      rng=np.random.default_rng(0))
     assert coords[:, 0].tolist() == [2.0, 3.0, 3.0, 9.0, 11.0, 16.0]
-    assert np.isnan(values).all()
+    assert np.isposinf(values).all()
 
 
 def test_probe_count_per_step_both_modes(ehrenfest4_spec):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import io
 import math
 import tracemalloc
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from multiwalk import ruler, solvers
 from multiwalk.experiments import STEP_POINTS, ExperimentPlan, _seed_chunks, run_experiment
-from multiwalk.objectives import evaluate_batch, get_objective, quantize
+from multiwalk.objectives import ObjectiveSpec, evaluate_batch, get_objective, quantize
 from multiwalk.solvers import (KIND_SETTINGS, SOLVER_KINDS, RunRecord, SolverConfig, WalkTrace,
                                _de_step, _greedy_commit, _start_epochs, config_lines, mw_step,
                                run_seeds, run_solver, trace_to_text, trace_wide_text)
@@ -98,6 +99,13 @@ def test_config_validation():
         _cfg(dither=1.5)
     with pytest.raises(ValueError):
         _cfg(kind="DEsF", radius=None, rde=math.nan)
+    # a count that is not an integer; steps_limit 20.5, inf or nan never ends a run
+    for field, value in (("seed", 1.0), ("seed", None), ("steps_limit", 20.5),
+                         ("steps_limit", math.inf), ("steps_limit", math.nan),
+                         ("marks", 6.0), ("radius", 4.0), ("plateau_limit", 2.5)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            _cfg(kind="MWR", **{field: value})
+    _cfg(kind="MWR", seed=np.int64(1), steps_limit=np.int32(5), plateau_limit=np.uint8(2))
     for label in ("", "a,b", "a b", "a,b\n# x", "tab\t"):
         with pytest.raises(ValueError, match="label"):
             _cfg(label=label)
@@ -905,6 +913,27 @@ def _count_calls(monkeypatch, module, name, counts):
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("cfg", [
+    SolverConfig(kind="MW", seed=1, steps_limit=20, marks=6, radius=4),
+    SolverConfig(kind="DEsFR", seed=1, steps_limit=20, marks=6),
+], ids=["MW", "DEsFR"])
+def test_a_kernel_nan_ranks_last(cfg):
+    # NaN below 3, where MW anchors its first mark: were the NaN kept, that
+    # mark could never accept a candidate, agentId could name a NaN mark and
+    # the trace would hold a row its own reader refuses
+    def nan_below_3(points):
+        x = points[:, 0]
+        return np.where(x < 3.0, np.nan, np.sqrt(x) + 1.43)
+
+    spec = ObjectiveSpec(name="nan_below_3", dims=1, lower=[1.0], upper=[17.0],
+                         fn=nan_below_3).with_target(0.0)
+    record, trace = _traced(cfg, spec)
+    final = trace.steps[-1][2]
+    assert not np.isnan(final).any()
+    assert final[record.agent_id - 1] == final.min()
+    trace_wide_text(io.StringIO(trace_to_text(trace)))
 
 
 def test_no_seeds_give_no_records(ehrenfest4_spec, monkeypatch):

@@ -488,9 +488,9 @@ def test_store_apply(ehrenfest4_target):
     store.add(ehrenfest4_target)
     spec = store.apply(get_objective("ehrenfest4"))
     assert spec.value_target == ehrenfest4_target.value_target
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         store.apply(get_objective("wild1"))
-    with pytest.raises(KeyError, match="at 7 digits"):
+    with pytest.raises(ValueError, match="at 7 digits"):
         store.apply(replace(get_objective("ehrenfest4"), digits_target=7))
 
 
