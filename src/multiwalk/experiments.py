@@ -15,6 +15,7 @@ A comparison is reliable only if at least one side has zero censored runs.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -52,8 +53,8 @@ class ExperimentPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "configs", tuple(self.configs))
-        if self.sample_size < 1:
-            raise ValueError("sample_size must be >= 1")
+        if not isinstance(self.sample_size, numbers.Integral) or self.sample_size < 1:
+            raise ValueError(f"sample_size must be an integer >= 1, got {self.sample_size!r}")
         if not self.configs:
             raise ValueError("a plan needs at least one solver config")
         if len({(cfg.steps_limit, cfg.seed) for cfg in self.configs}) != 1:

@@ -164,7 +164,7 @@ class WalkTrace:
     ``header`` holds the ``#`` lines naming the objective and solver run,
     ``epoch_seeds`` each epoch's seed and ``steps[k] = (step, restart_index,
     values_copy)``.  ``first_passage`` is ``(step, agent_id)`` once the
-    target is reached.
+    epoch best, the quantized value ``step`` is handed, equals the target.
     """
 
     def __init__(self, cfg: SolverConfig, spec: ObjectiveSpec):
@@ -179,24 +179,25 @@ class WalkTrace:
 
     def step(self, step, restart, raw, marks, values, best):
         self.steps.append((step, restart, values.copy()))
-        if best[0] == self._target:  # the run's last step
+        if best == self._target:  # the run's last step
             self.first_passage = (step, int(np.argmin(values)) + 1)
 
 
-def _greedy_commit(marks, values, cand_coords, cand_values, best, digits: int):
+def _greedy_commit(marks, values, cand_coords, cand_values, epoch_best, best, digits: int):
     """Synchronous step commit of N stacked populations: each member accepts
-    its candidate only on a strict improvement; each population's running
-    best ``((N,) quantized values, (N, p) coords)`` tracks every candidate of
-    that population in order, accepted or not, comparing raw value against
-    quantized best so the best value only ever decreases.  As ``quantize`` is
-    monotone and idempotent, that walk has a closed form: with ``Q`` the
-    least quantized hit (candidate below the best), it ends on the last
-    candidate below ``Q``, or else on the first hit quantizing to ``Q``, and
-    the best becomes that candidate's quantized value; one ``quantize`` call
-    serves every hit.  Returns the updated ``(marks, values, best)``; the
-    arrays handed in are not modified."""
-    best_values, best_coords = best
-    hit = cand_values < best_values[:, None]
+    its candidate only on a strict improvement.  Each population's epoch
+    best, an (N,) quantized value, tracks every candidate in order, accepted
+    or not, comparing raw value against quantized best so it only ever
+    decreases.  As ``quantize`` is monotone and idempotent, that walk has a
+    closed form: with ``Q`` the least quantized hit (candidate below the
+    epoch best), it ends on the last candidate below ``Q``, or else on the
+    first hit quantizing to ``Q``, and takes that candidate's quantized
+    value; one ``quantize`` call serves every hit.  The run's best ``((N,)
+    values, (N, p) coords)``, never above the epoch best, takes that value
+    and candidate only where the value is strictly lower, so it keeps the
+    coord that first reached its value.  Returns the updated ``(marks,
+    values, epoch_best, best)``; the arrays handed in are not modified."""
+    hit = cand_values < epoch_best[:, None]
     rows = np.flatnonzero(hit.any(axis=1))
     if rows.size:
         hit, v = hit[rows], cand_values[rows]
@@ -206,13 +207,17 @@ def _greedy_commit(marks, values, cand_coords, cand_values, best, digits: int):
         below = v < low
         k = np.where(below.any(axis=1), v.shape[1] - 1 - np.argmax(below[:, ::-1], axis=1),
                      np.argmax(hit & (q == low), axis=1))
-        best_values, best_coords = best_values.copy(), best_coords.copy()
-        best_values[rows] = q[np.arange(rows.size), k]
-        best_coords[rows] = cand_coords[rows, k]
-        best = (best_values, best_coords)
+        picked = q[np.arange(rows.size), k]
+        epoch_best = epoch_best.copy()
+        epoch_best[rows] = picked
+        new = picked < best[0][rows]
+        if new.any():  # most steps leave the run's best where it is
+            rows, k = rows[new], k[new]
+            best = (best[0].copy(), best[1].copy())
+            best[0][rows], best[1][rows] = picked[new], cand_coords[rows, k]
     improved = cand_values < values
     return (np.where(improved[..., None], cand_coords, marks),
-            np.where(improved, cand_values, values), best)
+            np.where(improved, cand_values, values), epoch_best, best)
 
 
 def mw_step(marks, values, cfg: SolverConfig, spec: ObjectiveSpec, rngs):
@@ -310,7 +315,7 @@ def run_solver(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
     marks, values)`` follows each epoch's initial evaluation, and
     ``observe.step(step, restart, raw, marks, values, best)`` each commit,
     with ``raw`` every value the step evaluated, flat in evaluation order,
-    and ``best`` the epoch's running best ``(quantized value, coord)``.  It
+    and ``best`` the epoch's running best quantized value.  It
     must not modify the arrays it is handed.  The probe count is the
     initial values plus each step's ``raw``."""
     return run_seeds(cfg, spec, [cfg.seed], initial_marks, observe)[0]
@@ -326,9 +331,10 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
     and one ``_greedy_commit`` for all of them.  Every epoch, first or
     restarted, starts in one block at the head of a step, in one
     ``_start_epochs`` call for all the seeds starting one.  Each seed keeps
-    its own generator, epochs, plateau counter and running bests, and draws
-    in the order a run alone would, so its record does not depend on the
-    seeds it runs with.  A seed leaves the stack when it passes or runs out
+    its own generator, epochs, plateau counter and two bests (the epoch's
+    value and the run's, both kept by ``_greedy_commit``), and draws in the
+    order a run alone would, so its record does not depend on the seeds it
+    runs with.  A seed leaves the stack when it passes or runs out
     of budget.  ``initial_marks`` and ``observe`` are as for ``run_solver``;
     ``observe`` watches one-seed calls only."""
     target = spec.value_target
@@ -341,12 +347,11 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
     m, n = cfg.marks, len(seeds)
     rngs = [None] * n  # each row's generator, replaced at every epoch start
     marks, values = np.empty((n, m, spec.dims)), np.empty((n, m))
-    # the plateau rule per seed: a step is flat unless its epoch error drops
-    # below ``err_prev``, and ``plateau`` counts the flat steps since the last
-    # drop or the epoch start
-    err_prev, plateau = np.empty(n), np.zeros(n, dtype=np.int64)
-    epoch_best = (np.full(n, math.inf), np.full((n, spec.dims), math.nan))  # quantized
-    best_values, best_coords = epoch_best[0].copy(), epoch_best[1].copy()  # over all epochs
+    # per seed: the epoch's running best, quantized, and the plateau rule: a
+    # step is flat unless its epoch error drops below ``err_prev``, and
+    # ``plateau`` counts the flat steps since the last drop or the epoch start
+    epoch_best, err_prev, plateau = np.empty(n), np.empty(n), np.zeros(n, dtype=np.int64)
+    best = (np.full(n, math.inf), np.full((n, spec.dims), math.nan))  # over all epochs
     restarts = np.zeros(n, dtype=np.int64)
     fresh = np.ones(n, dtype=bool)  # the rows that start an epoch before the next step
     index = np.arange(n)  # each stacked row's position in ``seeds``
@@ -366,27 +371,21 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
                                                       [rngs[i] for i in rows],
                                                       None if total_steps else initial_marks)
             err_prev[rows], plateau[rows] = values[rows].min(axis=1) - target, 0
-            epoch_best = (np.where(fresh, math.inf, epoch_best[0]),
-                          np.where(fresh[:, None], math.nan, epoch_best[1]))
+            epoch_best[rows] = math.inf
             fresh[:] = False
             if observe is not None:
                 observe.epoch(epoch_seeds[0], marks[0], values[0])
 
         total_steps += 1
         coords, cand_values, raw = propose(marks, values, cfg, spec, rngs)
-        marks, values, epoch_best = _greedy_commit(marks, values, coords, cand_values,
-                                                   epoch_best, spec.digits_target)
+        marks, values, epoch_best, best = _greedy_commit(marks, values, coords, cand_values,
+                                                         epoch_best, best, spec.digits_target)
         if observe is not None:
-            observe.step(total_steps, int(restarts[0]), raw[0], marks[0], values[0],
-                         (epoch_best[0][0], epoch_best[1][0]))
-        # each step, not at epoch end: a later hit of equal value moves the epoch best's coord
-        better = epoch_best[0] < best_values
-        np.copyto(best_values, epoch_best[0], where=better)
-        np.copyto(best_coords, epoch_best[1], where=better[:, None])
-        done = (epoch_best[0] == target) | (total_steps == cfg.steps_limit)
+            observe.step(total_steps, int(restarts[0]), raw[0], marks[0], values[0], epoch_best[0])
+        done = (epoch_best == target) | (total_steps == cfg.steps_limit)
 
         if cfg.restarts_enabled:
-            error = epoch_best[0] - target
+            error = epoch_best - target
             flat = error >= err_prev
             plateau = np.where(flat, plateau + 1, 0)
             err_prev = np.where(flat, err_prev, error)
@@ -397,21 +396,20 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
         if done.any():
             for i in np.flatnonzero(done):
                 records[index[i]] = RunRecord(
-                    coord_best=tuple(float(x) for x in best_coords[i]),
-                    value_best=float(best_values[i]),
+                    coord_best=tuple(float(x) for x in best[1][i]),
+                    value_best=float(best[0][i]),
                     agent_id=int(np.argmin(values[i])) + 1,
                     steps=total_steps,
                     # each epoch's initial values, then every step's candidates
                     probes=m * (1 + int(restarts[i])) + total_steps * raw.shape[1],
                     restarts=int(restarts[i]),
-                    is_censored=bool(epoch_best[0][i] != target),
+                    is_censored=bool(epoch_best[i] != target),
                     seed=seeds[index[i]],
                 )
             # compact only when a seed leaves, so a step never gathers the stack
             keep = ~done
             marks, values = marks[keep], values[keep]
-            epoch_best = (epoch_best[0][keep], epoch_best[1][keep])
-            best_values, best_coords = best_values[keep], best_coords[keep]
+            epoch_best, best = epoch_best[keep], (best[0][keep], best[1][keep])
             err_prev, plateau, restarts = err_prev[keep], plateau[keep], restarts[keep]
             index, fresh = index[keep], fresh[keep]
             rngs = [rng for rng, k in zip(rngs, keep) if k]

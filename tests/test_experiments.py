@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -41,6 +42,12 @@ def test_plan_validation():
         ExperimentPlan(spec=spec, configs=[], sample_size=3)
     with pytest.raises(ValueError):
         ExperimentPlan(spec=spec, configs=[_mwr()], sample_size=0)
+    # a fractional or NaN count passed, and _seed_chunks raised a TypeError
+    for value in (2.5, 3.0, math.nan, math.inf, None):
+        with pytest.raises(ValueError, match="sample_size must be an integer"):
+            ExperimentPlan(spec=spec, configs=[_mwr()], sample_size=value)
+    plan = ExperimentPlan(spec=spec, configs=[_mwr()], sample_size=np.int64(3))
+    assert list(_seed_chunks(plan)) == [(0, [1, 2, 3])]
     with pytest.raises(ValueError):
         ExperimentPlan(spec=spec, configs=[_mwr(), _mwr(steps_limit=99)],
                        sample_size=3)

@@ -105,7 +105,7 @@ class _Hasher:
         _update(self.digest, b"eval", raw)
         _update(self.digest, b"marks", marks)
         _update(self.digest, b"values", values)
-        _update(self.digest, b"best", [best[0]])
+        _update(self.digest, b"best", [best])
 
 
 def probe_stream_sha256() -> tuple:

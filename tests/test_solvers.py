@@ -29,21 +29,22 @@ def _traced(cfg, spec, initial_marks=None):
 
 
 def _stacked_best(best, dims):
-    """A one-population running best ``(value, coord or None)`` as the
-    stacked ``((1,) values, (1, dims) coords)`` the steps take."""
+    """A one-population run's best ``(value, coord or None)`` as the stacked
+    ``((1,) values, (1, dims) coords)`` the commit takes."""
     value, coord = best
     return (np.array([value]),
             np.full((1, dims), math.nan) if coord is None else np.array([coord], dtype=float))
 
 
-def _mw_step_one(marks, values, cfg, spec, rng, best):
+def _mw_step_one(marks, values, cfg, spec, rng, epoch_best):
     """``mw_step``'s proposal for one population, committed as ``run_seeds``
-    commits it: row 0 of each output, and the raw values evaluated."""
+    commits it, with the run's best at the epoch best: row 0 of each output,
+    the epoch best after it, and the raw values evaluated."""
     coords, cand_values, raw = mw_step(marks[None], values[None], cfg, spec, [rng])
-    marks, values, (best_values, best_coords) = _greedy_commit(
-        marks[None], values[None], coords, cand_values, _stacked_best(best, spec.dims),
-        spec.digits_target)
-    return marks[0], values[0], (best_values[0], best_coords[0]), raw[0]
+    marks, values, epoch_best, _best = _greedy_commit(
+        marks[None], values[None], coords, cand_values, np.array([epoch_best]),
+        _stacked_best((epoch_best, None), spec.dims), spec.digits_target)
+    return marks[0], values[0], epoch_best[0], raw[0]
 
 
 def _init_population_reference(spec, n_marks, anchored, rng, initial_marks=None):
@@ -177,21 +178,21 @@ def test_run_requires_target():
 def test_mw_step_finds_demo_target_in_one_step(ehrenfest4_spec):
     spec = ehrenfest4_spec
     _marks, _values, best, raw = _mw_step_one(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS), _cfg(),
-                                              spec, np.random.default_rng(0), NO_BEST)
-    assert best[0] == spec.value_target
+                                              spec, np.random.default_rng(0), math.inf)
+    assert best == spec.value_target
     assert raw.shape == (6 * 4,)
 
 
 def test_mw_step_without_improvement_changes_nothing(ehrenfest4_spec):
     spec = ehrenfest4_spec
     marks, values, best, _raw = _mw_step_one(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS), _cfg(),
-                                             spec, np.random.default_rng(0), NO_BEST)
+                                             spec, np.random.default_rng(0), math.inf)
     # the demo neighborhood is idempotent once the optimum is taken
     again_marks, again_values, best2, _raw = _mw_step_one(marks, values, _cfg(), spec,
                                                           np.random.default_rng(0), best)
     assert np.array_equal(again_marks, marks)
     assert np.array_equal(again_values, values)
-    assert best2[0] == best[0]
+    assert best2 == best
 
 
 def test_mw_step_shared_candidate_moves_both_marks(ehrenfest4_spec):
@@ -199,10 +200,10 @@ def test_mw_step_shared_candidate_moves_both_marks(ehrenfest4_spec):
     # marks; both accept, and the running best is set once
     spec = ehrenfest4_spec
     marks, _values, best, _raw = _mw_step_one(DEMO_MARKS.copy(), spec.fn(DEMO_MARKS), _cfg(),
-                                              spec, np.random.default_rng(0), NO_BEST)
+                                              spec, np.random.default_rng(0), math.inf)
     nine_holders = np.flatnonzero(marks[:, 0] == 9.0)
     assert len(nine_holders) >= 2
-    assert best[0] == spec.value_target
+    assert best == spec.value_target
 
 
 def _greedy_commit_reference(marks, values, cand_coords, cand_values, best, digits):
@@ -240,54 +241,81 @@ def _greedy_commit_serial(marks, values, cand_coords, cand_values, best, digits)
             np.where(improved, cand_values, values), (best_value, best_coord))
 
 
-def _commit_one(marks, values, cand_coords, cand_values, best, digits):
-    """``_greedy_commit`` of one population, its best as ``(float, coord or
-    None)`` again."""
+def _two_bests_reference(walk, marks, values, cand_coords, cand_values, epoch_best, best,
+                         digits):
+    """A reference commit of one population's two bests: ``walk`` (one of the
+    serial commits above) from the epoch best, then a strict ``<`` update of
+    the run's best ``(value, coord or None)``.  Returns ``(marks, values,
+    epoch best, run's best)``."""
+    marks, values, walked = walk(marks, values, cand_coords, cand_values, (epoch_best, None),
+                                 digits)
+    return marks, values, walked[0], walked if walked[0] < best[0] else best
+
+
+def _drawn_bests(epoch_raw, run_raw, digits, coord):
+    """The epoch best (``+inf`` when ``epoch_raw`` is None) and a run's best
+    at or below it, the engine's invariant: the epoch best again when
+    ``run_raw`` is None, else the lower of the two, at ``coord`` unless it
+    is ``+inf``."""
+    epoch_best = math.inf if epoch_raw is None else quantize(epoch_raw, digits)
+    run = epoch_best if run_raw is None else min(epoch_best, quantize(run_raw, digits))
+    return epoch_best, (NO_BEST if run == math.inf else (run, coord))
+
+
+def _commit_one(marks, values, cand_coords, cand_values, epoch_best, best, digits):
+    """``_greedy_commit`` of one population, its epoch best a float and its
+    run's best ``(float, coord or None)`` again."""
     got = _greedy_commit(marks[None], values[None], cand_coords[None], cand_values[None],
-                         _stacked_best(best, marks.shape[1]), digits)
-    value, coord = float(got[2][0][0]), got[2][1][0]
-    return got[0][0], got[1][0], (value, None if np.isnan(coord).all() else coord)
+                         np.array([epoch_best]), _stacked_best(best, marks.shape[1]), digits)
+    value, coord = float(got[3][0][0]), got[3][1][0]
+    return (got[0][0], got[1][0], float(got[2][0]),
+            (value, None if np.isnan(coord).all() else coord))
 
 
 @given(st.integers(1, 10).flatmap(lambda m: st.tuples(
            st.lists(_commit_value, min_size=m, max_size=m),
            st.lists(_commit_value, min_size=m, max_size=m))),
-       st.one_of(st.none(), _commit_value), st.sampled_from([1, 2, 3, 4, 17]),
-       st.integers(1, 2))
-def test_greedy_commit_matches_full_loop(vals, best_raw, digits, dims):
+       st.one_of(st.none(), _commit_value), st.one_of(st.none(), _commit_value),
+       st.sampled_from([1, 2, 3, 4, 17]), st.integers(1, 2))
+def test_greedy_commit_matches_full_loop(vals, epoch_raw, run_raw, digits, dims):
     cand_values, values = (np.array(v) for v in vals)
     m = len(values)
     marks = np.arange(m * dims, dtype=float).reshape(m, dims)
     cand_coords = marks + 0.5
-    best = NO_BEST if best_raw is None else (quantize(best_raw, digits), np.full(dims, -1.0))
-    got = _commit_one(marks, values, cand_coords, cand_values, best, digits)
-    want = _greedy_commit_reference(marks, values, cand_coords, cand_values, best, digits)
+    epoch_best, best = _drawn_bests(epoch_raw, run_raw, digits, np.full(dims, -1.0))
+    got = _commit_one(marks, values, cand_coords, cand_values, epoch_best, best, digits)
+    want = _two_bests_reference(_greedy_commit_reference, marks, values, cand_coords,
+                                cand_values, epoch_best, best, digits)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
-    assert repr(got[2][0]) == repr(want[2][0])
-    assert repr(got[2][1]) == repr(want[2][1])
+    assert repr(got[2]) == repr(want[2])
+    assert repr(got[3][0]) == repr(want[3][0])
+    assert repr(got[3][1]) == repr(want[3][1])
 
 
-def _commit_stack(cand_values, values, bests, digits, dims):
+def _commit_stack(cand_values, values, epoch_bests, bests, digits, dims):
     """``_greedy_commit`` of a stack of populations, each checked against
-    ``_greedy_commit_serial``, and the arrays handed in checked unmodified;
-    returns the stacked result and the candidate coords."""
+    ``_greedy_commit_serial`` with the run's best updated after it, and the
+    arrays handed in checked unmodified; returns the stacked result and the
+    candidate coords."""
     n, m = cand_values.shape
     marks = np.arange(n * m * dims, dtype=float).reshape(n, m, dims)
     cand_coords = marks + 0.5
+    epoch_in = np.array(epoch_bests, dtype=float)
     best_in = (np.array([b[0] for b in bests]),
                np.array([np.full(dims, math.nan) if b[1] is None else b[1] for b in bests]))
-    inputs = (marks, values, cand_coords, cand_values, *best_in)
+    inputs = (marks, values, cand_coords, cand_values, epoch_in, *best_in)
     before = [a.tobytes() for a in inputs]
-    got = _greedy_commit(marks, values, cand_coords, cand_values, best_in, digits)
-    got_marks, got_values, (got_best, got_coords) = got
+    got = _greedy_commit(marks, values, cand_coords, cand_values, epoch_in, best_in, digits)
+    got_marks, got_values, got_epoch, (got_best, got_coords) = got
     for k in range(n):
-        want = _greedy_commit_serial(marks[k], values[k], cand_coords[k], cand_values[k],
-                                     bests[k], digits)
+        want = _two_bests_reference(_greedy_commit_serial, marks[k], values[k], cand_coords[k],
+                                    cand_values[k], epoch_bests[k], bests[k], digits)
         assert got_marks[k].tobytes() == want[0].tobytes()
         assert got_values[k].tobytes() == want[1].tobytes()
-        assert repr(float(got_best[k])) == repr(float(want[2][0]))
-        want_coord = np.full(dims, math.nan) if want[2][1] is None else want[2][1]
+        assert repr(float(got_epoch[k])) == repr(float(want[2]))
+        assert repr(float(got_best[k])) == repr(float(want[3][0]))
+        want_coord = np.full(dims, math.nan) if want[3][1] is None else want[3][1]
         assert got_coords[k].tobytes() == want_coord.tobytes()
     assert [a.tobytes() for a in inputs] == before
     return got, cand_coords
@@ -296,42 +324,50 @@ def _commit_stack(cand_values, values, bests, digits, dims):
 @given(st.integers(1, 6).flatmap(lambda m: st.lists(st.tuples(
            st.lists(_commit_value, min_size=m, max_size=m),
            st.lists(_commit_value, min_size=m, max_size=m),
-           st.one_of(st.none(), _commit_value)), min_size=1, max_size=5)),
+           st.one_of(st.none(), _commit_value), st.one_of(st.none(), _commit_value)),
+           min_size=1, max_size=5)),
        st.sampled_from([1, 2, 3, 4, 17]), st.integers(1, 2))
 def test_stacked_commit_matches_the_serial_commit_per_population(pops, digits, dims):
     # each population of the stack commits as it would alone
-    bests = [NO_BEST if b is None else (quantize(b, digits), np.full(dims, -1.0 - k))
-             for k, (_c, _v, b) in enumerate(pops)]
-    _commit_stack(np.array([p[0] for p in pops]), np.array([p[1] for p in pops]), bests,
-                  digits, dims)
+    drawn = [_drawn_bests(e, r, digits, np.full(dims, -1.0 - k))
+             for k, (_c, _v, e, r) in enumerate(pops)]
+    _commit_stack(np.array([p[0] for p in pops]), np.array([p[1] for p in pops]),
+                  [d[0] for d in drawn], [d[1] for d in drawn], digits, dims)
 
 
 NAN, INF = math.nan, math.inf
 
 
 @pytest.mark.parametrize("digits, rows", [
-    # (running best, candidates, the best after the step, the candidate it
-    # came from or None); at two digits -2.46, -2.47 and -2.51 quantize to -2.5
-    (2, [(-2.5, [-2.51, -2.52, 0.0, -2.54, 3.0], -2.5, 3),  # hits at the best: the last
-         (INF, [-2.46, -2.51, -2.47, 1.0], -2.5, 1),        # a hit at Q, then one below it
-         (INF, [-2.46, -2.47, 1.0], -2.5, 0),               # none below Q: the first at Q
-         (-10.0, [-2.46, 5.0, NAN], -10.0, None)]),         # no hit: untouched
-    (2, [(INF, [NAN, INF, -2.0, -INF, NAN, -INF], -INF, 3),
-         (INF, [NAN, INF, NAN], INF, None),
-         (2.0, [INF, 1.0, NAN], 1.0, 1),
-         (NAN, [-1.0, 0.0], NAN, None)]),
-    (3, [(INF, [-0.0, 0.0], -0.0, 0), (INF, [0.0, -0.0], 0.0, 0)]),
-    (17, [(INF, [1.25, 1.2501, 1.25, 1.0000000000000002, 1.0, 1.0], 1.0, 4),
-          (1.25, [1.25, 1.2500000000000002, 1.2499999999999998], 1.2499999999999998, 2)]),
+    # (epoch best, run's best, candidates, the epoch best and the run's best
+    # after the step, the candidate the run's best came from or None); at two
+    # digits -2.46, -2.47 and -2.51 quantize to -2.5
+    (2, [(-2.5, -2.5, [-2.51, -2.52, 0.0, -2.54, 3.0], -2.5, -2.5, None),  # hits at the best
+         (INF, INF, [-2.46, -2.51, -2.47, 1.0], -2.5, -2.5, 1),   # a hit at Q, then one below it
+         (INF, INF, [-2.46, -2.47, 1.0], -2.5, -2.5, 0),          # none below Q: the first at Q
+         (INF, -2.5, [-2.46, -2.51, 1.0], -2.5, -2.5, None),      # Q is the run's best: it stays
+         (0.0, -3.0, [-2.46, -2.51, 1.0], -2.5, -3.0, None),      # the run's best is below Q
+         (-10.0, -10.0, [-2.46, 5.0, NAN], -10.0, -10.0, None)]),  # no hit: untouched
+    (2, [(INF, INF, [NAN, INF, -2.0, -INF, NAN, -INF], -INF, -INF, 3),
+         (INF, INF, [NAN, INF, NAN], INF, INF, None),
+         (2.0, 2.0, [INF, 1.0, NAN], 1.0, 1.0, 1),
+         (NAN, NAN, [-1.0, 0.0], NAN, NAN, None)]),
+    (3, [(INF, INF, [-0.0, 0.0], -0.0, -0.0, 0), (INF, INF, [0.0, -0.0], 0.0, 0.0, 0),
+         (INF, 0.0, [-0.0, 1.0], -0.0, 0.0, None)]),
+    (17, [(INF, INF, [1.25, 1.2501, 1.25, 1.0000000000000002, 1.0, 1.0], 1.0, 1.0, 4),
+          (1.25, 1.25, [1.25, 1.2500000000000002, 1.2499999999999998],
+           1.2499999999999998, 1.2499999999999998, 2)]),
 ])
 def test_commit_edge_cases_match_the_serial_commit(digits, rows):
-    m = max(len(r[1]) for r in rows)
-    cand_values = np.array([r[1] + [NAN] * (m - len(r[1])) for r in rows])
-    bests = [(r[0], np.full(2, -1.0 - k)) for k, r in enumerate(rows)]
-    (_marks, _values, (best, coords)), cand_coords = _commit_stack(
-        cand_values, np.full(cand_values.shape, 1.5), bests, digits, dims=2)
-    for k, (best_in, _cands, best_out, at) in enumerate(rows):
-        assert repr(float(best[k])) == repr(best_out)
+    m = max(len(r[2]) for r in rows)
+    cand_values = np.array([r[2] + [NAN] * (m - len(r[2])) for r in rows])
+    bests = [(r[1], np.full(2, -1.0 - k)) for k, r in enumerate(rows)]
+    (_marks, _values, epoch_best, (best, coords)), cand_coords = _commit_stack(
+        cand_values, np.full(cand_values.shape, 1.5), [r[0] for r in rows], bests, digits,
+        dims=2)
+    for k, (_epoch_in, _run_in, _cands, epoch_out, run_out, at) in enumerate(rows):
+        assert repr(float(epoch_best[k])) == repr(epoch_out)
+        assert repr(float(best[k])) == repr(run_out)
         want = bests[k][1] if at is None else cand_coords[k, at]
         assert coords[k].tobytes() == want.tobytes()
 
@@ -420,7 +456,7 @@ class _BestsTrace(WalkTrace):
 
     def step(self, step, restart, raw, marks, values, best):
         super().step(step, restart, raw, marks, values, best)
-        self.bests.append(best[0])
+        self.bests.append(best)
 
 
 def _traced_run_with_epoch_bests(cfg, spec):
@@ -769,6 +805,10 @@ def _lockstep_cases(draw):
           _target_spec("ehrenfest4", 9, "below"), [2, 8, 13, 17], DEMO_MARKS))
 @example((SolverConfig(kind="DEsFR", seed=0, steps_limit=40, marks=6, plateau_limit=3),
           _target_spec("ehrenfest4", 9, "below"), [2, 8, 13, 17], DEMO_MARKS))
+# on a staircase a later hit can quantize to the run's best: the record keeps
+# the coord that first reached it
+@example((SolverConfig(kind="DEoF3", seed=0, steps_limit=10, marks=4),
+          _target_spec("ehrenfest4", 9), [0], None))
 def test_lockstep_records_equal_the_serial_reference(case):
     # a restart draws its population afresh: initial_marks reaches the first epoch only
     cfg, spec, seeds, initial_marks = case
@@ -869,7 +909,7 @@ class _KeepingObserver:
         self.kept += [(a, a.copy()) for a in (marks, values)]
 
     def step(self, step, restart, raw, marks, values, best):
-        self.kept += [(a, a.copy()) for a in (raw, marks, values, best[1])]
+        self.kept += [(a, a.copy()) for a in (raw, marks, values)]
 
 
 @pytest.mark.parametrize("kind", ["MWR", "DEsFR"])
@@ -885,22 +925,24 @@ def test_arrays_handed_to_observe_stay_put(kind, ehrenfest15_spec):
 
 def test_record_keeps_the_coord_that_first_reached_its_best(ehrenfest4_spec):
     # on a staircase a later candidate below the running best can quantize to
-    # the same value: the epoch best moves to its coord, the record does not
+    # the same value: a mark moves to its coord, the record does not
     cfg = SolverConfig(kind="DEoF3", seed=0, steps_limit=10, marks=4)
-    bests = []
+    steps = []
 
     class Watch:
         def epoch(self, seed, marks, values):
             pass
 
         def step(self, step, restart, raw, marks, values, best):
-            bests.append((float(best[0]), best[1].copy()))
+            steps.append((marks.copy(), values.copy()))
 
     record = run_solver(cfg, ehrenfest4_spec, observe=Watch())
-    first = next(coord for value, coord in bests if value == record.value_best)
-    assert any(value == record.value_best and coord.tobytes() != first.tobytes()
-               for value, coord in bests)
-    assert record.coord_best == tuple(first)
+    digits = ehrenfest4_spec.digits_target
+    at_best = [{tuple(mark) for mark, value in zip(marks, quantize(values, digits))
+                if value == record.value_best} for marks, values in steps]
+    first = next(coords for coords in at_best if coords)
+    assert any(coords - first for coords in at_best)
+    assert record.coord_best in first
 
 
 def _count_calls(monkeypatch, module, name, counts):
