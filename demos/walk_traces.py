@@ -21,11 +21,12 @@ for kind, extra in (("MWR", dict(radius=4, dither=0.01)), ("DEsFR", {})):
     cfg = SolverConfig(kind=kind, seed=5, steps_limit=2000, marks=32, **extra)
     trace = WalkTrace(cfg, spec)  # an observer: it sees every epoch and step
     run = run_solver(cfg, spec, observe=trace)
+    passage = "none" if run.is_censored else f"step {run.steps}, agent {run.agent_id}"
     print(f"{cfg.solver_label}: steps={run.steps} probes={run.probes} "
-          f"restarts={run.restarts} first_passage={trace.first_passage}")
+          f"restarts={run.restarts} first_passage={passage}")
     path = f"walk_{cfg.solver_label}.txt"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trace_to_text(trace))
+        fh.write(trace_to_text(trace, run))
     print(f"  trace written to {path}  (wide form: multiwalk trace {path})")
 print()
-print("columns: step,restart,agentId,value; the footer records the first passage.")
+print("columns: step,restart,agentId,value; the footer is the run record's first passage.")

@@ -19,8 +19,9 @@ import os
 import sys
 from dataclasses import replace
 
-from .experiments import (ExperimentPlan, run_experiment, summarize_experiment,
-                          write_bargraph_csv, write_runs_csv, write_summary_csv)
+from .experiments import (RUN_COLUMNS, ExperimentPlan, run_experiment, run_fields,
+                          summarize_experiment, write_bargraph_csv, write_runs_csv,
+                          write_summary_csv)
 from .objectives import ObjectiveSpec, get_objective, objective_names
 from .solvers import (KIND_SETTINGS, SOLVER_KINDS, SolverConfig, WalkTrace, run_solver,
                       trace_to_text, trace_wide_text)
@@ -132,18 +133,11 @@ def _cmd_solve(args) -> int:
         with open(args.trace_out, "w", encoding="utf-8", newline="\n") as fh:
             trace = WalkTrace(cfg, spec)
             record = run_solver(cfg, spec, observe=trace)
-            fh.write(trace_to_text(trace))
+            fh.write(trace_to_text(trace, record))
     else:
         record = run_solver(cfg, spec)
-    print(f"objective = {spec.name}")
-    print(f"solver = {cfg.solver_label}")
-    print(f"seed = {record.seed}")
-    print(f"steps = {record.steps}")
-    print(f"probes = {record.probes}")
-    print(f"restarts = {record.restarts}")
-    print(f"censored = {'true' if record.is_censored else 'false'}")
-    print(f"valueBest = {record.value_best!r}")
-    print(f"agentId = {record.agent_id}")
+    for column, field in zip(RUN_COLUMNS.split(","), run_fields(spec, cfg, record)):
+        print(f"{column} = {field}")
     print(f"coordBest = {','.join(repr(c) for c in record.coord_best)}")
     return 0
 

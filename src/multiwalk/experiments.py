@@ -31,9 +31,11 @@ from .solvers import RunRecord, config_lines, run_seeds
 STEP_POINTS = 16384
 
 __all__ = [
+    "RUN_COLUMNS",
     "ExperimentPlan",
     "SolverSummary",
     "run_experiment",
+    "run_fields",
     "summarize",
     "summarize_experiment",
     "write_runs_csv",
@@ -190,12 +192,20 @@ def _write(path, plan: ExperimentPlan, columns: str, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+RUN_COLUMNS = "objective,solver,seed,steps,probes,restarts,censored,valueBest,agentId"
+
+
+def run_fields(spec: ObjectiveSpec, cfg, record: RunRecord) -> list:
+    """One run's ``RUN_COLUMNS`` fields, formatted as the runs CSV writes
+    them and ``solve`` prints them."""
+    return [spec.name, cfg.solver_label, str(record.seed), str(record.steps),
+            str(record.probes), str(record.restarts), _fmt(record.is_censored),
+            _fmt(record.value_best), str(record.agent_id)]
+
+
 def write_runs_csv(path, plan: ExperimentPlan, results) -> None:
-    _write(path, plan,
-           "objective,solver,seed,steps,probes,restarts,censored,valueBest,agentId",
-           ([plan.spec.name, cfg.solver_label, str(r.seed), str(r.steps),
-             str(r.probes), str(r.restarts), _fmt(r.is_censored),
-             _fmt(r.value_best), str(r.agent_id)]
+    _write(path, plan, RUN_COLUMNS,
+           (run_fields(plan.spec, cfg, r)
             for cfg, records in zip(plan.configs, results) for r in records))
 
 

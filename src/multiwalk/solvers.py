@@ -145,7 +145,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Outcome of one solver run."""
+    """The one outcome of one solver run: whether it passed
+    (``is_censored``), at which step (``steps``) and through which agent
+    (``agent_id``); the trace footer and every printout read it here."""
 
     coord_best: tuple
     value_best: float        # quantized
@@ -163,24 +165,20 @@ class WalkTrace:
 
     ``header`` holds the ``#`` lines naming the objective and solver run,
     ``epoch_seeds`` each epoch's seed and ``steps[k] = (step, restart_index,
-    values_copy)``.  ``first_passage`` is ``(step, agent_id)`` once the
-    epoch best, the quantized value ``step`` is handed, equals the target.
+    values_copy)``.  The run's outcome is its RunRecord's, which
+    ``trace_to_text`` writes as the footer.
     """
 
     def __init__(self, cfg: SolverConfig, spec: ObjectiveSpec):
         self.header = (*config_lines(spec, [cfg]), f"solver = {cfg.solver_label}")
         self.steps: list = []
         self.epoch_seeds: list = []
-        self.first_passage: Optional[tuple] = None
-        self._target = spec.value_target
 
     def epoch(self, seed, marks, values):
         self.epoch_seeds.append(seed)
 
     def step(self, step, restart, raw, marks, values, best):
         self.steps.append((step, restart, values.copy()))
-        if best == self._target:  # the run's last step
-            self.first_passage = (step, int(np.argmin(values)) + 1)
 
 
 def _greedy_commit(marks, values, cand_coords, cand_values, epoch_best, best, digits: int):
@@ -438,21 +436,18 @@ def config_lines(spec: ObjectiveSpec, configs) -> list:
     return lines
 
 
-def trace_to_text(trace: WalkTrace) -> str:
+def trace_to_text(trace: WalkTrace, record: RunRecord) -> str:
     """Stable delimited trace export: the header as comment lines, a column
     header, one row per (step, restart, agent, value), and a footer with the
-    first passage."""
+    first passage of ``record``, the run the trace watched."""
     lines = [f"# {line}" for line in trace.header]
     lines.append(f"# epoch_seeds = {','.join(str(s) for s in trace.epoch_seeds)}")
     lines.append("step,restart,agentId,value")
     for step, restart, values in trace.steps:
         for agent, value in enumerate(values, start=1):
             lines.append(f"{step},{restart},{agent},{float(value)!r}")
-    if trace.first_passage is not None:
-        lines.append(f"# first_passage_step={trace.first_passage[0]},"
-                     f"first_passage_agentId={trace.first_passage[1]}")
-    else:
-        lines.append("# first_passage=none")
+    lines.append("# first_passage=none" if record.is_censored else
+                 f"# first_passage_step={record.steps},first_passage_agentId={record.agent_id}")
     return "\n".join(lines) + "\n"
 
 

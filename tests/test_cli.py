@@ -98,6 +98,26 @@ def test_solve_deterministic_stdout(store):
     assert "valueBest" in a.stdout
 
 
+@pytest.mark.parametrize("of, solver, seed, censored", [
+    ("ehrenfest4", "MW:radius=4,marks=6", "7", "false"),
+    ("wild1", "MWR:radius=4,plateau_limit=3", "3", "true"),
+])
+def test_solve_prints_the_runs_csv_fields(store, tmp_path, capsys, of, solver, seed, censored):
+    # solve prints its record as the runs CSV's one row of a one-run bench,
+    # one `column = field` line per column, then coordBest
+    common = ["--of", of, "--solver", solver, "--seed", seed, "--steps-limit", "40",
+              "--targets", str(store / "targets.csv")]
+    assert cli.main(["solve", *common]) == 0
+    solve = capsys.readouterr().out.splitlines()
+    cli.main(["bench", *common, "--sample-size", "1", "--workers", "1",
+              "--out", str(tmp_path / "one")])
+    columns, row = [line for line in (tmp_path / "one_runs.csv").read_text().splitlines()
+                    if not line.startswith("#")]
+    assert solve[:9] == [f"{c} = {f}" for c, f in zip(columns.split(","), row.split(","))]
+    assert len(solve) == 10 and solve[-1].startswith("coordBest = ")
+    assert f"censored = {censored}" in solve
+
+
 def test_solve_unknown_objective(store):
     out = run_cli(["solve", "--of", "nope", "--solver", "MW:radius=4"], cwd=store)
     assert out.returncode == 1

@@ -1,5 +1,6 @@
-"""Smoke test: the narrative demos run against the public API."""
+"""Smoke test: every narrative demo runs against the public API."""
 
+import glob
 import os
 import subprocess
 import sys
@@ -7,12 +8,12 @@ import sys
 import pytest
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
 
 
-@pytest.mark.parametrize("demo", ["neighborhood_table.py", "walk_traces.py",
-                                  "radius_sweep.py"])
+@pytest.mark.parametrize("demo", DEMOS, ids=os.path.basename)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    out = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
+    out = subprocess.run([sys.executable, demo],
                          capture_output=True, text=True, cwd=tmp_path, env=env)
     assert out.returncode == 0, out.stderr

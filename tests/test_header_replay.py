@@ -73,14 +73,14 @@ def test_walk_trace_header_replays_the_run(cfg, narrow_trefethen1):
 
 def _assert_trace_replays(cfg, spec):
     trace = WalkTrace(cfg, spec)
-    run_solver(cfg, spec, observe=trace)
-    text = trace_to_text(trace)
+    record = run_solver(cfg, spec, observe=trace)
+    text = trace_to_text(trace, record)
     lines = text.splitlines()
     seed = int(_header_value(lines, "epoch_seeds").split(",")[0])
     spec, (replayed,) = _replay_header(lines, seed)
     again = WalkTrace(replayed, spec)
-    run_solver(replayed, spec, observe=again)
-    assert trace_to_text(again) == text
+    record = run_solver(replayed, spec, observe=again)
+    assert trace_to_text(again, record) == text
 
 
 def _write_all(tmp_path, prefix, plan):

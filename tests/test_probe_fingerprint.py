@@ -130,7 +130,7 @@ def walk_trace():
                        plateau_limit=8)
     trace = WalkTrace(cfg, spec)
     record = run_solver(cfg, spec, observe=trace)
-    text = trace_to_text(trace)
+    text = trace_to_text(trace, record)
     return record, text, trace_wide_text(text.splitlines())
 
 

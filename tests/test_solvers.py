@@ -408,7 +408,7 @@ def test_determinism_bitwise(ehrenfest15_spec):
     a, trace_a = _traced(cfg, ehrenfest15_spec)
     b, trace_b = _traced(cfg, ehrenfest15_spec)
     assert a == b
-    assert trace_to_text(trace_a) == trace_to_text(trace_b)
+    assert trace_to_text(trace_a, a) == trace_to_text(trace_b, b)
 
 
 def test_uncensored_means_exact_target_match(ehrenfest4_spec):
@@ -482,20 +482,11 @@ def test_greedy_monotone_per_agent_within_epoch(kind, ehrenfest15_spec):
     assert record.value_best == min(bests)
 
 
-def test_first_passage_marker_matches_record(ehrenfest4_spec):
-    cfg = SolverConfig(kind="MWR", seed=1, steps_limit=400,
-                       marks=6, radius=4, dither=0.01)
-    record, trace = _traced(cfg, ehrenfest4_spec)
-    assert not record.is_censored
-    assert trace.first_passage == (record.steps, record.agent_id)
-    markers = [s for s, *_ in trace.steps]
-    assert markers == sorted(markers)
-
-
 def test_trace_epoch_bookkeeping(wild1_spec):
     cfg = SolverConfig(kind="MWR", seed=11, steps_limit=60,
                        marks=8, radius=6, dither=0.01, plateau_limit=3)
     record, trace = _traced(cfg, wild1_spec)
+    assert [s for s, *_ in trace.steps] == list(range(1, record.steps + 1))
     epochs = sorted({e for _s, e, *_ in trace.steps})
     assert epochs == list(range(record.restarts + 1))
     assert len(trace.epoch_seeds) == record.restarts + 1
@@ -560,7 +551,6 @@ def test_plateau_on_the_last_budgeted_step_is_censored_without_restart(ehrenfest
     assert (record.steps, record.probes, record.restarts, record.is_censored,
             record.value_best, record.agent_id) == (13, 174, 2, True, -9.25142255, 2)
     assert record.restarts == len(trace.epoch_seeds) - 1
-    assert trace.first_passage is None
     # one step more of budget, and the plateau starts epoch 3
     longer, longer_trace = _traced(_small_mwr(seed=12, steps_limit=14, plateau_limit=3),
                                    ehrenfest4_spec)
@@ -600,7 +590,7 @@ def test_pass_on_the_step_the_plateau_would_fill_is_not_a_restart(ehrenfest4_spe
     assert (record.steps, record.probes, record.restarts, record.is_censored,
             record.agent_id) == (2, 30, 0, False, 2)
     assert record.value_best == ehrenfest4_spec.value_target
-    assert trace.first_passage == (2, 2)
+    assert trace.steps[-1][:2] == (record.steps, 0)
     assert trace.epoch_seeds == [4]
 
 
@@ -611,7 +601,6 @@ def test_non_restart_kind_out_of_budget_has_no_restarts(ehrenfest4_spec):
             record.value_best, record.agent_id) == (3, 24, 0, True, -9.25142255, 6)
     assert record.probes == cfg.marks * (1 + record.restarts) + record.steps * cfg.marks
     assert trace.epoch_seeds == [2]
-    assert trace.first_passage is None
 
 
 # ---------------------------------------------------------------------------
@@ -975,7 +964,7 @@ def test_a_kernel_nan_ranks_last(cfg):
     final = trace.steps[-1][2]
     assert not np.isnan(final).any()
     assert final[record.agent_id - 1] == final.min()
-    trace_wide_text(io.StringIO(trace_to_text(trace)))
+    trace_wide_text(io.StringIO(trace_to_text(trace, record)))
 
 
 def test_no_seeds_give_no_records(ehrenfest4_spec, monkeypatch):
@@ -1192,7 +1181,7 @@ def test_trace_export_format(ehrenfest4_spec):
     cfg = SolverConfig(kind="MW", seed=1, steps_limit=50,
                        marks=6, radius=4, dither=0.0)
     record, trace = _traced(cfg, ehrenfest4_spec, initial_marks=DEMO_MARKS)
-    text = trace_to_text(trace)
+    text = trace_to_text(trace, record)
     lines = text.splitlines()
     assert lines[0] == "# objective = ehrenfest4 (p = 1, bounds = [1.0] .. [17.0])"
     assert lines[2] == ("# solver MW04: kind=MW marks=6 radius=4 dither=0.0 "
@@ -1213,7 +1202,7 @@ def test_trace_censored_footer(wild1_spec):
                        marks=6, radius=4, dither=0.01)
     record, trace = _traced(cfg, wild1_spec)
     assert record.is_censored
-    assert trace_to_text(trace).splitlines()[-1] == "# first_passage=none"
+    assert trace_to_text(trace, record).splitlines()[-1] == "# first_passage=none"
 
 
 _trace_steps = st.lists(
@@ -1223,12 +1212,17 @@ _trace_steps = st.lists(
 
 
 def _written_trace(steps, first_passage, epoch_seeds):
+    """A trace of ``steps`` exported with the footer of a record that passed
+    at ``first_passage = (step, agent_id)``, or is censored for None."""
     trace = WalkTrace(_cfg(), get_objective("ehrenfest4"))
     trace.header = ("objective = x", "solver = MW04")
-    trace.first_passage, trace.epoch_seeds = first_passage, epoch_seeds
+    trace.epoch_seeds = epoch_seeds
     for step, restart, values in steps:
         trace.steps.append((step, restart, np.array(values)))
-    return trace_to_text(trace)
+    step, agent_id = first_passage or (1, 1)
+    record = RunRecord(coord_best=(1.0,), value_best=0.0, agent_id=agent_id, steps=step,
+                       probes=0, restarts=0, is_censored=first_passage is None, seed=0)
+    return trace_to_text(trace, record)
 
 
 _first_passage = st.none() | st.tuples(st.integers(1, 10 ** 6), st.integers(1, 5))
