@@ -23,12 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .objectives import ObjectiveSpec, evaluate_batch
+from .objectives import BATCH_POINTS, ObjectiveSpec, evaluate_batch
 from .solvers import RunRecord, config_lines, run_seeds
-
-# most candidate points (and sampling ranks) one lockstep step of a seed
-# chunk stacks; it bounds the stacked arrays, and so peak memory, not results
-STEP_POINTS = 16384
 
 __all__ = [
     "RUN_COLUMNS",
@@ -78,11 +74,11 @@ def _step_points(cfg) -> int:
 
 def _seed_chunks(plan: ExperimentPlan):
     """(config index, seeds) tasks: each config's seeds in contiguous chunks
-    of near-equal size, none of which stacks more than ``STEP_POINTS``
+    of near-equal size, none of which stacks more than ``BATCH_POINTS``
     values into one step (a seed larger than that runs alone)."""
     n = plan.sample_size
     for k, cfg in enumerate(plan.configs):
-        n_chunks = -(-n // max(1, STEP_POINTS // _step_points(cfg)))
+        n_chunks = -(-n // max(1, BATCH_POINTS // _step_points(cfg)))
         seeds = [cfg.seed + ri for ri in range(n)]
         for c in range(n_chunks):
             yield k, seeds[c * n // n_chunks:(c + 1) * n // n_chunks]

@@ -30,6 +30,11 @@ __all__ = [
 # ``ehrenfest`` builds (2**24 floats are 128 MB).
 MAX_ENUMERATION_STATES = 2 ** 24
 
+# Most points one kernel call or one stacked solver step holds: the target
+# oracle scans in slabs of this size and a seed chunk stacks no more than
+# this per step.  It bounds temporaries, and so peak memory, never results.
+BATCH_POINTS = 16384
+
 
 # ---------------------------------------------------------------------------
 # significant-digit quantization
@@ -198,8 +203,13 @@ def _wild_term(t):
 
 def wild(points: np.ndarray) -> np.ndarray:
     """Highly multimodal 1-D wave, averaged across coordinates."""
-    points = np.asarray(points, dtype=float)
-    return np.mean(_wild_term(points), axis=-1)
+    terms = _wild_term(np.asarray(points, dtype=float))
+    # the columns summed in order: np.mean's bits without its length-p inner loops
+    total = terms[..., 0].copy()
+    for d in range(1, terms.shape[-1]):
+        total += terms[..., d]
+    total /= terms.shape[-1]
+    return total
 
 
 def _trefethen_pair(a, b):

@@ -67,9 +67,12 @@ def _candidates(marks: np.ndarray, neighbor_sets: np.ndarray, lower: np.ndarray,
         u *= dither
         u += 1.0
         diffs *= u
-    diffs += lower
-    np.maximum(diffs, lower, out=diffs)
-    return np.minimum(diffs, upper, out=diffs)
+    for d, (lo, hi) in enumerate(zip(lower, upper)):  # scalar bounds: no length-p inner loops
+        col = diffs[..., d]
+        col += lo
+        np.maximum(col, lo, out=col)
+        np.minimum(col, hi, out=col)
+    return diffs
 
 
 def _neighbor_sets(n_marks: int, radius: int, ranks: np.ndarray | None) -> np.ndarray:

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .objectives import MAX_ENUMERATION_STATES, ObjectiveSpec, get_objective, quantize, wild
+from .objectives import (BATCH_POINTS, MAX_ENUMERATION_STATES, ObjectiveSpec, get_objective,
+                         quantize, wild)
 
 __all__ = [
     "TargetRecord",
@@ -38,7 +40,6 @@ COARSE_POINTS = {1: 4001, 2: 1001, 3: 201}
 REFINE_POINTS = {1: 33, 2: 33, 3: 11}
 REFINE_ROUNDS = 60
 REFINE_INCUMBENTS = 8
-SCAN_POINTS = 401 ** 2    # most points per slab of a grid scan: one trefethen3 coarse row
 
 # Scan policy per registered kernel: wild's basins (~0.15 wide in a 100-wide
 # box) need a dense grid, and its coordinate mean makes its minimum on
@@ -109,50 +110,74 @@ def _target_record(spec: ObjectiveSpec, value: float, coords, method: str) -> Ta
 
 def _scan_top_cells(spec: ObjectiveSpec, axes, keep: int):
     """The ``keep`` lowest values over the tensor grid of ``axes`` and their
-    points, best first, evaluated in slabs of whole first-axis rows of at
-    most ``SCAN_POINTS`` points (or one row) so 3-D scans stay flat in memory.
-    Each slab merges into the running top by ``_lowest`` (a partition, then a
-    stable sort of only the cells at or below the cut), which equals a stable
-    argsort, and the top's cells precede the slab's, so the result is a
-    stable argsort of the whole grid: ties go to the lowest C-order index
-    and NaN sorts last.  A kept cell's point is read from the axes at its grid
-    index.  A policy's ``chain_base`` makes each slab the broadcast sum of the
-    base over the first two axes and over the last two, each evaluated once
-    (one grid serves both when the three axes are equal); once the running
-    top is full, a slab skips the cells whose head plus their row's lowest
-    tail is above the top's last value (rounding is monotone, so none of
-    their sums could enter the top)."""
+    points, best first, evaluated in slabs of at most ``BATCH_POINTS``
+    points, taken as flat C-order index ranges, so every scan stays flat in
+    memory.  Each slab merges into the running top by ``_merge``, and the
+    top's cells precede the slab's, so the result is a stable argsort of the
+    whole grid: ties go to the lowest C-order index and NaN sorts last.  A
+    kept cell's point is read from the axes at its grid index.  A policy's
+    ``chain_base`` makes the scan ``_chain_top_cells``."""
+    shape = [len(a) for a in axes]
     chain = _policy(spec).get("chain_base")
     if chain is not None:
-        pair = get_objective(chain).fn
-        tail = _grid_values(pair, axes[1:]).reshape(len(axes[1]), len(axes[2]))
-        same = np.array_equal(axes[0], axes[1]) and np.array_equal(axes[1], axes[2])
-        head = tail if same else _grid_values(pair, axes[:2]).reshape(len(axes[0]), len(axes[1]))
-        floor = np.fmin.reduce(tail, axis=1)
-    width = math.prod(len(a) for a in axes[1:])
-    rows = max(1, SCAN_POINTS // width)
-    top_v, top_i = np.empty(0), np.empty(0, dtype=np.intp)
-    for start in range(0, len(axes[0]), rows):
-        slab = [axes[0][start:start + rows], *axes[1:]]
-        if chain is None:
-            values, idx = _grid_values(spec.fn, slab), np.arange(len(slab[0]) * width)
-        else:
-            heads = head[start:start + rows]
-            cut = top_v[-1] if len(top_v) == keep else np.nan  # nothing is above NaN
-            r = np.flatnonzero(~(heads + floor > cut))  # the kept head cells, flat
-            values = (heads.reshape(-1)[r, None] + tail[r % len(axes[1])]).reshape(-1)
-            idx = (r[:, None] * len(axes[2]) + np.arange(len(axes[2]))).reshape(-1)
-        top_v = np.concatenate([top_v, values])
-        top_i = np.concatenate([top_i, start * width + idx])
-        order = _lowest(top_v, keep)
-        top_v, top_i = top_v[order], top_i[order]
-    cells = np.unravel_index(top_i, [len(a) for a in axes])
+        top_v, top_i = _chain_top_cells(get_objective(chain).fn, axes, keep)
+    else:
+        top_v, top_i = np.empty(0), np.empty(0, dtype=np.intp)
+        for cells in _slabs(math.prod(shape)):
+            top_v, top_i = _merge(top_v, top_i, _cell_values(spec.fn, axes, cells), cells, keep)
+    cells = np.unravel_index(top_i, shape)
     return top_v, np.array([a[i] for a, i in zip(axes, cells)]).T
+
+
+def _chain_top_cells(pair, axes, keep: int):
+    """``_scan_top_cells`` of a chain: each value is the broadcast sum of
+    ``pair`` over the first two axes (the head cell) and over the last two,
+    each pair grid evaluated once in slabs (one grid serves both when the
+    three axes are equal).  A slab is at most ``BATCH_POINTS // n2`` head
+    cells (at least one), each with its ``n2`` sums.  Once the running top is
+    full, a slab skips the head cells whose head plus their row's lowest tail
+    is above the top's last value: rounding is monotone, so none of their
+    sums could enter the top.  Returns the top's values and flat indices."""
+    n1, n2 = len(axes[1]), len(axes[2])
+
+    def pair_grid(ax):
+        return np.concatenate([_cell_values(pair, ax, c) for c in _slabs(len(ax[0]) * len(ax[1]))])
+
+    tail = pair_grid(axes[1:]).reshape(n1, n2)
+    same = np.array_equal(axes[0], axes[1]) and np.array_equal(axes[1], axes[2])
+    head = tail.reshape(-1) if same else pair_grid(axes[:2])
+    floor = np.fmin.reduce(tail, axis=1)
+    step = max(1, BATCH_POINTS // n2)
+    top_v, top_i = np.empty(0), np.empty(0, dtype=np.intp)
+    for cells in _slabs(len(head)):
+        while len(cells):  # prune against the current top, then take one slab
+            cut = top_v[-1] if len(top_v) == keep else np.nan  # nothing is above NaN
+            cells = cells[~(head[cells] + floor[cells % n1] > cut)]
+            r, cells = cells[:step], cells[step:]
+            top_v, top_i = _merge(top_v, top_i, (head[r, None] + tail[r % n1]).reshape(-1),
+                                  (r[:, None] * n2 + np.arange(n2)).reshape(-1), keep)
+    return top_v, top_i
+
+
+def _slabs(n: int):
+    """The flat indices ``0..n-1`` in ranges of at most ``BATCH_POINTS``."""
+    for start in range(0, n, BATCH_POINTS):
+        yield np.arange(start, min(start + BATCH_POINTS, n))
+
+
+def _cell_values(fn, axes, cells) -> np.ndarray:
+    """``fn``, in one call, at the points of the tensor grid of ``axes``
+    whose C-order flat indices are ``cells``; a scan passes at most
+    ``BATCH_POINTS`` cells per call."""
+    idx = np.unravel_index(cells, [len(a) for a in axes])
+    return np.asarray(fn(np.stack([a[i] for a, i in zip(axes, idx)], -1)), dtype=float)
 
 
 def _grid_values(fn, *grids) -> np.ndarray:
     """``fn``, in one call, over the C-order points of the tensor grid of each
-    of ``grids`` in turn; axes of shape ``(K, n_d)`` stack K grids by row."""
+    of ``grids`` in turn; axes of shape ``(K, n_d)`` stack K grids by row.
+    The refinement's windows stay within ``BATCH_POINTS``: at most
+    ``REFINE_INCUMBENTS`` windows of ``REFINE_POINTS[dims]**dims`` points."""
     points = []
     for axes in grids:
         n = len(axes)
@@ -160,6 +185,15 @@ def _grid_values(fn, *grids) -> np.ndarray:
                 for d, a in enumerate(axes)]
         points.append(np.stack(np.broadcast_arrays(*cols), -1).reshape(-1, n))
     return np.asarray(fn(np.concatenate(points)), dtype=float)
+
+
+def _merge(top_v, top_i, values, idx, keep: int):
+    """The ``keep`` lowest of the running top followed by a slab, by
+    ``_lowest`` (a partition, then a stable sort of only the cells at or
+    below the cut), which equals a stable argsort."""
+    top_v, top_i = np.concatenate([top_v, values]), np.concatenate([top_i, idx])
+    order = _lowest(top_v, keep)
+    return top_v[order], top_i[order]
 
 
 def _lowest(values: np.ndarray, keep: int) -> np.ndarray:
@@ -232,15 +266,35 @@ def grid_refine_minimum(spec: ObjectiveSpec) -> TargetRecord:
     if spec.staircase:
         raise ValueError(f"{spec.name} is an integer staircase; use enumerate_integer_minimum")
     policy = _policy(spec)
-    scan = spec
     if policy.get("separable"):
         if np.any(spec.lower != spec.lower[0]) or np.any(spec.upper != spec.upper[0]):
             raise ValueError(f"{spec.name} is separable: its coordinates must share one interval")
-        scan = replace(spec, dims=1, lower=spec.lower[:1], upper=spec.upper[:1])
-    if scan.dims > 3:
-        raise ValueError("grid refinement supports at most 3 dimensions")
-    coarse = policy.get("coarse_points", COARSE_POINTS[scan.dims])
+        best_v, best_x = _separable_minimum(spec.fn, float(spec.lower[0]), float(spec.upper[0]),
+                                            policy["coarse_points"])
+    else:
+        if spec.dims > 3:
+            raise ValueError("grid refinement supports at most 3 dimensions")
+        coarse = policy.get("coarse_points", COARSE_POINTS[spec.dims])
+        best_v, best_x = _scan_and_refine(spec, coarse)
+    return _target_record(spec, best_v, np.resize(best_x, spec.dims), "grid+refine")
 
+
+@lru_cache(maxsize=1)
+def _separable_minimum(fn, lower: float, upper: float, coarse: int):
+    """``_scan_and_refine`` of a separable kernel's 1-D term on ``[lower,
+    upper]``, kept for the next call with the same kernel object, box and
+    coarse count: ``oracle --of all`` asks for wild1, wild2 and wild3 in a
+    row.  The key is ``fn`` itself (so it must be hashable, as functions
+    and partials are), not its unwrapped kernel, so a fresh wrapper (a
+    traced fetch) scans and counts its own points."""
+    return _scan_and_refine(ObjectiveSpec(name="separable", dims=1, lower=[lower],
+                                          upper=[upper], fn=fn), coarse)
+
+
+def _scan_and_refine(scan: ObjectiveSpec, coarse: int):
+    """The lowest value, unquantized, and its point: a coarse grid of
+    ``coarse`` points per dimension, then the refinement of its best
+    separated cells."""
     axes = [np.linspace(scan.lower[d], scan.upper[d], coarse) for d in range(scan.dims)]
     spacing = (scan.upper - scan.lower) / (coarse - 1)
     top_v, top_x = _scan_top_cells(scan, axes, keep=8 * REFINE_INCUMBENTS)
@@ -248,8 +302,7 @@ def grid_refine_minimum(spec: ObjectiveSpec) -> TargetRecord:
 
     best_v, best_x = min(zip(*_refine(scan, seeds_v, seeds_x, spacing)),
                          key=lambda vx: (vx[0], tuple(vx[1])))
-
-    return _target_record(spec, float(best_v), np.resize(best_x, spec.dims), "grid+refine")
+    return float(best_v), tuple(best_x.tolist())
 
 
 def compute_target(spec: ObjectiveSpec) -> TargetRecord:

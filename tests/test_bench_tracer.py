@@ -63,24 +63,24 @@ def test_traced_oracle_counts_the_separable_base_points():
     stats = tracer.summary()
     assert stats["targets.compute_target"].calls == 1
     assert stats["targets.grid_refine_minimum"].calls == 1
-    assert stats["objectives.fn"].calls == 1 + 60
+    assert stats["objectives.fn"].calls == 3 + 60
     assert tracer.counts["objectives.fn.points"] == 40001 + 8 * 60 * 33
 
 
 def test_traced_oracle_counts_the_chain_base_points():
     # trefethen3 is scanned as trefethen2 pairs, reached through the patched
     # targets.get_objective.  Coarse 401^3 grid: its three axes are equal,
-    # so one 401x401 grid serves as head and tail for all 401 slabs.
-    # Refinement: 60 lockstep rounds, each one call for the 11x11 head and
-    # 11x11 tail grids of all 8 seeds' 11^3 windows.  Calls 1 + 60; points
-    # 401^2 + 60 * 8 * 2 * 11^2.
+    # so one 401x401 grid, evaluated in 10 slabs of at most 16384 points,
+    # serves as head and tail.  Refinement: 60 lockstep rounds, each one call
+    # for the 11x11 head and 11x11 tail grids of all 8 seeds' 11^3 windows.
+    # Calls 10 + 60; points 401^2 + 60 * 8 * 2 * 11^2.
     with _layers().Tracer(multiwalk) as tracer:
         rec = multiwalk.targets.compute_target(get_objective("trefethen3"))
     assert rec.value_target == -5.74309093
     stats = tracer.summary()
     assert stats["targets.compute_target"].calls == 1
     assert stats["targets.grid_refine_minimum"].calls == 1
-    assert stats["objectives.fn"].calls == 1 + 60
+    assert stats["objectives.fn"].calls == 10 + 60
     assert tracer.counts["objectives.fn.points"] == 401 ** 2 + 8 * 60 * 2 * 11 ** 2
 
 

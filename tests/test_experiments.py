@@ -11,11 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multiwalk import experiments
-from multiwalk.experiments import (STEP_POINTS, ExperimentPlan, _seed_chunks, run_experiment,
+from multiwalk.experiments import (ExperimentPlan, _seed_chunks, run_experiment,
                                    summarize,
                                    summarize_experiment, write_bargraph_csv,
                                    write_runs_csv, write_summary_csv)
-from multiwalk.objectives import get_objective
+from multiwalk.objectives import BATCH_POINTS, get_objective
 from multiwalk.solvers import RunRecord, SolverConfig
 
 
@@ -103,7 +103,7 @@ def test_worker_counts_agree_over_uneven_seed_chunks(tmp_path, ehrenfest15_spec)
                           configs=[wide, SolverConfig(kind="DEsFR", seed=1, steps_limit=5)])
     sizes = [len(seeds) for _k, seeds in _seed_chunks(plan)]
     assert sizes[-1] == 7 and len(set(sizes[:-1])) > 1
-    assert max(sizes[:-1]) * wide.marks * wide.radius <= STEP_POINTS
+    assert max(sizes[:-1]) * wide.marks * wide.radius <= BATCH_POINTS
     texts = []
     for workers in (1, 2, 3):
         path = tmp_path / f"runs_{workers}.csv"
@@ -124,9 +124,9 @@ def test_seed_chunks_cover_each_config_in_order_within_the_step_budget(n, kind, 
     assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
     held = marks * radius + (marks * (marks - 2) if radius < marks - 2 else 0) if radius else marks
     for seeds in chunks:
-        assert len(seeds) == 1 or len(seeds) * held <= STEP_POINTS
+        assert len(seeds) == 1 or len(seeds) * held <= BATCH_POINTS
     # the fewest chunks that keep to the budget
-    assert len(chunks) == -(-n // max(1, STEP_POINTS // held))
+    assert len(chunks) == -(-n // max(1, BATCH_POINTS // held))
 
 
 class _InProcessPool:
@@ -155,7 +155,7 @@ class _InProcessPool:
 ])
 def test_pool_size_is_capped(ehrenfest4_spec, monkeypatch, cpus, sample_size, expected):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(experiments, "STEP_POINTS", 1)  # one task per run
+    monkeypatch.setattr(experiments, "BATCH_POINTS", 1)  # one task per run
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     plan = ExperimentPlan(spec=ehrenfest4_spec, configs=[_mwr()], sample_size=sample_size)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from multiwalk.objectives import (MAX_ENUMERATION_STATES, ObjectiveSpec, _ehrenfest_table,
-                                  _ln_gamma, _quartic, ehrenfest, evaluate_batch, get_objective,
-                                  objective_names, trefethen, wild)
+                                  _ln_gamma, _quartic, _wild_term, ehrenfest, evaluate_batch,
+                                  get_objective, objective_names, trefethen, wild)
 
 
 def test_registry_names():
@@ -52,6 +52,16 @@ def test_wild_separability(coords):
     per_coord = [float(wild(np.array([[c]]))[0]) for c in coords]
     joint = float(wild(np.array([coords]))[0])
     assert joint == pytest.approx(np.mean(per_coord), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("size", [0, 1, 31, 960, 3840])
+def test_wild_sums_its_columns_as_np_mean_does(p, size):
+    points = np.random.default_rng(size * 3 + p).uniform(-60.0, 60.0, size=(size, p))
+    every7th = points.reshape(-1)[::7]
+    every7th[...] = np.resize([-0.0, 0.0, 50.0, -50.0, 1e-300, np.nan], every7th.shape)
+    reference = np.mean(_wild_term(points), axis=-1)
+    assert wild(points).tobytes() == reference.tobytes()
 
 
 def _rounds_like_fractions(t) -> bool:

@@ -167,6 +167,25 @@ def test_candidates_match_clip_reference(name, dither):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("size", [0, 1, 31, 960, 3840])
+def test_candidates_bound_each_column_as_the_broadcast_bounds_did(p, size):
+    # size candidates: mark i of one population pairs with mark i + 1
+    rng = np.random.default_rng(size * 3 + p)
+    marks = rng.uniform(-3.0, 3.0, size=(1, size, p))
+    sets = (np.arange(size)[:, None] + 1) % max(size, 1)
+    lower, upper = rng.uniform(-2.0, -1.0, size=p), rng.uniform(1.0, 2.0, size=p)
+    u = rng.uniform(-1.0, 1.0, size=(1, size, 1, p))
+    got = _candidates(marks, sets, lower, upper, 0.5, u.copy())
+    # the length-p broadcast form, in place as it ran
+    want = np.abs(marks[..., None, :] - marks[..., sets, :])
+    want *= 1.0 + 0.5 * u
+    want += lower
+    np.maximum(want, lower, out=want)
+    np.minimum(want, upper, out=want)
+    assert got.shape == (1, size, 1, p) and got.tobytes() == want.tobytes()
+
+
 def test_anchored_noop_columns_on_integer_ruler():
     # at the anchored initial state, the excluded fixed column would only
     # reproduce the mark itself (or the upper bound, for mark 0)

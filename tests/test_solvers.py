@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiwalk import ruler, solvers
-from multiwalk.experiments import STEP_POINTS, ExperimentPlan, _seed_chunks, run_experiment
-from multiwalk.objectives import ObjectiveSpec, evaluate_batch, get_objective, quantize
+from multiwalk.experiments import ExperimentPlan, _seed_chunks, run_experiment
+from multiwalk.objectives import (BATCH_POINTS, ObjectiveSpec, evaluate_batch, get_objective,
+                                  quantize)
 from multiwalk.solvers import (KIND_SETTINGS, SOLVER_KINDS, RunRecord, SolverConfig, WalkTrace,
                                _de_step, _greedy_commit, _start_epochs, config_lines, mw_step,
                                run_seeds, run_solver, trace_to_text, trace_wide_text)
@@ -838,7 +839,7 @@ def test_lockstep_one_seed_equals_a_hundred_on_the_seeds_they_share(ehrenfest4_s
 
 def test_a_seed_larger_than_the_step_budget_runs_alone(ehrenfest15_spec):
     cfg = SolverConfig(kind="MW", seed=1, steps_limit=1, marks=1024, radius=1000)
-    assert cfg.marks * cfg.radius > STEP_POINTS
+    assert cfg.marks * cfg.radius > BATCH_POINTS
     plan = ExperimentPlan(spec=ehrenfest15_spec, configs=[cfg], sample_size=2)
     assert list(_seed_chunks(plan)) == [(0, [1]), (0, [2])]
     (records,) = run_experiment(plan)

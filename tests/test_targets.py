@@ -89,7 +89,7 @@ def test_enumeration_in_small_slabs_matches_one_slab(monkeypatch):
     from multiwalk.objectives import ehrenfest
     spec = _staircase("ehrenfest8", partial(ehrenfest, n=8), 2 ** 8 + 1)
     whole = enumerate_integer_minimum(spec)
-    monkeypatch.setattr(targets, "SCAN_POINTS", 7)
+    monkeypatch.setattr(targets, "BATCH_POINTS", 7)
     assert enumerate_integer_minimum(spec) == whole
 
 
@@ -107,8 +107,10 @@ _value_pool = st.sampled_from([-1.0, -0.0, 0.0, 2.5, math.inf, -math.inf, math.n
 
 @settings(max_examples=200, deadline=None)
 @given(axes=_grid_axes, data=st.data(), keep=st.sampled_from([1, 3, 64, 200]),
-       scan_points=st.sampled_from([1, 5, 100, targets.SCAN_POINTS]))
-def test_scan_top_cells_is_a_stable_argsort_of_the_whole_grid(axes, data, keep, scan_points):
+       bound=st.sampled_from([1, 5, 7, 100, targets.BATCH_POINTS]))
+def test_scan_top_cells_is_a_stable_argsort_of_the_whole_grid(axes, data, keep, bound):
+    # slabs are flat index ranges, so a bound of 5 or 7 can end a slab
+    # inside a first-axis row
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     values = data.draw(hnp.arrays(float, len(grid), elements=_value_pool))
     table = {tuple(p): v for p, v in zip(grid.tolist(), values)}
@@ -117,7 +119,7 @@ def test_scan_top_cells_is_a_stable_argsort_of_the_whole_grid(axes, data, keep, 
                          fn=lambda pts: np.array([table[tuple(p)] for p in pts.tolist()]))
     order = np.argsort(values, kind="stable")[:keep]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(targets, "SCAN_POINTS", scan_points)
+        mp.setattr(targets, "BATCH_POINTS", bound)
         top_v, top_x = targets._scan_top_cells(spec, axes, keep)
     assert top_v.tobytes() == values[order].tobytes()
     assert top_x.tobytes() == grid[order].tobytes()
@@ -154,24 +156,36 @@ _long_chain_axis = st.integers(65, 100).flatmap(
     lambda n: hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)))
 
 
+# a chain scan's bound, in points, for pair axes of n1 and n2 points: one
+# point (below one head cell's n2 sums), one or seven head cells per slab (so
+# a slab can end inside a first-axis row of n1 head cells), or whole rows
+_CHAIN_BOUNDS = {
+    "point": lambda n1, n2: 1,
+    "cell": lambda n1, n2: n2,
+    "7 cells": lambda n1, n2: 8 * n2 - 1,
+    "row": lambda n1, n2: n1 * n2,
+    "3 rows": lambda n1, n2: 3 * n1 * n2,
+    "default": lambda n1, n2: targets.BATCH_POINTS,
+}
+
+
 @settings(max_examples=150, deadline=None)
 @given(first=st.one_of(_chain_axis, _long_chain_axis),
        rest=st.lists(_chain_axis, min_size=2, max_size=2), keep=st.sampled_from([1, 5, 64]),
-       slab_rows=st.sampled_from([1, 3, None]), pool=st.none() | _pools)
-@example(first=np.array([0.6]), rest=[np.zeros(1), np.zeros(1)], keep=1, slab_rows=1,
+       slab=st.sampled_from(sorted(_CHAIN_BOUNDS)), pool=st.none() | _pools)
+@example(first=np.array([0.6]), rest=[np.zeros(1), np.zeros(1)], keep=1, slab="row",
          pool=[math.inf, -math.inf])
-def test_chain_scan_is_a_stable_argsort_of_the_spec(first, rest, keep, slab_rows, pool):
+def test_chain_scan_is_a_stable_argsort_of_the_spec(first, rest, keep, slab, pool):
     # trefethen3 is scanned as trefethen2 pairs; its bytes must be spec.fn's,
     # and with a pooled base (ties, -0.0, +-inf, NaN) the pair sums'
     spec = get_objective("trefethen3")
     axes = [first, *rest]
-    scan_points = (targets.SCAN_POINTS if slab_rows is None
-                   else slab_rows * len(axes[1]) * len(axes[2]))
+    bound = _CHAIN_BOUNDS[slab](len(axes[1]), len(axes[2]))
     assert targets._policy(spec)["chain_base"] == "trefethen2"
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     # inf + -inf is a NaN sum, not an error
     with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
-        mp.setattr(targets, "SCAN_POINTS", scan_points)
+        mp.setattr(targets, "BATCH_POINTS", bound)
         if pool is None:
             values = spec.fn(grid)
         else:
@@ -329,6 +343,48 @@ def test_oracle_record_is_pinned(name):
     rec = compute_target(get_objective(name))
     assert rec.digits == 9
     assert (repr(rec.value_target), repr(rec.coords)) == pinned_target(name)
+
+
+def _counting(fn, sizes):
+    """``fn`` behind ``functools.wraps`` (so it keeps its scan policy),
+    appending the size of every batch it is handed to ``sizes``."""
+    @functools.wraps(fn)
+    def counted(pts):
+        sizes.append(len(pts))
+        return fn(pts)
+    return counted
+
+
+@pytest.mark.parametrize("name", objective_names())
+def test_no_oracle_kernel_call_or_slab_exceeds_the_batch_bound(name, monkeypatch):
+    # every kernel compute_target reaches, a chain's base included, is
+    # fetched through targets.get_objective
+    sizes, slabs = [], []
+    monkeypatch.setattr(targets, "get_objective", lambda n: replace(
+        get_objective(n), fn=_counting(get_objective(n).fn, sizes)))
+
+    def merge(top_v, top_i, values, idx, keep, merge=targets._merge):
+        slabs.append(len(values))
+        return merge(top_v, top_i, values, idx, keep)
+    monkeypatch.setattr(targets, "_merge", merge)
+    rec = compute_target(targets.get_objective(name))
+    assert (repr(rec.value_target), repr(rec.coords)) == pinned_target(name)
+    assert sizes and max(sizes) <= targets.BATCH_POINTS
+    assert slabs and max(slabs) <= targets.BATCH_POINTS
+
+
+def test_separable_scan_runs_once_per_kernel_object_and_box():
+    # wild1..wild3 and a renamed copy share one kernel object: one 40001-point
+    # scan in 3 slabs and 60 refinement rounds serve all four records
+    sizes = []
+    kernel = _counting(get_objective("wild1").fn, sizes)
+    specs = [(f"wild{p}", replace(get_objective(f"wild{p}"), fn=kernel)) for p in (1, 2, 3)]
+    specs.append(("wild3", replace(specs[-1][1], name="renamed")))
+    for name, spec in specs:
+        rec = compute_target(spec)
+        assert (repr(rec.value_target), repr(rec.coords)) == pinned_target(name)
+    assert len(sizes) == 3 + 60
+    assert sum(sizes) == 40001 + 8 * 60 * 33
 
 
 def _wrapped(spec):
