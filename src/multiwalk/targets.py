@@ -5,9 +5,9 @@ certify their own targets.  Integer staircases are enumerated exhaustively,
 continuous objectives get a dense coarse grid scan followed by local grid
 refinement with a halving window around each of the best few scan cells,
 all windows in lockstep with one kernel call per round.  Enumeration and
-the coarse scan share one grid scan, and the refinement picks as it does:
-ties go to the lowest grid index (lowest coordinates) and NaN sorts last.
-Targets are quantized to ``digits_target``.
+the coarse scan share one grid scan, with NaN last; a refinement window
+ranks NaN as ``+inf``, as ``evaluate_batch`` does.  Ties go to the lowest
+grid index (lowest coordinates).  Targets are quantized to ``digits_target``.
 
 A target is a function of the spec's kernel, box and digits, never of its
 name: each kernel's scan policy errs on the dense side, since a wrong target
@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -226,8 +225,9 @@ def _refine(spec: ObjectiveSpec, seeds_v, seeds_x, spacing: np.ndarray):
     """Local grid refinement of every incumbent in lockstep: each round halves
     the windows around the incumbents and evaluates all their grids (or a
     chain policy's head and tail pair grids) in one kernel call.  Each window
-    picks its lowest value, ties to the lowest index and NaN last, and its
-    incumbent moves only to a lower value."""
+    picks its lowest value as ``evaluate_batch`` ranks (NaN as ``+inf``, ties
+    to the lowest index), and its incumbent moves only to a lower value, so a
+    window with no value below ``+inf`` never moves it."""
     best_v, best_x = np.array(seeds_v, dtype=float), np.array(seeds_x, dtype=float)
     win, n = np.arange(len(best_v)), REFINE_POINTS[spec.dims]
     chain = _policy(spec).get("chain_base")
@@ -236,15 +236,17 @@ def _refine(spec: ObjectiveSpec, seeds_v, seeds_x, spacing: np.ndarray):
     for _ in range(REFINE_ROUNDS):
         lo = np.maximum(spec.lower, best_x - half)
         hi = np.minimum(spec.upper, best_x + half)
-        # one linspace per window axis: a stacked linspace takes its zero-step
-        # formula for every row once any window has shrunk to zero width
-        axes = np.array([[np.linspace(a, b, n) for a, b in zip(*ends)] for ends in zip(lo.T, hi.T)])
+        # numpy's linspace per axis (arange * step + start, then the endpoint;
+        # lo + 0.0 on a zero-width window): a stacked linspace would take its
+        # zero-step formula for every row once any window has zero width
+        axes = lo.T[..., None] + np.arange(n) * ((hi - lo) / (n - 1)).T[..., None]
+        axes[..., -1] = hi.T
         if pair is None:
             values = _grid_values(spec.fn, axes).reshape(len(win), -1)
         else:
             head, tail = _grid_values(pair, axes[:2], axes[1:]).reshape(2, -1, n, n)
             values = (head[:, :, :, None] + tail[:, None]).reshape(len(win), -1)
-        pick = np.argsort(values, axis=1, kind="stable")[:, 0]
+        pick = np.fmin(values, np.inf).argmin(axis=1)
         cells = np.array(np.unravel_index(pick, [n] * spec.dims)).T
         v, x = values[win, pick], axes[np.arange(spec.dims), win[:, None], cells]
         better = v < best_v
@@ -258,51 +260,28 @@ def grid_refine_minimum(spec: ObjectiveSpec) -> TargetRecord:
     each of the best separated scan cells; the lowest value wins, ties going
     to the lowest coordinates, and NaN never beats a number.  The coarse grid
     is the scan policy's, else ``COARSE_POINTS[dims]`` points per dimension;
-    a separable kernel scans its first coordinate over the one interval that
-    every coordinate must share, and repeats the minimizer.  Only continuous
-    objectives with at most 3 scanned dimensions are defined, and a lowest
-    value that is not finite is refused.
+    a separable kernel takes this path on its first coordinate alone, over
+    the interval all coordinates must share, and repeats the minimizer.  Only
+    continuous objectives with at most 3 scanned dimensions are defined, and
+    a lowest value that is not finite is refused.
     """
     if spec.staircase:
         raise ValueError(f"{spec.name} is an integer staircase; use enumerate_integer_minimum")
-    policy = _policy(spec)
+    policy, scan = _policy(spec), spec
     if policy.get("separable"):
         if np.any(spec.lower != spec.lower[0]) or np.any(spec.upper != spec.upper[0]):
             raise ValueError(f"{spec.name} is separable: its coordinates must share one interval")
-        best_v, best_x = _separable_minimum(spec.fn, float(spec.lower[0]), float(spec.upper[0]),
-                                            policy["coarse_points"])
-    else:
-        if spec.dims > 3:
-            raise ValueError("grid refinement supports at most 3 dimensions")
-        coarse = policy.get("coarse_points", COARSE_POINTS[spec.dims])
-        best_v, best_x = _scan_and_refine(spec, coarse)
-    return _target_record(spec, best_v, np.resize(best_x, spec.dims), "grid+refine")
-
-
-@lru_cache(maxsize=1)
-def _separable_minimum(fn, lower: float, upper: float, coarse: int):
-    """``_scan_and_refine`` of a separable kernel's 1-D term on ``[lower,
-    upper]``, kept for the next call with the same kernel object, box and
-    coarse count: ``oracle --of all`` asks for wild1, wild2 and wild3 in a
-    row.  The key is ``fn`` itself (so it must be hashable, as functions
-    and partials are), not its unwrapped kernel, so a fresh wrapper (a
-    traced fetch) scans and counts its own points."""
-    return _scan_and_refine(ObjectiveSpec(name="separable", dims=1, lower=[lower],
-                                          upper=[upper], fn=fn), coarse)
-
-
-def _scan_and_refine(scan: ObjectiveSpec, coarse: int):
-    """The lowest value, unquantized, and its point: a coarse grid of
-    ``coarse`` points per dimension, then the refinement of its best
-    separated cells."""
+        scan = replace(spec, dims=1, lower=spec.lower[:1], upper=spec.upper[:1])
+    elif spec.dims > 3:
+        raise ValueError("grid refinement supports at most 3 dimensions")
+    coarse = policy.get("coarse_points", COARSE_POINTS[scan.dims])
     axes = [np.linspace(scan.lower[d], scan.upper[d], coarse) for d in range(scan.dims)]
     spacing = (scan.upper - scan.lower) / (coarse - 1)
     top_v, top_x = _scan_top_cells(scan, axes, keep=8 * REFINE_INCUMBENTS)
     seeds_v, seeds_x = _separated_incumbents(top_v, top_x, spacing)
-
     best_v, best_x = min(zip(*_refine(scan, seeds_v, seeds_x, spacing)),
                          key=lambda vx: (vx[0], tuple(vx[1])))
-    return float(best_v), tuple(best_x.tolist())
+    return _target_record(spec, float(best_v), np.resize(best_x, spec.dims), "grid+refine")
 
 
 def compute_target(spec: ObjectiveSpec) -> TargetRecord:

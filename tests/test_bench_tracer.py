@@ -67,6 +67,26 @@ def test_traced_oracle_counts_the_separable_base_points():
     assert tracer.counts["objectives.fn.points"] == 40001 + 8 * 60 * 33
 
 
+def test_traced_and_untraced_oracle_reach_the_wild_term_with_the_same_points(tmp_path,
+                                                                            monkeypatch):
+    # the tracer hands each fetched objective a fresh kernel wrapper, so its
+    # counts describe the untraced command only if no scan depends on the
+    # kernel object: wild1, wild2 and wild3 each scan the 1-D term
+    points, wild_term = [], multiwalk.objectives._wild_term
+
+    def counted(t):
+        points.append(t.size)
+        return wild_term(t)
+    monkeypatch.setattr(multiwalk.objectives, "_wild_term", counted)
+    monkeypatch.chdir(tmp_path)
+    argv = ["oracle", "--of", "wild1,wild2,wild3", "--out", "t.csv"]
+    assert multiwalk.cli.main(argv) == 0
+    untraced = sum(points)
+    with _layers().Tracer(multiwalk):
+        assert multiwalk.cli.main(argv) == 0
+    assert sum(points) - untraced == untraced == 3 * (40001 + 8 * 60 * 33)
+
+
 def test_traced_oracle_counts_the_chain_base_points():
     # trefethen3 is scanned as trefethen2 pairs, reached through the patched
     # targets.get_objective.  Coarse 401^3 grid: its three axes are equal,
