@@ -5,9 +5,9 @@ certify their own targets.  Integer staircases are enumerated exhaustively,
 continuous objectives get a dense coarse grid scan followed by local grid
 refinement with a halving window around each of the best few scan cells,
 all windows in lockstep with one kernel call per round.  Enumeration and
-the coarse scan share one grid scan, with NaN last; a refinement window
-ranks NaN as ``+inf``, as ``evaluate_batch`` does.  Ties go to the lowest
-grid index (lowest coordinates).  Targets are quantized to ``digits_target``.
+the coarse scan share one grid scan; it and every refinement window rank
+NaN as ``+inf``, as ``evaluate_batch`` does, and ties to the lowest grid
+index (lowest coordinates).  Targets are quantized to ``digits_target``.
 
 A target is a function of the spec's kernel, box and digits, never of its
 name: each kernel's scan policy errs on the dense side, since a wrong target
@@ -72,10 +72,10 @@ class TargetRecord:
 def enumerate_integer_minimum(spec: ObjectiveSpec) -> TargetRecord:
     """Exhaustive scan of every integer state of a staircase objective.
 
-    Returns the quantized lowest non-NaN value and its lowest state.
-    Refuses non-staircase objectives and state counts beyond 2**24 (a grid
-    scan is no substitute on a staircase), and a staircase whose lowest
-    value is not finite.
+    Returns the quantized lowest value (NaN ranking as ``+inf``) and its
+    lowest state.  Refuses non-staircase objectives and state counts beyond
+    2**24 (a grid scan is no substitute on a staircase), and a staircase
+    whose lowest value is not finite.
     """
     if not spec.staircase:
         raise ValueError(f"{spec.name} is not an integer staircase; use grid_refine_minimum")
@@ -86,13 +86,13 @@ def enumerate_integer_minimum(spec: ObjectiveSpec) -> TargetRecord:
             f"{spec.name} has {hi - lo + 1} states, beyond the enumeration limit "
             f"of {MAX_ENUMERATION_STATES}"
         )
-    (value,), (state,) = _scan_top_cells(spec, [np.arange(lo, hi + 1, dtype=float)], keep=1)
+    (value,), (state,) = _scan_top_cells(spec.fn, [np.arange(lo, hi + 1, dtype=float)], keep=1)
     return _target_record(spec, float(value), state, "enumeration")
 
 
 def _target_record(spec: ObjectiveSpec, value: float, coords, method: str) -> TargetRecord:
     """The scan's best quantized to ``spec.digits_target``.  A target that is
-    not finite (every scanned value NaN, or an infinite best) is refused,
+    not finite (``+inf`` when every value is NaN, or ``-inf``) is refused,
     since the store cannot read it back."""
     target = float(quantize(value, spec.digits_target))
     if not math.isfinite(target):
@@ -107,23 +107,23 @@ def _target_record(spec: ObjectiveSpec, value: float, coords, method: str) -> Ta
     )
 
 
-def _scan_top_cells(spec: ObjectiveSpec, axes, keep: int):
-    """The ``keep`` lowest values over the tensor grid of ``axes`` and their
-    points, best first, evaluated in slabs of at most ``BATCH_POINTS``
-    points, taken as flat C-order index ranges, so every scan stays flat in
-    memory.  Each slab merges into the running top by ``_merge``, and the
-    top's cells precede the slab's, so the result is a stable argsort of the
-    whole grid: ties go to the lowest C-order index and NaN sorts last.  A
-    kept cell's point is read from the axes at its grid index.  A policy's
-    ``chain_base`` makes the scan ``_chain_top_cells``."""
+def _scan_top_cells(fn, axes, keep: int, pair=None):
+    """The ``keep`` lowest values of ``fn`` over the tensor grid of ``axes``
+    and their points, best first, evaluated in slabs of at most
+    ``BATCH_POINTS`` points, taken as flat C-order index ranges, so every
+    scan stays flat in memory.  Each slab merges into the running top by
+    ``_merge``, and the top's cells precede the slab's, so the result is a
+    stable argsort of the whole grid with NaN read as ``+inf``: ties go to
+    the lowest C-order index.  A kept cell's point is read from the axes at
+    its grid index.  A chain's ``pair`` kernel makes the scan
+    ``_chain_top_cells``."""
     shape = [len(a) for a in axes]
-    chain = _policy(spec).get("chain_base")
-    if chain is not None:
-        top_v, top_i = _chain_top_cells(get_objective(chain).fn, axes, keep)
+    if pair is not None:
+        top_v, top_i = _chain_top_cells(pair, axes, keep)
     else:
         top_v, top_i = np.empty(0), np.empty(0, dtype=np.intp)
         for cells in _slabs(math.prod(shape)):
-            top_v, top_i = _merge(top_v, top_i, _cell_values(spec.fn, axes, cells), cells, keep)
+            top_v, top_i = _merge(top_v, top_i, _cell_values(fn, axes, cells), cells, keep)
     cells = np.unravel_index(top_i, shape)
     return top_v, np.array([a[i] for a, i in zip(axes, cells)]).T
 
@@ -135,8 +135,9 @@ def _chain_top_cells(pair, axes, keep: int):
     three axes are equal).  A slab is at most ``BATCH_POINTS // n2`` head
     cells (at least one), each with its ``n2`` sums.  Once the running top is
     full, a slab skips the head cells whose head plus their row's lowest tail
-    is above the top's last value: rounding is monotone, so none of their
-    sums could enter the top.  Returns the top's values and flat indices."""
+    (NaN skipped) is above the top's last value: rounding is monotone, so no
+    sum of theirs could enter the top, and a NaN bound skips nothing.
+    Returns the top's values and flat indices, as ``_merge`` ranks them."""
     n1, n2 = len(axes[1]), len(axes[2])
 
     def pair_grid(ax):
@@ -150,7 +151,7 @@ def _chain_top_cells(pair, axes, keep: int):
     top_v, top_i = np.empty(0), np.empty(0, dtype=np.intp)
     for cells in _slabs(len(head)):
         while len(cells):  # prune against the current top, then take one slab
-            cut = top_v[-1] if len(top_v) == keep else np.nan  # nothing is above NaN
+            cut = top_v[-1] if len(top_v) == keep else np.inf  # nothing is above +inf
             cells = cells[~(head[cells] + floor[cells % n1] > cut)]
             r, cells = cells[:step], cells[step:]
             top_v, top_i = _merge(top_v, top_i, (head[r, None] + tail[r % n1]).reshape(-1),
@@ -187,25 +188,14 @@ def _grid_values(fn, *grids) -> np.ndarray:
 
 
 def _merge(top_v, top_i, values, idx, keep: int):
-    """The ``keep`` lowest of the running top followed by a slab, by
-    ``_lowest`` (a partition, then a stable sort of only the cells at or
-    below the cut), which equals a stable argsort."""
-    top_v, top_i = np.concatenate([top_v, values]), np.concatenate([top_i, idx])
-    order = _lowest(top_v, keep)
-    return top_v[order], top_i[order]
-
-
-def _lowest(values: np.ndarray, keep: int) -> np.ndarray:
-    """``np.argsort(values, kind="stable")[:keep]`` without sorting every
-    value: the cells at or below the keep-th lowest value hold all of its
-    ties in ascending index order, and NaN is never among them.  A keep-th
-    value that is NaN (fewer than ``keep`` numbers) takes the full sort."""
-    if len(values) > keep:
-        cut = np.partition(values, keep - 1)[keep - 1]
-        if not np.isnan(cut):
-            idx = np.flatnonzero(values <= cut)
-            return idx[np.argsort(values[idx], kind="stable")][:keep]
-    return np.argsort(values, kind="stable")[:keep]
+    """The ``keep`` lowest of the running top followed by a slab, NaN read as
+    ``+inf`` (and returned so), as the head of a stable argsort: the cells at
+    or below the keep-th lowest value hold all of its ties in index order."""
+    v, i = np.fmin(np.concatenate([top_v, values]), np.inf), np.concatenate([top_i, idx])
+    kth = min(keep, len(v)) - 1
+    cells = np.flatnonzero(v <= np.partition(v, kth)[kth])
+    cells = cells[np.argsort(v[cells], kind="stable")][:keep]
+    return v[cells], i[cells]
 
 
 def _separated_incumbents(values, points, spacing):
@@ -221,17 +211,15 @@ def _separated_incumbents(values, points, spacing):
     return chosen_v, chosen_x
 
 
-def _refine(spec: ObjectiveSpec, seeds_v, seeds_x, spacing: np.ndarray):
+def _refine(spec: ObjectiveSpec, seeds_v, seeds_x, spacing: np.ndarray, pair):
     """Local grid refinement of every incumbent in lockstep: each round halves
-    the windows around the incumbents and evaluates all their grids (or a
-    chain policy's head and tail pair grids) in one kernel call.  Each window
-    picks its lowest value as ``evaluate_batch`` ranks (NaN as ``+inf``, ties
-    to the lowest index), and its incumbent moves only to a lower value, so a
-    window with no value below ``+inf`` never moves it."""
+    the windows around the incumbents and evaluates all their grids (or, for
+    a chain's ``pair`` kernel, the head and tail pair grids) in one kernel
+    call.  Each window picks its lowest value by the scan's rule (NaN as
+    ``+inf``, ties to the lowest index), and its incumbent moves only to a
+    lower value, so a window with no value below ``+inf`` never moves it."""
     best_v, best_x = np.array(seeds_v, dtype=float), np.array(seeds_x, dtype=float)
     win, n = np.arange(len(best_v)), REFINE_POINTS[spec.dims]
-    chain = _policy(spec).get("chain_base")
-    pair = get_objective(chain).fn if chain else None
     half = 2.0 * spacing
     for _ in range(REFINE_ROUNDS):
         lo = np.maximum(spec.lower, best_x - half)
@@ -257,13 +245,13 @@ def _refine(spec: ObjectiveSpec, seeds_v, seeds_x, spacing: np.ndarray):
 
 def grid_refine_minimum(spec: ObjectiveSpec) -> TargetRecord:
     """Dense coarse grid scan, then halving-window local refinement around
-    each of the best separated scan cells; the lowest value wins, ties going
-    to the lowest coordinates, and NaN never beats a number.  The coarse grid
-    is the scan policy's, else ``COARSE_POINTS[dims]`` points per dimension;
-    a separable kernel takes this path on its first coordinate alone, over
-    the interval all coordinates must share, and repeats the minimizer.  Only
-    continuous objectives with at most 3 scanned dimensions are defined, and
-    a lowest value that is not finite is refused.
+    each of the best separated scan cells; the lowest value wins (NaN as
+    ``+inf``, ties to the lowest coordinates).  The scan policy, read once,
+    gives the coarse grid (else ``COARSE_POINTS[dims]`` points per axis), a
+    chain's pair kernel for scan and refinement, and a separable kernel's
+    path on its first coordinate alone, over the interval all coordinates
+    must share, with the minimizer repeated.  Only continuous objectives
+    with at most 3 scanned dimensions; a non-finite lowest value is refused.
     """
     if spec.staircase:
         raise ValueError(f"{spec.name} is an integer staircase; use enumerate_integer_minimum")
@@ -274,12 +262,13 @@ def grid_refine_minimum(spec: ObjectiveSpec) -> TargetRecord:
         scan = replace(spec, dims=1, lower=spec.lower[:1], upper=spec.upper[:1])
     elif spec.dims > 3:
         raise ValueError("grid refinement supports at most 3 dimensions")
+    pair = get_objective(policy["chain_base"]).fn if "chain_base" in policy else None
     coarse = policy.get("coarse_points", COARSE_POINTS[scan.dims])
     axes = [np.linspace(scan.lower[d], scan.upper[d], coarse) for d in range(scan.dims)]
     spacing = (scan.upper - scan.lower) / (coarse - 1)
-    top_v, top_x = _scan_top_cells(scan, axes, keep=8 * REFINE_INCUMBENTS)
+    top_v, top_x = _scan_top_cells(scan.fn, axes, 8 * REFINE_INCUMBENTS, pair)
     seeds_v, seeds_x = _separated_incumbents(top_v, top_x, spacing)
-    best_v, best_x = min(zip(*_refine(scan, seeds_v, seeds_x, spacing)),
+    best_v, best_x = min(zip(*_refine(scan, seeds_v, seeds_x, spacing, pair)),
                          key=lambda vx: (vx[0], tuple(vx[1])))
     return _target_record(spec, float(best_v), np.resize(best_x, spec.dims), "grid+refine")
 

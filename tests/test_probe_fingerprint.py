@@ -14,10 +14,11 @@ libm logs, and wild uses ``np.sin`` and a quartic of ``+``, ``-`` and ``*``
 only.  trefethen's ``np.exp`` is not, so the pins are keyed by dispatch class
 and record the numpy build they were taken with; a mismatch names both
 sides.  They do not depend on scipy, which the staircase tables no longer
-call.  Every run checks the X86_V3 pins too, in a child process with
-AVX-512 dispatch turned off, and that the child's target values at digits 6
-and 12 and its ``wild`` values over a fixed point set equal this process's
-(the target coordinates may differ across classes).
+call.  The oracle's stores of every objective at digits 6, 9 and 12 are
+pinned per class the same way.  Every run checks the X86_V3 pins too, in a
+child process with AVX-512 dispatch turned off, and that the child's target
+values at digits 6 and 12 and its ``wild`` values over a fixed point set
+equal this process's (the target coordinates may differ across classes).
 
 The walk-trace pin covers one real walk through ``trace_to_text`` and the
 ``trace_wide_text`` pivot; its bytes are the same under both classes.
@@ -35,7 +36,7 @@ import numpy as np
 from multiwalk.objectives import get_objective, objective_names, wild
 from multiwalk.solvers import (SOLVER_KINDS, SolverConfig, WalkTrace, run_solver,
                                trace_to_text, trace_wide_text)
-from multiwalk.targets import compute_target
+from multiwalk.targets import TargetStore, compute_target
 
 # keyed by numpy dispatch class, the first one active wins
 PINNED_SHA256 = {
@@ -43,6 +44,17 @@ PINNED_SHA256 = {
     "X86_V3": "d0b6958e0adc10b7070aaaaf80bb031d7ddab4570b8641204dcaf4b8ea7b56a0",
 }
 PINNED_NUMPY = "2.4.6"
+# sha256 of TargetStore.dumps() for oracle_stores() at digits 6, 9 and 12, by
+# numpy dispatch class: the bytes `oracle --of all --digits D` writes
+STORE_SHA256 = {
+    "X86_V4": ("9cd96a5813e193909ca0e76f1222788551c8481be6ab4e64e6ae5bdc92952998",
+               "c1f5b8871dd92111121b26c95ea74c2eb699c573cf6692ada4242522dcb525ed",
+               "b228d2058c049920ca4c66024b93313f63765266185bcb122355419e65afe7d3"),
+    "X86_V3": ("9d143a86ffe1e54d5d484287d3c5386b19aa98338149be43ba07d15c86564efe",
+               "1aecfe9568354f991a5c6492f9f8d1ac135c1aec9c0e9819a998b302e8a8447d",
+               "64d2c87b10c7493ee16a57feb3f0a0c64a903c4fc54dfa6088b5738142540f98"),
+}
+STORE_DIGITS = (6, 9, 12)
 # sha256 of trace_to_text and of its trace_wide_text pivot for walk_trace()
 TRACE_SHA256 = ("972c5680eef17e49423d94a3977a23c03613469de1ae04809df364834acfef28",
                 "432d9ca3818ff50faceee0096ebcdc61c0a4daa67819bc259a9d51ae28e0bce8")
@@ -134,10 +146,25 @@ def walk_trace():
     return record, text, trace_wide_text(text.splitlines())
 
 
-def target_values() -> dict:
-    """Each objective's oracle target value at digits 6 and 12, as its repr."""
-    return {name: [repr(compute_target(replace(get_objective(name), digits_target=d)).value_target)
-                   for d in (6, 12)] for name in objective_names()}
+def oracle_stores() -> dict:
+    """The oracle's store of every objective at each of ``STORE_DIGITS``,
+    keyed by digits."""
+    stores = {d: TargetStore() for d in STORE_DIGITS}
+    for name in objective_names():
+        for d, store in stores.items():
+            store.add(compute_target(replace(get_objective(name), digits_target=d)))
+    return stores
+
+
+def target_values(stores) -> dict:
+    """Each objective's target value in ``stores`` at digits 6 and 12, as its
+    repr."""
+    return {name: [repr(stores[d].lookup(name, d).value_target) for d in (6, 12)]
+            for name in objective_names()}
+
+
+def store_sha256(stores) -> list:
+    return [_sha256(stores[d].dumps()) for d in STORE_DIGITS]
 
 
 def wild_sha256() -> str:
@@ -171,6 +198,13 @@ def test_probe_stream_fingerprint():
     )
 
 
+def test_oracle_stores_are_pinned():
+    cls = dispatch_class()
+    assert store_sha256(oracle_stores()) == list(STORE_SHA256.get(cls, ())), (
+        f"oracle store sha256 mismatch for numpy dispatch class {cls}; "
+        f"CPU features active here: {' '.join(_active_cpu_features())}")
+
+
 def test_walk_trace_is_pinned():
     record, text, wide = walk_trace()
     assert (record.steps, record.restarts, record.is_censored) == (179, 20, False)
@@ -179,19 +213,16 @@ def test_walk_trace_is_pinned():
 
 _X86_V3_CHILD = """
 import json
-from multiwalk.objectives import get_objective, objective_names, wild
-from multiwalk.targets import compute_target
-from test_probe_fingerprint import (_sha256, dispatch_class, probe_stream_sha256, target_values,
-                                    walk_trace, wild_sha256)
+from test_probe_fingerprint import (_sha256, dispatch_class, oracle_stores, probe_stream_sha256,
+                                    store_sha256, target_values, walk_trace, wild_sha256)
 
-records = {}
-for name in objective_names():
-    rec = compute_target(get_objective(name))
-    records[name] = [repr(rec.value_target), repr(rec.coords)]
+stores = oracle_stores()
+records = {rec.name: [repr(rec.value_target), repr(rec.coords)] for rec in stores[9].records()}
 _record, text, wide = walk_trace()
 print(json.dumps({"class": dispatch_class(), "probe": probe_stream_sha256()[0],
-                  "records": records, "trace": [_sha256(text), _sha256(wide)],
-                  "values": target_values(), "wild": wild_sha256()}))
+                  "records": records, "stores": store_sha256(stores),
+                  "trace": [_sha256(text), _sha256(wide)],
+                  "values": target_values(stores), "wild": wild_sha256()}))
 """
 
 
@@ -211,7 +242,8 @@ def test_pins_hold_under_x86_v3_dispatch():
         "class": "X86_V3",
         "probe": PINNED_SHA256["X86_V3"],
         "records": {name: list(pinned_target(name, "X86_V3")) for name in objective_names()},
+        "stores": list(STORE_SHA256["X86_V3"]),
         "trace": list(TRACE_SHA256),
-        "values": target_values(),
+        "values": target_values(oracle_stores()),
         "wild": wild_sha256(),
     }

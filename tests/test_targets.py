@@ -95,33 +95,39 @@ def test_enumeration_in_small_slabs_matches_one_slab(monkeypatch):
 
 _scan_axis = st.lists(st.integers(-5, 5), min_size=1, max_size=5, unique=True).map(
     lambda xs: np.array(sorted(xs), dtype=float))
-# a first axis this long gives slabs of more than 64 points, so the partition
-# in targets._lowest runs and not only its full-sort fallback
+# a first axis this long gives grids of more than 64 cells, so the partition
+# in targets._merge cuts the running top and not only orders it
 _long_axis = st.integers(65, 140).map(lambda n: np.arange(n, dtype=float) - 70.0)
 _grid_axes = st.one_of(
     st.lists(_scan_axis, min_size=1, max_size=3),
     st.builds(lambda first, rest: [first, *rest], _long_axis, st.lists(_scan_axis, max_size=1)))
-# a small pool makes ties common; NaN must sort after every number
+# a small pool makes ties common; NaN must rank as +inf, behind every number
 _value_pool = st.sampled_from([-1.0, -0.0, 0.0, 2.5, math.inf, -math.inf, math.nan])
 
 
+_grid_and_values = _grid_axes.flatmap(lambda axes: st.tuples(
+    st.just(axes), hnp.arrays(float, math.prod(len(a) for a in axes), elements=_value_pool)))
+
+
 @settings(max_examples=200, deadline=None)
-@given(axes=_grid_axes, data=st.data(), keep=st.sampled_from([1, 3, 64, 200]),
+@given(grid_values=_grid_and_values, keep=st.sampled_from([1, 3, 64, 200]),
        bound=st.sampled_from([1, 5, 7, 100, targets.BATCH_POINTS]))
-def test_scan_top_cells_is_a_stable_argsort_of_the_whole_grid(axes, data, keep, bound):
+# a NaN ahead of a +inf: both rank as +inf, so the NaN's cell comes first
+@example(grid_values=([np.array([0.0, 1.0])], np.array([math.nan, math.inf])), keep=3,
+         bound=targets.BATCH_POINTS)
+def test_scan_top_cells_is_a_stable_argsort_of_the_whole_grid(grid_values, keep, bound):
     # slabs are flat index ranges, so a bound of 5 or 7 can end a slab
     # inside a first-axis row
+    axes, values = grid_values
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    values = data.draw(hnp.arrays(float, len(grid), elements=_value_pool))
     table = {tuple(p): v for p, v in zip(grid.tolist(), values)}
-    spec = ObjectiveSpec(name="pool", dims=len(axes), lower=[-80.0] * len(axes),
-                         upper=[80.0] * len(axes),
-                         fn=lambda pts: np.array([table[tuple(p)] for p in pts.tolist()]))
-    order = np.argsort(values, kind="stable")[:keep]
+    ranked = np.fmin(values, np.inf)
+    order = np.argsort(ranked, kind="stable")[:keep]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(targets, "BATCH_POINTS", bound)
-        top_v, top_x = targets._scan_top_cells(spec, axes, keep)
-    assert top_v.tobytes() == values[order].tobytes()
+        top_v, top_x = targets._scan_top_cells(
+            lambda pts: np.array([table[tuple(p)] for p in pts.tolist()]), axes, keep)
+    assert top_v.tobytes() == ranked[order].tobytes()
     assert top_x.tobytes() == grid[order].tobytes()
 
 
@@ -138,13 +144,6 @@ def _pool_kernel(pool):
 
 
 _pools = st.lists(st.one_of(_value_pool, st.floats(-3.0, 3.0)), min_size=1, max_size=6)
-
-
-def _patch_chain_base(mp, base):
-    """Make ``base`` the kernel of trefethen2 as ``targets`` fetches it, the
-    chain base of trefethen3's scan policy."""
-    mp.setattr(targets, "get_objective",
-               {"trefethen2": replace(get_objective("trefethen2"), fn=base)}.__getitem__)
 
 
 # repeated coordinates give tied values
@@ -175,6 +174,9 @@ _CHAIN_BOUNDS = {
        slab=st.sampled_from(sorted(_CHAIN_BOUNDS)), pool=st.none() | _pools)
 @example(first=np.array([0.6]), rest=[np.zeros(1), np.zeros(1)], keep=1, slab="row",
          pool=[math.inf, -math.inf])
+# the sums are [-inf + inf, inf + inf]: a NaN ahead of a +inf, both kept
+@example(first=np.array([0.1, 0.6]), rest=[np.zeros(1), np.zeros(1)], keep=5, slab="row",
+         pool=[math.inf, -math.inf])
 def test_chain_scan_is_a_stable_argsort_of_the_spec(first, rest, keep, slab, pool):
     # trefethen3 is scanned as trefethen2 pairs; its bytes must be spec.fn's,
     # and with a pooled base (ties, -0.0, +-inf, NaN) the pair sums'
@@ -187,18 +189,18 @@ def test_chain_scan_is_a_stable_argsort_of_the_spec(first, rest, keep, slab, poo
     with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
         mp.setattr(targets, "BATCH_POINTS", bound)
         if pool is None:
-            values = spec.fn(grid)
+            base, values = get_objective("trefethen2").fn, spec.fn(grid)
         else:
             base = _pool_kernel(pool)
-            _patch_chain_base(mp, base)
             values = base(grid[:, :2]) + base(grid[:, 1:])
-        top_v, top_x = targets._scan_top_cells(spec, axes, keep)
-    order = np.argsort(values, kind="stable")[:keep]
-    assert top_v.tobytes() == values[order].tobytes()
+        top_v, top_x = targets._scan_top_cells(spec.fn, axes, keep, base)
+    ranked = np.fmin(values, np.inf)
+    order = np.argsort(ranked, kind="stable")[:keep]
+    assert top_v.tobytes() == ranked[order].tobytes()
     assert top_x.tobytes() == grid[order].tobytes()
 
 
-def _serial_refine(spec, best_v, best_x, spacing):
+def _serial_refine(spec, best_v, best_x, spacing, pair):
     """The refinement of one incumbent, one grid scan per round: the
     reference that ``targets._refine`` runs in lockstep for all of them."""
     half = 2.0 * spacing
@@ -207,7 +209,7 @@ def _serial_refine(spec, best_v, best_x, spacing):
         hi = np.minimum(spec.upper, best_x + half)
         axes = [np.linspace(lo[d], hi[d], targets.REFINE_POINTS[spec.dims])
                 for d in range(spec.dims)]
-        (v,), (x,) = targets._scan_top_cells(spec, axes, keep=1)
+        (v,), (x,) = targets._scan_top_cells(spec.fn, axes, 1, pair)
         if v < best_v:
             best_v, best_x = float(v), x
         half = half / 2.0
@@ -235,30 +237,29 @@ def _bowl(pts):
          seeds=[(9.0, np.array([1.0, 1.0, 1.0])), (9.0, np.zeros(3))])
 @example(dims="chain", pool=None, coarse=4001,
          seeds=[(9.0, np.array([1.0, 1.0, 1.0])), (9.0, np.zeros(3))])
-@example(dims=2, pool=[math.nan, 1.0, -0.0, 0.0], coarse=33,  # NaN sorts last
+@example(dims=2, pool=[math.nan, 1.0, -0.0, 0.0], coarse=33,  # NaN ranks as +inf
          seeds=[(9.0, np.array([0.5, -0.5, 0.0]))])
-# a NaN ahead of the first +inf: the serial reference picks the +inf and the
-# lockstep refinement the NaN, and neither moves the +inf incumbent
+# a NaN ahead of the first +inf: both refinements pick the NaN's cell, and
+# neither moves the +inf incumbent
 @example(dims=1, pool=[math.nan, math.inf], coarse=33, seeds=[(math.inf, np.zeros(3))])
 @example(dims=2, pool=[math.nan, -math.inf], coarse=33,  # the first -inf wins
          seeds=[(9.0, np.zeros(3))])
 def test_lockstep_refinement_matches_the_serial_reference(dims, pool, seeds, coarse):
     # pool None is the bowl
     kernel = _bowl if pool is None else _pool_kernel(pool)
-    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):
         if dims == "chain":
-            spec = get_objective("trefethen3")
-            _patch_chain_base(mp, kernel)
+            spec, pair = get_objective("trefethen3"), kernel
         else:
-            spec = ObjectiveSpec(name="pool", dims=dims, lower=[-1.0] * dims,
-                                 upper=[1.0] * dims, fn=kernel)
+            spec, pair = ObjectiveSpec(name="pool", dims=dims, lower=[-1.0] * dims,
+                                       upper=[1.0] * dims, fn=kernel), None
         seeds_v = [v for v, _ in seeds]
         seeds_x = [x[:spec.dims].copy() for _, x in seeds]
         seeds_x[0][0] = spec.upper[0]  # an incumbent on the box edge
         spacing = (spec.upper - spec.lower) / (coarse - 1)
-        got_v, got_x = targets._refine(spec, seeds_v, seeds_x, spacing)
+        got_v, got_x = targets._refine(spec, seeds_v, seeds_x, spacing, pair)
         for k, (v, x) in enumerate(zip(seeds_v, seeds_x)):
-            ref_v, ref_x = _serial_refine(spec, v, x, spacing)
+            ref_v, ref_x = _serial_refine(spec, v, x, spacing, pair)
             assert np.float64(ref_v).tobytes() == got_v[k].tobytes(), k
             assert np.asarray(ref_x).tobytes() == got_x[k].tobytes(), k
 
@@ -266,18 +267,27 @@ def test_lockstep_refinement_matches_the_serial_reference(dims, pool, seeds, coa
 @settings(max_examples=300, deadline=None)
 @given(values=hnp.arrays(float, st.integers(1, 300),
                          elements=st.one_of(_value_pool, st.floats(-3.0, 3.0))),
-       keep=st.sampled_from([1, 2, 7, 64, 299, 300, 301]))
-@example(values=np.full(100, math.nan), keep=64)                              # every value NaN
-@example(values=np.r_[np.full(90, math.nan), np.arange(10.0)], keep=64)       # cut is NaN
-@example(values=np.r_[np.full(30, 1.0), np.zeros(10), np.full(60, 1.0)], keep=20)  # ties straddle
-@example(values=np.r_[np.zeros(40), -0.0, np.zeros(40)], keep=64)             # -0.0 ties 0.0
-@example(values=np.r_[math.inf, -math.inf, np.arange(98.0)], keep=64)
-@example(values=np.arange(64.0)[::-1].copy(), keep=64)                       # keep == len
-@example(values=np.arange(10.0)[::-1].copy(), keep=64)                       # keep > len
-@example(values=np.r_[3.0, 1.0, 1.0, math.nan, 2.0], keep=1)
-def test_lowest_is_the_head_of_a_stable_argsort(values, keep):
-    reference = np.argsort(values, kind="stable")[:keep]
-    assert targets._lowest(values, keep).tobytes() == reference.tobytes()
+       keep=st.sampled_from([1, 2, 7, 64, 299, 300, 301]), cut=st.integers(1, 300))
+@example(values=np.full(100, math.nan), keep=64, cut=100)                      # every value NaN
+@example(values=np.r_[np.full(90, math.nan), np.arange(10.0)], keep=64, cut=95)  # < keep numbers
+@example(values=np.r_[np.full(30, 1.0), np.zeros(10), np.full(60, 1.0)], keep=20,
+         cut=35)                                                        # ties straddle both
+@example(values=np.r_[np.zeros(40), -0.0, np.zeros(40)], keep=64, cut=40)     # -0.0 ties 0.0
+@example(values=np.r_[math.inf, -math.inf, np.arange(98.0)], keep=64, cut=1)
+@example(values=np.arange(64.0)[::-1].copy(), keep=64, cut=64)           # keep == len, no slab
+@example(values=np.arange(10.0)[::-1].copy(), keep=64, cut=3)            # keep > len
+@example(values=np.r_[3.0, 1.0, 1.0, math.nan, 2.0], keep=1, cut=2)
+@example(values=np.r_[math.nan, math.inf, 1.0], keep=2, cut=1)           # NaN ahead of +inf
+def test_merge_is_the_head_of_a_stable_argsort(values, keep, cut):
+    # NaN ranks as +inf: the top of the first cut cells, from an empty top,
+    # and then of all cells, merging the rest into that non-empty top
+    ranked, cut = np.fmin(values, np.inf), min(cut, len(values))
+    top = np.empty(0), np.empty(0, dtype=np.intp)
+    for start, stop in ((0, cut), (cut, len(values))):
+        top = targets._merge(*top, values[start:stop], np.arange(start, stop), keep)
+        reference = np.argsort(ranked[:stop], kind="stable")[:keep]
+        assert top[0].tobytes() == ranked[reference].tobytes()
+        assert top[1].tobytes() == reference.tobytes()
 
 
 def test_dispatch_guards():
