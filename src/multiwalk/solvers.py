@@ -165,7 +165,7 @@ class WalkTrace:
 
     ``header`` holds the ``#`` lines naming the objective and solver run,
     ``epoch_seeds`` each epoch's seed and ``steps[k] = (step, restart_index,
-    values_copy)``.  The run's outcome is its RunRecord's, which
+    values)``.  The run's outcome is its RunRecord's, which
     ``trace_to_text`` writes as the footer.
     """
 
@@ -178,7 +178,7 @@ class WalkTrace:
         self.epoch_seeds.append(seed)
 
     def step(self, step, restart, raw, marks, values, best):
-        self.steps.append((step, restart, values.copy()))
+        self.steps.append((step, restart, values))
 
 
 def _greedy_commit(marks, values, cand_coords, cand_values, epoch_best, best, digits: int):
@@ -193,8 +193,8 @@ def _greedy_commit(marks, values, cand_coords, cand_values, epoch_best, best, di
     value; one ``quantize`` call serves every hit.  The run's best ``((N,)
     values, (N, p) coords)``, never above the epoch best, takes that value
     and candidate only where the value is strictly lower, so it keeps the
-    coord that first reached its value.  Returns the updated ``(marks,
-    values, epoch_best, best)``; the arrays handed in are not modified."""
+    coord that first reached its value.  Updates ``marks``, ``values``,
+    ``epoch_best`` and ``best`` in place; the candidates are only read."""
     hit = cand_values < epoch_best[:, None]
     rows = np.flatnonzero(hit.any(axis=1))
     if rows.size:
@@ -206,16 +206,13 @@ def _greedy_commit(marks, values, cand_coords, cand_values, epoch_best, best, di
         k = np.where(below.any(axis=1), v.shape[1] - 1 - np.argmax(below[:, ::-1], axis=1),
                      np.argmax(hit & (q == low), axis=1))
         picked = q[np.arange(rows.size), k]
-        epoch_best = epoch_best.copy()
         epoch_best[rows] = picked
         new = picked < best[0][rows]
-        if new.any():  # most steps leave the run's best where it is
-            rows, k = rows[new], k[new]
-            best = (best[0].copy(), best[1].copy())
-            best[0][rows], best[1][rows] = picked[new], cand_coords[rows, k]
+        rows, k = rows[new], k[new]
+        best[0][rows], best[1][rows] = picked[new], cand_coords[rows, k]
     improved = cand_values < values
-    return (np.where(improved[..., None], cand_coords, marks),
-            np.where(improved, cand_values, values), epoch_best, best)
+    np.copyto(marks, cand_coords, where=improved[..., None])
+    np.copyto(values, cand_values, where=improved)
 
 
 def mw_step(marks, values, cfg: SolverConfig, spec: ObjectiveSpec, rngs):
@@ -313,9 +310,10 @@ def run_solver(cfg: SolverConfig, spec: ObjectiveSpec, initial_marks=None,
     marks, values)`` follows each epoch's initial evaluation, and
     ``observe.step(step, restart, raw, marks, values, best)`` each commit,
     with ``raw`` every value the step evaluated, flat in evaluation order,
-    and ``best`` the epoch's running best quantized value.  It
-    must not modify the arrays it is handed.  The probe count is the
-    initial values plus each step's ``raw``."""
+    and ``best`` the epoch's running best quantized value.  Every array it
+    is handed is its own (``marks`` and ``values`` are copies), so it may
+    keep or modify them.  The probe count is the initial values plus each
+    step's ``raw``."""
     return run_seeds(cfg, spec, [cfg.seed], initial_marks, observe)[0]
 
 
@@ -332,9 +330,11 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
     its own generator, epochs, plateau counter and two bests (the epoch's
     value and the run's, both kept by ``_greedy_commit``), and draws in the
     order a run alone would, so its record does not depend on the seeds it
-    runs with.  A seed leaves the stack when it passes or runs out
-    of budget.  ``initial_marks`` and ``observe`` are as for ``run_solver``;
-    ``observe`` watches one-seed calls only."""
+    runs with.  The stacked state is the engine's own: the epoch starts,
+    the commit and the plateau rule update it in place, and only copies
+    leave it.  A seed leaves the stack when it passes or runs out of budget.
+    ``initial_marks`` and ``observe`` are as for ``run_solver``; ``observe``
+    watches one-seed calls only."""
     target = spec.value_target
     if target is None:
         raise ValueError(f"objective {spec.name!r} has no stored target value; "
@@ -364,7 +364,6 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
                            for i in rows]
             for i, epoch_seed in zip(rows, epoch_seeds):
                 rngs[i] = np.random.default_rng(epoch_seed)
-            marks, values = marks.copy(), values.copy()  # what observe saw stays put
             marks[rows], values[rows] = _start_epochs(spec, m, cfg.uses_ruler,
                                                       [rngs[i] for i in rows],
                                                       None if total_steps else initial_marks)
@@ -372,21 +371,21 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
             epoch_best[rows] = math.inf
             fresh[:] = False
             if observe is not None:
-                observe.epoch(epoch_seeds[0], marks[0], values[0])
+                observe.epoch(epoch_seeds[0], marks[0].copy(), values[0].copy())
 
         total_steps += 1
         coords, cand_values, raw = propose(marks, values, cfg, spec, rngs)
-        marks, values, epoch_best, best = _greedy_commit(marks, values, coords, cand_values,
-                                                         epoch_best, best, spec.digits_target)
-        if observe is not None:
-            observe.step(total_steps, int(restarts[0]), raw[0], marks[0], values[0], epoch_best[0])
+        _greedy_commit(marks, values, coords, cand_values, epoch_best, best, spec.digits_target)
+        if observe is not None:  # raw is this step's own array, read no further
+            observe.step(total_steps, int(restarts[0]), raw[0], marks[0].copy(),
+                         values[0].copy(), epoch_best[0])
         done = (epoch_best == target) | (total_steps == cfg.steps_limit)
 
         if cfg.restarts_enabled:
             error = epoch_best - target
             flat = error >= err_prev
-            plateau = np.where(flat, plateau + 1, 0)
-            err_prev = np.where(flat, err_prev, error)
+            plateau = (plateau + 1) * flat
+            np.fmin(err_prev, error, out=err_prev)  # a NaN err_prev takes the error
             # only a plateau with budget left starts a new epoch
             fresh = (plateau >= cfg.effective_plateau_limit) & ~done
             restarts += fresh

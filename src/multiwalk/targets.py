@@ -114,8 +114,7 @@ def _scan_top_cells(fn, axes, keep: int, pair=None):
     scan stays flat in memory.  Each slab merges into the running top by
     ``_merge``, and the top's cells precede the slab's, so the result is a
     stable argsort of the whole grid with NaN read as ``+inf``: ties go to
-    the lowest C-order index.  A kept cell's point is read from the axes at
-    its grid index.  A chain's ``pair`` kernel makes the scan
+    the lowest C-order index.  A chain's ``pair`` kernel makes the scan
     ``_chain_top_cells``."""
     shape = [len(a) for a in axes]
     if pair is not None:
@@ -123,9 +122,9 @@ def _scan_top_cells(fn, axes, keep: int, pair=None):
     else:
         top_v, top_i = np.empty(0), np.empty(0, dtype=np.intp)
         for cells in _slabs(math.prod(shape)):
-            top_v, top_i = _merge(top_v, top_i, _cell_values(fn, axes, cells), cells, keep)
-    cells = np.unravel_index(top_i, shape)
-    return top_v, np.array([a[i] for a, i in zip(axes, cells)]).T
+            values = _grid_values(fn, np.unravel_index(cells, shape), axes)
+            top_v, top_i = _merge(top_v, top_i, values, cells, keep)
+    return top_v, _points(axes, np.unravel_index(top_i, shape))
 
 
 def _chain_top_cells(pair, axes, keep: int):
@@ -141,7 +140,9 @@ def _chain_top_cells(pair, axes, keep: int):
     n1, n2 = len(axes[1]), len(axes[2])
 
     def pair_grid(ax):
-        return np.concatenate([_cell_values(pair, ax, c) for c in _slabs(len(ax[0]) * len(ax[1]))])
+        shape = (len(ax[0]), len(ax[1]))
+        return np.concatenate([_grid_values(pair, np.unravel_index(c, shape), ax)
+                               for c in _slabs(math.prod(shape))])
 
     tail = pair_grid(axes[1:]).reshape(n1, n2)
     same = np.array_equal(axes[0], axes[1]) and np.array_equal(axes[1], axes[2])
@@ -165,25 +166,20 @@ def _slabs(n: int):
         yield np.arange(start, min(start + BATCH_POINTS, n))
 
 
-def _cell_values(fn, axes, cells) -> np.ndarray:
-    """``fn``, in one call, at the points of the tensor grid of ``axes``
-    whose C-order flat indices are ``cells``; a scan passes at most
-    ``BATCH_POINTS`` cells per call."""
-    idx = np.unravel_index(cells, [len(a) for a in axes])
-    return np.asarray(fn(np.stack([a[i] for a, i in zip(axes, idx)], -1)), dtype=float)
+def _points(axes, idx) -> np.ndarray:
+    """The points of the tensor grid of ``axes`` at the grid index ``idx``,
+    one row of coordinates each.  ``idx`` holds one index per axis: an
+    ``np.unravel_index`` array, or for axes of shape ``(K, n_d)``, K windows
+    stacked by row, a ``(window, array)`` pair, so the window comes first."""
+    return np.stack([a[i] for a, i in zip(axes, idx)], -1)
 
 
-def _grid_values(fn, *grids) -> np.ndarray:
-    """``fn``, in one call, over the C-order points of the tensor grid of each
-    of ``grids`` in turn; axes of shape ``(K, n_d)`` stack K grids by row.
-    The refinement's windows stay within ``BATCH_POINTS``: at most
-    ``REFINE_INCUMBENTS`` windows of ``REFINE_POINTS[dims]**dims`` points."""
-    points = []
-    for axes in grids:
-        n = len(axes)
-        cols = [np.reshape(a, a.shape[:-1] + (1,) * d + (-1,) + (1,) * (n - 1 - d))
-                for d, a in enumerate(axes)]
-        points.append(np.stack(np.broadcast_arrays(*cols), -1).reshape(-1, n))
+def _grid_values(fn, idx, *grids) -> np.ndarray:
+    """``fn``, in one call, at the points ``_points(axes, idx)`` of each of
+    ``grids`` in turn: the oracle's one kernel call.  A scan slab holds at
+    most ``BATCH_POINTS`` points, a refinement round at most
+    ``REFINE_INCUMBENTS`` windows of ``REFINE_POINTS[dims]**dims``."""
+    points = [_points(axes, idx).reshape(-1, len(axes)) for axes in grids]
     return np.asarray(fn(np.concatenate(points)), dtype=float)
 
 
@@ -220,6 +216,8 @@ def _refine(spec: ObjectiveSpec, seeds_v, seeds_x, spacing: np.ndarray, pair):
     lower value, so a window with no value below ``+inf`` never moves it."""
     best_v, best_x = np.array(seeds_v, dtype=float), np.array(seeds_x, dtype=float)
     win, n = np.arange(len(best_v)), REFINE_POINTS[spec.dims]
+    shape = [n] * (spec.dims if pair is None else 2)  # a chain evaluates pair grids
+    grid = [(win[:, None], i) for i in np.unravel_index(np.arange(n ** len(shape)), shape)]
     half = 2.0 * spacing
     for _ in range(REFINE_ROUNDS):
         lo = np.maximum(spec.lower, best_x - half)
@@ -230,13 +228,13 @@ def _refine(spec: ObjectiveSpec, seeds_v, seeds_x, spacing: np.ndarray, pair):
         axes = lo.T[..., None] + np.arange(n) * ((hi - lo) / (n - 1)).T[..., None]
         axes[..., -1] = hi.T
         if pair is None:
-            values = _grid_values(spec.fn, axes).reshape(len(win), -1)
+            values = _grid_values(spec.fn, grid, axes).reshape(len(win), -1)
         else:
-            head, tail = _grid_values(pair, axes[:2], axes[1:]).reshape(2, -1, n, n)
+            head, tail = _grid_values(pair, grid, axes[:2], axes[1:]).reshape(2, -1, n, n)
             values = (head[:, :, :, None] + tail[:, None]).reshape(len(win), -1)
         pick = np.fmin(values, np.inf).argmin(axis=1)
-        cells = np.array(np.unravel_index(pick, [n] * spec.dims)).T
-        v, x = values[win, pick], axes[np.arange(spec.dims), win[:, None], cells]
+        v = values[win, pick]
+        x = _points(axes, [(win, i) for i in np.unravel_index(pick, [n] * spec.dims)])
         better = v < best_v
         best_v[better], best_x[better] = v[better], x[better]
         half = half / 2.0

@@ -40,11 +40,12 @@ def _stacked_best(best, dims):
 def _mw_step_one(marks, values, cfg, spec, rng, epoch_best):
     """``mw_step``'s proposal for one population, committed as ``run_seeds``
     commits it, with the run's best at the epoch best: row 0 of each output,
-    the epoch best after it, and the raw values evaluated."""
-    coords, cand_values, raw = mw_step(marks[None], values[None], cfg, spec, [rng])
-    marks, values, epoch_best, _best = _greedy_commit(
-        marks[None], values[None], coords, cand_values, np.array([epoch_best]),
-        _stacked_best((epoch_best, None), spec.dims), spec.digits_target)
+    the epoch best after it, and the raw values evaluated.  The commit
+    updates copies of the state handed in."""
+    marks, values, epoch_best = marks[None].copy(), values[None].copy(), np.array([epoch_best])
+    coords, cand_values, raw = mw_step(marks, values, cfg, spec, [rng])
+    _greedy_commit(marks, values, coords, cand_values, epoch_best,
+                   _stacked_best((epoch_best[0], None), spec.dims), spec.digits_target)
     return marks[0], values[0], epoch_best[0], raw[0]
 
 
@@ -265,11 +266,14 @@ def _drawn_bests(epoch_raw, run_raw, digits, coord):
 
 def _commit_one(marks, values, cand_coords, cand_values, epoch_best, best, digits):
     """``_greedy_commit`` of one population, its epoch best a float and its
-    run's best ``(float, coord or None)`` again."""
-    got = _greedy_commit(marks[None], values[None], cand_coords[None], cand_values[None],
-                         np.array([epoch_best]), _stacked_best(best, marks.shape[1]), digits)
-    value, coord = float(got[3][0][0]), got[3][1][0]
-    return (got[0][0], got[1][0], float(got[2][0]),
+    run's best ``(float, coord or None)`` again, read back from the copies
+    of the state it updated."""
+    marks, values, epoch_best = marks[None].copy(), values[None].copy(), np.array([epoch_best])
+    best = _stacked_best(best, marks.shape[2])
+    assert _greedy_commit(marks, values, cand_coords[None], cand_values[None], epoch_best, best,
+                          digits) is None
+    value, coord = float(best[0][0]), best[1][0]
+    return (marks[0], values[0], float(epoch_best[0]),
             (value, None if np.isnan(coord).all() else coord))
 
 
@@ -297,18 +301,20 @@ def test_greedy_commit_matches_full_loop(vals, epoch_raw, run_raw, digits, dims)
 def _commit_stack(cand_values, values, epoch_bests, bests, digits, dims):
     """``_greedy_commit`` of a stack of populations, each checked against
     ``_greedy_commit_serial`` with the run's best updated after it, and the
-    arrays handed in checked unmodified; returns the stacked result and the
-    candidate coords."""
+    candidates checked unmodified.  The commit updates copies of the state
+    in place; returns those copies, ``(marks, values, epoch_best, best)``,
+    and the candidate coords."""
     n, m = cand_values.shape
     marks = np.arange(n * m * dims, dtype=float).reshape(n, m, dims)
     cand_coords = marks + 0.5
-    epoch_in = np.array(epoch_bests, dtype=float)
     best_in = (np.array([b[0] for b in bests]),
                np.array([np.full(dims, math.nan) if b[1] is None else b[1] for b in bests]))
-    inputs = (marks, values, cand_coords, cand_values, epoch_in, *best_in)
-    before = [a.tobytes() for a in inputs]
-    got = _greedy_commit(marks, values, cand_coords, cand_values, epoch_in, best_in, digits)
-    got_marks, got_values, got_epoch, (got_best, got_coords) = got
+    before = [a.tobytes() for a in (cand_coords, cand_values)]
+    got_marks, got_values = marks.copy(), values.copy()
+    got_epoch, (got_best, got_coords) = np.array(epoch_bests, dtype=float), best_in
+    got = (got_marks, got_values, got_epoch, (got_best, got_coords))
+    assert _greedy_commit(got_marks, got_values, cand_coords, cand_values, got_epoch,
+                          got[3], digits) is None
     for k in range(n):
         want = _two_bests_reference(_greedy_commit_serial, marks[k], values[k], cand_coords[k],
                                     cand_values[k], epoch_bests[k], bests[k], digits)
@@ -318,7 +324,7 @@ def _commit_stack(cand_values, values, epoch_bests, bests, digits, dims):
         assert repr(float(got_best[k])) == repr(float(want[3][0]))
         want_coord = np.full(dims, math.nan) if want[3][1] is None else want[3][1]
         assert got_coords[k].tobytes() == want_coord.tobytes()
-    assert [a.tobytes() for a in inputs] == before
+    assert [a.tobytes() for a in (cand_coords, cand_values)] == before
     return got, cand_coords
 
 
@@ -828,6 +834,24 @@ def test_lockstep_restart_lands_mid_chunk(ehrenfest4_spec):
     assert records == _serial_records(cfg, ehrenfest4_spec, seeds)
 
 
+def test_plateau_rule_from_an_undefined_start_error_matches_the_serial_loop():
+    # MWR anchors a mark at the lower bound, where the objective is -inf, and
+    # the target is -inf, so each epoch starts the plateau rule's error at
+    # NaN; the serial loop's first step takes the error it measures (+inf),
+    # so the NaN must not stick, or no epoch would ever restart
+    def neg_inf_at_1(points):
+        x = points[:, 0]
+        return np.where(x <= 1.0, -np.inf, np.sqrt(x))
+
+    spec = ObjectiveSpec(name="neg_inf_at_1", dims=1, lower=[1.0], upper=[17.0],
+                         fn=neg_inf_at_1).with_target(-math.inf)
+    cfg = SolverConfig(kind="MWR", seed=1, steps_limit=30, marks=6, radius=2, plateau_limit=2)
+    with np.errstate(invalid="ignore"):  # -inf - -inf
+        records = run_seeds(cfg, spec, [1, 2, 3])
+    assert all(r.restarts for r in records)
+    assert records == _serial_records(cfg, spec, [1, 2, 3])
+
+
 def test_lockstep_one_seed_equals_a_hundred_on_the_seeds_they_share(ehrenfest4_spec):
     cfg = SolverConfig(kind="MWR", seed=1, steps_limit=100, marks=6, radius=2)
     hundred = run_seeds(cfg, ehrenfest4_spec, list(range(1, 101)))
@@ -902,15 +926,32 @@ class _KeepingObserver:
         self.kept += [(a, a.copy()) for a in (raw, marks, values)]
 
 
-@pytest.mark.parametrize("kind", ["MWR", "DEsFR"])
+class _ScribblingObserver:
+    """An observer that writes into every array it is handed."""
+
+    def epoch(self, seed, marks, values):
+        marks[:] = marks[::-1]
+        values[:] = -1.0
+
+    def step(self, step, restart, raw, marks, values, best):
+        self.epoch(None, marks, values)
+        raw[:] = math.nan
+
+
+@pytest.mark.parametrize("kind", ["MWR", "DEsFR", "DEoF2"])
 def test_arrays_handed_to_observe_stay_put(kind, ehrenfest15_spec):
-    # restarts replace rows of the stack; the arrays observe saw keep theirs
+    # restarts replace rows of the stack; the arrays observe saw keep theirs,
+    # and an observer that writes into them leaves the run as it was (DEoF2
+    # reads its best member from the values)
     cfg = SolverConfig(kind=kind, seed=3, steps_limit=40, marks=6,
                        radius=2 if kind == "MWR" else None, plateau_limit=2)
     observer = _KeepingObserver()
     record = run_solver(cfg, ehrenfest15_spec, observe=observer)
-    assert record.restarts >= 2
+    assert record.restarts >= 2 or not cfg.restarts_enabled
+    assert record.steps > 1
     assert all(a.tobytes() == copy.tobytes() for a, copy in observer.kept)
+    assert run_solver(cfg, ehrenfest15_spec) == record
+    assert run_solver(cfg, ehrenfest15_spec, observe=_ScribblingObserver()) == record
 
 
 def test_record_keeps_the_coord_that_first_reached_its_best(ehrenfest4_spec):
