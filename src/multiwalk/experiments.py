@@ -51,8 +51,9 @@ class ExperimentPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "configs", tuple(self.configs))
-        if not isinstance(self.sample_size, numbers.Integral) or self.sample_size < 1:
-            raise ValueError(f"sample_size must be an integer >= 1, got {self.sample_size!r}")
+        n = self.sample_size  # a bool is not a count
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"sample_size must be an integer >= 1, got {n!r}")
         if not self.configs:
             raise ValueError("a plan needs at least one solver config")
         if len({(cfg.steps_limit, cfg.seed) for cfg in self.configs}) != 1:
@@ -101,7 +102,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list:
         chunks = list(map(run, tasks))
     else:
         from concurrent.futures import ProcessPoolExecutor
-        # one probe builds lazy kernel state (a staircase table) for the forks to inherit
+        # one probe builds lazy kernel state (a staircase table) once; per worker it costs RSS
         evaluate_batch(plan.spec, plan.spec.lower[None])
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run, tasks))

@@ -9,6 +9,7 @@ significant-digit quantizer lives here next to the functions it judges.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, Optional
@@ -95,9 +96,9 @@ def quantize(value, digits: int):
 class ObjectiveSpec:
     """A registered objective with bounds, dimension and target metadata.
 
-    ``value_target`` is the quantized best-known value that defines success;
-    it stays ``None`` until filled in from the brute-force target computation
-    (solvers never certify their own targets).
+    ``value_target`` is the quantized, finite best-known value that defines
+    success; it stays ``None`` until filled in from the brute-force target
+    computation (solvers never certify their own targets).
     """
 
     name: str
@@ -110,21 +111,22 @@ class ObjectiveSpec:
     digits_target: int = 9
 
     def __post_init__(self):
+        for name in ("dims", "digits_target"):  # a bool is not a count
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{self.name}: {name} must be an integer >= 1, got {value!r}")
         object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
         object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
         if self.lower.shape != (self.dims,) or self.upper.shape != (self.dims,):
             raise ValueError(f"{self.name}: bounds must be length-{self.dims} vectors")
         if not np.all(self.lower < self.upper):
             raise ValueError(f"{self.name}: every lower bound must be below its upper bound")
-        if self.digits_target < 1:
-            raise ValueError(f"{self.name}: digits_target must be >= 1")
         if self.value_target is not None:
+            # an infinite target leaves the plateau rule no error to measure
             q = quantize(self.value_target, self.digits_target)
-            if q != self.value_target:
-                raise ValueError(
-                    f"{self.name}: value_target must be stored pre-quantized "
-                    f"({self.value_target!r} != {q!r})"
-                )
+            if not math.isfinite(q) or q != self.value_target:
+                raise ValueError(f"{self.name}: value_target must be finite and stored "
+                                 f"pre-quantized, got {self.value_target!r} (quantized {q!r})")
 
     def with_target(self, value_target: float) -> "ObjectiveSpec":
         """Return a copy with the target quantized to ``digits_target``."""

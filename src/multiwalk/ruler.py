@@ -101,26 +101,25 @@ def neighborhood_eval(marks: np.ndarray, spec: ObjectiveSpec, radius: int,
     per step from its own generator: the (m, m - 2) sampling ranks (below
     full radius), then the dither block filled mark-major, neighbor-minor,
     dimension-minor (dither > 0), ``u`` entering as ``-1 + 2 u``, which is
-    ``uniform(-1, 1)`` bit for bit.  So a population's step does not depend
-    on the others it is stacked with.  Costs exactly ``m * radius`` probes
-    per population.  Ties between candidates break toward the lowest
-    neighbor index.  ``evaluate_batch`` reports a kernel's NaN as ``+inf``,
-    so an undefined candidate never wins over a number: a mark proposes
-    ``+inf`` only when all of its candidates are ``+inf`` or undefined.
+    ``uniform(-1, 1)`` bit for bit; an empty block draws nothing.  So a
+    population's step does not depend on the others it is stacked with.
+    Costs exactly ``m * radius`` probes per population.  Ties between
+    candidates break toward the lowest neighbor index.  ``evaluate_batch``
+    reports a kernel's NaN as ``+inf``, so an undefined candidate never wins
+    over a number: a mark proposes ``+inf`` only when all of its candidates
+    are ``+inf`` or undefined.
     """
     n, m, p = marks.shape
     if not 1 <= radius <= m - 2:
         raise ValueError(f"radius must be in [1, {m - 2}], got {radius}")
     n_ranks = 0 if radius == m - 2 else m * (m - 2)
     draws = np.empty((n, n_ranks + (m * radius * p if dither > 0.0 else 0)))
-    if draws.shape[1]:
-        for row, rng in zip(draws, rngs):
-            rng.random(out=row)
+    for row, rng in zip(draws, rngs):
+        rng.random(out=row)
     neighbor_sets = _neighbor_sets(m, radius, draws[:, :n_ranks].reshape(n, m, -1))
     u = draws[:, n_ranks:].reshape(n, m, radius, -1)
-    if dither > 0.0:
-        u *= 2.0
-        u -= 1.0
+    u *= 2.0
+    u -= 1.0
     cands = _candidates(marks, neighbor_sets, spec.lower, spec.upper, dither, u)
 
     raw = evaluate_batch(spec, cands.reshape(n * m * radius, p))

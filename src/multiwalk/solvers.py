@@ -87,11 +87,11 @@ class SolverConfig:
         if self.kind not in SOLVER_KINDS:
             raise ValueError(f"unknown solver kind {self.kind!r}; known: {', '.join(SOLVER_KINDS)}")
         # a fractional or non-finite steps_limit would pass the range checks
-        # and never be met, so the run would never end
+        # and never be met, so the run would never end; a bool is not a count
         for name in ("seed", "steps_limit", "marks", "radius", "plateau_limit"):
             value = getattr(self, name)
             unset = value is None and name in ("radius", "plateau_limit")
-            if not (isinstance(value, numbers.Integral) or unset):
+            if not (unset or (isinstance(value, numbers.Integral) and not isinstance(value, bool))):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not MIN_MARKS <= self.marks <= MAX_MARKS:
             raise ValueError(f"marks must be in [{MIN_MARKS}, {MAX_MARKS}], got {self.marks}")
@@ -325,14 +325,15 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
     The seeds' populations are stacked, (N, m, p), and take every step
     together: one proposal (``mw_step`` or ``_de_step``, one objective call)
     and one ``_greedy_commit`` for all of them.  Every epoch, first or
-    restarted, starts in one block at the head of a step, in one
-    ``_start_epochs`` call for all the seeds starting one.  Each seed keeps
-    its own generator, epochs, plateau counter and two bests (the epoch's
-    value and the run's, both kept by ``_greedy_commit``), and draws in the
-    order a run alone would, so its record does not depend on the seeds it
-    runs with.  The stacked state is the engine's own: the epoch starts,
-    the commit and the plateau rule update it in place, and only copies
-    leave it.  A seed leaves the stack when it passes or runs out of budget.
+    restarted, starts at the head of a step, in one ``_start_epochs`` call
+    for the seeds whose plateau counter is full; every counter starts full,
+    and a restart is counted there.  Each seed keeps its own generator,
+    epochs, plateau counter and two bests (the epoch's value and the run's,
+    both kept by ``_greedy_commit``), and draws in the order a run alone
+    would, so its record does not depend on the seeds it runs with.  The
+    stacked state is the engine's own: the epoch starts, the commit and the
+    plateau rule update it in place, and only copies leave it.  A seed
+    leaves the stack when it passes or runs out of budget.
     ``initial_marks`` and ``observe`` are as for ``run_solver``; ``observe``
     watches one-seed calls only."""
     target = spec.value_target
@@ -342,23 +343,22 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
     if observe is not None and len(seeds) != 1:
         raise ValueError("observe watches a one-seed run")
     propose = mw_step if cfg.uses_ruler else _de_step
-    m, n = cfg.marks, len(seeds)
+    m, n, limit = cfg.marks, len(seeds), cfg.effective_plateau_limit
     rngs = [None] * n  # each row's generator, replaced at every epoch start
     marks, values = np.empty((n, m, spec.dims)), np.empty((n, m))
     # per seed: the epoch's running best, quantized, and the plateau rule: a
-    # step is flat unless its epoch error drops below ``err_prev``, and
-    # ``plateau`` counts the flat steps since the last drop or the epoch start
-    epoch_best, err_prev, plateau = np.empty(n), np.empty(n), np.zeros(n, dtype=np.int64)
+    # step is flat unless its epoch error drops below ``err_prev``; ``plateau``
+    # counts flat steps since the last drop, and a full counter starts an epoch
+    epoch_best, err_prev, plateau = np.empty(n), np.empty(n), np.full(n, limit, dtype=np.int64)
     best = (np.full(n, math.inf), np.full((n, spec.dims), math.nan))  # over all epochs
     restarts = np.zeros(n, dtype=np.int64)
-    fresh = np.ones(n, dtype=bool)  # the rows that start an epoch before the next step
     index = np.arange(n)  # each stacked row's position in ``seeds``
     records = [None] * n
     total_steps = 0
 
     while index.size:
-        if fresh.any():  # every epoch, first or restarted, starts here
-            rows = np.flatnonzero(fresh)
+        rows = np.flatnonzero(plateau >= limit)
+        if rows.size:  # every epoch, first or restarted, starts here
             # a first epoch runs on its seed, a restart on one drawn from its row's stream
             epoch_seeds = [int(rngs[i].integers(1, 2 ** 31)) if total_steps else seeds[i]
                            for i in rows]
@@ -369,7 +369,7 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
                                                       None if total_steps else initial_marks)
             err_prev[rows], plateau[rows] = values[rows].min(axis=1) - target, 0
             epoch_best[rows] = math.inf
-            fresh[:] = False
+            restarts[rows] += total_steps > 0
             if observe is not None:
                 observe.epoch(epoch_seeds[0], marks[0].copy(), values[0].copy())
 
@@ -381,14 +381,11 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
                          values[0].copy(), epoch_best[0])
         done = (epoch_best == target) | (total_steps == cfg.steps_limit)
 
-        if cfg.restarts_enabled:
+        if cfg.restarts_enabled:  # a done row leaves before the next head: no restart
             error = epoch_best - target
             flat = error >= err_prev
             plateau = (plateau + 1) * flat
-            np.fmin(err_prev, error, out=err_prev)  # a NaN err_prev takes the error
-            # only a plateau with budget left starts a new epoch
-            fresh = (plateau >= cfg.effective_plateau_limit) & ~done
-            restarts += fresh
+            np.fmin(err_prev, error, out=err_prev)  # the target is finite: no NaN error
 
         if done.any():
             for i in np.flatnonzero(done):
@@ -408,7 +405,7 @@ def run_seeds(cfg: SolverConfig, spec: ObjectiveSpec, seeds, initial_marks=None,
             marks, values = marks[keep], values[keep]
             epoch_best, best = epoch_best[keep], (best[0][keep], best[1][keep])
             err_prev, plateau, restarts = err_prev[keep], plateau[keep], restarts[keep]
-            index, fresh = index[keep], fresh[keep]
+            index = index[keep]
             rngs = [rng for rng, k in zip(rngs, keep) if k]
     return records
 

@@ -42,8 +42,9 @@ def test_plan_validation():
         ExperimentPlan(spec=spec, configs=[], sample_size=3)
     with pytest.raises(ValueError):
         ExperimentPlan(spec=spec, configs=[_mwr()], sample_size=0)
-    # a fractional or NaN count passed, and _seed_chunks raised a TypeError
-    for value in (2.5, 3.0, math.nan, math.inf, None):
+    # a fractional or NaN count passed, and _seed_chunks raised a TypeError; a
+    # bool is not a count
+    for value in (2.5, 3.0, math.nan, math.inf, None, True, False):
         with pytest.raises(ValueError, match="sample_size must be an integer"):
             ExperimentPlan(spec=spec, configs=[_mwr()], sample_size=value)
     plan = ExperimentPlan(spec=spec, configs=[_mwr()], sample_size=np.int64(3))

@@ -289,8 +289,15 @@ def test_spec_invariants():
         ObjectiveSpec(name="bad", dims=1, lower=[0.0], upper=[[1.0]], fn=wild)
     with pytest.raises(ValueError):
         ObjectiveSpec(name="bad", dims=1, lower=[1.0], upper=[1.0], fn=wild)
-    with pytest.raises(ValueError, match="digits_target must be >= 1"):
+    with pytest.raises(ValueError, match="digits_target must be an integer >= 1"):
         ObjectiveSpec(name="bad", dims=1, lower=[0.0], upper=[1.0], fn=wild, digits_target=0)
+    # a float dims fails only later, in the solvers, and a bool digits_target
+    # would reach every header as True
+    for field, value in (("dims", 1.0), ("dims", True), ("dims", 0),
+                         ("digits_target", True), ("digits_target", 6.0)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            ObjectiveSpec(name="bad", **{"dims": 1, field: value}, lower=[0.0], upper=[1.0],
+                          fn=wild)
     with pytest.raises(ValueError):
         ObjectiveSpec(name="bad", dims=1, lower=[0.0], upper=[1.0], fn=wild,
                       value_target=0.123456789123, digits_target=3)

@@ -102,10 +102,13 @@ def test_config_validation():
         _cfg(dither=1.5)
     with pytest.raises(ValueError):
         _cfg(kind="DEsF", radius=None, rde=math.nan)
-    # a count that is not an integer; steps_limit 20.5, inf or nan never ends a run
+    # a count that is not an integer; steps_limit 20.5, inf or nan never ends a
+    # run, and a bool would be written into every header as True or False
     for field, value in (("seed", 1.0), ("seed", None), ("steps_limit", 20.5),
                          ("steps_limit", math.inf), ("steps_limit", math.nan),
-                         ("marks", 6.0), ("radius", 4.0), ("plateau_limit", 2.5)):
+                         ("marks", 6.0), ("radius", 4.0), ("plateau_limit", 2.5),
+                         ("seed", True), ("steps_limit", True), ("marks", True),
+                         ("radius", False), ("plateau_limit", True)):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             _cfg(kind="MWR", **{field: value})
     _cfg(kind="MWR", seed=np.int64(1), steps_limit=np.int32(5), plateau_limit=np.uint8(2))
@@ -758,10 +761,10 @@ def _serial_records(cfg, spec, seeds, initial_marks=None):
 @functools.cache
 def _target_spec(name, digits, target="oracle"):
     """The objective at ``digits`` with its oracle target, or with a target
-    no seed reaches: finite and below the minimum, or ``-inf``."""
+    no seed reaches, below the minimum."""
     spec = dataclasses.replace(get_objective(name), digits_target=digits)
     value = compute_target(spec).value_target
-    return spec.with_target({"oracle": value, "below": value - 1.0, "-inf": -math.inf}[target])
+    return spec.with_target({"oracle": value, "below": value - 1.0}[target])
 
 
 _SETTING_VALUES = {
@@ -784,7 +787,7 @@ def _lockstep_cases(draw):
     # an unreachable target runs every seed, and the plateau rule, to the budget
     spec = _target_spec(*draw(st.sampled_from(
         [("ehrenfest4", 9), ("ehrenfest15", 9), ("trefethen1", 3), ("trefethen1", 6),
-         ("wild2", 4), ("wild3", 4)])), draw(st.sampled_from(["oracle", "below", "-inf"])))
+         ("wild2", 4), ("wild3", 4)])), draw(st.sampled_from(["oracle", "below"])))
     seeds = draw(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6))
     # every seed's first epoch starts from its own draw, or from one in-box population
     initial_marks = None
@@ -805,6 +808,17 @@ def _lockstep_cases(draw):
 # the coord that first reached it
 @example((SolverConfig(kind="DEoF3", seed=0, steps_limit=10, marks=4),
           _target_spec("ehrenfest4", 9), [0], None))
+# every seed's last step is flat, which fills its counter: the epoch that
+# would follow never starts, so it adds no restart and no probes
+@example((SolverConfig(kind="MWR", seed=0, steps_limit=10, marks=6, radius=2, plateau_limit=1),
+          _target_spec("ehrenfest4", 9, "below"), [2, 8, 13, 17], None))
+# at full radius with no dither a step's draw block is empty and draws
+# nothing, so MWR draws each restart's seed from an untouched stream
+@example((SolverConfig(kind="MW", seed=0, steps_limit=40, marks=6, radius=4, dither=0.0),
+          _target_spec("wild2", 4, "below"), [2, 8, 13, 17], None))
+@example((SolverConfig(kind="MWR", seed=0, steps_limit=40, marks=6, radius=4, dither=0.0,
+                       plateau_limit=2),
+          _target_spec("wild2", 4, "below"), [2, 8, 13, 17], None))
 def test_lockstep_records_equal_the_serial_reference(case):
     # a restart draws its population afresh: initial_marks reaches the first epoch only
     cfg, spec, seeds, initial_marks = case
@@ -834,22 +848,20 @@ def test_lockstep_restart_lands_mid_chunk(ehrenfest4_spec):
     assert records == _serial_records(cfg, ehrenfest4_spec, seeds)
 
 
-def test_plateau_rule_from_an_undefined_start_error_matches_the_serial_loop():
-    # MWR anchors a mark at the lower bound, where the objective is -inf, and
-    # the target is -inf, so each epoch starts the plateau rule's error at
-    # NaN; the serial loop's first step takes the error it measures (+inf),
-    # so the NaN must not stick, or no epoch would ever restart
+def test_an_infinite_target_is_refused():
+    # the plateau rule measures each epoch's error from the target: at -inf
+    # the first error would be -inf - -inf, NaN, so no such spec is built
     def neg_inf_at_1(points):
         x = points[:, 0]
         return np.where(x <= 1.0, -np.inf, np.sqrt(x))
 
     spec = ObjectiveSpec(name="neg_inf_at_1", dims=1, lower=[1.0], upper=[17.0],
-                         fn=neg_inf_at_1).with_target(-math.inf)
-    cfg = SolverConfig(kind="MWR", seed=1, steps_limit=30, marks=6, radius=2, plateau_limit=2)
-    with np.errstate(invalid="ignore"):  # -inf - -inf
-        records = run_seeds(cfg, spec, [1, 2, 3])
-    assert all(r.restarts for r in records)
-    assert records == _serial_records(cfg, spec, [1, 2, 3])
+                         fn=neg_inf_at_1)
+    for value in (-math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="value_target must be finite"):
+            spec.with_target(value)
+        with pytest.raises(ValueError, match="value_target must be finite"):
+            dataclasses.replace(spec, value_target=value)
 
 
 def test_lockstep_one_seed_equals_a_hundred_on_the_seeds_they_share(ehrenfest4_spec):
