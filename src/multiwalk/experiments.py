@@ -29,10 +29,8 @@ from .solvers import RunRecord, config_lines, run_seeds
 __all__ = [
     "RUN_COLUMNS",
     "ExperimentPlan",
-    "SolverSummary",
     "run_experiment",
     "run_fields",
-    "summarize",
     "summarize_experiment",
     "write_runs_csv",
     "write_summary_csv",
@@ -64,19 +62,16 @@ class ExperimentPlan:
 
 
 def _step_points(cfg) -> int:
-    """Values one lockstep step stacks per seed: its candidate points and,
-    for a ruler kind below full radius, its (m, m - 2) sampling ranks.  A DE
-    seed's (m, m) rank block is sorted as it is drawn and never stacked."""
-    if not cfg.uses_ruler:
-        return cfg.marks
-    ranks = cfg.marks * (cfg.marks - 2) if cfg.radius < cfg.marks - 2 else 0
-    return cfg.marks * cfg.radius + ranks
+    """Kernel points one lockstep step evaluates per seed: ``marks * radius``
+    ruler candidates or ``marks`` DE trials.  Both families turn each seed's
+    rank block into indices as it is drawn, so no step stacks one."""
+    return cfg.marks * cfg.radius if cfg.uses_ruler else cfg.marks
 
 
 def _seed_chunks(plan: ExperimentPlan):
     """(config index, seeds) tasks: each config's seeds in contiguous chunks
     of near-equal size, none of which stacks more than ``BATCH_POINTS``
-    values into one step (a seed larger than that runs alone)."""
+    kernel points into one step (a seed larger than that runs alone)."""
     n = plan.sample_size
     for k, cfg in enumerate(plan.configs):
         n_chunks = -(-n // max(1, BATCH_POINTS // _step_points(cfg)))

@@ -31,9 +31,9 @@ __all__ = [
 # ``ehrenfest`` builds (2**24 floats are 128 MB).
 MAX_ENUMERATION_STATES = 2 ** 24
 
-# Most points one kernel call or one stacked solver step holds: the target
-# oracle scans in slabs of this size and a seed chunk stacks no more than
-# this per step.  It bounds temporaries, and so peak memory, never results.
+# Most points one kernel call holds, for the target oracle's scan slabs and
+# a seed chunk's lockstep step alike.  It bounds temporaries, and so peak
+# memory, never results.
 BATCH_POINTS = 16384
 
 
@@ -80,7 +80,7 @@ def quantize(value, digits: int):
     A double carries fewer than 17 significant decimal digits, so for
     ``digits >= 17`` the value is returned unchanged.
     """
-    if not isinstance(digits, (int, np.integer)) or digits < 1:
+    if not isinstance(digits, (int, np.integer)) or isinstance(digits, bool) or digits < 1:
         raise ValueError(f"digits must be a positive integer, got {digits!r}")
     if digits >= 17:
         return value

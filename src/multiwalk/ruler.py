@@ -15,14 +15,10 @@ import numpy as np
 
 from .objectives import ObjectiveSpec, evaluate_batch
 
-__all__ = [
-    "eligible_neighbors",
-    "neighborhood_eval",
-    "candidate_table_text",
-]
+__all__ = ["candidate_table_text"]
 
 MIN_MARKS = 4  # radius <= m - 2 must admit radius >= 2
-MAX_MARKS = 1024  # keeps the (m, m - 2) tables and rank blocks in the tens of MB
+MAX_MARKS = 1024  # keeps the (m, m - 2) table and one population's rank block in the tens of MB
 
 
 @lru_cache(maxsize=None)
@@ -75,16 +71,15 @@ def _candidates(marks: np.ndarray, neighbor_sets: np.ndarray, lower: np.ndarray,
     return diffs
 
 
-def _neighbor_sets(n_marks: int, radius: int, ranks: np.ndarray | None) -> np.ndarray:
+def _neighbor_sets(n_marks: int, radius: int, columns: np.ndarray) -> np.ndarray:
     """Neighbor indices per mark, ascending.  At full radius (m - 2) the
-    shared (m, m - 2) table of every eligible neighbor, and ``ranks`` is not
-    read; otherwise (..., m, radius), a uniform sample of ``radius`` eligible
-    neighbors per mark from its row of the (..., m, m - 2) rank block."""
+    shared (m, m - 2) table of every eligible neighbor, and ``columns`` is
+    not read; otherwise (..., m, radius), the eligible neighbors in the
+    sampled ``columns`` (..., m, radius) of each mark's row, in any order."""
     eligible = eligible_neighbors(n_marks)
     if radius == n_marks - 2:
         return eligible
-    sel = np.sort(np.argsort(ranks, axis=-1)[..., :radius], axis=-1)
-    return eligible[np.arange(n_marks)[:, None], sel]
+    return eligible[np.arange(n_marks)[:, None], np.sort(columns, axis=-1)]
 
 
 def neighborhood_eval(marks: np.ndarray, spec: ObjectiveSpec, radius: int,
@@ -97,12 +92,14 @@ def neighborhood_eval(marks: np.ndarray, spec: ObjectiveSpec, radius: int,
 
     At full radius (m - 2) every eligible neighbor is consulted; otherwise a
     fresh uniform sample of ``radius`` neighbors is drawn per mark per step,
-    shared across dimensions.  Each population draws one block of doubles
-    per step from its own generator: the (m, m - 2) sampling ranks (below
-    full radius), then the dither block filled mark-major, neighbor-minor,
-    dimension-minor (dither > 0), ``u`` entering as ``-1 + 2 u``, which is
-    ``uniform(-1, 1)`` bit for bit; an empty block draws nothing.  So a
-    population's step does not depend on the others it is stacked with.
+    shared across dimensions.  Each population draws from its own generator,
+    in turn: the (m, m - 2) sampling ranks (below full radius), which it
+    turns at once into the ``radius`` columns of each mark's lowest ranks,
+    so no rank block is stacked; then the dither block (dither > 0),
+    mark-major, neighbor-minor, dimension-minor, straight into its row of
+    the stacked (N, m, radius, p) block, ``u`` entering as ``-1 + 2 u``,
+    which is ``uniform(-1, 1)`` bit for bit; an empty block draws nothing.
+    So a population's step does not depend on the others it is stacked with.
     Costs exactly ``m * radius`` probes per population.  Ties between
     candidates break toward the lowest neighbor index.  ``evaluate_batch``
     reports a kernel's NaN as ``+inf``, so an undefined candidate never wins
@@ -112,14 +109,17 @@ def neighborhood_eval(marks: np.ndarray, spec: ObjectiveSpec, radius: int,
     n, m, p = marks.shape
     if not 1 <= radius <= m - 2:
         raise ValueError(f"radius must be in [1, {m - 2}], got {radius}")
-    n_ranks = 0 if radius == m - 2 else m * (m - 2)
-    draws = np.empty((n, n_ranks + (m * radius * p if dither > 0.0 else 0)))
-    for row, rng in zip(draws, rngs):
-        rng.random(out=row)
-    neighbor_sets = _neighbor_sets(m, radius, draws[:, :n_ranks].reshape(n, m, -1))
-    u = draws[:, n_ranks:].reshape(n, m, radius, -1)
+    full = radius == m - 2
+    ranks, columns = np.empty((m, m - 2)), np.empty((n, m, 0 if full else radius), np.intp)
+    u = np.empty((n, m, radius, p if dither > 0.0 else 0))
+    for k, rng in enumerate(rngs):
+        if not full:
+            rng.random(out=ranks)
+            columns[k] = ranks.argsort(axis=1)[:, :radius]
+        rng.random(out=u[k])
     u *= 2.0
     u -= 1.0
+    neighbor_sets = _neighbor_sets(m, radius, columns)
     cands = _candidates(marks, neighbor_sets, spec.lower, spec.upper, dither, u)
 
     raw = evaluate_batch(spec, cands.reshape(n * m * radius, p))

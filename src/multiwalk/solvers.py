@@ -46,7 +46,6 @@ __all__ = [
     "SolverConfig",
     "RunRecord",
     "WalkTrace",
-    "mw_step",
     "run_solver",
     "run_seeds",
     "config_lines",

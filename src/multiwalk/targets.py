@@ -28,7 +28,6 @@ from .objectives import (BATCH_POINTS, MAX_ENUMERATION_STATES, ObjectiveSpec, ge
                          quantize, wild)
 
 __all__ = [
-    "TargetRecord",
     "TargetStore",
     "enumerate_integer_minimum",
     "grid_refine_minimum",

@@ -123,7 +123,7 @@ def test_seed_chunks_cover_each_config_in_order_within_the_step_budget(n, kind, 
     chunks = [seeds for _k, seeds in _seed_chunks(plan)]
     assert [s for seeds in chunks for s in seeds] == list(range(5, 5 + n))
     assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
-    held = marks * radius + (marks * (marks - 2) if radius < marks - 2 else 0) if radius else marks
+    held = marks * radius if radius else marks
     for seeds in chunks:
         assert len(seeds) == 1 or len(seeds) * held <= BATCH_POINTS
     # the fewest chunks that keep to the budget

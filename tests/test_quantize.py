@@ -76,6 +76,9 @@ def test_digits_validation():
         quantize(1.0, 0)
     with pytest.raises(ValueError):
         quantize(1.0, -3)
+    for digits in (True, False):  # a bool is not a digit count
+        with pytest.raises(ValueError):
+            quantize(1.2345, digits)
 
 
 def test_large_digits_returns_value():

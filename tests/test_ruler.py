@@ -25,9 +25,12 @@ def _dither_draws(rng, shape, dither):
     return rng.uniform(-1.0, 1.0, size=shape) if dither > 0.0 else None
 
 
-def _ranks(rng, n_marks, radius):
-    """The sampling rank block, or None at full radius (no draws)."""
-    return None if radius == n_marks - 2 else rng.uniform(size=(n_marks, n_marks - 2))
+def _columns(rng, n_marks, radius):
+    """The columns of each mark's ``radius`` lowest sampling ranks, or None at
+    full radius (no draws)."""
+    if radius == n_marks - 2:
+        return None
+    return np.argsort(rng.uniform(size=(n_marks, n_marks - 2)), axis=1)[:, :radius]
 
 
 def _eval_one(marks, spec, radius, dither, rng):
@@ -154,7 +157,7 @@ def test_candidates_match_clip_reference(name, dither):
     spec = get_objective(name)
     for seed, (m, radius) in enumerate([(4, 1), (8, 3), (32, 30), (32, 4)]):
         marks, _values = _anchored_init(spec, m, seed)
-        neighbor_sets = _neighbor_sets(m, radius, _ranks(np.random.default_rng(seed), m, radius))
+        neighbor_sets = _neighbor_sets(m, radius, _columns(np.random.default_rng(seed), m, radius))
         assert np.array_equal(
             neighbor_sets, _neighbor_sets_reference(m, radius, np.random.default_rng(seed)))
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -264,7 +267,7 @@ def test_full_radius_dither_zero_ignores_rng(ehrenfest4_spec):
 
 def test_random_radius_samples_eligible_sorted(ehrenfest4_spec):
     spec = ehrenfest4_spec
-    neighbor_sets = _neighbor_sets(6, 2, _ranks(np.random.default_rng(17), 6, 2))
+    neighbor_sets = _neighbor_sets(6, 2, _columns(np.random.default_rng(17), 6, 2))
     assert neighbor_sets.shape == (6, 2)
     for i in range(6):
         row = neighbor_sets[i]
@@ -277,6 +280,26 @@ def test_random_radius_samples_eligible_sorted(ehrenfest4_spec):
     cands = _candidates(DEMO_MARKS, neighbor_sets, spec.lower, spec.upper)
     for i in range(6):
         assert coords[i, 0] in cands[i, :, 0]
+
+
+@pytest.mark.parametrize("radius", [3, 6])  # below full radius, and full (m - 2)
+@pytest.mark.parametrize("dither", [0.0, 0.01])
+def test_stacked_eval_equals_one_seed_calls(radius, dither):
+    spec, m, seeds = get_objective("wild3"), 8, range(5)
+    marks, _values = _start(spec, m, seeds)
+    stacked = [np.random.default_rng(40 + s) for s in seeds]
+    got = neighborhood_eval(marks, spec, radius, dither, stacked)
+    for k, s in enumerate(seeds):
+        rng = np.random.default_rng(40 + s)
+        want = _eval_one(marks[k], spec, radius, dither, rng)
+        for a, b in zip(got, want):
+            assert a[k].tobytes() == b.tobytes()
+        assert stacked[k].bit_generator.state == rng.bit_generator.state
+        # a seed's step consumes its rank block, then its dither block
+        ref = np.random.default_rng(40 + s)
+        ref.random((m * (m - 2) if radius < m - 2 else 0)
+                   + (m * radius * spec.dims if dither > 0.0 else 0))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_radius_out_of_range(ehrenfest4_spec):
