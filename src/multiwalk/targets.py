@@ -8,6 +8,8 @@ all windows in lockstep with one kernel call per round.  Enumeration and
 the coarse scan share one grid scan; it and every refinement window rank
 NaN as ``+inf``, as ``evaluate_batch`` does, and ties to the lowest grid
 index (lowest coordinates).  Targets are quantized to ``digits_target``.
+trefethen2 and trefethen3 are scanned and refined through their pair term
+broadcast over the grid axes, with the floats of their kernels.
 
 A target is a function of the spec's kernel, box and digits, never of its
 name: each kernel's scan policy errs on the dense side, since a wrong target
@@ -24,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .objectives import (BATCH_POINTS, MAX_ENUMERATION_STATES, ObjectiveSpec, get_objective,
-                         quantize, wild)
+from .objectives import (BATCH_POINTS, MAX_ENUMERATION_STATES, ObjectiveSpec, _trefethen_pair,
+                         get_objective, quantize, wild)
 
 __all__ = [
     "TargetStore",
@@ -41,11 +43,13 @@ REFINE_INCUMBENTS = 8
 
 # Scan policy per registered kernel: wild's basins (~0.15 wide in a 100-wide
 # box) need a dense grid, and its coordinate mean makes its minimum on
-# [a, b]^P the 1-D term's on [a, b]; trefethen3's values are trefethen2's on
-# the first two axes plus on the last two, which the chain scan broadcasts.
+# [a, b]^P the 1-D term's on [a, b]; trefethen2's values are its pair term's
+# and trefethen3's the pair's on the first two axes plus on the last two, a
+# chain of pairs, each broadcast over its two axes.
 _ORACLE_POLICY = (
     (wild, {"coarse_points": 40001, "separable": True}),
-    (get_objective("trefethen3").fn, {"coarse_points": 401, "chain_base": "trefethen2"}),
+    (get_objective("trefethen2").fn, {"pair": _trefethen_pair}),
+    (get_objective("trefethen3").fn, {"coarse_points": 401, "pair": _trefethen_pair}),
 )
 
 
@@ -120,36 +124,43 @@ def _scan_top_cells(fn, axes, keep: int, pair=None):
         top_v, top_i = _chain_top_cells(pair, axes, keep)
     else:
         top_v, top_i = np.empty(0), np.empty(0, dtype=np.intp)
-        for cells in _slabs(math.prod(shape)):
+        for cells in _slabs(math.prod(shape), BATCH_POINTS):
             values = _grid_values(fn, np.unravel_index(cells, shape), axes)
             top_v, top_i = _merge(top_v, top_i, values, cells, keep)
     return top_v, _points(axes, np.unravel_index(top_i, shape))
 
 
 def _chain_top_cells(pair, axes, keep: int):
-    """``_scan_top_cells`` of a chain: each value is the broadcast sum of
-    ``pair`` over the first two axes (the head cell) and over the last two,
-    each pair grid evaluated once in slabs (one grid serves both when the
-    three axes are equal).  A slab is at most ``BATCH_POINTS // n2`` head
-    cells (at least one), each with its ``n2`` sums.  Once the running top is
-    full, a slab skips the head cells whose head plus their row's lowest tail
-    (NaN skipped) is above the top's last value: rounding is monotone, so no
-    sum of theirs could enter the top, and a NaN bound skips nothing.
-    Returns the top's values and flat indices, as ``_merge`` ranks them."""
-    n1, n2 = len(axes[1]), len(axes[2])
+    """``_scan_top_cells`` of a chain of ``pair`` over consecutive axes, each
+    pair broadcast as ``pair(a[rows, None], b)`` over slabs of whole rows of
+    at most ``BATCH_POINTS`` points (at least one row).  Of two axes, each
+    slab merges into the running top.  Of three, each value is the sum of
+    the pair over the first two axes (the head cell) and over the last two,
+    each pair grid evaluated once (one grid serves both when the three axes
+    are equal).  A slab is at most ``BATCH_POINTS // n2`` head cells (at
+    least one), each with its ``n2`` sums.  Once the running top is full, a
+    slab skips the head cells whose head plus their row's lowest tail (NaN
+    skipped) is above the top's last value: rounding is monotone, so no sum
+    of theirs could enter the top, and a NaN bound skips nothing.  Returns
+    the top's values and flat indices, as ``_merge`` ranks them."""
+    n1, n2 = len(axes[1]), len(axes[-1])
+    top_v, top_i = np.empty(0), np.empty(0, dtype=np.intp)
+    if len(axes) == 2:
+        for r in _slabs(len(axes[0]), max(1, BATCH_POINTS // n2)):
+            top_v, top_i = _merge(top_v, top_i, pair(axes[0][r, None], axes[1]).reshape(-1),
+                                  (r[:, None] * n2 + np.arange(n2)).reshape(-1), keep)
+        return top_v, top_i
 
-    def pair_grid(ax):
-        shape = (len(ax[0]), len(ax[1]))
-        return np.concatenate([_grid_values(pair, np.unravel_index(c, shape), ax)
-                               for c in _slabs(math.prod(shape))])
+    def pair_grid(a, b):
+        return np.concatenate([pair(a[r, None], b)
+                               for r in _slabs(len(a), max(1, BATCH_POINTS // len(b)))])
 
-    tail = pair_grid(axes[1:]).reshape(n1, n2)
+    tail = pair_grid(*axes[1:])
     same = np.array_equal(axes[0], axes[1]) and np.array_equal(axes[1], axes[2])
-    head = tail.reshape(-1) if same else pair_grid(axes[:2])
+    head = (tail if same else pair_grid(*axes[:2])).reshape(-1)
     floor = np.fmin.reduce(tail, axis=1)
     step = max(1, BATCH_POINTS // n2)
-    top_v, top_i = np.empty(0), np.empty(0, dtype=np.intp)
-    for cells in _slabs(len(head)):
+    for cells in _slabs(len(head), BATCH_POINTS):
         while len(cells):  # prune against the current top, then take one slab
             cut = top_v[-1] if len(top_v) == keep else np.inf  # nothing is above +inf
             cells = cells[~(head[cells] + floor[cells % n1] > cut)]
@@ -159,10 +170,10 @@ def _chain_top_cells(pair, axes, keep: int):
     return top_v, top_i
 
 
-def _slabs(n: int):
-    """The flat indices ``0..n-1`` in ranges of at most ``BATCH_POINTS``."""
-    for start in range(0, n, BATCH_POINTS):
-        yield np.arange(start, min(start + BATCH_POINTS, n))
+def _slabs(n: int, size: int):
+    """The indices ``0..n-1`` in ranges of at most ``size``."""
+    for start in range(0, n, size):
+        yield np.arange(start, min(start + size, n))
 
 
 def _points(axes, idx) -> np.ndarray:
@@ -173,13 +184,13 @@ def _points(axes, idx) -> np.ndarray:
     return np.stack([a[i] for a, i in zip(axes, idx)], -1)
 
 
-def _grid_values(fn, idx, *grids) -> np.ndarray:
-    """``fn``, in one call, at the points ``_points(axes, idx)`` of each of
-    ``grids`` in turn: the oracle's one kernel call.  A scan slab holds at
-    most ``BATCH_POINTS`` points, a refinement round at most
-    ``REFINE_INCUMBENTS`` windows of ``REFINE_POINTS[dims]**dims``."""
-    points = [_points(axes, idx).reshape(-1, len(axes)) for axes in grids]
-    return np.asarray(fn(np.concatenate(points)), dtype=float)
+def _grid_values(fn, idx, axes) -> np.ndarray:
+    """``fn``, in one call, at the points ``_points(axes, idx)``: the
+    oracle's one call of a spec's kernel (a policy pair is broadcast over
+    grid axes instead).  A scan slab holds at most ``BATCH_POINTS`` points,
+    a refinement round at most ``REFINE_INCUMBENTS`` windows of
+    ``REFINE_POINTS[dims]**dims``."""
+    return np.asarray(fn(_points(axes, idx).reshape(-1, len(axes))), dtype=float)
 
 
 def _merge(top_v, top_i, values, idx, keep: int):
@@ -208,15 +219,15 @@ def _separated_incumbents(values, points, spacing):
 
 def _refine(spec: ObjectiveSpec, seeds_v, seeds_x, spacing: np.ndarray, pair):
     """Local grid refinement of every incumbent in lockstep: each round halves
-    the windows around the incumbents and evaluates all their grids (or, for
-    a chain's ``pair`` kernel, the head and tail pair grids) in one kernel
-    call.  Each window picks its lowest value by the scan's rule (NaN as
-    ``+inf``, ties to the lowest index), and its incumbent moves only to a
-    lower value, so a window with no value below ``+inf`` never moves it."""
+    the windows around the incumbents and evaluates all their grids in one
+    kernel call (or, for a chain's ``pair`` kernel, one ``(K, n, n)``
+    broadcast of the pair per pair of consecutive axes, summed as the chain
+    scan sums them).  Each window picks its lowest value by the scan's rule
+    (NaN as ``+inf``, ties to the lowest index), and its incumbent moves only
+    to a lower value, so a window with no value below ``+inf`` never moves it."""
     best_v, best_x = np.array(seeds_v, dtype=float), np.array(seeds_x, dtype=float)
     win, n = np.arange(len(best_v)), REFINE_POINTS[spec.dims]
-    shape = [n] * (spec.dims if pair is None else 2)  # a chain evaluates pair grids
-    grid = [(win[:, None], i) for i in np.unravel_index(np.arange(n ** len(shape)), shape)]
+    grid = [(win[:, None], i) for i in np.unravel_index(np.arange(n ** spec.dims), [n] * spec.dims)]
     half = 2.0 * spacing
     for _ in range(REFINE_ROUNDS):
         lo = np.maximum(spec.lower, best_x - half)
@@ -227,10 +238,13 @@ def _refine(spec: ObjectiveSpec, seeds_v, seeds_x, spacing: np.ndarray, pair):
         axes = lo.T[..., None] + np.arange(n) * ((hi - lo) / (n - 1)).T[..., None]
         axes[..., -1] = hi.T
         if pair is None:
-            values = _grid_values(spec.fn, grid, axes).reshape(len(win), -1)
+            values = _grid_values(spec.fn, grid, axes)
+        elif spec.dims == 2:
+            values = pair(axes[0][:, :, None], axes[1][:, None, :])
         else:
-            head, tail = _grid_values(pair, grid, axes[:2], axes[1:]).reshape(2, -1, n, n)
-            values = (head[:, :, :, None] + tail[:, None]).reshape(len(win), -1)
+            head, tail = (pair(a[:, :, None], b[:, None, :]) for a, b in zip(axes, axes[1:]))
+            values = head[:, :, :, None] + tail[:, None]
+        values = values.reshape(len(win), -1)
         pick = np.fmin(values, np.inf).argmin(axis=1)
         v = values[win, pick]
         x = _points(axes, [(win, i) for i in np.unravel_index(pick, [n] * spec.dims)])
@@ -259,7 +273,7 @@ def grid_refine_minimum(spec: ObjectiveSpec) -> TargetRecord:
         scan = replace(spec, dims=1, lower=spec.lower[:1], upper=spec.upper[:1])
     elif spec.dims > 3:
         raise ValueError("grid refinement supports at most 3 dimensions")
-    pair = get_objective(policy["chain_base"]).fn if "chain_base" in policy else None
+    pair = policy.get("pair")
     coarse = policy.get("coarse_points", COARSE_POINTS[scan.dims])
     axes = [np.linspace(scan.lower[d], scan.upper[d], coarse) for d in range(scan.dims)]
     spacing = (scan.upper - scan.lower) / (coarse - 1)

@@ -9,8 +9,8 @@ import sys
 
 import multiwalk
 import multiwalk.cli  # noqa: F401  (the tracer patches every package module)
-from multiwalk.objectives import get_objective
 from multiwalk.solvers import SolverConfig, run_solver
+from test_targets import _counting_pairs
 
 LAYERS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "layers.py")
 
@@ -87,21 +87,27 @@ def test_traced_and_untraced_oracle_reach_the_wild_term_with_the_same_points(tmp
     assert sum(points) - untraced == untraced == 3 * (40001 + 8 * 60 * 33)
 
 
-def test_traced_oracle_counts_the_chain_base_points():
-    # trefethen3 is scanned as trefethen2 pairs, reached through the patched
-    # targets.get_objective.  Coarse 401^3 grid: its three axes are equal,
-    # so one 401x401 grid, evaluated in 10 slabs of at most 16384 points,
-    # serves as head and tail.  Refinement: 60 lockstep rounds, each one call
-    # for the 11x11 head and 11x11 tail grids of all 8 seeds' 11^3 windows.
-    # Calls 10 + 60; points 401^2 + 60 * 8 * 2 * 11^2.
+def test_traced_oracle_counts_the_chain_base_points(monkeypatch):
+    # trefethen3 is scanned as a chain of its policy's pair term, broadcast
+    # over the grid axes, so its kernel, fetched through the patched
+    # targets.get_objective, is never called.  Coarse 401^3 grid: its three
+    # axes are equal, so one 401x401 pair grid, evaluated in 11 slabs of 40
+    # whole rows (at most 16384 points), serves as head and tail.
+    # Refinement: 60 lockstep rounds, each one (8, 11, 11) head and one tail
+    # broadcast for all 8 seeds' 11^3 windows.  Pair calls 11 + 2 * 60;
+    # points 401^2 + 60 * 8 * 2 * 11^2.
+    targets, calls = multiwalk.targets, []
+    monkeypatch.setattr(targets, "_ORACLE_POLICY", _counting_pairs(calls))
     with _layers().Tracer(multiwalk) as tracer:
-        rec = multiwalk.targets.compute_target(get_objective("trefethen3"))
+        rec = targets.compute_target(targets.get_objective("trefethen3"))
     assert rec.value_target == -5.74309093
     stats = tracer.summary()
     assert stats["targets.compute_target"].calls == 1
     assert stats["targets.grid_refine_minimum"].calls == 1
-    assert stats["objectives.fn"].calls == 10 + 60
-    assert tracer.counts["objectives.fn.points"] == 401 ** 2 + 8 * 60 * 2 * 11 ** 2
+    assert stats["objectives.fn"].calls == 0
+    assert tracer.counts["objectives.fn.points"] == 0
+    assert len(calls) == 11 + 2 * 60
+    assert sum(calls) == 401 ** 2 + 8 * 60 * 2 * 11 ** 2
 
 
 def test_traced_cli_probe_ledger_matches_the_run_records(tmp_path, monkeypatch):

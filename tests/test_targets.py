@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from multiwalk import targets
-from multiwalk.objectives import (ObjectiveSpec, get_objective, objective_names, quantize,
-                                  trefethen)
+from multiwalk.objectives import (ObjectiveSpec, _trefethen_pair, get_objective,
+                                  objective_names, quantize, trefethen)
 from multiwalk.targets import (TargetRecord, TargetStore, compute_target,
                                enumerate_integer_minimum, grid_refine_minimum)
 from test_probe_fingerprint import _active_cpu_features, dispatch_class
@@ -143,6 +143,19 @@ def _pool_kernel(pool):
     return fn
 
 
+def _pool_pair(pool):
+    """``_pool_kernel`` as a pair kernel: one value per point of the
+    broadcast of its two coordinate arrays."""
+    fn = _pool_kernel(pool)
+    return lambda a, b: fn(np.stack(np.broadcast_arrays(a, b), axis=-1))
+
+
+def _chain(pair, coords):
+    """``pair`` summed over consecutive coordinates, left to right, as
+    trefethen sums its pairs; ``coords`` holds one array per coordinate."""
+    return functools.reduce(np.add, (pair(a, b) for a, b in zip(coords, coords[1:])))
+
+
 _pools = st.lists(st.one_of(_value_pool, st.floats(-3.0, 3.0)), min_size=1, max_size=6)
 
 
@@ -155,9 +168,10 @@ _long_chain_axis = st.integers(65, 100).flatmap(
     lambda n: hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)))
 
 
-# a chain scan's bound, in points, for pair axes of n1 and n2 points: one
-# point (below one head cell's n2 sums), one or seven head cells per slab (so
-# a slab can end inside a first-axis row of n1 head cells), or whole rows
+# a chain scan's bound, in points, for its last two axes of n1 and n2
+# points: one point (below one head cell's n2 sums), one or seven head cells
+# per slab (so a slab can end inside a first-axis row of n1 head cells), or
+# whole rows; of two axes, a head cell is one row of the pair grid
 _CHAIN_BOUNDS = {
     "point": lambda n1, n2: 1,
     "cell": lambda n1, n2: n2,
@@ -170,7 +184,7 @@ _CHAIN_BOUNDS = {
 
 @settings(max_examples=150, deadline=None)
 @given(first=st.one_of(_chain_axis, _long_chain_axis),
-       rest=st.lists(_chain_axis, min_size=2, max_size=2), keep=st.sampled_from([1, 5, 64]),
+       rest=st.lists(_chain_axis, min_size=1, max_size=2), keep=st.sampled_from([1, 5, 64]),
        slab=st.sampled_from(sorted(_CHAIN_BOUNDS)), pool=st.none() | _pools)
 @example(first=np.array([0.6]), rest=[np.zeros(1), np.zeros(1)], keep=1, slab="row",
          pool=[math.inf, -math.inf])
@@ -178,22 +192,23 @@ _CHAIN_BOUNDS = {
 @example(first=np.array([0.1, 0.6]), rest=[np.zeros(1), np.zeros(1)], keep=5, slab="row",
          pool=[math.inf, -math.inf])
 def test_chain_scan_is_a_stable_argsort_of_the_spec(first, rest, keep, slab, pool):
-    # trefethen3 is scanned as trefethen2 pairs; its bytes must be spec.fn's,
-    # and with a pooled base (ties, -0.0, +-inf, NaN) the pair sums'
-    spec = get_objective("trefethen3")
+    # trefethen2 and trefethen3 are scanned as chains of their pair term; the
+    # bytes must be spec.fn's, and with a pooled pair (ties, -0.0, +-inf,
+    # NaN) the pair sums'
     axes = [first, *rest]
-    bound = _CHAIN_BOUNDS[slab](len(axes[1]), len(axes[2]))
-    assert targets._policy(spec)["chain_base"] == "trefethen2"
+    spec = get_objective(f"trefethen{len(axes)}")
+    bound = _CHAIN_BOUNDS[slab](len(axes[-2]), len(axes[-1]))
+    assert targets._policy(spec)["pair"] is _trefethen_pair
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     # inf + -inf is a NaN sum, not an error
     with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
         mp.setattr(targets, "BATCH_POINTS", bound)
         if pool is None:
-            base, values = get_objective("trefethen2").fn, spec.fn(grid)
+            pair, values = _trefethen_pair, spec.fn(grid)
         else:
-            base = _pool_kernel(pool)
-            values = base(grid[:, :2]) + base(grid[:, 1:])
-        top_v, top_x = targets._scan_top_cells(spec.fn, axes, keep, base)
+            pair = _pool_pair(pool)
+            values = _chain(pair, grid.T)
+        top_v, top_x = targets._scan_top_cells(spec.fn, axes, keep, pair)
     ranked = np.fmin(values, np.inf)
     order = np.argsort(ranked, kind="stable")[:keep]
     assert top_v.tobytes() == ranked[order].tobytes()
@@ -228,8 +243,13 @@ def _bowl(pts):
     return np.sum((pts - 3e-20) ** 2, axis=-1)
 
 
+def _bowl_pair(a, b):
+    return (a - 3e-20) ** 2 + (b - 3e-20) ** 2
+
+
 @settings(max_examples=60, deadline=None)
-@given(dims=st.sampled_from([1, 2, 3, "chain"]), pool=st.none() | _pools, seeds=_refine_seeds,
+@given(dims=st.sampled_from([1, 2, 3, "pair", "chain"]), pool=st.none() | _pools,
+       seeds=_refine_seeds,
        coarse=st.sampled_from([3, 33, 4001]))
 # with 11-point windows, once the window at the box edge has zero width and
 # the one still improving near 0 has not, a stacked linspace moves the latter
@@ -245,12 +265,14 @@ def _bowl(pts):
 @example(dims=2, pool=[math.nan, -math.inf], coarse=33,  # the first -inf wins
          seeds=[(9.0, np.zeros(3))])
 def test_lockstep_refinement_matches_the_serial_reference(dims, pool, seeds, coarse):
-    # pool None is the bowl
-    kernel = _bowl if pool is None else _pool_kernel(pool)
+    # pool None is the bowl; "pair" and "chain" refine trefethen2 and
+    # trefethen3 through a pair kernel
     with np.errstate(invalid="ignore"):
-        if dims == "chain":
-            spec, pair = get_objective("trefethen3"), kernel
+        if dims in ("pair", "chain"):
+            spec = get_objective("trefethen2" if dims == "pair" else "trefethen3")
+            pair = _bowl_pair if pool is None else _pool_pair(pool)
         else:
+            kernel = _bowl if pool is None else _pool_kernel(pool)
             spec, pair = ObjectiveSpec(name="pool", dims=dims, lower=[-1.0] * dims,
                                        upper=[1.0] * dims, fn=kernel), None
         seeds_v = [v for v, _ in seeds]
@@ -370,13 +392,27 @@ def _counting(fn, sizes):
     return counted
 
 
+def _counting_pairs(sizes):
+    """``targets._ORACLE_POLICY`` with each pair kernel appending the number
+    of points of every grid it is handed to ``sizes``."""
+    def counting(pair):
+        def counted(a, b):
+            sizes.append(np.broadcast(a, b).size)
+            return pair(a, b)
+        return counted
+    return tuple((kernel, {**policy, "pair": counting(policy["pair"])} if "pair" in policy
+                  else policy) for kernel, policy in targets._ORACLE_POLICY)
+
+
 @pytest.mark.parametrize("name", objective_names())
 def test_no_oracle_kernel_call_or_slab_exceeds_the_batch_bound(name, monkeypatch):
-    # every kernel compute_target reaches, a chain's base included, is
-    # fetched through targets.get_objective
-    sizes, slabs = [], []
+    # every kernel compute_target reaches is counted: a spec's, fetched
+    # through targets.get_objective, or its policy pair's, which is then the
+    # only kernel called, broadcast over pair-grid slabs and windows
+    sizes, pair_sizes, slabs = [], [], []
     monkeypatch.setattr(targets, "get_objective", lambda n: replace(
         get_objective(n), fn=_counting(get_objective(n).fn, sizes)))
+    monkeypatch.setattr(targets, "_ORACLE_POLICY", _counting_pairs(pair_sizes))
 
     def merge(top_v, top_i, values, idx, keep, merge=targets._merge):
         slabs.append(len(values))
@@ -384,7 +420,10 @@ def test_no_oracle_kernel_call_or_slab_exceeds_the_batch_bound(name, monkeypatch
     monkeypatch.setattr(targets, "_merge", merge)
     rec = compute_target(targets.get_objective(name))
     assert (repr(rec.value_target), repr(rec.coords)) == pinned_target(name)
-    assert sizes and max(sizes) <= targets.BATCH_POINTS
+    paired = "pair" in targets._policy(get_objective(name))
+    called, idle = (pair_sizes, sizes) if paired else (sizes, pair_sizes)
+    assert called and max(called) <= targets.BATCH_POINTS
+    assert not idle
     assert slabs and max(slabs) <= targets.BATCH_POINTS
 
 
@@ -417,6 +456,33 @@ def test_every_policy_kernel_is_a_registered_kernel():
     kernels = [get_objective(name).fn for name in objective_names()]
     for kernel, _ in targets._ORACLE_POLICY:
         assert any(fn is kernel for fn in kernels)
+
+
+# box edges, zero of either sign and points inside the box
+_box_coord = st.one_of(st.sampled_from([-1.0, 1.0, 0.0, -0.0]), st.floats(-1.0, 1.0))
+_box_axis = st.integers(1, 12).flatmap(lambda n: hnp.arrays(float, n, elements=_box_coord))
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=hnp.arrays(float, st.tuples(st.integers(1, 40), st.just(3)), elements=_box_coord),
+       axes=st.lists(_box_axis, min_size=3, max_size=3))
+def test_every_policy_pair_reproduces_its_kernel(points, axes):
+    # the oracle reaches a kernel with a policy pair only through the pair, so
+    # an edit to trefethen that leaves the pair behind would move its
+    # targets: the pair summed over consecutive coordinates must give the
+    # kernel's bytes on stacked points, and broadcast over open grid axes
+    # ((k, 1) x (1, n) for two) the kernel's on the flattened tensor grid
+    paired = []
+    for spec in map(get_objective, objective_names()):
+        pair = targets._policy(spec).get("pair")
+        if pair is None:
+            continue
+        paired.append(spec.name)
+        pts, grid_axes = points[:, :spec.dims], axes[:spec.dims]
+        assert spec.fn(pts).tobytes() == _chain(pair, pts.T).tobytes()
+        grid = np.stack([g.ravel() for g in np.meshgrid(*grid_axes, indexing="ij")], axis=1)
+        assert spec.fn(grid).tobytes() == _chain(pair, np.ix_(*grid_axes)).tobytes()
+    assert paired == ["trefethen2", "trefethen3"]
 
 
 def test_an_unhashable_kernel_gets_the_generic_scan():
